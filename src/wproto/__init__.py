@@ -34,6 +34,9 @@ from .qsim import (
 from .wstates import (
     CoefficientVector,
     ConditionReport,
+    UnsuitableResourceError,
+    binary_entropy,
+    excitation_blocks,
     generalized_ghz,
     generalized_w,
     ghz,
@@ -56,7 +59,6 @@ from .teleport import (
     EncodedUnknownState,
     ProtocolReport,
     UnknownState,
-    UnsuitableResourceError,
     bob_strategy1_set,
     bob_strategy2_set,
     encoded_state,
@@ -67,6 +69,7 @@ from .teleport import (
     raw_measurement_vectors,
     raw_one_qubit_measurement_vectors,
     run_teleport_encoded,
+    run_teleport_grid,
     run_teleport_one_qubit,
     serial_basis,
     transfer_unitary,

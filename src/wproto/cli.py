@@ -30,7 +30,7 @@ from typing import Any
 import numpy as np
 
 from . import __version__
-from .qsim import partial_trace, von_neumann_entropy
+from .qsim import STRUCTURAL_TOL, partial_trace, von_neumann_entropy
 from .sdc import (
     EncodingSet,
     capacity_check,
@@ -41,12 +41,15 @@ from .sdc import (
 )
 from .teleport import (
     STRATEGIES,
-    UnsuitableResourceError,
+    run_teleport_grid,
     run_teleport_one_qubit,
     unknown_state_grid,
 )
 from .wstates import (
     CoefficientVector,
+    ConditionReport,
+    UnsuitableResourceError,
+    binary_entropy,
     generalized_ghz,
     generalized_w,
     ghz_suitability_scan,
@@ -111,7 +114,10 @@ def _as_complex(value: Any, where: str, errors: list[str]) -> complex:
         and len(value) == 2
         and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)
     ):
-        return complex(value[0], value[1])
+        if all(math.isfinite(x) for x in value):
+            return complex(value[0], value[1])
+        errors.append(f"{where}: [re, im] must be finite numbers")
+        return 0j
     errors.append(f"{where}: expected a two-element [re, im] array")
     return 0j
 
@@ -143,7 +149,7 @@ def _parse_state(obj: Any, where: str, errors: list[str]) -> dict:
             else:
                 out["a2"] = _as_complex(a2, f"{where}.a2", errors)
             total = abs(out["a1"]) ** 2 + abs(out["a2"]) ** 2
-            if abs(total - 1.0) > 1e-10:
+            if not abs(total - 1.0) <= STRUCTURAL_TOL:
                 errors.append(
                     f"{where}: |a1|^2 + |a2|^2 = {total:.12g}"
                     f" (deficit {1.0 - total:.12g}); must be normalized"
@@ -160,7 +166,7 @@ def _parse_state(obj: Any, where: str, errors: list[str]) -> dict:
             [_as_complex(v, f"{where}.coefficients[{i}]", errors) for i, v in enumerate(raw)]
         )
         total = float(np.sum(np.abs(coeffs) ** 2))
-        if abs(total - 1.0) > 1e-10:
+        if not abs(total - 1.0) <= STRUCTURAL_TOL:
             errors.append(
                 f"{where}.coefficients: squared norm {total:.12g}"
                 f" (deficit {1.0 - total:.12g}); must be normalized"
@@ -330,21 +336,21 @@ def _state_label(s: Scenario) -> str:
     return f"coefficients (n={s.n})"
 
 
+def _split_sums(r: ConditionReport) -> dict:
+    return {
+        "m": r.partition_size,
+        "left_sum": r.left_sum,
+        "right_sum": r.right_sum,
+        "residual": r.residual,
+    }
+
+
 def _run_scan(s: Scenario) -> tuple[dict, bool, str]:
     if s.named == "ghz":
         reports = ghz_suitability_scan(s.ghz_a1, s.ghz_a2, s.n)
     else:
         reports = suitability_scan(_coefficient_vector(s))
-    rows = [
-        {
-            "m": r.partition_size,
-            "holds": r.holds,
-            "left_sum": r.left_sum,
-            "right_sum": r.right_sum,
-            "residual": r.residual,
-        }
-        for r in reports
-    ]
+    rows = [{"holds": r.holds, **_split_sums(r)} for r in reports]
     holding = [r.partition_size for r in reports if r.holds]
     if holding:
         reason = f"partition(s) {holding} split half-and-half (unit entropy)"
@@ -361,49 +367,28 @@ def _run_teleport(s: Scenario) -> tuple[dict, bool, str]:
         "strategy": s.strategy,
     }
     try:
-        min_fid = math.inf
-        max_prob_dev = 0.0
-        labels: list[str] = []
-        for psi in grid:
-            report = run_teleport_one_qubit(c, s.m, psi, s.strategy)
-            min_fid = min(min_fid, report.min_fidelity)
-            for outcome in report.outcomes:
-                expected = 1.0 / 16.0 if "|" in outcome.label else 0.25
-                max_prob_dev = max(max_prob_dev, abs(outcome.probability - expected))
-            if not labels:
-                labels = [o.label for o in report.outcomes]
-        results.update(
-            runs=len(grid),
-            min_fidelity=min_fid,
-            max_probability_deviation=max_prob_dev,
-            outcome_labels=labels,
-            classical_bits_sent=2,
-        )
-        ok = min_fid >= 1.0 - 1e-9
-        reason = (
-            "every outcome of every run reproduced the input"
-            if ok
-            else f"minimum fidelity {min_fid:.12g} below 1 - 1e-9"
-        )
-        return results, ok, reason
+        reports = run_teleport_grid(c, s.m, grid, s.strategy)
     except UnsuitableResourceError as exc:
-        reports = suitability_scan(c)
-        if not any(r.holds for r in reports):
-            reason = (
-                f"unsuitable resource: {exc} — no partition of this state"
-                " satisfies the split condition"
-            )
-        else:
-            good = [r.partition_size for r in reports if r.holds]
-            reason = f"unsuitable resource: {exc} — usable partition(s): {good}"
+        good = [r.partition_size for r in suitability_scan(c) if r.holds]
+        reason = f"unsuitable resource: {exc} — " + (
+            f"usable partition(s): {good}"
+            if good
+            else "no partition of this state satisfies the split condition"
+        )
         if exc.report is not None:
-            results["condition"] = {
-                "m": exc.report.partition_size,
-                "left_sum": exc.report.left_sum,
-                "right_sum": exc.report.right_sum,
-                "residual": exc.report.residual,
-            }
+            results["condition"] = _split_sums(exc.report)
         return results, False, reason
+    worst = min(reports, key=lambda r: r.min_fidelity)
+    results.update(
+        runs=len(reports),
+        min_fidelity=worst.min_fidelity,
+        max_probability_deviation=max(r.probability_deviation for r in reports),
+        outcome_labels=[o.label for o in reports[0].outcomes],
+        classical_bits_sent=worst.classical_bits_sent,
+    )
+    if worst.success:
+        return results, True, "every outcome of every run reproduced the input"
+    return results, False, worst.reason
 
 
 def _encoding_set(s: Scenario, c: CoefficientVector) -> EncodingSet:
@@ -443,23 +428,14 @@ def _run_sdc(s: Scenario) -> tuple[dict, bool, str]:
 
 
 def _run_entropy(s: Scenario) -> tuple[dict, bool, str]:
+    closed: list[float] | None = None
     if s.named == "ghz":
         state = generalized_ghz(s.ghz_a1, s.ghz_a2, s.n)
-        p = abs(s.ghz_a1) ** 2
-
-        def formula(x: int) -> float:
-            if p in (0.0, 1.0):
-                return 0.0
-            return -(p * math.log2(p)) - ((1 - p) * math.log2(1 - p))
-
+        closed = [binary_entropy(abs(s.ghz_a1) ** 2)] * (s.n - 1)
     else:
-        c = _coefficient_vector(s)
-        state = generalized_w(c)
-        if s.state_kind == "named" and s.named == "w":
-            def formula(x: int) -> float:
-                return partition_entropy_formula(s.n, x)
-        else:
-            formula = None
+        state = generalized_w(_coefficient_vector(s))
+        if s.named == "w":
+            closed = [partition_entropy_formula(s.n, x) for x in range(1, s.n)]
     rows = []
     all_match = True
     for x in range(1, s.n):
@@ -467,17 +443,16 @@ def _run_entropy(s: Scenario) -> tuple[dict, bool, str]:
             partial_trace(state, range(s.n - x + 1, s.n + 1))
         )
         row: dict[str, Any] = {"x": x, "simulated": simulated}
-        if formula is not None:
-            expected = formula(x)
-            row["formula"] = expected
-            row["match"] = abs(simulated - expected) <= 1e-10
+        if closed is not None:
+            row["formula"] = closed[x - 1]
+            row["match"] = abs(simulated - closed[x - 1]) <= STRUCTURAL_TOL
             all_match = all_match and row["match"]
         rows.append(row)
     reason = (
         "simulated bipartition entropies match the closed form"
-        if formula is not None and all_match
+        if closed is not None and all_match
         else "closed form unavailable: simulated entropies reported"
-        if formula is None
+        if closed is None
         else "simulated entropy deviates from the closed form"
     )
     return {"rows": rows}, all_match, reason

@@ -109,10 +109,10 @@ class DensityMatrix:
         if mat.shape != (dim, dim):
             raise DimensionError(f"expected a {dim}x{dim} matrix, got {mat.shape}")
         herm_dev = float(np.abs(mat - mat.conj().T).max())
-        if herm_dev > STRUCTURAL_TOL:
+        if not herm_dev <= STRUCTURAL_TOL:
             raise ValueError(f"matrix is not Hermitian (max deviation {herm_dev:.3e})")
         trace_dev = abs(complex(np.trace(mat)) - 1.0)
-        if trace_dev > STRUCTURAL_TOL:
+        if not trace_dev <= STRUCTURAL_TOL:
             raise ValueError(f"trace must be 1 (deviation {trace_dev:.3e})")
         eigs = np.linalg.eigvalsh(mat)
         if eigs[0] < -STRUCTURAL_TOL:
@@ -140,7 +140,7 @@ class Unitary:
         if dim & (dim - 1) != 0 or dim < 2:
             raise DimensionError(f"dimension must be a power of two, got {dim}")
         dev = float(np.abs(mat.conj().T @ mat - np.eye(dim)).max())
-        if dev > STRUCTURAL_TOL:
+        if not dev <= STRUCTURAL_TOL:
             raise ValueError(f"matrix is not unitary (max U†U-I deviation {dev:.3e})")
         mat.flags.writeable = False
         self.dimension = dim
@@ -171,13 +171,7 @@ class MeasurementBasis:
         vectors: Sequence[StateVector],
         labels: Sequence[str] | None = None,
     ):
-        idx = tuple(int(q) for q in subset)
-        if not idx:
-            raise ValueError("measurement subset must be non-empty")
-        if len(set(idx)) != len(idx):
-            raise ValueError("measurement subset has repeated qubit indices")
-        if min(idx) < 1:
-            raise ValueError("qubit indices are 1-based")
+        idx = _validated_subset(subset)
         k = len(idx)
         vecs = tuple(vectors)
         if not vecs:
@@ -196,7 +190,7 @@ class MeasurementBasis:
             raise ValueError("labels must be distinct and match the vector count")
         gram = gram_matrix(vecs)
         dev = float(np.abs(gram - np.eye(len(vecs))).max())
-        if dev > STRUCTURAL_TOL:
+        if not dev <= STRUCTURAL_TOL:
             raise ProtocolViolationError(
                 f"measurement family is not orthonormal (max Gram deviation {dev:.3e})"
             )
@@ -230,15 +224,28 @@ class ProtocolOutcome:
     correction: Unitary | None = None
 
 
-def _validated_subset(subset: Sequence[int], num_qubits: int) -> tuple[int, ...]:
+def _validated_subset(subset: Sequence[int], num_qubits: int | None = None) -> tuple[int, ...]:
+    """Distinct 1-based qubit indices, at most ``num_qubits`` when given."""
     idx = tuple(int(q) for q in subset)
     if not idx:
         raise ValueError("qubit subset must be non-empty")
     if len(set(idx)) != len(idx):
         raise ValueError("qubit subset has repeated indices")
-    if min(idx) < 1 or max(idx) > num_qubits:
+    if min(idx) < 1:
+        raise ValueError(f"qubit indices are 1-based, got {idx}")
+    if num_qubits is not None and max(idx) > num_qubits:
         raise ValueError(f"qubit indices must lie in 1..{num_qubits}, got {idx}")
     return idx
+
+
+def _grouped(state: StateVector, subset: Sequence[int]) -> tuple[np.ndarray, list[int], int]:
+    """Amplitudes as a (2^k, rest) matrix with the k subset qubits as rows,
+    the axis permutation that put them there, and k."""
+    idx = _validated_subset(subset, state.num_qubits)
+    n, k = state.num_qubits, len(idx)
+    axes = [q - 1 for q in idx]
+    perm = axes + [ax for ax in range(n) if ax not in axes]
+    return state.amplitudes.reshape((2,) * n).transpose(perm).reshape(2**k, -1), perm, k
 
 
 def make_basis_state(num_qubits: int, bits: Sequence[int]) -> StateVector:
@@ -310,20 +317,15 @@ def gram_matrix(vectors: Sequence[StateVector]) -> np.ndarray:
 
 def apply_unitary(state: StateVector, u: Unitary, subset: Sequence[int]) -> StateVector:
     """Apply ``u`` to the listed qubits (in listed order), identity elsewhere."""
-    idx = _validated_subset(subset, state.num_qubits)
-    k = len(idx)
+    psi, perm, k = _grouped(state, subset)
     if u.dimension != 2**k:
         raise DimensionError(
             f"operator of dimension {u.dimension} cannot act on {k} qubits"
         )
     n = state.num_qubits
-    axes = [q - 1 for q in idx]
-    rest = [ax for ax in range(n) if ax not in axes]
-    perm = axes + rest
-    psi = state.amplitudes.reshape((2,) * n).transpose(perm).reshape(2**k, -1)
     out = (u.matrix @ psi).reshape((2,) * n).transpose(np.argsort(perm)).reshape(-1)
     result = StateVector(n, out)
-    if abs(result.norm - state.norm) > NORM_PRESERVATION_TOL:
+    if not abs(result.norm - state.norm) <= NORM_PRESERVATION_TOL:
         raise InternalConsistencyError("unitary application failed to preserve the norm")
     return result
 
@@ -337,14 +339,10 @@ def project(state: StateVector, basis: MeasurementBasis) -> list[ProtocolOutcome
     one; otherwise the state cannot be measured faithfully in this family
     and a ProtocolViolationError is raised.
     """
-    if abs(state.norm_squared - 1.0) > STRUCTURAL_TOL:
+    if not state.normalized:
         raise NormalizationError("projective measurement expects a normalized state")
-    idx = _validated_subset(basis.subset, state.num_qubits)
+    psi, _, k = _grouped(state, basis.subset)
     n = state.num_qubits
-    k = len(idx)
-    axes = [q - 1 for q in idx]
-    rest = [ax for ax in range(n) if ax not in axes]
-    psi = state.amplitudes.reshape((2,) * n).transpose(axes + rest).reshape(2**k, -1)
     outcomes: list[ProtocolOutcome] = []
     total = 0.0
     for label, vec in zip(basis.labels, basis.vectors):
@@ -355,7 +353,7 @@ def project(state: StateVector, basis: MeasurementBasis) -> list[ProtocolOutcome
         if p > ZERO_PROBABILITY and n > k:
             post = StateVector(n - k, branch / math.sqrt(p))
         outcomes.append(ProtocolOutcome(label=label, probability=p, post_state=post))
-    if abs(total - 1.0) > STRUCTURAL_TOL:
+    if not abs(total - 1.0) <= STRUCTURAL_TOL:
         raise ProtocolViolationError(
             f"state has probability {1.0 - total:.6e} outside the span of the"
             f" measurement family ({len(basis.vectors)} vectors on {k} qubits)"
@@ -365,16 +363,11 @@ def project(state: StateVector, basis: MeasurementBasis) -> list[ProtocolOutcome
 
 def partial_trace(state: StateVector, keep: Sequence[int]) -> DensityMatrix:
     """Reduced density matrix of the ``keep`` qubits (in listed order)."""
-    idx = _validated_subset(keep, state.num_qubits)
-    n = state.num_qubits
-    if len(idx) == n:
+    psi, _, k = _grouped(state, keep)
+    if k == state.num_qubits:
         raise ValueError("keep must be a proper subset; use an outer product instead")
-    if abs(state.norm_squared - 1.0) > STRUCTURAL_TOL:
+    if not state.normalized:
         raise NormalizationError("partial trace expects a normalized state")
-    axes = [q - 1 for q in idx]
-    rest = [ax for ax in range(n) if ax not in axes]
-    k = len(idx)
-    psi = state.amplitudes.reshape((2,) * n).transpose(axes + rest).reshape(2**k, -1)
     return DensityMatrix(k, psi @ psi.conj().T)
 
 
@@ -399,10 +392,10 @@ def orthonormal_extension(vectors: Sequence[np.ndarray], dim: int) -> np.ndarray
     basis: list[np.ndarray] = []
     for v in vectors:
         v = np.asarray(v, dtype=np.complex128)
-        if abs(np.vdot(v, v) - 1.0) > STRUCTURAL_TOL:
+        if not abs(np.vdot(v, v) - 1.0) <= STRUCTURAL_TOL:
             raise NormalizationError("seed vectors must be normalized")
         for b in basis:
-            if abs(np.vdot(b, v)) > STRUCTURAL_TOL:
+            if not abs(np.vdot(b, v)) <= STRUCTURAL_TOL:
                 raise ValueError("seed vectors must be mutually orthogonal")
         basis.append(v.copy())
     for j in range(dim):

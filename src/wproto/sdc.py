@@ -45,8 +45,8 @@ from .qsim import (
     orthonormal_extension,
     zero_state,
 )
-from .teleport import bob_strategy1_set, require_condition, _blocks
-from .wstates import CoefficientVector, generalized_w
+from .teleport import bob_strategy1_set, require_condition
+from .wstates import CoefficientVector, excitation_blocks, generalized_w
 
 
 @dataclass(frozen=True)
@@ -74,8 +74,6 @@ class EncodingSet:
     def from_operators(cls, operators: Sequence[Unitary]) -> "EncodingSet":
         """Label operators by their position, written in binary."""
         count = len(operators)
-        if count < 2 or count & (count - 1) != 0:
-            raise ValueError(f"operator count must be a power of two, got {count}")
         bits = count.bit_length() - 1
         labels = tuple(_bit_tuple(i, bits) for i in range(count))
         return cls(tuple(operators), labels)
@@ -173,7 +171,7 @@ def general_encoding_set(c: CoefficientVector, m: int) -> EncodingSet:
     states in different tiles are orthogonal by construction.  Callers
     should still confirm via :func:`decode` — and the tests do.
     """
-    _, _, wm, _ = _blocks(c, m)
+    wm = excitation_blocks(c, m)[2]
     dim = 2**m
     basis = orthonormal_extension([zero_state(m).amplitudes, wm.amplitudes], dim)
     subspace_paulis = bob_strategy1_set(m, wm)

@@ -9,23 +9,31 @@ The sender measures the unknown register together with her resource share
 in a four-vector orthogonal family; the family is orthonormal exactly when
 the resource satisfies the half-half split condition, so an unsuitable
 resource is rejected up front rather than producing silently degraded
-fidelity.  After two classical bits, the receiver's m qubits hold the input
-encoded in span{|0..0>, |w>} (|w> = the normalized excitation block on his
-qubits) up to one of four subspace corrections, and he can
+fidelity.  Every family here (the encoded, one-qubit and GHZ sender
+families and the receiver's serial family) is the same pattern of two
++/- pairs.  After two classical bits, the receiver's m qubits hold the
+input encoded in span{|0..0>, |w>} (|w> = the normalized excitation block
+on his qubits) up to one of four subspace corrections, and he can
 
   * ``subspace``  - keep the state encoded in that two-dimensional span,
   * ``transfer``  - unitarily move it onto his last physical qubit,
   * ``serial``    - teleport it onto a fresh Bell-pair qubit with a second
                     local measurement and a final single-qubit correction.
 
-Every engine here enumerates all measurement branches deterministically;
-nothing is sampled.
+:func:`run_teleport_grid` builds a resource's family, corrections and
+second-stage basis once and runs every input state through one branch
+loop (project, correct, verify, and for ``serial`` recurse into the
+receiver's measurement); :func:`run_teleport_one_qubit` is its one-state
+case and :func:`run_teleport_encoded` drives the same loop with the
+encoded family.  Every branch is enumerated deterministically; nothing
+is sampled.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -52,9 +60,10 @@ from .qsim import (
 from .wstates import (
     CoefficientVector,
     ConditionReport,
+    UnsuitableResourceError,
+    excitation_blocks,
     generalized_w,
     ghz_condition,
-    sub_w,
     teleport_condition,
 )
 
@@ -80,12 +89,10 @@ CORRECTION_INDEX = {
 STRATEGIES = ("subspace", "transfer", "serial")
 
 
-class UnsuitableResourceError(ValueError):
-    """The resource state cannot run the protocol; carries the failed check."""
-
-    def __init__(self, message: str, report: ConditionReport | None = None):
-        super().__init__(message)
-        self.report = report
+def _require_unit_amplitudes(alpha: complex, beta: complex) -> None:
+    total = abs(alpha) ** 2 + abs(beta) ** 2
+    if not abs(total - 1.0) <= STRUCTURAL_TOL:
+        raise NormalizationError(f"|alpha|^2 + |beta|^2 = {total:.12g} must equal 1")
 
 
 @dataclass(frozen=True)
@@ -98,11 +105,7 @@ class UnknownState:
     def __post_init__(self):
         object.__setattr__(self, "alpha", complex(self.alpha))
         object.__setattr__(self, "beta", complex(self.beta))
-        total = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if abs(total - 1.0) > STRUCTURAL_TOL:
-            raise NormalizationError(
-                f"|alpha|^2 + |beta|^2 = {total:.12g} must equal 1"
-            )
+        _require_unit_amplitudes(self.alpha, self.beta)
 
     @property
     def state_vector(self) -> StateVector:
@@ -127,17 +130,8 @@ class EncodedUnknownState:
     def __post_init__(self):
         object.__setattr__(self, "alpha", complex(self.alpha))
         object.__setattr__(self, "beta", complex(self.beta))
-        total = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if abs(total - 1.0) > STRUCTURAL_TOL:
-            raise NormalizationError(
-                f"|alpha|^2 + |beta|^2 = {total:.12g} must equal 1"
-            )
-        if self.zero_state.num_qubits != self.m or self.wm_state.num_qubits != self.m:
-            raise DimensionError("basis pair must live on m qubits")
-        if not (self.zero_state.normalized and self.wm_state.normalized):
-            raise NormalizationError("basis pair must be normalized")
-        if abs(inner_product(self.zero_state, self.wm_state)) > STRUCTURAL_TOL:
-            raise ValueError("basis pair must be orthogonal")
+        _require_unit_amplitudes(self.alpha, self.beta)
+        _basis_pair(self.m, self.wm_state, self.zero_state)
 
     @property
     def state_vector(self) -> StateVector:
@@ -157,30 +151,13 @@ class ProtocolReport:
     success: bool
     reason: str
 
-
-def _build_report(
-    resource: str,
-    strategy: str | None,
-    outcomes: list[ProtocolOutcome],
-    fidelities: dict[str, float],
-) -> ProtocolReport:
-    min_fid = min(fidelities.values())
-    success = min_fid >= FIDELITY_THRESHOLD
-    reason = (
-        "every outcome reproduces the input exactly"
-        if success
-        else f"minimum outcome fidelity {min_fid:.12g} is below 1 - 1e-9"
-    )
-    return ProtocolReport(
-        resource=resource,
-        strategy=strategy,
-        outcomes=tuple(outcomes),
-        fidelities=dict(fidelities),
-        min_fidelity=min_fid,
-        classical_bits_sent=2,
-        success=success,
-        reason=reason,
-    )
+    @property
+    def probability_deviation(self) -> float:
+        """Largest distance of a branch probability from the expected one:
+        the branches are equiprobable, 1/4 per four-outcome measurement
+        (1/16 for the serial relay's two)."""
+        expected = 1.0 / len(self.outcomes)
+        return max(abs(o.probability - expected) for o in self.outcomes)
 
 
 def require_condition(c: CoefficientVector, m: int) -> ConditionReport:
@@ -196,33 +173,25 @@ def require_condition(c: CoefficientVector, m: int) -> ConditionReport:
     return report
 
 
-def _blocks(c: CoefficientVector, m: int) -> tuple[StateVector, StateVector, StateVector, float]:
-    """(front block, raw back block, normalized back block, back norm).
-
-    The split condition forces both block norms to 1/sqrt(2); vanishing
-    blocks can only come from inconsistent input and are rejected because
-    the measurement vectors would collapse.
-    """
-    n = c.n
-    front = sub_w(c, 1, n - m)
-    back_raw = sub_w(c, n - m + 1, n)
-    back_norm = back_raw.norm
-    if front.norm < 1e-12 or back_norm < 1e-12:
-        raise UnsuitableResourceError(
-            "an excitation block of the resource vanishes; measurement vectors collapse"
-        )
-    wm = StateVector(m, back_raw.amplitudes / back_norm)
-    return front, back_raw, wm, back_norm
-
-
 def encoded_state(
     c: CoefficientVector, m: int, alpha: complex, beta: complex
 ) -> EncodedUnknownState:
     """Encoded input alpha|0..0> + beta|w> with |w> taken from the resource."""
-    _, _, wm, _ = _blocks(c, m)
+    wm = excitation_blocks(c, m)[2]
     return EncodedUnknownState(
         alpha=alpha, beta=beta, m=m, zero_state=zero_state(m), wm_state=wm
     )
+
+
+def _plus_minus(*pairs) -> list[StateVector]:
+    """[a|u> + b|v>, a|u> - b|v>] for each term pair ((a, u), (b, v)), in order.
+
+    Every four-vector family of the protocols is two such pairs.
+    """
+    vectors = []
+    for (a, u), (b, v) in pairs:
+        vectors += [superpose([(a, u), (b, v)]), superpose([(a, u), (-b, v)])]
+    return vectors
 
 
 def raw_measurement_vectors(
@@ -235,15 +204,13 @@ def raw_measurement_vectors(
     the identity for an unsuitable resource.  The vectors live on
     m + (n - m) = n qubits: unknown register first, then the sender's share.
     """
-    n = c.n
-    front, back_raw, wm, back_norm = _blocks(c, m)
-    zero_u = zero_state(m)
-    zero_a = zero_state(n - m)
-    xi_p = superpose([(1, tensor(zero_u, front)), (1, tensor(back_raw, zero_a))])
-    xi_m = superpose([(1, tensor(zero_u, front)), (-1, tensor(back_raw, zero_a))])
-    eta_p = superpose([(back_norm, tensor(zero_u, zero_a)), (1, tensor(wm, front))])
-    eta_m = superpose([(back_norm, tensor(zero_u, zero_a)), (-1, tensor(wm, front))])
-    return FAMILY_LABELS, [xi_p, xi_m, eta_p, eta_m]
+    front, back_raw, wm, back_norm = excitation_blocks(c, m)
+    zero_u, zero_a = zero_state(m), zero_state(c.n - m)
+    front_term = (1, tensor(zero_u, front))
+    zeros_term = (back_norm, tensor(zero_u, zero_a))
+    return FAMILY_LABELS, _plus_minus(
+        (front_term, (1, tensor(back_raw, zero_a))), (zeros_term, (1, tensor(wm, front)))
+    )
 
 
 def measurement_family(c: CoefficientVector, m: int) -> MeasurementBasis:
@@ -269,16 +236,13 @@ def raw_one_qubit_measurement_vectors(
     the back-block norm, with the block's phases folded into the receiver's
     encoded basis state.  Vectors live on 1 + (n - m) qubits.
     """
-    n = c.n
-    front, _, _, back_norm = _blocks(c, m)
-    k0 = make_basis_state(1, [0])
-    k1 = make_basis_state(1, [1])
-    zero_a = zero_state(n - m)
-    xi_p = superpose([(1, tensor(k0, front)), (back_norm, tensor(k1, zero_a))])
-    xi_m = superpose([(1, tensor(k0, front)), (-back_norm, tensor(k1, zero_a))])
-    eta_p = superpose([(back_norm, tensor(k0, zero_a)), (1, tensor(k1, front))])
-    eta_m = superpose([(back_norm, tensor(k0, zero_a)), (-1, tensor(k1, front))])
-    return FAMILY_LABELS, [xi_p, xi_m, eta_p, eta_m]
+    front, _, _, back_norm = excitation_blocks(c, m)
+    k0, k1 = make_basis_state(1, [0]), make_basis_state(1, [1])
+    zero_a = zero_state(c.n - m)
+    return FAMILY_LABELS, _plus_minus(
+        ((1, tensor(k0, front)), (back_norm, tensor(k1, zero_a))),
+        ((back_norm, tensor(k0, zero_a)), (1, tensor(k1, front))),
+    )
 
 
 def one_qubit_measurement_family(c: CoefficientVector, m: int) -> MeasurementBasis:
@@ -298,15 +262,13 @@ def raw_ghz_measurement_vectors(
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    k0 = make_basis_state(1, [0])
-    k1 = make_basis_state(1, [1])
+    k0, k1 = make_basis_state(1, [0]), make_basis_state(1, [1])
     all0 = zero_state(n - 1)
     all1 = make_basis_state(n - 1, [1] * (n - 1))
-    xi_p = superpose([(a1, tensor(k0, all0)), (a2, tensor(k1, all1))])
-    xi_m = superpose([(a1, tensor(k0, all0)), (-a2, tensor(k1, all1))])
-    eta_p = superpose([(a2, tensor(k0, all1)), (a1, tensor(k1, all0))])
-    eta_m = superpose([(a2, tensor(k0, all1)), (-a1, tensor(k1, all0))])
-    return FAMILY_LABELS, [xi_p, xi_m, eta_p, eta_m]
+    return FAMILY_LABELS, _plus_minus(
+        ((a1, tensor(k0, all0)), (a2, tensor(k1, all1))),
+        ((a2, tensor(k0, all1)), (a1, tensor(k1, all0))),
+    )
 
 
 def ghz_measurement_family(a1: complex, a2: complex, n: int) -> MeasurementBasis:
@@ -322,6 +284,19 @@ def ghz_measurement_family(a1: complex, a2: complex, n: int) -> MeasurementBasis
     return MeasurementBasis(range(1, n + 1), vectors, labels)
 
 
+def _basis_pair(m: int, wm: StateVector, zero: StateVector | None = None) -> StateVector:
+    """Check that {zero, wm} is an orthonormal pair on m qubits, the pair
+    spanning the encoded subspace; return zero (by default |0..0>)."""
+    zero = zero_state(m) if zero is None else zero
+    if zero.num_qubits != m or wm.num_qubits != m:
+        raise DimensionError(f"basis pair must live on m={m} qubits")
+    if not (zero.normalized and wm.normalized):
+        raise NormalizationError("basis pair must be normalized")
+    if not abs(inner_product(zero, wm)) <= STRUCTURAL_TOL:
+        raise ValueError("basis pair must be orthogonal")
+    return zero
+
+
 def bob_strategy1_set(m: int, wm: StateVector) -> list[Unitary]:
     """Four unitaries acting as (sigma_0, sigma_1, i*sigma_2, sigma_3) on
     span{|0..0>, wm} and as the identity on the orthogonal complement.
@@ -329,14 +304,7 @@ def bob_strategy1_set(m: int, wm: StateVector) -> list[Unitary]:
     These are the receiver-side corrections that keep the teleported state
     encoded in the two-dimensional subspace.
     """
-    zero = zero_state(m)
-    if not wm.normalized:
-        raise NormalizationError("wm must be normalized")
-    if wm.num_qubits != m:
-        raise DimensionError(f"wm must live on {m} qubits")
-    if abs(inner_product(zero, wm)) > STRUCTURAL_TOL:
-        raise ValueError("wm must be orthogonal to |0...0>")
-    b0 = zero.amplitudes
+    b0 = _basis_pair(m, wm).amplitudes
     b1 = wm.amplitudes
     complement = np.eye(2**m) - np.outer(b0, b0.conj()) - np.outer(b1, b1.conj())
     ops = []
@@ -359,14 +327,17 @@ def transfer_unitary(m: int, wm: StateVector) -> Unitary:
     and the range pair to full bases, matched index by index.  For m = 2
     with wm = (|01>+|10>)/sqrt(2) this lands on the singlet-to-|10> pattern.
     """
-    zero = zero_state(m)
-    if abs(inner_product(zero, wm)) > STRUCTURAL_TOL:
-        raise ValueError("wm must be orthogonal to |0...0>")
+    zero = _basis_pair(m, wm)
     dim = 2**m
     one_last = make_basis_state(m, [0] * (m - 1) + [1])
     domain = orthonormal_extension([zero.amplitudes, wm.amplitudes], dim)
     target = orthonormal_extension([zero.amplitudes, one_last.amplitudes], dim)
     return Unitary(target.T @ domain.conj())
+
+
+def _then(t: Unitary, ops: Sequence[Unitary]) -> list[Unitary]:
+    """Each of ``ops`` followed by ``t``."""
+    return [Unitary(t.matrix @ u.matrix) for u in ops]
 
 
 def bob_strategy2_set(m: int, wm: StateVector) -> list[Unitary]:
@@ -375,8 +346,7 @@ def bob_strategy2_set(m: int, wm: StateVector) -> list[Unitary]:
     Applying the k-th operator to the k-th measurement branch leaves the
     receiver's register in |0..0> (x) (alpha|0> + beta|1>) on his last qubit.
     """
-    t = transfer_unitary(m, wm)
-    return [Unitary(t.matrix @ u.matrix) for u in bob_strategy1_set(m, wm)]
+    return _then(transfer_unitary(m, wm), bob_strategy1_set(m, wm))
 
 
 def serial_basis(m: int, wm: StateVector) -> MeasurementBasis:
@@ -391,25 +361,77 @@ def serial_basis(m: int, wm: StateVector) -> MeasurementBasis:
     The phi2- outcome pairs with the branch carrying both the swap and the
     sign flip, which the i*sigma_2 correction undoes exactly.
     """
-    zero = zero_state(m)
-    if abs(inner_product(zero, wm)) > STRUCTURAL_TOL:
-        raise ValueError("wm must be orthogonal to |0...0>")
-    k0 = make_basis_state(1, [0])
-    k1 = make_basis_state(1, [1])
+    zero = _basis_pair(m, wm)
+    k0, k1 = make_basis_state(1, [0]), make_basis_state(1, [1])
     h = 1.0 / math.sqrt(2.0)
-    vectors = [
-        superpose([(h, tensor(zero, k0)), (h, tensor(wm, k1))]),
-        superpose([(h, tensor(zero, k0)), (-h, tensor(wm, k1))]),
-        superpose([(h, tensor(zero, k1)), (h, tensor(wm, k0))]),
-        superpose([(h, tensor(zero, k1)), (-h, tensor(wm, k0))]),
-    ]
+    vectors = _plus_minus(
+        ((h, tensor(zero, k0)), (h, tensor(wm, k1))),
+        ((h, tensor(zero, k1)), (h, tensor(wm, k0))),
+    )
     return MeasurementBasis(range(1, m + 2), vectors, SERIAL_LABELS)
 
 
-def _bell_pair() -> StateVector:
-    h = 1.0 / math.sqrt(2.0)
-    return superpose(
-        [(h, make_basis_state(2, [0, 0])), (h, make_basis_state(2, [1, 1]))]
+#: one stage of a run: (measurement family, sigma-ordered corrections,
+#: qubits the correction acts on)
+Stage = tuple[MeasurementBasis, Sequence[Unitary], tuple[int, ...]]
+
+#: the auxiliary pair (|00> + |11>)/sqrt(2) a later stage relays through
+_BELL = superpose([(1.0 / math.sqrt(2.0), make_basis_state(2, [b, b])) for b in (0, 1)])
+
+
+def _branches(
+    state: StateVector, stages: Sequence[Stage], prefix: str = "", weight: float = 1.0
+) -> Iterator[ProtocolOutcome]:
+    """Yield a corrected ProtocolOutcome for every branch of ``stages``.
+
+    A later stage measures the corrected state of the one before, extended
+    by a fresh Bell pair; labels and probabilities of nested branches are
+    joined.
+    """
+    basis, corrections, qubits = stages[0]
+    for branch in project(state, basis):
+        corr = corrections[CORRECTION_INDEX[branch.label]]
+        fixed = apply_unitary(branch.post_state, corr, qubits)
+        label, probability = prefix + branch.label, weight * branch.probability
+        if len(stages) > 1:
+            yield from _branches(tensor(fixed, _BELL), stages[1:], label + "|", probability)
+        else:
+            yield ProtocolOutcome(label, probability, fixed, corr)
+
+
+def _run_branches(
+    state: StateVector,
+    stages: Sequence[Stage],
+    target: StateVector,
+    resource: str,
+    strategy: str | None,
+    recover: Callable[[StateVector], StateVector] | None = None,
+) -> ProtocolReport:
+    """Every branch: project, correct, and verify against ``target``.
+
+    ``recover`` maps a branch's final corrected state to what is compared
+    with ``target`` (by default the state itself).
+    """
+    outcomes = tuple(_branches(state, stages))
+    fidelities = {
+        o.label: fidelity(recover(o.post_state) if recover else o.post_state, target)
+        for o in outcomes
+    }
+    min_fid = min(fidelities.values())
+    success = min_fid >= FIDELITY_THRESHOLD
+    return ProtocolReport(
+        resource=resource,
+        strategy=strategy,
+        outcomes=outcomes,
+        fidelities=fidelities,
+        min_fidelity=min_fid,
+        classical_bits_sent=2,
+        success=success,
+        reason=(
+            "every outcome reproduces the input exactly"
+            if success
+            else f"minimum outcome fidelity {min_fid:.12g} is below 1 - 1e-9"
+        ),
     )
 
 
@@ -426,25 +448,56 @@ def run_teleport_encoded(
     correction per branch, and reports the fidelity of the corrected state
     against the input for every branch.
     """
-    require_condition(c, m)
+    basis = measurement_family(c, m)
     if psi.m != m:
         raise DimensionError(f"encoded state has m={psi.m}, resource partition m={m}")
-    _, _, wm, _ = _blocks(c, m)
+    wm = excitation_blocks(c, m)[2]
+    stage = (basis, bob_strategy1_set(m, wm), tuple(range(1, m + 1)))
     joint = tensor(psi.state_vector, generalized_w(c))
-    basis = measurement_family(c, m)
+    return _run_branches(joint, [stage], psi.state_vector, _describe(c, m), None)
+
+
+def run_teleport_grid(
+    c: CoefficientVector,
+    m: int,
+    states: Sequence[UnknownState],
+    strategy: str = "subspace",
+) -> list[ProtocolReport]:
+    """Teleport each genuine one-qubit state; the receiver recovers it per
+    ``strategy`` (see module docstring).  One report per state, in order.
+
+    The resource's family, corrections and second-stage basis are built
+    once; every state then gets its own full branch enumeration and
+    per-branch fidelity check.  For ``subspace`` the reported fidelity is
+    against the encoded target alpha|0..0> + beta|w>; for ``transfer`` and
+    ``serial`` it is the fidelity of the receiver's final physical qubit
+    against the input.  ``serial`` enumerates the sender's four outcomes
+    times the receiver's four, so its reports carry sixteen branches with
+    joint probabilities.
+    """
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}; pick one of {STRATEGIES}")
+    basis = one_qubit_measurement_family(c, m)  # gates on the split condition
+    wm = excitation_blocks(c, m)[2]
+    resource = generalized_w(c)
     corrections = bob_strategy1_set(m, wm)
-    target = psi.state_vector
     receiver = tuple(range(1, m + 1))
-    outcomes: list[ProtocolOutcome] = []
-    fidelities: dict[str, float] = {}
-    for branch in project(joint, basis):
-        corr = corrections[CORRECTION_INDEX[branch.label]]
-        fixed = apply_unitary(branch.post_state, corr, receiver)
-        fidelities[branch.label] = fidelity(fixed, target)
-        outcomes.append(
-            ProtocolOutcome(branch.label, branch.probability, fixed, corr)
-        )
-    return _build_report(_describe(c, m), None, outcomes, fidelities)
+    recover = None
+    if strategy == "transfer":
+        corrections = _then(transfer_unitary(m, wm), corrections)
+        recover = _extract_last_qubit
+    stages: list[Stage] = [(basis, corrections, receiver)]
+    if strategy == "serial":
+        stages.append((serial_basis(m, wm), [Unitary(s) for s in PAULI_FOUR], (1,)))
+    zero, describe = zero_state(m), _describe(c, m)
+    reports = []
+    for psi in states:
+        target = psi.state_vector
+        if strategy == "subspace":
+            target = superpose([(psi.alpha, zero), (psi.beta, wm)])
+        joint = tensor(psi.state_vector, resource)
+        reports.append(_run_branches(joint, stages, target, describe, strategy, recover))
+    return reports
 
 
 def run_teleport_one_qubit(
@@ -453,64 +506,9 @@ def run_teleport_one_qubit(
     psi: UnknownState,
     strategy: str = "subspace",
 ) -> ProtocolReport:
-    """Teleport a genuine one-qubit state; the receiver recovers it per
-    ``strategy`` (see module docstring).
-
-    For ``subspace`` the reported fidelity is against the encoded target
-    alpha|0..0> + beta|w>; for ``transfer`` and ``serial`` it is the
-    fidelity of the receiver's final physical qubit against the input.
-    ``serial`` enumerates the sender's four outcomes times the receiver's
-    four, so its report carries sixteen branches with joint probabilities.
-    """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}; pick one of {STRATEGIES}")
-    require_condition(c, m)
-    _, _, wm, _ = _blocks(c, m)
-    joint = tensor(psi.state_vector, generalized_w(c))
-    basis = one_qubit_measurement_family(c, m)
-    s1 = bob_strategy1_set(m, wm)
-    receiver = tuple(range(1, m + 1))
-    encoded_target = superpose([(psi.alpha, zero_state(m)), (psi.beta, wm)])
-    outcomes: list[ProtocolOutcome] = []
-    fidelities: dict[str, float] = {}
-
-    if strategy == "subspace":
-        for branch in project(joint, basis):
-            corr = s1[CORRECTION_INDEX[branch.label]]
-            fixed = apply_unitary(branch.post_state, corr, receiver)
-            fidelities[branch.label] = fidelity(fixed, encoded_target)
-            outcomes.append(
-                ProtocolOutcome(branch.label, branch.probability, fixed, corr)
-            )
-    elif strategy == "transfer":
-        s2 = bob_strategy2_set(m, wm)
-        for branch in project(joint, basis):
-            corr = s2[CORRECTION_INDEX[branch.label]]
-            fixed = apply_unitary(branch.post_state, corr, receiver)
-            single = _extract_last_qubit(fixed)
-            fidelities[branch.label] = fidelity(single, psi.state_vector)
-            outcomes.append(
-                ProtocolOutcome(branch.label, branch.probability, fixed, corr)
-            )
-    else:  # serial
-        second_basis = serial_basis(m, wm)
-        paulis = [Unitary(s) for s in PAULI_FOUR]
-        for branch in project(joint, basis):
-            aligned = apply_unitary(
-                branch.post_state, s1[CORRECTION_INDEX[branch.label]], receiver
-            )
-            local = tensor(aligned, _bell_pair())
-            for second in project(local, second_basis):
-                corr = paulis[CORRECTION_INDEX[second.label]]
-                final = apply_unitary(second.post_state, corr, (1,))
-                label = f"{branch.label}|{second.label}"
-                fidelities[label] = fidelity(final, psi.state_vector)
-                outcomes.append(
-                    ProtocolOutcome(
-                        label, branch.probability * second.probability, final, corr
-                    )
-                )
-    return _build_report(_describe(c, m), strategy, outcomes, fidelities)
+    """Teleport one genuine one-qubit state: :func:`run_teleport_grid` for a
+    single state."""
+    return run_teleport_grid(c, m, [psi], strategy)[0]
 
 
 def _extract_last_qubit(state: StateVector) -> StateVector:
@@ -523,7 +521,7 @@ def _extract_last_qubit(state: StateVector) -> StateVector:
     amps = state.amplitudes
     if amps.shape[0] > 2:
         stray = float(np.abs(amps[2:]).max())
-        if stray > STRUCTURAL_TOL:
+        if not stray <= STRUCTURAL_TOL:
             raise InternalConsistencyError(
                 f"transfer strategy left residual entanglement (|amp| {stray:.3e})"
             )

@@ -28,12 +28,8 @@ from .qsim import (
     NormalizationError,
     StateVector,
     partial_trace,
-    von_neumann_entropy,
     zero_state,
 )
-
-#: tolerance for the "reduced entropy equals one" cross-check
-ENTROPY_TOL = 1e-9
 
 
 class CoefficientVector:
@@ -52,7 +48,7 @@ class CoefficientVector:
         if arr.ndim != 1 or arr.shape[0] < 2:
             raise ValueError("need at least two coefficients")
         total = float(np.sum(np.abs(arr) ** 2))
-        if abs(total - 1.0) > STRUCTURAL_TOL:
+        if not abs(total - 1.0) <= STRUCTURAL_TOL:
             raise NormalizationError(
                 f"coefficients have squared norm {total:.12g}"
                 f" (deficit {1.0 - total:.12g}); normalize explicitly"
@@ -104,13 +100,17 @@ def _condition_report(m: int, left: float, right: float) -> ConditionReport:
     )
 
 
+class UnsuitableResourceError(ValueError):
+    """The resource state cannot run the protocol; carries the failed check."""
+
+    def __init__(self, message: str, report: ConditionReport | None = None):
+        super().__init__(message)
+        self.report = report
+
+
 def generalized_w(c: CoefficientVector) -> StateVector:
     """sum_l a_l |0..010..0| with the excitation at position l; normalized."""
-    n = c.n
-    amps = np.zeros(2**n, dtype=np.complex128)
-    for l in range(n):
-        amps[1 << (n - 1 - l)] = c.coeffs[l]
-    return StateVector(n, amps)
+    return sub_w(c, 1, c.n)
 
 
 def sub_w(c: CoefficientVector, start: int, end: int) -> StateVector:
@@ -127,6 +127,28 @@ def sub_w(c: CoefficientVector, start: int, end: int) -> StateVector:
     for l in range(start, end + 1):
         amps[1 << (k - 1 - (l - start))] = c.coeffs[l - 1]
     return StateVector(k, amps)
+
+
+def excitation_blocks(
+    c: CoefficientVector, m: int
+) -> tuple[StateVector, StateVector, StateVector, float]:
+    """(front block, raw back block, normalized back block, back norm).
+
+    The blocks are the excitation terms on the first n-m and the last m
+    qubits.  The split condition forces both block norms to 1/sqrt(2);
+    vanishing blocks can only come from inconsistent input and are
+    rejected because the protocols' measurement vectors would collapse.
+    """
+    n = c.n
+    front = sub_w(c, 1, n - m)
+    back_raw = sub_w(c, n - m + 1, n)
+    back_norm = back_raw.norm
+    if front.norm < 1e-12 or back_norm < 1e-12:
+        raise UnsuitableResourceError(
+            "an excitation block of the resource vanishes; measurement vectors collapse"
+        )
+    wm = StateVector(m, back_raw.amplitudes / back_norm)
+    return front, back_raw, wm, back_norm
 
 
 def two_term_decomposition(
@@ -177,15 +199,19 @@ def standard_w(n: int) -> StateVector:
     return generalized_w(w_coefficients(n))
 
 
+def _require_unit_pair(a1: complex, a2: complex) -> None:
+    total = abs(a1) ** 2 + abs(a2) ** 2
+    if not abs(total - 1.0) <= STRUCTURAL_TOL:
+        raise NormalizationError(
+            f"|a1|^2 + |a2|^2 = {total:.12g} must equal 1; normalize explicitly"
+        )
+
+
 def generalized_ghz(a1: complex, a2: complex, n: int) -> StateVector:
     """a1 |00...0> + a2 |11...1| on n qubits; coefficients must be normalized."""
     if n < 2:
         raise ValueError("need n >= 2")
-    total = abs(a1) ** 2 + abs(a2) ** 2
-    if abs(total - 1.0) > STRUCTURAL_TOL:
-        raise NormalizationError(
-            f"|a1|^2 + |a2|^2 = {total:.12g} must equal 1; normalize explicitly"
-        )
+    _require_unit_pair(a1, a2)
     amps = np.zeros(2**n, dtype=np.complex128)
     amps[0] = a1
     amps[-1] = a2
@@ -220,12 +246,20 @@ def ghz_condition(a1: complex, a2: complex, m: int = 1) -> ConditionReport:
     Every bipartition of such a state has the same reduced spectrum
     {|a1|^2, |a2|^2}, so the report is independent of the partition size.
     """
-    total = abs(a1) ** 2 + abs(a2) ** 2
-    if abs(total - 1.0) > STRUCTURAL_TOL:
-        raise NormalizationError(
-            f"|a1|^2 + |a2|^2 = {total:.12g} must equal 1; normalize explicitly"
-        )
+    _require_unit_pair(a1, a2)
     return _condition_report(m, abs(a1) ** 2, abs(a2) ** 2)
+
+
+def binary_entropy(p: float) -> float:
+    """H(p) = -p log2(p) - (1-p) log2(1-p), the entropy of a two-term cut.
+
+    A state with two orthogonal terms of weights p and 1-p across a cut
+    (any generalized W- or GHZ-state) has exactly this reduced entropy.
+    Weights at or past 0 and 1 (rounding of normalized input) give 0.
+    """
+    if p <= 0.0 or p >= 1.0:
+        return 0.0
+    return -(p * math.log2(p)) - ((1.0 - p) * math.log2(1.0 - p))
 
 
 def partition_entropy_formula(n: int, x: int) -> float:
@@ -238,49 +272,45 @@ def partition_entropy_formula(n: int, x: int) -> float:
         raise ValueError("need n >= 2")
     if not (0 < x < n):
         raise ValueError(f"subset size x={x} must lie in 1..{n - 1}")
-    p = x / n
-    return -(p * math.log2(p)) - ((1.0 - p) * math.log2(1.0 - p))
+    return binary_entropy(x / n)
 
 
-def _last_m_entropy(state: StateVector, m: int) -> float:
+def _checked_scan(state: StateVector, condition) -> list[ConditionReport]:
+    """``condition(m)`` for every m in 1..n-1, checked against the simulator.
+
+    Both state families split into two orthogonal terms across every cut,
+    so the simulated reduced state of the last m qubits has exactly two
+    nonzero eigenvalues, which must equal the report's left and right sums.
+    The comparison is in the same linear units as ``holds``; a disagreement
+    would mean the checker and the simulator have diverged, so it raises.
+    """
     n = state.num_qubits
-    return von_neumann_entropy(partial_trace(state, range(n - m + 1, n + 1)))
+    reports = []
+    for m in range(1, n):
+        rep = condition(m)
+        spectrum = partial_trace(state, range(n - m + 1, n + 1)).eigenvalues
+        expected = np.zeros(spectrum.shape[0])
+        expected[-2:] = sorted((rep.left_sum, rep.right_sum))
+        deviation = float(np.abs(spectrum - expected).max())
+        if not deviation <= STRUCTURAL_TOL:
+            raise InternalConsistencyError(
+                f"split sums and simulated reduced spectrum disagree at m={m}"
+                f" (max deviation {deviation:.3e})"
+            )
+        reports.append(rep)
+    return reports
 
 
 def suitability_scan(c: CoefficientVector) -> list[ConditionReport]:
-    """Condition reports for every partition size m in 1..n-1.
-
-    Each report is cross-validated against the simulated reduced entropy of
-    the last-m-qubit subsystem: ``holds`` must coincide with that entropy
-    being one within 1e-9.  A disagreement would mean the checker and the
-    simulator have diverged, so it raises instead of returning.
-    """
-    state = generalized_w(c)
-    reports = []
-    for m in range(1, c.n):
-        rep = teleport_condition(c, m)
-        entropy_one = abs(_last_m_entropy(state, m) - 1.0) <= ENTROPY_TOL
-        if rep.holds != entropy_one:
-            raise InternalConsistencyError(
-                f"split condition and unit-entropy check disagree at m={m}"
-            )
-        reports.append(rep)
-    return reports
+    """Condition reports for every partition size m in 1..n-1, each
+    cross-validated against the simulated reduced spectrum."""
+    return _checked_scan(generalized_w(c), lambda m: teleport_condition(c, m))
 
 
 def ghz_suitability_scan(a1: complex, a2: complex, n: int) -> list[ConditionReport]:
-    """Per-partition reports for a generalized GHZ state, entropy-validated."""
-    state = generalized_ghz(a1, a2, n)
-    reports = []
-    for m in range(1, n):
-        rep = ghz_condition(a1, a2, m)
-        entropy_one = abs(_last_m_entropy(state, m) - 1.0) <= ENTROPY_TOL
-        if rep.holds != entropy_one:
-            raise InternalConsistencyError(
-                f"GHZ condition and unit-entropy check disagree at m={m}"
-            )
-        reports.append(rep)
-    return reports
+    """Per-partition reports for a generalized GHZ state, cross-validated
+    against the simulated reduced spectrum {|a1|^2, |a2|^2}."""
+    return _checked_scan(generalized_ghz(a1, a2, n), lambda m: ghz_condition(a1, a2, m))
 
 
 def permute_coefficients(c: CoefficientVector, order: Sequence[int]) -> CoefficientVector:

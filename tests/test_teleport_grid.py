@@ -1,0 +1,159 @@
+"""The grid engine: per-resource objects built once, one branch loop for all runs."""
+
+import math
+
+import numpy as np
+import pytest
+
+import wproto.teleport as teleport
+from wproto.qsim import StateVector, fidelity, zero_state
+from wproto.teleport import (
+    FIDELITY_THRESHOLD,
+    UnknownState,
+    UnsuitableResourceError,
+    bob_strategy1_set,
+    encoded_state,
+    raw_ghz_measurement_vectors,
+    raw_measurement_vectors,
+    raw_one_qubit_measurement_vectors,
+    run_teleport_encoded,
+    run_teleport_grid,
+    run_teleport_one_qubit,
+    serial_basis,
+    transfer_unitary,
+    unknown_state_grid,
+)
+from wproto.wstates import (
+    excitation_blocks,
+    modified_w_coefficients,
+    random_condition_coefficients,
+    w_coefficients,
+)
+
+STRATEGIES = ("subspace", "transfer", "serial")
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    original = getattr(teleport, name)
+
+    def wrapped(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(teleport, name, wrapped)
+    return calls
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_grid_reports_match_single_runs(strategy):
+    c = random_condition_coefficients(5, 2, np.random.default_rng(4))
+    grid = unknown_state_grid(6, 11)
+    reports = run_teleport_grid(c, 2, grid, strategy)
+    assert len(reports) == len(grid)
+    for psi, report in zip(grid, reports):
+        single = run_teleport_one_qubit(c, 2, psi, strategy)
+        assert report.fidelities == single.fidelities
+        assert [o.probability for o in report.outcomes] == [
+            o.probability for o in single.outcomes
+        ]
+        assert report.success and report.strategy == strategy
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_per_resource_objects_built_once(monkeypatch, strategy):
+    families = _counting(monkeypatch, "one_qubit_measurement_family")
+    corrections = _counting(monkeypatch, "bob_strategy1_set")
+    seconds = _counting(monkeypatch, "serial_basis")
+    transfers = _counting(monkeypatch, "transfer_unitary")
+    run_teleport_grid(w_coefficients(4), 2, unknown_state_grid(7, 1), strategy)
+    assert len(families) == 1
+    assert len(corrections) == 1  # the transfer set reuses the subspace set
+    assert len(seconds) == (strategy == "serial")
+    assert len(transfers) == (strategy == "transfer")
+
+
+def test_rejection_comes_before_any_construction(monkeypatch):
+    families = _counting(monkeypatch, "one_qubit_measurement_family")
+    corrections = _counting(monkeypatch, "bob_strategy1_set")
+    with pytest.raises(UnsuitableResourceError) as err:
+        run_teleport_grid(w_coefficients(5), 2, unknown_state_grid(3, 0), "serial")
+    assert err.value.report.left_sum == pytest.approx(0.6, abs=1e-12)
+    assert len(families) == 1 and not corrections
+
+
+def test_strategy_is_checked_before_the_resource():
+    with pytest.raises(ValueError, match="unknown strategy"):
+        run_teleport_grid(w_coefficients(5), 2, [UnknownState(1, 0)], "swap")
+
+
+def test_probability_deviation_uses_the_branch_count():
+    c = modified_w_coefficients(3)
+    psi = UnknownState(0.6, 0.8j)
+    for strategy, branches in (("subspace", 4), ("serial", 16)):
+        report = run_teleport_one_qubit(c, 1, psi, strategy)
+        assert len(report.outcomes) == branches
+        assert report.probability_deviation == max(
+            abs(o.probability - 1.0 / branches) for o in report.outcomes
+        )
+        assert report.probability_deviation < 1e-12
+
+
+def test_encoded_run_shares_the_branch_loop():
+    c = random_condition_coefficients(6, 3, np.random.default_rng(9))
+    report = run_teleport_encoded(c, 3, encoded_state(c, 3, 0.6, 0.8j))
+    assert report.strategy is None
+    assert report.min_fidelity >= FIDELITY_THRESHOLD
+    assert report.probability_deviation < 1e-12
+
+
+def test_plus_minus_families_pair_up():
+    # every family is (x + y, x - y, u + v, u - v): sums and differences
+    # of consecutive vectors recover the two term pairs
+    c = random_condition_coefficients(5, 2, np.random.default_rng(2))
+    wm = excitation_blocks(c, 2)[2]
+    families = [
+        raw_measurement_vectors(c, 2)[1],
+        raw_one_qubit_measurement_vectors(c, 2)[1],
+        raw_ghz_measurement_vectors(0.6, 0.8, 3)[1],
+        serial_basis(2, wm).vectors,
+    ]
+    for vectors in families:
+        for plus, minus in (vectors[0:2], vectors[2:4]):
+            half_sum = (plus.amplitudes + minus.amplitudes) / 2
+            half_diff = (plus.amplitudes - minus.amplitudes) / 2
+            assert np.vdot(half_sum, half_diff) == pytest.approx(0, abs=1e-12)
+            assert np.linalg.norm(half_diff) > 0
+
+
+@pytest.mark.parametrize("build", [bob_strategy1_set, transfer_unitary, serial_basis])
+def test_receiver_constructions_share_the_pair_check(build):
+    not_orthogonal = StateVector(2, [1, 0, 0, 0])
+    with pytest.raises(ValueError, match="orthogonal"):
+        build(2, not_orthogonal)
+    unnormalized = StateVector(2, [0, 1, 1, 0])
+    with pytest.raises(ValueError, match="normalized"):
+        build(2, unnormalized)
+    with pytest.raises(ValueError, match="m=3"):
+        build(3, StateVector(2, [0, 1, 0, 0]))
+
+
+def test_transfer_grid_lands_on_the_last_qubit():
+    c = w_coefficients(6)
+    grid = unknown_state_grid(4, 5)
+    for psi, report in zip(grid, run_teleport_grid(c, 3, grid, "transfer")):
+        for outcome in report.outcomes:
+            amps = outcome.post_state.amplitudes
+            assert np.abs(amps[2:]).max() < 1e-12
+            single = StateVector(1, amps[:2] / np.linalg.norm(amps[:2]))
+            assert fidelity(single, psi.state_vector) >= FIDELITY_THRESHOLD
+
+
+def test_subspace_grid_targets_the_encoded_state():
+    c = w_coefficients(4)
+    wm = excitation_blocks(c, 2)[2]
+    psi = UnknownState(math.cos(0.3), math.sin(0.3) * 1j)
+    (report,) = run_teleport_grid(c, 2, [psi], "subspace")
+    target = psi.alpha * zero_state(2).amplitudes + psi.beta * wm.amplitudes
+    for outcome in report.outcomes:
+        assert abs(np.vdot(target, outcome.post_state.amplitudes)) ** 2 >= FIDELITY_THRESHOLD

@@ -1,0 +1,133 @@
+"""Regression tests for inputs that used to get a wrong verdict or escape a check."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import wproto.wstates as wstates
+from wproto.cli import ConfigError, main, parse_config, run
+from wproto.qsim import (
+    DensityMatrix,
+    InternalConsistencyError,
+    MeasurementBasis,
+    NormalizationError,
+    ProtocolViolationError,
+    StateVector,
+    Unitary,
+    make_basis_state,
+)
+from wproto.teleport import EncodedUnknownState, UnknownState
+from wproto.wstates import (
+    CoefficientVector,
+    ghz_condition,
+    ghz_suitability_scan,
+    partition_entropy_formula,
+    suitability_scan,
+    teleport_condition,
+    w_coefficients,
+)
+
+NAN = float("nan")
+
+
+class TestScanNearBalancedCut:
+    """The scan's simulator cross-check agrees with ``holds`` at every imbalance."""
+
+    @settings(max_examples=60, deadline=None)
+    @example(exponent=-10.0, sign=1)
+    @example(exponent=-9.0, sign=1)
+    @example(exponent=-7.0, sign=-1)
+    @example(exponent=-6.0, sign=1)
+    @example(exponent=-5.0, sign=1)
+    @given(exponent=st.floats(min_value=-12, max_value=-2), sign=st.sampled_from([1, -1]))
+    def test_w_family_and_ghz(self, exponent, sign):
+        eps = sign * 10.0**exponent
+        side = math.sqrt(0.5 - eps) / math.sqrt(2.0)
+        c = CoefficientVector([math.sqrt(0.5 + eps), side, side])
+        assert suitability_scan(c) == [teleport_condition(c, m) for m in (1, 2)]
+        a1, a2 = math.sqrt(0.5 + eps), math.sqrt(0.5 - eps)
+        assert ghz_suitability_scan(a1, a2, 3) == [ghz_condition(a1, a2, m) for m in (1, 2)]
+
+    def test_cross_check_still_catches_a_wrong_formula(self, monkeypatch):
+        # a checker that claims a balanced split for the uniform W3 must be
+        # contradicted by the simulated spectrum {1/3, 2/3}
+        def balanced(c, m):
+            return wstates.ConditionReport(m, 0.5, 0.5, 0.0, True)
+
+        monkeypatch.setattr(wstates, "teleport_condition", balanced)
+        with pytest.raises(InternalConsistencyError, match="m=1"):
+            suitability_scan(w_coefficients(3))
+
+
+class TestNonFiniteInputRejected:
+    def test_coefficient_vector(self):
+        with pytest.raises(NormalizationError):
+            CoefficientVector([NAN, 1.0])
+
+    def test_unitary(self):
+        with pytest.raises(ValueError, match="unitary"):
+            Unitary(np.array([[NAN, 0.0], [0.0, 1.0]]))
+
+    def test_unknown_state(self):
+        with pytest.raises(NormalizationError):
+            UnknownState(NAN, 1.0)
+
+    def test_encoded_unknown_state(self):
+        with pytest.raises(NormalizationError):
+            EncodedUnknownState(
+                alpha=NAN,
+                beta=1.0,
+                m=1,
+                zero_state=make_basis_state(1, [0]),
+                wm_state=make_basis_state(1, [1]),
+            )
+
+    def test_density_matrix(self):
+        with pytest.raises(ValueError, match="Hermitian") as err:
+            DensityMatrix(1, np.array([[NAN, 0.0], [0.0, NAN]]))
+        assert not isinstance(err.value, np.linalg.LinAlgError)
+
+    def test_measurement_basis_gram(self):
+        with pytest.raises(ProtocolViolationError):
+            MeasurementBasis([1], [StateVector(1, [NAN, 0.0])])
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_config_names_the_field(self, constant, tmp_path, capsys):
+        doc = (
+            '{"scenarios": [{"task": "scan", "state": {"coefficients":'
+            f' [[{constant}, 0], [1, 0]]}}}}, {{"task": "entropy", "state":'
+            f' {{"named": "ghz", "n": 3, "a1": [0.6, {constant}]}}}}]}}'
+        )
+        with pytest.raises(ConfigError) as err:
+            parse_config(doc)
+        assert any("scenario 0.state.coefficients[0]" in e for e in err.value.errors)
+        assert any("scenario 1.state.a1" in e for e in err.value.errors)
+        path = tmp_path / "nan.json"
+        path.write_text(doc)
+        assert main(["--config", str(path), "--format", "json"]) == 2
+        assert "finite" in capsys.readouterr().err
+
+
+class TestBinaryEntropy:
+    def test_values(self):
+        from wproto.wstates import binary_entropy
+
+        assert binary_entropy(0.5) == 1.0
+        assert binary_entropy(0.0) == binary_entropy(1.0) == 0.0
+        assert binary_entropy(0.25) == pytest.approx(0.811278124459, abs=1e-12)
+        assert partition_entropy_formula(4, 1) == binary_entropy(0.25)
+
+    def test_ghz_entropy_with_weight_rounded_past_one(self):
+        # |a1|^2 = 1 + 8e-11 passes the normalization tolerance; the closed
+        # form used to take log2 of a negative number here
+        config = parse_config(
+            json.dumps({"task": "entropy", "state": {"named": "ghz", "n": 3, "a1": [1.00000000004, 0]}})
+        )
+        report = run(config)
+        assert report.all_matched
+        rows = report.payload["scenarios"][0]["results"]["rows"]
+        assert [row["formula"] for row in rows] == [0.0, 0.0]
