@@ -26,6 +26,8 @@ from .qsim import (
     make_basis_state,
     partial_trace,
     project,
+    reduced_spectrum,
+    spectrum_entropy,
     superpose,
     tensor,
     von_neumann_entropy,
@@ -36,6 +38,7 @@ from .wstates import (
     ConditionReport,
     UnsuitableResourceError,
     binary_entropy,
+    cut_entropy,
     excitation_blocks,
     generalized_ghz,
     generalized_w,

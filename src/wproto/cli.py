@@ -14,7 +14,9 @@ time-dependent is included (wall time shows up in the table format only).
 
 Flags: ``--config <path>``, ``--format json|table``, ``--out <path>``,
 ``--demo-sample --seed <u64>``.  Exit codes: 0 all expectations met,
-1 verdict mismatch, 2 config error.
+1 verdict mismatch, 2 config error (including a resource larger than
+``qsim.MAX_QUBITS``), 3 internal error: an exception escaped, and its
+traceback is on stderr.
 """
 
 from __future__ import annotations
@@ -24,13 +26,14 @@ import json
 import math
 import sys
 import time
+import traceback
 from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
 
 from . import __version__
-from .qsim import STRUCTURAL_TOL, partial_trace, von_neumann_entropy
+from .qsim import MAX_QUBITS, STRUCTURAL_TOL, reduced_spectrum, spectrum_entropy
 from .sdc import (
     EncodingSet,
     capacity_check,
@@ -50,11 +53,11 @@ from .wstates import (
     ConditionReport,
     UnsuitableResourceError,
     binary_entropy,
+    cut_entropy,
     generalized_ghz,
     generalized_w,
     ghz_suitability_scan,
     modified_w_coefficients,
-    partition_entropy_formula,
     suitability_scan,
     w_coefficients,
 )
@@ -64,6 +67,7 @@ SDC_SETS = ("pauli", "w4", "generated", "full-products")
 NAMED_STATES = ("w", "ghz", "modified-w")
 DEFAULT_GRID_COUNT = 20
 DEFAULT_GRID_SEED = 0
+EXIT_INTERNAL_ERROR = 3
 
 
 class ConfigError(ValueError):
@@ -136,6 +140,9 @@ def _parse_state(obj: Any, where: str, errors: list[str]) -> dict:
         if not isinstance(n, int) or isinstance(n, bool) or n < 2:
             errors.append(f"{where}.n: integer >= 2 required")
             return out
+        if n > MAX_QUBITS:
+            errors.append(f"{where}.n: {n} qubits exceed the qubit budget of {MAX_QUBITS}")
+            return out
         out.update(kind="named", named=name, n=n)
         if name == "ghz":
             a1 = obj.get("a1")
@@ -161,6 +168,11 @@ def _parse_state(obj: Any, where: str, errors: list[str]) -> dict:
         raw = obj.get("coefficients")
         if not isinstance(raw, list) or len(raw) < 2:
             errors.append(f"{where}.coefficients: need a list of >= 2 [re, im] pairs")
+            return out
+        if len(raw) > MAX_QUBITS:
+            errors.append(
+                f"{where}.coefficients: {len(raw)} qubits exceed the qubit budget of {MAX_QUBITS}"
+            )
             return out
         coeffs = np.array(
             [_as_complex(v, f"{where}.coefficients[{i}]", errors) for i, v in enumerate(raw)]
@@ -428,34 +440,21 @@ def _run_sdc(s: Scenario) -> tuple[dict, bool, str]:
 
 
 def _run_entropy(s: Scenario) -> tuple[dict, bool, str]:
-    closed: list[float] | None = None
     if s.named == "ghz":
         state = generalized_ghz(s.ghz_a1, s.ghz_a2, s.n)
         closed = [binary_entropy(abs(s.ghz_a1) ** 2)] * (s.n - 1)
     else:
-        state = generalized_w(_coefficient_vector(s))
-        if s.named == "w":
-            closed = [partition_entropy_formula(s.n, x) for x in range(1, s.n)]
+        c = _coefficient_vector(s)
+        state = generalized_w(c)
+        closed = [cut_entropy(c, x) for x in range(1, s.n)]
     rows = []
-    all_match = True
-    for x in range(1, s.n):
-        simulated = von_neumann_entropy(
-            partial_trace(state, range(s.n - x + 1, s.n + 1))
-        )
-        row: dict[str, Any] = {"x": x, "simulated": simulated}
-        if closed is not None:
-            row["formula"] = closed[x - 1]
-            row["match"] = abs(simulated - closed[x - 1]) <= STRUCTURAL_TOL
-            all_match = all_match and row["match"]
-        rows.append(row)
-    reason = (
-        "simulated bipartition entropies match the closed form"
-        if closed is not None and all_match
-        else "closed form unavailable: simulated entropies reported"
-        if closed is None
-        else "simulated entropy deviates from the closed form"
-    )
-    return {"rows": rows}, all_match, reason
+    for x, formula in enumerate(closed, 1):
+        simulated = spectrum_entropy(reduced_spectrum(state, range(s.n - x + 1, s.n + 1)))
+        match = abs(simulated - formula) <= STRUCTURAL_TOL
+        rows.append({"x": x, "simulated": simulated, "formula": formula, "match": match})
+    if all(row["match"] for row in rows):
+        return {"rows": rows}, True, "simulated bipartition entropies match the closed form"
+    return {"rows": rows}, False, "simulated entropy deviates from the closed form"
 
 
 _RUNNERS = {
@@ -539,10 +538,10 @@ def emit(report: RunReport, fmt: str = "json") -> bytes:
                 f"  left={row['left_sum']:.12f}  right={row['right_sum']:.12f}"
             )
         for row in results.get("rows", []):
-            text = f"    x={row['x']}  simulated={row['simulated']:.12f}"
-            if "formula" in row:
-                text += f"  formula={row['formula']:.12f}  match={str(row['match']).lower()}"
-            lines.append(text)
+            lines.append(
+                f"    x={row['x']}  simulated={row['simulated']:.12f}"
+                f"  formula={row['formula']:.12f}  match={str(row['match']).lower()}"
+            )
         if "min_fidelity" in results:
             lines.append(
                 f"    runs={results['runs']}  strategy={results['strategy']}"
@@ -604,7 +603,16 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--seed", type=int, default=0, help="seed for --demo-sample")
     args = parser.parse_args(argv)
+    try:
+        return _main(args)
+    except Exception as exc:
+        # exit 1 means "verdict mismatch"; an escaped exception is never one
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
 
+
+def _main(args: argparse.Namespace) -> int:
     try:
         with open(args.config, "rb") as fh:
             text = fh.read()

@@ -2,8 +2,9 @@
 
 States are dense complex amplitude vectors indexed so that qubit 1 is the
 most significant bit of the amplitude index: ``|q1 q2 ... qn>`` lives at
-index ``q1*2^(n-1) + q2*2^(n-2) + ... + qn``.  With at most a dozen qubits
-in play, dense vectors keep every operation exact up to float rounding.
+index ``q1*2^(n-1) + q2*2^(n-2) + ... + qn``.  Dense vectors keep every
+operation exact up to float rounding; reduced spectra come from the Schmidt
+values across a cut, so entropies never build a 2^k x 2^k density matrix.
 
 All values are immutable after construction (amplitude buffers are marked
 read-only) and every operation is a pure function, so independent
@@ -24,6 +25,9 @@ STRUCTURAL_TOL = 1e-10
 NORM_PRESERVATION_TOL = 1e-12
 #: outcome probabilities below this are reported without a post-state
 ZERO_PROBABILITY = 1e-24
+#: qubit budget: the largest resource register a scenario may ask for
+#: (2^20 amplitudes take 16 MiB; a teleport's joint register has one more)
+MAX_QUBITS = 20
 
 # The four single-qubit encoding operators used throughout: identity, bit
 # flip, bit-plus-sign flip, sign flip.  The third entry is i*sigma_y, kept
@@ -361,25 +365,51 @@ def project(state: StateVector, basis: MeasurementBasis) -> list[ProtocolOutcome
     return outcomes
 
 
-def partial_trace(state: StateVector, keep: Sequence[int]) -> DensityMatrix:
-    """Reduced density matrix of the ``keep`` qubits (in listed order)."""
+def _cut(state: StateVector, keep: Sequence[int]) -> tuple[np.ndarray, int]:
+    """Amplitudes grouped across the cut "``keep`` vs the rest", and k."""
     psi, _, k = _grouped(state, keep)
     if k == state.num_qubits:
         raise ValueError("keep must be a proper subset; use an outer product instead")
     if not state.normalized:
-        raise NormalizationError("partial trace expects a normalized state")
+        raise NormalizationError("a reduced state needs a normalized state")
+    return psi, k
+
+
+def partial_trace(state: StateVector, keep: Sequence[int]) -> DensityMatrix:
+    """Reduced density matrix of the ``keep`` qubits (in listed order)."""
+    psi, k = _cut(state, keep)
     return DensityMatrix(k, psi @ psi.conj().T)
 
 
-def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """-sum(lam * log2(lam)) over the spectrum, with 0*log0 = 0.
+def reduced_spectrum(state: StateVector, keep: Sequence[int]) -> np.ndarray:
+    """Ascending spectrum of the reduced state of the ``keep`` qubits.
+
+    The squared Schmidt coefficients, i.e. singular values of the amplitudes
+    grouped as a (2^k, 2^(n-k)) matrix: the largest min(2^k, 2^(n-k))
+    eigenvalues of ``partial_trace(state, keep)``, found without building or
+    diagonalizing that 2^k x 2^k matrix.  Every other eigenvalue is zero.
+    """
+    psi, _ = _cut(state, keep)
+    lam = np.linalg.svd(psi, compute_uv=False)[::-1] ** 2
+    lam.flags.writeable = False
+    return lam
+
+
+def spectrum_entropy(eigenvalues: np.ndarray) -> float:
+    """-sum(lam * log2(lam)) over a spectrum, with 0*log0 = 0.
 
     Eigenvalues pushed slightly negative by rounding are clamped to zero
-    before the log (construction already bounds them below by -1e-10).
+    before the log.
     """
-    lam = np.clip(rho.eigenvalues, 0.0, None)
+    lam = np.clip(eigenvalues, 0.0, None)
     lam = lam[lam > 0.0]
     return max(0.0, float(-(lam * np.log2(lam)).sum()))
+
+
+def von_neumann_entropy(rho: DensityMatrix) -> float:
+    """Entropy of a density matrix's spectrum (see :func:`spectrum_entropy`);
+    construction already bounds its eigenvalues below by -1e-10."""
+    return spectrum_entropy(rho.eigenvalues)
 
 
 def orthonormal_extension(vectors: Sequence[np.ndarray], dim: int) -> np.ndarray:

@@ -27,7 +27,7 @@ from .qsim import (
     InternalConsistencyError,
     NormalizationError,
     StateVector,
-    partial_trace,
+    reduced_spectrum,
     zero_state,
 )
 
@@ -275,6 +275,16 @@ def partition_entropy_formula(n: int, x: int) -> float:
     return binary_entropy(x / n)
 
 
+def cut_entropy(c: CoefficientVector, x: int) -> float:
+    """Closed-form entropy of the last x qubits of ``generalized_w(c)``.
+
+    The cut splits the state into two orthogonal terms, so the entropy is
+    H of the excitation weight on the last x qubits;
+    :func:`partition_entropy_formula` is the uniform case.
+    """
+    return binary_entropy(teleport_condition(c, x).right_sum)
+
+
 def _checked_scan(state: StateVector, condition) -> list[ConditionReport]:
     """``condition(m)`` for every m in 1..n-1, checked against the simulator.
 
@@ -288,7 +298,7 @@ def _checked_scan(state: StateVector, condition) -> list[ConditionReport]:
     reports = []
     for m in range(1, n):
         rep = condition(m)
-        spectrum = partial_trace(state, range(n - m + 1, n + 1)).eigenvalues
+        spectrum = reduced_spectrum(state, range(n - m + 1, n + 1))
         expected = np.zeros(spectrum.shape[0])
         expected[-2:] = sorted((rep.left_sum, rep.right_sum))
         deviation = float(np.abs(spectrum - expected).max())

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import wproto.cli as cli
 import wproto.wstates as wstates
 from wproto.cli import ConfigError, main, parse_config, run
 from wproto.qsim import (
+    MAX_QUBITS,
     DensityMatrix,
     InternalConsistencyError,
     MeasurementBasis,
@@ -23,6 +25,8 @@ from wproto.qsim import (
 from wproto.teleport import EncodedUnknownState, UnknownState
 from wproto.wstates import (
     CoefficientVector,
+    binary_entropy,
+    cut_entropy,
     ghz_condition,
     ghz_suitability_scan,
     partition_entropy_formula,
@@ -131,3 +135,78 @@ class TestBinaryEntropy:
         assert report.all_matched
         rows = report.payload["scenarios"][0]["results"]["rows"]
         assert [row["formula"] for row in rows] == [0.0, 0.0]
+
+
+class TestEntropyClosedFormForEveryWState:
+    def test_coefficient_vector_rows_carry_the_closed_form(self):
+        doc = {"task": "entropy", "state": {"coefficients": [[0.6, 0], [0, 0.8], [0, 0]]}}
+        entry = run(parse_config(json.dumps(doc))).payload["scenarios"][0]
+        rows = entry["results"]["rows"]
+        assert [row["formula"] for row in rows] == [
+            0.0, pytest.approx(binary_entropy(0.64), abs=1e-12)
+        ]
+        assert all(row["match"] for row in rows)
+        assert entry["verdict"]["success"]
+
+    def test_modified_w_rows_carry_the_closed_form(self):
+        doc = {"task": "entropy", "state": {"named": "modified-w", "n": 5}}
+        rows = run(parse_config(json.dumps(doc))).payload["scenarios"][0]["results"]["rows"]
+        assert [row["formula"] for row in rows] == pytest.approx(
+            [1.0, binary_entropy(0.5 + 1 / 8), binary_entropy(0.5 + 2 / 8), binary_entropy(7 / 8)],
+            abs=1e-12,
+        )
+
+    def test_cut_entropy_generalizes_the_uniform_formula(self):
+        for n in range(2, 9):
+            for x in range(1, n):
+                assert cut_entropy(w_coefficients(n), x) == pytest.approx(
+                    partition_entropy_formula(n, x), abs=1e-14
+                )
+
+    def test_wrong_simulated_entropy_fails_the_scenario(self, monkeypatch):
+        monkeypatch.setattr(cli, "spectrum_entropy", lambda lam: 1e-6)
+        doc = {"task": "entropy", "state": {"coefficients": [[0.6, 0], [0, 0.8], [0, 0]]}}
+        report = run(parse_config(json.dumps(doc)))
+        entry = report.payload["scenarios"][0]
+        assert not entry["verdict"]["success"]
+        assert "deviates" in entry["verdict"]["reason"]
+        assert not report.all_matched
+
+
+class TestQubitBudget:
+    def write(self, tmp_path, doc) -> str:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return str(path)
+
+    def test_oversized_named_state_is_a_config_error(self, tmp_path, capsys):
+        path = self.write(tmp_path, {"task": "scan", "state": {"named": "w", "n": 40}})
+        assert main(["--config", path, "--format", "json"]) == 2
+        err = capsys.readouterr().err
+        assert "scenario 0.state.n" in err and str(MAX_QUBITS) in err
+        assert "Traceback" not in err
+
+    def test_oversized_coefficient_vector_is_a_config_error(self):
+        coeffs = [[1 / math.sqrt(MAX_QUBITS + 1), 0]] * (MAX_QUBITS + 1)
+        doc = {"task": "entropy", "state": {"coefficients": coeffs}}
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps(doc))
+        assert any("scenario 0.state.coefficients" in e for e in err.value.errors)
+
+    def test_budget_itself_is_accepted(self):
+        doc = {"task": "scan", "state": {"named": "ghz", "n": MAX_QUBITS}}
+        assert parse_config(json.dumps(doc)).scenarios[0].n == MAX_QUBITS
+
+
+def test_escaped_exception_is_an_internal_error(monkeypatch, tmp_path, capsys):
+    def boom(scenario):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._RUNNERS, "scan", boom)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"task": "scan", "state": {"named": "w", "n": 4}}))
+    assert main(["--config", str(path), "--format", "json"]) == cli.EXIT_INTERNAL_ERROR
+    assert cli.EXIT_INTERNAL_ERROR not in (0, 1, 2)
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "internal error: RuntimeError: boom" in err
