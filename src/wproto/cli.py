@@ -118,9 +118,10 @@ def _as_complex(value: Any, where: str, errors: list[str]) -> complex:
         and len(value) == 2
         and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)
     ):
-        if all(math.isfinite(x) for x in value):
+        # rejects NaN and infinities, and integer literals beyond the float range
+        if all(abs(x) <= sys.float_info.max for x in value):
             return complex(value[0], value[1])
-        errors.append(f"{where}: [re, im] must be finite numbers")
+        errors.append(f"{where}: [re, im] must be finite numbers within the float range")
         return 0j
     errors.append(f"{where}: expected a two-element [re, im] array")
     return 0j
@@ -212,7 +213,7 @@ def _parse_scenario(raw: Any, index: int, errors: list[str]) -> Scenario | None:
     m = raw.get("m")
     strategy = raw.get("strategy")
     set_name = raw.get("set")
-    grid = raw.get("grid") or {}
+    grid = raw.get("grid")
     expect = raw.get("expect", "success")
 
     if expect not in ("success", "failure"):
@@ -245,6 +246,7 @@ def _parse_scenario(raw: Any, index: int, errors: list[str]) -> Scenario | None:
         errors.append(f"{where}.set: only applies to the sdc task")
     grid_count, grid_seed = DEFAULT_GRID_COUNT, DEFAULT_GRID_SEED
     if task == "teleport":
+        grid = {} if grid is None else grid
         if not isinstance(grid, dict):
             errors.append(f"{where}.grid: must be an object with count/seed")
         else:
@@ -254,7 +256,7 @@ def _parse_scenario(raw: Any, index: int, errors: list[str]) -> Scenario | None:
                 errors.append(f"{where}.grid.count: integer >= 1 required")
             if not isinstance(grid_seed, int) or isinstance(grid_seed, bool) or grid_seed < 0:
                 errors.append(f"{where}.grid.seed: integer >= 0 required")
-    elif raw.get("grid") is not None:
+    elif grid is not None:
         errors.append(f"{where}.grid: only applies to the teleport task")
 
     scenario = Scenario(

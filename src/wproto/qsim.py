@@ -416,8 +416,9 @@ def orthonormal_extension(vectors: Sequence[np.ndarray], dim: int) -> np.ndarray
     """Extend orthonormal vectors to a full orthonormal basis (rows).
 
     Deterministic: missing directions come from Gram-Schmidt over the
-    computational basis in index order, so callers that bake the result
-    into operators get the same completion every run.
+    computational basis in index order.  No protocol builds on it; it is
+    the reference the tests check the closed-form transfer unitary and the
+    generated encoding set against.
     """
     basis: list[np.ndarray] = []
     for v in vectors:

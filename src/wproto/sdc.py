@@ -14,9 +14,10 @@ Encoding sets:
   * :func:`w4_multiunary_set` - eight two-qubit tensor-product operators
     for the four-qubit W-state (3 bits by 2 qubits);
   * :func:`general_encoding_set` - 2^(m+1) operators for any suitable
-    resource, built from subspace Pauli action on span{|0..0>, |w>} times
-    shifts onto orthogonal two-dimensional subspaces.  The construction is
-    always validated by :func:`decode`, never assumed;
+    resource, m + 1 = 2 + (m - 1) bits: the four receiver transfer
+    corrections dense-code 2 bits onto the last qubit, and a bit-flip
+    pattern on the first m - 1 qubits carries one more bit each.  The
+    construction is always validated by :func:`decode`, never assumed;
   * :func:`pauli_product_set` - all 4^m tensor products, used to confirm
     that 2m bits per m qubits is *not* achievable.
 
@@ -42,10 +43,8 @@ from .qsim import (
     Unitary,
     apply_unitary,
     gram_matrix,
-    orthonormal_extension,
-    zero_state,
 )
-from .teleport import bob_strategy1_set, require_condition
+from .teleport import bob_strategy2_set, require_condition
 from .wstates import CoefficientVector, excitation_blocks, generalized_w
 
 
@@ -163,26 +162,18 @@ def pauli_product_set(m: int) -> EncodingSet:
 def general_encoding_set(c: CoefficientVector, m: int) -> EncodingSet:
     """2^(m+1) operators on the last m qubits of a suitable resource.
 
-    Construction: the four subspace Pauli operators on span{|0..0>, |w>}
-    (|w> = the renormalized excitation block on the sender's qubits),
-    composed with 2^(m-1) basis shifts that move that span onto mutually
-    orthogonal two-dimensional subspaces tiling the sender's space.  States
-    encoded within one tile are orthogonal by the Pauli sign pattern;
-    states in different tiles are orthogonal by construction.  Callers
+    m + 1 = 2 + (m - 1) bits: the four corrections of :func:`bob_strategy2_set`
+    act as the Pauli set on span{|0..0>, |w>} (|w> = the renormalized
+    excitation block on the sender's qubits) and move it onto the last qubit,
+    dense-coding 2 bits; each is then followed by one of the 2^(m-1) bit-flip
+    patterns b on the first m - 1 qubits (rows i -> i XOR 2b), one bit per
+    qubit, since different patterns land on orthogonal basis pairs.  Callers
     should still confirm via :func:`decode` — and the tests do.
     """
-    wm = excitation_blocks(c, m)[2]
-    dim = 2**m
-    basis = orthonormal_extension([zero_state(m).amplitudes, wm.amplitudes], dim)
-    subspace_paulis = bob_strategy1_set(m, wm)
-    ops: list[Unitary] = []
-    for j in range(dim // 2):
-        shift = np.zeros((dim, dim), dtype=np.complex128)
-        for k in range(dim):
-            shift += np.outer(basis[(k + 2 * j) % dim], basis[k].conj())
-        for pauli in subspace_paulis:
-            ops.append(Unitary(shift @ pauli.matrix))
-    return EncodingSet.from_operators(ops)
+    corrections = bob_strategy2_set(m, excitation_blocks(c, m)[2])
+    rows = np.arange(2**m)
+    flips = [rows ^ 2 * b for b in range(2 ** (m - 1))]
+    return EncodingSet.from_operators([Unitary(u.matrix[f]) for f in flips for u in corrections])
 
 
 def encode(

@@ -51,7 +51,6 @@ from .qsim import (
     fidelity,
     inner_product,
     make_basis_state,
-    orthonormal_extension,
     project,
     superpose,
     tensor,
@@ -304,35 +303,33 @@ def bob_strategy1_set(m: int, wm: StateVector) -> list[Unitary]:
     These are the receiver-side corrections that keep the teleported state
     encoded in the two-dimensional subspace.
     """
-    b0 = _basis_pair(m, wm).amplitudes
-    b1 = wm.amplitudes
+    b0, b1 = _basis_pair(m, wm).amplitudes, wm.amplitudes
     complement = np.eye(2**m) - np.outer(b0, b0.conj()) - np.outer(b1, b1.conj())
-    ops = []
-    for sigma in PAULI_FOUR:
-        sub = (
-            sigma[0, 0] * np.outer(b0, b0.conj())
-            + sigma[0, 1] * np.outer(b0, b1.conj())
-            + sigma[1, 0] * np.outer(b1, b0.conj())
-            + sigma[1, 1] * np.outer(b1, b1.conj())
-        )
-        ops.append(Unitary(complement + sub))
-    return ops
+    pair = np.stack([b0, b1], axis=1)
+    return [Unitary(complement + pair @ sigma @ pair.conj().T) for sigma in PAULI_FOUR]
 
 
 def transfer_unitary(m: int, wm: StateVector) -> Unitary:
-    """Unitary realizing {|0..0>, wm} -> {|0..0>, |0..01>}.
+    """Unitary realizing {|0..0>, wm} -> {|0..0>, |0..01>}, in closed form.
 
-    The action on the complement is a fixed deterministic completion:
-    Gram-Schmidt over the computational basis extends both the domain pair
-    and the range pair to full bases, matched index by index.  For m = 2
-    with wm = (|01>+|10>)/sqrt(2) this lands on the singlet-to-|10> pattern.
+    The reflection I - 2 v v^dagger / |v|^2 with v = wm - p|0..01> (p the
+    phase of wm's |0..01> amplitude, or 1) swaps wm with p|0..01>; a phase
+    conj(p) on |0..01> follows.  It is the identity off span{wm, |0..01>},
+    so |0..0> stays fixed, and in that plane it maps the direction
+    orthogonal to wm onto the one orthogonal to |0..01>.  For m = 2 and
+    wm = (|01>+|10>)/sqrt(2) it sends the singlet to |10>.
     """
-    zero = _basis_pair(m, wm)
-    dim = 2**m
-    one_last = make_basis_state(m, [0] * (m - 1) + [1])
-    domain = orthonormal_extension([zero.amplitudes, wm.amplitudes], dim)
-    target = orthonormal_extension([zero.amplitudes, one_last.amplitudes], dim)
-    return Unitary(target.T @ domain.conj())
+    _basis_pair(m, wm)
+    v, w1 = wm.amplitudes.copy(), wm.amplitudes[1]
+    p = w1 / abs(w1) if w1 else 1.0
+    # wm's weight off |0..01>, summed directly: 1 - |w1|^2 cancels near |0..01>
+    s = float(np.sum(np.abs(np.delete(v, 1)) ** 2))
+    v[1] = -p * s / (1.0 + abs(w1))  # w1 - p for a unit wm, without that cancellation
+    t = np.eye(2**m, dtype=np.complex128)
+    if s > 0.0:
+        t -= (2.0 / (s + abs(v[1]) ** 2)) * np.outer(v, v.conj())
+    t[1] *= np.conj(p)
+    return Unitary(t)
 
 
 def _then(t: Unitary, ops: Sequence[Unitary]) -> list[Unitary]:

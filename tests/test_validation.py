@@ -99,7 +99,18 @@ class TestNonFiniteInputRejected:
         with pytest.raises(ProtocolViolationError):
             MeasurementBasis([1], [StateVector(1, [NAN, 0.0])])
 
-    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity", "1e400"])
+    @pytest.mark.parametrize(
+        "constant",
+        [
+            "NaN",
+            "Infinity",
+            "-Infinity",
+            "1e400",
+            # integer literals too large for a float
+            pytest.param("1" + "0" * 400, id="int-10^400"),
+            pytest.param("-" + "9" * 320, id="int--10^320"),
+        ],
+    )
     def test_config_names_the_field(self, constant, tmp_path, capsys):
         doc = (
             '{"scenarios": [{"task": "scan", "state": {"coefficients":'
@@ -210,3 +221,26 @@ def test_escaped_exception_is_an_internal_error(monkeypatch, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "internal error: RuntimeError: boom" in err
+
+
+@pytest.mark.parametrize("grid", [[], 0, False, "", [1, 2], 3])
+def test_teleport_grid_must_be_an_object(grid):
+    doc = {"task": "teleport", "state": {"named": "w", "n": 4}, "m": 2, "grid": grid}
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(doc))
+    assert err.value.errors == ["scenario 0.grid: must be an object with count/seed"]
+
+
+@pytest.mark.parametrize("grid", [None, {}])
+def test_teleport_grid_null_or_empty_means_the_defaults(grid):
+    doc = {"task": "teleport", "state": {"named": "w", "n": 4}, "m": 2, "grid": grid}
+    (s,) = parse_config(json.dumps(doc)).scenarios
+    assert (s.grid_count, s.grid_seed) == (cli.DEFAULT_GRID_COUNT, cli.DEFAULT_GRID_SEED)
+
+
+@pytest.mark.parametrize("grid", [[], 0, False, ""])
+def test_grid_on_another_task_is_named_even_when_falsy(grid):
+    doc = {"task": "scan", "state": {"named": "w", "n": 4}, "grid": grid}
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(doc))
+    assert err.value.errors == ["scenario 0.grid: only applies to the teleport task"]
