@@ -20,12 +20,14 @@ from .qsim import (
     StateVector,
     Unitary,
     apply_unitary,
+    apply_unitary_stack,
     fidelity,
     gram_matrix,
     inner_product,
     make_basis_state,
     partial_trace,
     project,
+    project_stack,
     reduced_spectrum,
     spectrum_entropy,
     superpose,

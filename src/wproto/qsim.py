@@ -6,6 +6,13 @@ index ``q1*2^(n-1) + q2*2^(n-2) + ... + qn``.  Dense vectors keep every
 operation exact up to float rounding; reduced spectra come from the Schmidt
 values across a cut, so entropies never build a 2^k x 2^k density matrix.
 
+Unitary application and projective measurement also come as stacked
+kernels over a (G, 2^n) array of amplitude rows, one state per row
+(:func:`apply_unitary_stack`, :func:`project_stack`).  They run the same
+BLAS call on every row that the one-state call runs on that row, so each
+row's result is equal bit for bit, and they check every row on its own;
+:func:`apply_unitary` and :func:`project` are their one-row case.
+
 All values are immutable after construction (amplitude buffers are marked
 read-only) and every operation is a pure function, so independent
 computations can be run in parallel without coordination.
@@ -164,10 +171,11 @@ class MeasurementBasis:
     A family with fewer vectors than the subset dimension is *partial*;
     ``project`` then demands that the measured state has no support outside
     the family's span, which turns "this resource cannot run the protocol"
-    into a detectable error instead of silent probability loss.
+    into a detectable error instead of silent probability loss.  ``gram``
+    keeps the Gram matrix the orthonormality check was made on.
     """
 
-    __slots__ = ("subset", "vectors", "labels")
+    __slots__ = ("subset", "vectors", "labels", "gram")
 
     def __init__(
         self,
@@ -198,9 +206,11 @@ class MeasurementBasis:
             raise ProtocolViolationError(
                 f"measurement family is not orthonormal (max Gram deviation {dev:.3e})"
             )
+        gram.flags.writeable = False
         self.subset = idx
         self.vectors = vecs
         self.labels = labels
+        self.gram = gram
 
     @property
     def is_partial(self) -> bool:
@@ -242,14 +252,30 @@ def _validated_subset(subset: Sequence[int], num_qubits: int | None = None) -> t
     return idx
 
 
-def _grouped(state: StateVector, subset: Sequence[int]) -> tuple[np.ndarray, list[int], int]:
-    """Amplitudes as a (2^k, rest) matrix with the k subset qubits as rows,
-    the axis permutation that put them there, and k."""
-    idx = _validated_subset(subset, state.num_qubits)
-    n, k = state.num_qubits, len(idx)
+def _stack(rows: np.ndarray) -> np.ndarray:
+    """A (G, 2^n) complex stack of amplitude rows, one state per row."""
+    rows = np.asarray(rows, dtype=np.complex128)
+    width = rows.shape[-1] if rows.ndim == 2 else 0
+    if width < 2 or width & (width - 1) != 0:
+        raise DimensionError(f"expected a (G, 2^n) amplitude stack, got shape {rows.shape}")
+    return rows
+
+
+def _norms_squared(rows: np.ndarray) -> np.ndarray:
+    """<r|r> of every row, each by the same ``np.vdot`` a ``StateVector`` uses."""
+    return np.array([np.vdot(r, r).real for r in rows])
+
+
+def _grouped(rows: np.ndarray, subset: Sequence[int]) -> tuple[np.ndarray, list[int], int]:
+    """A (G, 2^n) stack as a (G, 2^k, rest) array with the k subset qubits as
+    the middle axis, the qubit-axis permutation that put them there, and k."""
+    g, n = len(rows), rows.shape[1].bit_length() - 1
+    idx = _validated_subset(subset, n)
+    k = len(idx)
     axes = [q - 1 for q in idx]
     perm = axes + [ax for ax in range(n) if ax not in axes]
-    return state.amplitudes.reshape((2,) * n).transpose(perm).reshape(2**k, -1), perm, k
+    moved = rows.reshape((g,) + (2,) * n).transpose([0] + [ax + 1 for ax in perm])
+    return moved.reshape(g, 2**k, -1), perm, k
 
 
 def make_basis_state(num_qubits: int, bits: Sequence[int]) -> StateVector:
@@ -319,23 +345,81 @@ def gram_matrix(vectors: Sequence[StateVector]) -> np.ndarray:
     return arr.conj() @ arr.T
 
 
-def apply_unitary(state: StateVector, u: Unitary, subset: Sequence[int]) -> StateVector:
-    """Apply ``u`` to the listed qubits (in listed order), identity elsewhere."""
-    psi, perm, k = _grouped(state, subset)
+def apply_unitary_stack(rows: np.ndarray, u: Unitary, subset: Sequence[int]) -> np.ndarray:
+    """Apply ``u`` to the listed qubits (in listed order) of every row of a
+    (G, 2^n) amplitude stack; identity elsewhere.
+
+    One matmul over the stack: numpy runs the same BLAS call on each row
+    that :func:`apply_unitary` runs on that row alone, so row g of the
+    result equals it bit for bit.  Every row must keep its norm.
+    """
+    rows = _stack(rows)
+    psi, perm, k = _grouped(rows, subset)
     if u.dimension != 2**k:
         raise DimensionError(
             f"operator of dimension {u.dimension} cannot act on {k} qubits"
         )
-    n = state.num_qubits
-    out = (u.matrix @ psi).reshape((2,) * n).transpose(np.argsort(perm)).reshape(-1)
-    result = StateVector(n, out)
-    if not abs(result.norm - state.norm) <= NORM_PRESERVATION_TOL:
+    g, n = len(rows), len(perm)
+    back = [0] + [ax + 1 for ax in np.argsort(perm)]
+    out = (u.matrix @ psi).reshape((g,) + (2,) * n).transpose(back).reshape(g, -1)
+    drift = np.abs(np.sqrt(_norms_squared(out)) - np.sqrt(_norms_squared(rows)))
+    if not (drift <= NORM_PRESERVATION_TOL).all():
         raise InternalConsistencyError("unitary application failed to preserve the norm")
-    return result
+    return out
+
+
+def apply_unitary(state: StateVector, u: Unitary, subset: Sequence[int]) -> StateVector:
+    """Apply ``u`` to the listed qubits (in listed order), identity elsewhere:
+    the one-row case of :func:`apply_unitary_stack`."""
+    return StateVector(state.num_qubits, apply_unitary_stack(state.amplitudes[None], u, subset)[0])
+
+
+def project_stack(
+    rows: np.ndarray, basis: MeasurementBasis
+) -> list[tuple[str, np.ndarray, np.ndarray | None]]:
+    """Projective measurement of ``basis.subset`` in every row of a (G, 2^n)
+    amplitude stack.
+
+    Returns, per basis vector in order, its label, the (G,) Born
+    probabilities and the (G, 2^(n-k)) renormalized post-states of the
+    remaining qubits (original order), or None when every qubit is
+    measured.  A row whose probability is at most ``ZERO_PROBABILITY`` has
+    no post-state: it is left zero, never divided by sqrt(0).  Each row
+    must be normalized and, for a partial basis, have in-span probability
+    one; a row that fails either raises, as :func:`project` does for it
+    alone.  Every value equals :func:`project` on that row bit for bit: one
+    ``vec.conj() @ psi`` per family vector runs the same BLAS call on each
+    row, and each probability is the same ``np.vdot``.
+    """
+    rows = _stack(rows)
+    if not (np.abs(_norms_squared(rows) - 1.0) <= STRUCTURAL_TOL).all():
+        raise NormalizationError("projective measurement expects a normalized state")
+    psi, perm, k = _grouped(rows, basis.subset)
+    v, g = len(basis.vectors), len(rows)
+    branches = np.empty((v, g, psi.shape[2]), dtype=np.complex128)
+    for vec, branch in zip(basis.vectors, branches):
+        np.matmul(vec.amplitudes.conj(), psi, out=branch)
+    p = _norms_squared(branches.reshape(v * g, -1)).reshape(v, g)
+    total = 0.0
+    for row in p:
+        total = total + row
+    outside = 1.0 - total
+    failing = outside[~(np.abs(outside) <= STRUCTURAL_TOL)]
+    if failing.size:
+        raise ProtocolViolationError(
+            f"state has probability {failing[0]:.6e} outside the span of the"
+            f" measurement family ({v} vectors on {k} qubits)"
+        )
+    post = [None] * v
+    if len(perm) > k:
+        kept = (p > ZERO_PROBABILITY)[:, :, None]
+        post = np.divide(branches, np.sqrt(p)[:, :, None], out=np.zeros_like(branches), where=kept)
+    return list(zip(basis.labels, p, post))
 
 
 def project(state: StateVector, basis: MeasurementBasis) -> list[ProtocolOutcome]:
-    """Projective measurement of ``basis.subset`` in the given family.
+    """Projective measurement of ``basis.subset`` in the given family: the
+    one-row case of :func:`project_stack`.
 
     Returns one outcome per basis vector, with the exact Born probability
     and the renormalized post-measurement state of the remaining qubits
@@ -343,36 +427,25 @@ def project(state: StateVector, basis: MeasurementBasis) -> list[ProtocolOutcome
     one; otherwise the state cannot be measured faithfully in this family
     and a ProtocolViolationError is raised.
     """
-    if not state.normalized:
-        raise NormalizationError("projective measurement expects a normalized state")
-    psi, _, k = _grouped(state, basis.subset)
-    n = state.num_qubits
+    rest = state.num_qubits - len(basis.subset)
     outcomes: list[ProtocolOutcome] = []
-    total = 0.0
-    for label, vec in zip(basis.labels, basis.vectors):
-        branch = vec.amplitudes.conj() @ psi
-        p = float(np.real(np.vdot(branch, branch)))
-        total += p
-        post = None
-        if p > ZERO_PROBABILITY and n > k:
-            post = StateVector(n - k, branch / math.sqrt(p))
-        outcomes.append(ProtocolOutcome(label=label, probability=p, post_state=post))
-    if not abs(total - 1.0) <= STRUCTURAL_TOL:
-        raise ProtocolViolationError(
-            f"state has probability {1.0 - total:.6e} outside the span of the"
-            f" measurement family ({len(basis.vectors)} vectors on {k} qubits)"
+    for label, p, post in project_stack(state.amplitudes[None], basis):
+        prob = float(p[0])
+        kept = post is not None and prob > ZERO_PROBABILITY
+        outcomes.append(
+            ProtocolOutcome(label, prob, StateVector(rest, post[0]) if kept else None)
         )
     return outcomes
 
 
 def _cut(state: StateVector, keep: Sequence[int]) -> tuple[np.ndarray, int]:
     """Amplitudes grouped across the cut "``keep`` vs the rest", and k."""
-    psi, _, k = _grouped(state, keep)
+    psi, _, k = _grouped(state.amplitudes[None], keep)
     if k == state.num_qubits:
         raise ValueError("keep must be a proper subset; use an outer product instead")
     if not state.normalized:
         raise NormalizationError("a reduced state needs a normalized state")
-    return psi, k
+    return psi[0], k
 
 
 def partial_trace(state: StateVector, keep: Sequence[int]) -> DensityMatrix:

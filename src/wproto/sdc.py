@@ -39,6 +39,7 @@ from .qsim import (
     PAULI_FOUR,
     STRUCTURAL_TOL,
     MeasurementBasis,
+    ProtocolViolationError,
     StateVector,
     Unitary,
     apply_unitary,
@@ -176,6 +177,17 @@ def general_encoding_set(c: CoefficientVector, m: int) -> EncodingSet:
     return EncodingSet.from_operators([Unitary(u.matrix[f]) for f in flips for u in corrections])
 
 
+def _sender_qubits(c: CoefficientVector, m: int, encoding: EncodingSet) -> range:
+    """Gate on the split condition at m and the set's size; the sender's
+    last m qubits."""
+    require_condition(c, m)
+    if encoding.num_qubits != m:
+        raise ValueError(
+            f"encoding set acts on {encoding.num_qubits} qubits, partition is m={m}"
+        )
+    return range(c.n - m + 1, c.n + 1)
+
+
 def encode(
     c: CoefficientVector, m: int, encoding: EncodingSet, message: Sequence[int]
 ) -> StateVector:
@@ -185,22 +197,19 @@ def encode(
     must hold at m (enforced); encoding on any other partition produces
     non-orthogonal states and no decoder can recover the message.
     """
-    require_condition(c, m)
-    if encoding.num_qubits != m:
-        raise ValueError(
-            f"encoding set acts on {encoding.num_qubits} qubits, partition is m={m}"
-        )
-    op = encoding.operator_for(message)
-    n = c.n
-    return apply_unitary(generalized_w(c), op, range(n - m + 1, n + 1))
+    sender = _sender_qubits(c, m, encoding)
+    return apply_unitary(generalized_w(c), encoding.operator_for(message), sender)
 
 
 def decode(states: Sequence[StateVector]) -> DecodeVerdict:
     """Judge whether the states are perfectly distinguishable.
 
-    Computes the full Gram matrix; identity within tolerance means the
-    states themselves form a (partial) projective measurement that reads
-    the message deterministically.  Failure is a verdict, not an error.
+    The states are tried as a (partial) projective measurement of their
+    own: if its orthonormality check passes (Gram matrix the identity
+    within tolerance), it reads the message deterministically and the
+    Gram matrix of that one check is the verdict's.  Otherwise the Gram
+    matrix is computed for the verdict, which names the worst pair.
+    Failure is a verdict, not an error.
     """
     states = list(states)
     if not states:
@@ -211,17 +220,17 @@ def decode(states: Sequence[StateVector]) -> DecodeVerdict:
             raise ValueError("all states must share one qubit count")
         if not s.normalized:
             raise ValueError("all states must be normalized")
+    if len(states) <= 2**n:
+        labels = [f"s{k}" for k in range(len(states))]
+        try:
+            basis = MeasurementBasis(range(1, n + 1), states, labels)
+            return DecodeVerdict(True, len(states), basis.gram, None, basis)
+        except ProtocolViolationError:
+            pass  # not orthonormal: the Gram matrix below names the worst pair
     gram = gram_matrix(states)
     deviation = np.abs(gram - np.eye(len(states)))
-    worst_flat = int(deviation.argmax())
-    i, j = divmod(worst_flat, len(states))
-    worst = float(deviation[i, j])
-    if worst <= STRUCTURAL_TOL:
-        basis = MeasurementBasis(
-            range(1, n + 1), states, [f"s{k}" for k in range(len(states))]
-        )
-        return DecodeVerdict(True, len(states), gram, None, basis)
-    return DecodeVerdict(False, len(states), gram, (i, j, worst), None)
+    i, j = divmod(int(deviation.argmax()), len(states))
+    return DecodeVerdict(False, len(states), gram, (i, j, float(deviation[i, j])), None)
 
 
 def capacity_check(
@@ -229,15 +238,18 @@ def capacity_check(
 ) -> CapacityResult:
     """Encode every message, decode, and report the achievable bit count.
 
-    If the full set decodes, the capacity is log2(set size) exactly.
-    Otherwise the result reports the largest mutually orthogonal subset:
-    exact (max-clique over the orthogonality graph) for set sizes up to 16,
+    The resource is built and the split condition checked once for the
+    whole set; each message then costs one operator application.  If the
+    full set decodes, the capacity is log2(set size) exactly.  Otherwise
+    the result reports the largest mutually orthogonal subset: exact
+    (max-clique over the orthogonality graph) for set sizes up to 16,
     greedy and flagged non-optimal beyond that.  Either way the subset
     answer is diagnostic — the protocol's capacity claim is about full sets.
     """
-    states = [encode(c, m, encoding, msg) for msg in encoding.labels]
-    verdict = decode(states)
-    size = len(states)
+    sender = _sender_qubits(c, m, encoding)
+    resource = generalized_w(c)
+    verdict = decode([apply_unitary(resource, op, sender) for op in encoding.operators])
+    size = verdict.num_states
     if verdict.decodable:
         bits = size.bit_length() - 1
         return CapacityResult(bits, True, size, size, tuple(range(size)), True)

@@ -22,11 +22,19 @@ on his qubits) up to one of four subspace corrections, and he can
 
 :func:`run_teleport_grid` builds a resource's family, corrections and
 second-stage basis once and runs every input state through one branch
-loop (project, correct, verify, and for ``serial`` recurse into the
-receiver's measurement); :func:`run_teleport_one_qubit` is its one-state
-case and :func:`run_teleport_encoded` drives the same loop with the
-encoded family.  Every branch is enumerated deterministically; nothing
-is sampled.
+loop: each input (x) resource joint state is measured in turn in one
+reused buffer (the joint states are never stacked, since a grid has no
+size limit), each outcome's post-states are stacked into one (G, 2^m)
+array, and the correction, the ``serial`` Bell extension and second
+measurement, the ``transfer`` last-qubit extraction and the fidelity
+checks then run once per outcome over the whole stack through
+:func:`~wproto.qsim.apply_unitary_stack` and
+:func:`~wproto.qsim.project_stack`.  Every grid point keeps its own
+probabilities, checks and fidelity against its own target, equal bit for
+bit to a run of that point alone.  :func:`run_teleport_one_qubit` is the
+one-state case and :func:`run_teleport_encoded` drives the same loop with
+the encoded family.  Every branch is enumerated deterministically;
+nothing is sampled.
 """
 
 from __future__ import annotations
@@ -38,8 +46,10 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .qsim import (
+    MAX_QUBITS,
     PAULI_FOUR,
     STRUCTURAL_TOL,
+    ZERO_PROBABILITY,
     DimensionError,
     InternalConsistencyError,
     MeasurementBasis,
@@ -47,11 +57,11 @@ from .qsim import (
     ProtocolOutcome,
     StateVector,
     Unitary,
-    apply_unitary,
+    apply_unitary_stack,
     fidelity,
     inner_product,
     make_basis_state,
-    project,
+    project_stack,
     superpose,
     tensor,
     zero_state,
@@ -372,64 +382,115 @@ def serial_basis(m: int, wm: StateVector) -> MeasurementBasis:
 #: qubits the correction acts on)
 Stage = tuple[MeasurementBasis, Sequence[Unitary], tuple[int, ...]]
 
+#: one corrected branch over a stack of runs: (label, (G,) probabilities,
+#: (G, 2^q) corrected states, correction)
+Branch = tuple[str, np.ndarray, np.ndarray, Unitary]
+
 #: the auxiliary pair (|00> + |11>)/sqrt(2) a later stage relays through
 _BELL = superpose([(1.0 / math.sqrt(2.0), make_basis_state(2, [b, b])) for b in (0, 1)])
 
+#: the branch rows stacked at once hold at most as many amplitudes as the
+#: largest joint state the qubit budget allows
+_STACK_AMPLITUDES = 2 ** (MAX_QUBITS + 1)
+
+
+def _first_stage(
+    inputs: Sequence[np.ndarray], resource: StateVector, basis: MeasurementBasis
+) -> list[tuple[str, np.ndarray, np.ndarray]]:
+    """Measure each input (x) resource in ``basis``; stack each label's rows.
+
+    The joint states are built one at a time into one reused buffer, never
+    stacked: only the post-states of the unmeasured qubits are kept.
+    """
+    half, count = resource.amplitudes, len(inputs)
+    joint = np.empty((1, len(inputs[0]) * len(half)), dtype=np.complex128)
+    for g, amps in enumerate(inputs):
+        np.multiply(amps[:, None], half, out=joint.reshape(len(amps), -1))
+        measured = project_stack(joint, basis)
+        if g == 0:
+            stacked = [
+                (label, np.empty(count), np.empty((count, post.shape[1]), dtype=np.complex128))
+                for label, _, post in measured
+            ]
+        for (_, probabilities, rows), (_, p, post) in zip(stacked, measured):
+            probabilities[g], rows[g] = p[0], post[0]
+    return stacked
+
 
 def _branches(
-    state: StateVector, stages: Sequence[Stage], prefix: str = "", weight: float = 1.0
-) -> Iterator[ProtocolOutcome]:
-    """Yield a corrected ProtocolOutcome for every branch of ``stages``.
+    measured: Sequence[tuple[str, np.ndarray, np.ndarray]],
+    stages: Sequence[Stage],
+    prefix: str = "",
+    weight: float | np.ndarray = 1.0,
+) -> Iterator[Branch]:
+    """Correct every measured branch of ``stages[0]``, all runs as one stack.
 
-    A later stage measures the corrected state of the one before, extended
-    by a fresh Bell pair; labels and probabilities of nested branches are
-    joined.
+    A later stage measures the corrected states of the one before, each
+    extended by a fresh Bell pair; labels and probabilities of nested
+    branches are joined.
     """
-    basis, corrections, qubits = stages[0]
-    for branch in project(state, basis):
-        corr = corrections[CORRECTION_INDEX[branch.label]]
-        fixed = apply_unitary(branch.post_state, corr, qubits)
-        label, probability = prefix + branch.label, weight * branch.probability
+    _, corrections, qubits = stages[0]
+    for label, p, post in measured:
+        if not (p > ZERO_PROBABILITY).all():
+            raise InternalConsistencyError(f"branch {prefix + label} has probability 0")
+        corr = corrections[CORRECTION_INDEX[label]]
+        fixed = apply_unitary_stack(post, corr, qubits)
+        label, probability = prefix + label, weight * p
         if len(stages) > 1:
-            yield from _branches(tensor(fixed, _BELL), stages[1:], label + "|", probability)
+            relayed = (fixed[:, :, None] * _BELL.amplitudes).reshape(len(fixed), -1)
+            measured_next = project_stack(relayed, stages[1][0])
+            yield from _branches(measured_next, stages[1:], label + "|", probability)
         else:
-            yield ProtocolOutcome(label, probability, fixed, corr)
+            yield label, probability, fixed, corr
 
 
 def _run_branches(
-    state: StateVector,
+    inputs: Sequence[np.ndarray],
+    resource: StateVector,
     stages: Sequence[Stage],
-    target: StateVector,
-    resource: str,
+    targets: Sequence[StateVector],
+    describe: str,
     strategy: str | None,
-    recover: Callable[[StateVector], StateVector] | None = None,
-) -> ProtocolReport:
-    """Every branch: project, correct, and verify against ``target``.
+    recover: Callable[[np.ndarray], list[StateVector]] | None = None,
+) -> list[ProtocolReport]:
+    """Every branch of every run: project, correct, and verify each run
+    against its own target; one report per input, in order.
 
-    ``recover`` maps a branch's final corrected state to what is compared
-    with ``target`` (by default the state itself).
+    ``recover`` maps a branch's (G, 2^q) final corrected states to what is
+    compared with the targets (by default the states themselves).
     """
-    outcomes = tuple(_branches(state, stages))
-    fidelities = {
-        o.label: fidelity(recover(o.post_state) if recover else o.post_state, target)
-        for o in outcomes
-    }
-    min_fid = min(fidelities.values())
-    success = min_fid >= FIDELITY_THRESHOLD
-    return ProtocolReport(
-        resource=resource,
-        strategy=strategy,
-        outcomes=outcomes,
-        fidelities=fidelities,
-        min_fidelity=min_fid,
-        classical_bits_sent=2,
-        success=success,
-        reason=(
-            "every outcome reproduces the input exactly"
-            if success
-            else f"minimum outcome fidelity {min_fid:.12g} is below 1 - 1e-9"
-        ),
-    )
+    columns = []
+    for label, p, fixed, corr in _branches(_first_stage(inputs, resource, stages[0][0]), stages):
+        finals = [StateVector(fixed.shape[1].bit_length() - 1, row) for row in fixed]
+        compared = recover(fixed) if recover else finals
+        fids = [fidelity(a, t) for a, t in zip(compared, targets)]
+        columns.append((label, p, finals, corr, fids))
+    reports = []
+    for g in range(len(targets)):
+        outcomes = tuple(
+            ProtocolOutcome(label, float(p[g]), finals[g], corr)
+            for label, p, finals, corr, _ in columns
+        )
+        fidelities = {label: fids[g] for label, _, _, _, fids in columns}
+        min_fid = min(fidelities.values())
+        success = min_fid >= FIDELITY_THRESHOLD
+        reports.append(
+            ProtocolReport(
+                resource=describe,
+                strategy=strategy,
+                outcomes=outcomes,
+                fidelities=fidelities,
+                min_fidelity=min_fid,
+                classical_bits_sent=2,
+                success=success,
+                reason=(
+                    "every outcome reproduces the input exactly"
+                    if success
+                    else f"minimum outcome fidelity {min_fid:.12g} is below 1 - 1e-9"
+                ),
+            )
+        )
+    return reports
 
 
 def _describe(c: CoefficientVector, m: int) -> str:
@@ -450,8 +511,10 @@ def run_teleport_encoded(
         raise DimensionError(f"encoded state has m={psi.m}, resource partition m={m}")
     wm = excitation_blocks(c, m)[2]
     stage = (basis, bob_strategy1_set(m, wm), tuple(range(1, m + 1)))
-    joint = tensor(psi.state_vector, generalized_w(c))
-    return _run_branches(joint, [stage], psi.state_vector, _describe(c, m), None)
+    target = psi.state_vector
+    return _run_branches(
+        [target.amplitudes], generalized_w(c), [stage], [target], _describe(c, m), None
+    )[0]
 
 
 def run_teleport_grid(
@@ -487,13 +550,18 @@ def run_teleport_grid(
     if strategy == "serial":
         stages.append((serial_basis(m, wm), [Unitary(s) for s in PAULI_FOUR], (1,)))
     zero, describe = zero_state(m), _describe(c, m)
+    batch = max(1, _STACK_AMPLITUDES >> (m + 2))
     reports = []
-    for psi in states:
-        target = psi.state_vector
+    for start in range(0, len(states), batch):
+        chunk = states[start : start + batch]
+        inputs = [psi.state_vector for psi in chunk]
+        targets = inputs
         if strategy == "subspace":
-            target = superpose([(psi.alpha, zero), (psi.beta, wm)])
-        joint = tensor(psi.state_vector, resource)
-        reports.append(_run_branches(joint, stages, target, describe, strategy, recover))
+            targets = [superpose([(psi.alpha, zero), (psi.beta, wm)]) for psi in chunk]
+        reports += _run_branches(
+            [sv.amplitudes for sv in inputs], resource, stages, targets, describe,
+            strategy, recover,
+        )
     return reports
 
 
@@ -508,22 +576,20 @@ def run_teleport_one_qubit(
     return run_teleport_grid(c, m, [psi], strategy)[0]
 
 
-def _extract_last_qubit(state: StateVector) -> StateVector:
-    """Split |0..0>(x)(a|0>+b|1>) off a transfer-corrected register.
+def _extract_last_qubit(rows: np.ndarray) -> list[StateVector]:
+    """Split |0..0>(x)(a|0>+b|1>) off each transfer-corrected register row.
 
     The transfer corrections guarantee this factoring; any support outside
     the first two amplitudes means the correction table is wrong, which is
     a bug, not a caller error.
     """
-    amps = state.amplitudes
-    if amps.shape[0] > 2:
-        stray = float(np.abs(amps[2:]).max())
+    if rows.shape[1] > 2:
+        stray = float(np.abs(rows[:, 2:]).max())
         if not stray <= STRUCTURAL_TOL:
             raise InternalConsistencyError(
                 f"transfer strategy left residual entanglement (|amp| {stray:.3e})"
             )
-    pair = amps[:2]
-    return StateVector(1, pair / np.linalg.norm(pair))
+    return [StateVector(1, pair / np.linalg.norm(pair)) for pair in rows[:, :2]]
 
 
 def unknown_state_grid(count: int, seed: int) -> list[UnknownState]:

@@ -1,10 +1,13 @@
 """Superdense-coding encoders, decoders, and capacity verification."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import wproto.qsim as qsim
+import wproto.sdc as sdc
 from wproto.qsim import apply_unitary
 from wproto.sdc import (
     EncodingSet,
@@ -221,6 +224,27 @@ class TestCapacityCheck:
         assert not result.decodable
         assert not result.exhaustive
         assert result.bits <= 4
+
+    @pytest.mark.parametrize("set_name", ["generated", "full-products"])
+    def test_resource_condition_and_gram_built_once(self, monkeypatch, set_name):
+        c = w_coefficients(6)
+        encoding = general_encoding_set(c, 3) if set_name == "generated" else pauli_product_set(3)
+        calls = Counter()
+        for module, name in (
+            (sdc, "generalized_w"),
+            (sdc, "require_condition"),
+            (sdc, "gram_matrix"),
+            (qsim, "gram_matrix"),  # the one MeasurementBasis checks with
+        ):
+            original = getattr(module, name)
+            monkeypatch.setattr(
+                module, name, lambda *a, _f=original, _n=name: calls.update([_n]) or _f(*a)
+            )
+        result = capacity_check(c, 3, encoding)
+        assert result.decodable == (set_name == "generated")
+        assert calls["generalized_w"] == calls["require_condition"] == 1
+        # one Gram matrix when the set decodes; a refused basis and the verdict otherwise
+        assert calls["gram_matrix"] == (1 if result.decodable else 2)
 
 
 class TestEncodingSetValidation:

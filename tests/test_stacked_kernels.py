@@ -1,0 +1,175 @@
+"""The stacked kernels: every row equals the one-state call on that row alone,
+and both equal the per-state arithmetic written out below, bit for bit."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wproto.qsim import (
+    DimensionError,
+    MeasurementBasis,
+    NormalizationError,
+    ProtocolViolationError,
+    StateVector,
+    Unitary,
+    apply_unitary,
+    apply_unitary_stack,
+    make_basis_state,
+    project,
+    project_stack,
+)
+
+
+def _complex(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def _random_basis(rng, subset, count) -> MeasurementBasis:
+    k = len(subset)
+    q, _ = np.linalg.qr(_complex(rng, 2**k, 2**k))
+    vectors = [StateVector(k, q[:, i]) for i in range(count)]
+    return MeasurementBasis(subset, vectors)
+
+
+def _in_span_rows(rng, basis, n, g) -> np.ndarray:
+    """Normalized rows whose support on ``basis.subset`` lies in its span."""
+    k = len(basis.subset)
+    axes = [q - 1 for q in basis.subset]
+    perm = axes + [ax for ax in range(n) if ax not in axes]
+    family = np.array([v.amplitudes for v in basis.vectors]).T  # (2^k, count)
+    rows = []
+    for _ in range(g):
+        grouped = family @ _complex(rng, family.shape[1], 2 ** (n - k))
+        row = grouped.reshape((2,) * n).transpose(np.argsort(perm)).reshape(-1)
+        rows.append(row / np.linalg.norm(row))
+    return np.array(rows)
+
+
+def _grouped(amplitudes, n, subset):
+    axes = [q - 1 for q in subset]
+    perm = axes + [ax for ax in range(n) if ax not in axes]
+    return amplitudes.reshape((2,) * n).transpose(perm).reshape(2 ** len(subset), -1), perm
+
+
+def _reference_project(amplitudes, n, basis):
+    """Per-state projection: (probability, post-state or None) per vector."""
+    psi, _ = _grouped(amplitudes, n, basis.subset)
+    outcomes = []
+    for vec in basis.vectors:
+        branch = vec.amplitudes.conj() @ psi
+        p = float(np.real(np.vdot(branch, branch)))
+        keep = p > 1e-24 and n > len(basis.subset)
+        outcomes.append((p, branch / math.sqrt(p) if keep else None))
+    return outcomes
+
+
+def _reference_apply(amplitudes, n, u, subset):
+    psi, perm = _grouped(amplitudes, n, subset)
+    return (u.matrix @ psi).reshape((2,) * n).transpose(np.argsort(perm)).reshape(-1)
+
+
+def _subset(data, n):
+    order = data.draw(st.permutations(range(1, n + 1)))
+    return order[: data.draw(st.integers(min_value=1, max_value=n))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(min_value=2, max_value=8),
+    g=st.integers(min_value=1, max_value=6),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_projection_rows_equal_single_projections(data, n, g, seed):
+    rng = np.random.default_rng(seed)
+    subset = _subset(data, n)
+    count = data.draw(st.integers(min_value=1, max_value=2 ** len(subset)))
+    basis = _random_basis(rng, subset, count)
+    rows = _in_span_rows(rng, basis, n, g)
+    stacked = project_stack(rows, basis)
+    assert [label for label, _, _ in stacked] == list(basis.labels)
+    for row_index, row in enumerate(rows):
+        single = project(StateVector(n, row), basis)
+        reference = _reference_project(row, n, basis)
+        for (label, p, post), outcome, (ref_p, ref_post) in zip(stacked, single, reference):
+            assert label == outcome.label
+            assert p[row_index] == outcome.probability == ref_p
+            if outcome.post_state is None:
+                assert ref_post is None
+                assert post is None or not post[row_index].any()
+            else:
+                assert (post[row_index] == outcome.post_state.amplitudes).all()
+                assert (post[row_index] == ref_post).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(min_value=2, max_value=8),
+    g=st.integers(min_value=1, max_value=6),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    normalized=st.booleans(),
+)
+def test_unitary_rows_equal_single_applications(data, n, g, seed, normalized):
+    rng = np.random.default_rng(seed)
+    subset = _subset(data, n)
+    q, _ = np.linalg.qr(_complex(rng, 2 ** len(subset), 2 ** len(subset)))
+    u = Unitary(q)
+    rows = _complex(rng, g, 2**n)
+    if normalized:
+        rows /= np.linalg.norm(rows, axis=1)[:, None]
+    stacked = apply_unitary_stack(rows, u, subset)
+    assert stacked.shape == rows.shape
+    for row, out in zip(rows, stacked):
+        assert (out == apply_unitary(StateVector(n, row), u, subset).amplitudes).all()
+        assert (out == _reference_apply(row, n, u, subset)).all()
+
+
+def test_zero_probability_branch_has_no_post_state():
+    # qubit 1 of |0>(x)|+> and of |+>(x)|+>, measured in {|0>, |1>}
+    k0, k1 = make_basis_state(1, [0]), make_basis_state(1, [1])
+    basis = MeasurementBasis([1], [k0, k1], ["0", "1"])
+    h = 1 / np.sqrt(2)
+    rows = np.array([[h, h, 0, 0], [0.5, 0.5, 0.5, 0.5]], dtype=complex)
+    (_, p0, post0), (_, p1, post1) = project_stack(rows, basis)
+    assert p1[0] == 0.0 and not post1[0].any()
+    assert p1[1] == pytest.approx(0.5)
+    np.testing.assert_allclose(post1[1], [h, h], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(post0, [[h, h], [h, h]], rtol=0, atol=1e-15)
+    single = project(StateVector(2, rows[0]), basis)
+    assert single[1].probability == 0.0 and single[1].post_state is None
+
+
+@pytest.mark.parametrize("bad_row", [0, 2, 4])
+def test_an_unnormalized_row_anywhere_raises(bad_row):
+    rng = np.random.default_rng(bad_row)
+    basis = _random_basis(rng, [2, 1], 4)
+    rows = _in_span_rows(rng, basis, 3, 5)
+    rows[bad_row] *= 1.001
+    with pytest.raises(NormalizationError):
+        project_stack(rows, basis)
+
+
+@pytest.mark.parametrize("bad_row", [0, 3, 5])
+def test_an_out_of_span_row_anywhere_raises(bad_row):
+    rng = np.random.default_rng(bad_row)
+    basis = _random_basis(rng, [3, 1], 2)
+    rows = _in_span_rows(rng, basis, 4, 6)
+    outside = _complex(rng, 16)
+    rows[bad_row] = outside / np.linalg.norm(outside)
+    with pytest.raises(ProtocolViolationError, match="outside the span"):
+        project_stack(rows, basis)
+
+
+@pytest.mark.parametrize(
+    "rows", [np.zeros(4, dtype=complex), np.zeros((2, 3), dtype=complex), np.zeros((2, 1))]
+)
+def test_stack_shape_is_checked(rows):
+    basis = MeasurementBasis([1], [make_basis_state(1, [0])])
+    with pytest.raises(DimensionError):
+        project_stack(rows, basis)
+    with pytest.raises(DimensionError):
+        apply_unitary_stack(rows, Unitary(np.eye(2)), [1])

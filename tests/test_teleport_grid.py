@@ -1,20 +1,37 @@
 """The grid engine: per-resource objects built once, one branch loop for all runs."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wproto.teleport as teleport
-from wproto.qsim import StateVector, fidelity, zero_state
+from wproto.qsim import (
+    PAULI_FOUR,
+    StateVector,
+    Unitary,
+    apply_unitary,
+    fidelity,
+    make_basis_state,
+    project,
+    superpose,
+    tensor,
+    zero_state,
+)
 from wproto.teleport import (
+    CORRECTION_INDEX,
     FIDELITY_THRESHOLD,
     UnknownState,
     UnsuitableResourceError,
     bob_strategy1_set,
+    bob_strategy2_set,
     encoded_state,
     raw_ghz_measurement_vectors,
     raw_measurement_vectors,
+    one_qubit_measurement_family,
     raw_one_qubit_measurement_vectors,
     run_teleport_encoded,
     run_teleport_grid,
@@ -25,6 +42,7 @@ from wproto.teleport import (
 )
 from wproto.wstates import (
     excitation_blocks,
+    generalized_w,
     modified_w_coefficients,
     random_condition_coefficients,
     w_coefficients,
@@ -157,3 +175,103 @@ def test_subspace_grid_targets_the_encoded_state():
     target = psi.alpha * zero_state(2).amplitudes + psi.beta * wm.amplitudes
     for outcome in report.outcomes:
         assert abs(np.vdot(target, outcome.post_state.amplitudes)) ** 2 >= FIDELITY_THRESHOLD
+
+
+def _one_state_loop(c, m, psi, strategy):
+    """The per-state reference: one joint state, one branch at a time, through
+    ``project`` and ``apply_unitary``; (label, probability, post-state,
+    fidelity) per branch."""
+    wm = excitation_blocks(c, m)[2]
+    corrections = bob_strategy1_set(m, wm)
+    if strategy == "transfer":
+        corrections = bob_strategy2_set(m, wm)
+    target = psi.state_vector
+    if strategy == "subspace":
+        target = superpose([(psi.alpha, zero_state(m)), (psi.beta, wm)])
+    h = 1 / math.sqrt(2)
+    bell = superpose([(h, make_basis_state(2, [0, 0])), (h, make_basis_state(2, [1, 1]))])
+    joint = tensor(psi.state_vector, generalized_w(c))
+    branches = []
+    for first in project(joint, one_qubit_measurement_family(c, m)):
+        fixed = apply_unitary(
+            first.post_state, corrections[CORRECTION_INDEX[first.label]], range(1, m + 1)
+        )
+        if strategy == "serial":
+            for second in project(tensor(fixed, bell), serial_basis(m, wm)):
+                pauli = Unitary(PAULI_FOUR[CORRECTION_INDEX[second.label]])
+                final = apply_unitary(second.post_state, pauli, [1])
+                label = first.label + "|" + second.label
+                probability = first.probability * second.probability
+                branches.append((label, probability, final, fidelity(final, target)))
+            continue
+        compared = fixed
+        if strategy == "transfer":
+            pair = fixed.amplitudes[:2]
+            compared = StateVector(1, pair / np.linalg.norm(pair))
+        branches.append((first.label, first.probability, fixed, fidelity(compared, target)))
+    return branches
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(min_value=3, max_value=8),
+    count=st.integers(min_value=1, max_value=8),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    strategy=st.sampled_from(STRATEGIES),
+)
+def test_grid_equals_one_state_runs_exactly(data, n, count, seed, strategy):
+    m = data.draw(st.integers(min_value=1, max_value=n - 1))
+    rng = np.random.default_rng(seed)
+    c = random_condition_coefficients(n, m, rng)
+    grid = unknown_state_grid(count, int(rng.integers(2**31)))
+    reports = run_teleport_grid(c, m, grid, strategy)
+    for psi, report in zip(grid, reports, strict=True):
+        single = run_teleport_one_qubit(c, m, psi, strategy)
+        reference = _one_state_loop(c, m, psi, strategy)
+        assert report.fidelities == single.fidelities
+        assert report.min_fidelity == single.min_fidelity and report.success
+        assert list(report.fidelities.items()) == [(b[0], b[3]) for b in reference]
+        for outcome, one, (label, probability, post, _) in zip(
+            report.outcomes, single.outcomes, reference, strict=True
+        ):
+            assert outcome.label == one.label == label
+            assert outcome.probability == one.probability == probability
+            assert (outcome.post_state.amplitudes == one.post_state.amplitudes).all()
+            assert (outcome.post_state.amplitudes == post.amplitudes).all()
+            assert (outcome.correction.matrix == one.correction.matrix).all()
+
+
+def _traced_peak(c, m, grid, strategy) -> int:
+    tracemalloc.start()
+    try:
+        run_teleport_grid(c, m, grid, strategy)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_grid_does_not_stack_the_joint_states(strategy):
+    # 64 joint states of W12 (x) input would take 64 * 2^13 amplitudes (8 MiB)
+    n, m, count = 12, 6, 64
+    c = w_coefficients(n)
+    growth = _traced_peak(c, m, unknown_state_grid(count, 3), strategy) - _traced_peak(
+        c, m, unknown_state_grid(1, 3), strategy
+    )
+    assert growth < count * 2 ** (n + 1) * 16 / 2
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_batched_grid_equals_one_batch(monkeypatch, strategy):
+    c = random_condition_coefficients(6, 3, np.random.default_rng(8))
+    grid = unknown_state_grid(7, 2)
+    whole = run_teleport_grid(c, 3, grid, strategy)
+    # three grid points' branch rows per batch: batches of 3, 3 and 1
+    monkeypatch.setattr(teleport, "_STACK_AMPLITUDES", 3 * 2 ** (3 + 2))
+    batched = run_teleport_grid(c, 3, grid, strategy)
+    for one, other in zip(whole, batched, strict=True):
+        assert one.fidelities == other.fidelities
+        for a, b in zip(one.outcomes, other.outcomes, strict=True):
+            assert a.probability == b.probability
+            assert (a.post_state.amplitudes == b.post_state.amplitudes).all()
