@@ -2,11 +2,14 @@
 
 One JSON document describes a list of scenarios (or a single scenario
 object); each scenario names a task — ``teleport``, ``sdc``, ``scan`` or
-``entropy`` — a resource state, and its expectations.  The runner executes
-every scenario deterministically (unknown-state grids are seed-derived and
-echoed back), renders the results as machine-readable JSON or an aligned
-text table, and exits 0 only when every scenario's verdict matches its
-declared expectation.
+``entropy`` — a resource state, and its expectations.  ``TASK_FIELDS``
+lists the fields each task takes and their defaults; any other field, at
+the top of a scenario or inside its ``state`` or ``grid``, is a config
+error.  Parsing builds each resource once and echoes the config with its
+defaults filled in.  The runner executes every scenario deterministically
+(unknown-state grids are seed-derived and echoed back), renders the
+results as machine-readable JSON or an aligned text table, and exits 0
+only when every scenario's verdict matches its declared expectation.
 
 JSON output is byte-stable: keys are sorted, reals carry 12 significant
 digits, complex numbers appear as two-element [re, im] arrays, and nothing
@@ -15,8 +18,9 @@ time-dependent is included (wall time shows up in the table format only).
 Flags: ``--config <path>``, ``--format json|table``, ``--out <path>``,
 ``--demo-sample --seed <u64>``.  Exit codes: 0 all expectations met,
 1 verdict mismatch, 2 config error (including a resource larger than
-``qsim.MAX_QUBITS``), 3 internal error: an exception escaped, and its
-traceback is on stderr.
+``qsim.MAX_QUBITS``), bad flag (a negative ``--seed``) or unwritable report
+path, 3 internal error: an exception escaped, and its traceback is on
+stderr.
 """
 
 from __future__ import annotations
@@ -27,13 +31,19 @@ import math
 import sys
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
 from . import __version__
-from .qsim import MAX_QUBITS, STRUCTURAL_TOL, reduced_spectrum, spectrum_entropy
+from .qsim import (
+    MAX_QUBITS,
+    STRUCTURAL_TOL,
+    NormalizationError,
+    reduced_spectrum,
+    spectrum_entropy,
+)
 from .sdc import (
     EncodingSet,
     capacity_check,
@@ -56,6 +66,7 @@ from .wstates import (
     cut_entropy,
     generalized_ghz,
     generalized_w,
+    ghz_condition,
     ghz_suitability_scan,
     modified_w_coefficients,
     suitability_scan,
@@ -63,10 +74,33 @@ from .wstates import (
 )
 
 TASKS = ("teleport", "sdc", "scan", "entropy")
-SDC_SETS = ("pauli", "w4", "generated", "full-products")
-NAMED_STATES = ("w", "ghz", "modified-w")
 DEFAULT_GRID_COUNT = 20
 DEFAULT_GRID_SEED = 0
+# The optional fields of each task and the value a missing or null field
+# takes; m has no default, so a teleport or sdc scenario must give it.
+TASK_FIELDS = {
+    "teleport": {
+        "m": None,
+        "strategy": "subspace",
+        "grid": {"count": DEFAULT_GRID_COUNT, "seed": DEFAULT_GRID_SEED},
+    },
+    "sdc": {"m": None, "set": "generated"},
+    "scan": {},
+    "entropy": {},
+}
+# Each encoding set: the m it encodes on (None: any m) and its builder.  The
+# builders look their functions up when called, so a wrapper bound to the
+# module name (the benchmark's tracer) sees every call.
+SDC_SETS = {
+    "pauli": (1, lambda c, m: EncodingSet.from_operators(pauli_set())),
+    "w4": (2, lambda c, m: w4_multiunary_set()),
+    "generated": (None, lambda c, m: general_encoding_set(c, m)),
+    "full-products": (2, lambda c, m: pauli_product_set(m)),
+}
+CHOICES = {"strategy": STRATEGIES, "set": tuple(SDC_SETS), "expect": ("success", "failure")}
+W_FAMILY = {"w": w_coefficients, "modified-w": modified_w_coefficients}
+NAMED_STATES = ("w", "ghz", "modified-w")
+STATE_FIELDS = {"named": ("named", "n", "a1", "a2"), "coefficients": ("coefficients",)}
 EXIT_INTERNAL_ERROR = 3
 
 
@@ -80,20 +114,19 @@ class ConfigError(ValueError):
 
 @dataclass
 class Scenario:
+    """A validated scenario.  ``resource`` is built at parse time: the
+    CoefficientVector of a W-family state, or the (a1, a2) pair of a GHZ
+    state.  ``echo`` is the config with every default filled in."""
+
     task: str
-    state_kind: str                    # "named" | "coefficients"
-    named: str | None
     n: int
-    coefficients: np.ndarray | None    # complex, for W-family states
-    ghz_a1: complex | None
-    ghz_a2: complex | None
+    resource: CoefficientVector | tuple[complex, complex]
+    label: str
     m: int | None
     strategy: str | None
-    set_name: str | None
     grid_count: int
     grid_seed: int
-    expect: str
-    echo: dict = field(default_factory=dict)
+    echo: dict
 
 
 @dataclass
@@ -112,6 +145,14 @@ class RunReport:
     all_matched: bool
 
 
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _reject_unknown(obj: dict, known, where: str, errors: list[str]) -> None:
+    errors += [f"{where}: unknown field {key!r}" for key in obj if key not in known]
+
+
 def _as_complex(value: Any, where: str, errors: list[str]) -> complex:
     if (
         isinstance(value, (list, tuple))
@@ -127,70 +168,63 @@ def _as_complex(value: Any, where: str, errors: list[str]) -> complex:
     return 0j
 
 
-def _parse_state(obj: Any, where: str, errors: list[str]) -> dict:
-    out = {"kind": None, "named": None, "n": 0, "coeffs": None, "a1": None, "a2": None}
+def _parse_state(obj: Any, where: str, errors: list[str]) -> tuple[Any, int, dict] | None:
+    """The resource a state object names, its qubit count and its echo."""
     if not isinstance(obj, dict):
         errors.append(f"{where}: state must be an object")
-        return out
-    if "named" in obj:
-        name = obj.get("named")
-        if name not in NAMED_STATES:
-            errors.append(f"{where}.named: must be one of {NAMED_STATES}")
-            return out
-        n = obj.get("n")
-        if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-            errors.append(f"{where}.n: integer >= 2 required")
-            return out
-        if n > MAX_QUBITS:
-            errors.append(f"{where}.n: {n} qubits exceed the qubit budget of {MAX_QUBITS}")
-            return out
-        out.update(kind="named", named=name, n=n)
-        if name == "ghz":
-            a1 = obj.get("a1")
-            if a1 is None:
-                out["a1"] = complex(1.0 / math.sqrt(2.0))
-            else:
-                out["a1"] = _as_complex(a1, f"{where}.a1", errors)
-            a2 = obj.get("a2")
-            if a2 is None:
-                out["a2"] = complex(math.sqrt(max(0.0, 1.0 - abs(out["a1"]) ** 2)))
-            else:
-                out["a2"] = _as_complex(a2, f"{where}.a2", errors)
-            total = abs(out["a1"]) ** 2 + abs(out["a2"]) ** 2
-            if not abs(total - 1.0) <= STRUCTURAL_TOL:
-                errors.append(
-                    f"{where}: |a1|^2 + |a2|^2 = {total:.12g}"
-                    f" (deficit {1.0 - total:.12g}); must be normalized"
-                )
-        elif "a1" in obj or "a2" in obj:
+        return None
+    kinds = [kind for kind in STATE_FIELDS if kind in obj]
+    if len(kinds) != 1:
+        errors.append(f"{where}: state needs exactly one of 'named' or 'coefficients'")
+        return None
+    _reject_unknown(obj, STATE_FIELDS[kinds[0]], where, errors)
+    if kinds == ["coefficients"]:
+        return _coefficient_state(obj["coefficients"], where, errors)
+    name, n = obj["named"], obj.get("n")
+    if name not in NAMED_STATES:
+        errors.append(f"{where}.named: must be one of {NAMED_STATES}")
+        return None
+    if not _is_int(n) or n < 2:
+        errors.append(f"{where}.n: integer >= 2 required")
+        return None
+    if n > MAX_QUBITS:
+        errors.append(f"{where}.n: {n} qubits exceed the qubit budget of {MAX_QUBITS}")
+        return None
+    if name != "ghz":
+        if "a1" in obj or "a2" in obj:
             errors.append(f"{where}: a1/a2 only apply to the ghz state")
-        return out
-    if "coefficients" in obj:
-        raw = obj.get("coefficients")
-        if not isinstance(raw, list) or len(raw) < 2:
-            errors.append(f"{where}.coefficients: need a list of >= 2 [re, im] pairs")
-            return out
-        if len(raw) > MAX_QUBITS:
-            errors.append(
-                f"{where}.coefficients: {len(raw)} qubits exceed the qubit budget of {MAX_QUBITS}"
-            )
-            return out
-        coeffs = np.array(
-            [_as_complex(v, f"{where}.coefficients[{i}]", errors) for i, v in enumerate(raw)]
+        return W_FAMILY[name](n), n, {"named": name, "n": n}
+    a1 = obj.get("a1")
+    a1 = complex(1.0 / math.sqrt(2.0)) if a1 is None else _as_complex(a1, f"{where}.a1", errors)
+    a2 = obj.get("a2")
+    if a2 is None:
+        a2 = complex(math.sqrt(max(0.0, 1.0 - abs(a1) ** 2)))
+    else:
+        a2 = _as_complex(a2, f"{where}.a2", errors)
+    try:
+        ghz_condition(a1, a2)
+    except NormalizationError as exc:
+        errors.append(f"{where}: {exc}")
+    echo = {"named": name, "n": n, "a1": [a1.real, a1.imag], "a2": [a2.real, a2.imag]}
+    return (a1, a2), n, echo
+
+
+def _coefficient_state(raw: Any, where: str, errors: list[str]) -> tuple[Any, int, dict] | None:
+    if not isinstance(raw, list) or len(raw) < 2:
+        errors.append(f"{where}.coefficients: need a list of >= 2 [re, im] pairs")
+        return None
+    if len(raw) > MAX_QUBITS:
+        errors.append(
+            f"{where}.coefficients: {len(raw)} qubits exceed the qubit budget of {MAX_QUBITS}"
         )
-        total = float(np.sum(np.abs(coeffs) ** 2))
-        if not abs(total - 1.0) <= STRUCTURAL_TOL:
-            errors.append(
-                f"{where}.coefficients: squared norm {total:.12g}"
-                f" (deficit {1.0 - total:.12g}); must be normalized"
-            )
-        out.update(kind="coefficients", n=len(coeffs), coeffs=coeffs)
-        return out
-    errors.append(f"{where}: state needs either 'named' or 'coefficients'")
-    return out
-
-
-_SCENARIO_KEYS = {"task", "state", "m", "strategy", "set", "grid", "expect"}
+        return None
+    coeffs = [_as_complex(v, f"{where}.coefficients[{i}]", errors) for i, v in enumerate(raw)]
+    try:
+        c = CoefficientVector(coeffs)
+    except NormalizationError as exc:
+        errors.append(f"{where}.coefficients: {exc}")
+        return None
+    return c, c.n, {"coefficients": [[z.real, z.imag] for z in c.coeffs]}
 
 
 def _parse_scenario(raw: Any, index: int, errors: list[str]) -> Scenario | None:
@@ -198,10 +232,16 @@ def _parse_scenario(raw: Any, index: int, errors: list[str]) -> Scenario | None:
     if not isinstance(raw, dict):
         errors.append(f"{where}: must be an object")
         return None
-    for key in raw:
-        if key not in _SCENARIO_KEYS:
-            errors.append(f"{where}: unknown field {key!r}")
     task = raw.get("task")
+    fields = TASK_FIELDS[task] if task in TASKS else {}
+    for key in raw:
+        if key in ("task", "state", "expect") or key in fields:
+            continue
+        users = [name for name, optional in TASK_FIELDS.items() if key in optional]
+        if not users:
+            errors.append(f"{where}: unknown field {key!r}")
+        elif task in TASKS and raw[key] is not None:
+            errors.append(f"{where}.{key}: only applies to the {' or '.join(users)} task")
     if task not in TASKS:
         errors.append(f"{where}.task: must be one of {TASKS}")
         return None
@@ -209,92 +249,45 @@ def _parse_scenario(raw: Any, index: int, errors: list[str]) -> Scenario | None:
     state = _parse_state(raw.get("state"), f"{where}.state", errors)
     if len(errors) > before:
         return None
+    resource, n, state_echo = state
 
-    m = raw.get("m")
-    strategy = raw.get("strategy")
-    set_name = raw.get("set")
-    grid = raw.get("grid")
-    expect = raw.get("expect", "success")
-
-    if expect not in ("success", "failure"):
-        errors.append(f"{where}.expect: must be 'success' or 'failure'")
-    if task in ("teleport", "sdc"):
-        if state["kind"] == "named" and state["named"] == "ghz":
+    echo = {key: value if raw.get(key) is None else raw[key] for key, value in fields.items()}
+    echo.update(task=task, state=state_echo, expect=raw.get("expect", "success"))
+    for key, choices in CHOICES.items():
+        if key in echo and echo[key] not in choices:
+            errors.append(f"{where}.{key}: must be one of {choices}")
+    if "m" in echo:
+        m = echo["m"]
+        if not isinstance(resource, CoefficientVector):
             errors.append(f"{where}: task {task!r} requires a W-family state")
-        if not isinstance(m, int) or isinstance(m, bool) or not (1 <= m <= state["n"] - 1):
-            errors.append(f"{where}.m: integer in 1..{state['n'] - 1} required")
-            m = None
-    elif m is not None:
-        errors.append(f"{where}.m: only applies to teleport/sdc tasks")
-    if task == "teleport":
-        if strategy is None:
-            strategy = "subspace"
-        elif strategy not in STRATEGIES:
-            errors.append(f"{where}.strategy: must be one of {STRATEGIES}")
-    elif strategy is not None:
-        errors.append(f"{where}.strategy: only applies to the teleport task")
-    if task == "sdc":
-        if set_name is None:
-            set_name = "generated"
-        elif set_name not in SDC_SETS:
-            errors.append(f"{where}.set: must be one of {SDC_SETS}")
-        if set_name == "pauli" and m is not None and m != 1:
-            errors.append(f"{where}.set: 'pauli' encodes on one qubit (m=1)")
-        if set_name in ("w4", "full-products") and m is not None and m != 2:
-            errors.append(f"{where}.set: {set_name!r} encodes on two qubits (m=2)")
-    elif set_name is not None:
-        errors.append(f"{where}.set: only applies to the sdc task")
-    grid_count, grid_seed = DEFAULT_GRID_COUNT, DEFAULT_GRID_SEED
-    if task == "teleport":
-        grid = {} if grid is None else grid
+        if not _is_int(m) or not 1 <= m <= n - 1:
+            errors.append(f"{where}.m: integer in 1..{n - 1} required")
+        elif echo.get("set") in CHOICES["set"]:
+            arity = SDC_SETS[echo["set"]][0]
+            if arity not in (None, m):
+                errors.append(f"{where}.set: {echo['set']!r} encodes on m={arity} only")
+    if "grid" in echo:
+        grid = echo["grid"]
         if not isinstance(grid, dict):
             errors.append(f"{where}.grid: must be an object with count/seed")
-        else:
-            grid_count = grid.get("count", DEFAULT_GRID_COUNT)
-            grid_seed = grid.get("seed", DEFAULT_GRID_SEED)
-            if not isinstance(grid_count, int) or isinstance(grid_count, bool) or grid_count < 1:
-                errors.append(f"{where}.grid.count: integer >= 1 required")
-            if not isinstance(grid_seed, int) or isinstance(grid_seed, bool) or grid_seed < 0:
-                errors.append(f"{where}.grid.seed: integer >= 0 required")
-    elif grid is not None:
-        errors.append(f"{where}.grid: only applies to the teleport task")
-
-    scenario = Scenario(
+            return None
+        _reject_unknown(grid, fields["grid"], f"{where}.grid", errors)
+        echo["grid"] = grid = {**fields["grid"], **grid}
+        for key, low in (("count", 1), ("seed", 0)):
+            if not _is_int(grid[key]) or grid[key] < low:
+                errors.append(f"{where}.grid.{key}: integer >= {low} required")
+    grid = echo.get("grid", TASK_FIELDS["teleport"]["grid"])
+    return Scenario(
         task=task,
-        state_kind=state["kind"],
-        named=state["named"],
-        n=state["n"],
-        coefficients=state["coeffs"],
-        ghz_a1=state["a1"],
-        ghz_a2=state["a2"],
-        m=m,
-        strategy=strategy if task == "teleport" else None,
-        set_name=set_name if task == "sdc" else None,
-        grid_count=grid_count,
-        grid_seed=grid_seed,
-        expect=expect,
+        n=n,
+        resource=resource,
+        label=f"{state_echo.get('named', 'coefficients')} (n={n})",
+        m=echo.get("m"),
+        strategy=echo.get("strategy"),
+        grid_count=grid["count"],
+        grid_seed=grid["seed"],
+        echo=echo,
     )
-    scenario.echo = _echo_scenario(scenario)
-    return scenario
-
-
-def _echo_scenario(s: Scenario) -> dict:
-    if s.state_kind == "named":
-        state: dict[str, Any] = {"named": s.named, "n": s.n}
-        if s.named == "ghz":
-            state["a1"] = [s.ghz_a1.real, s.ghz_a1.imag]
-            state["a2"] = [s.ghz_a2.real, s.ghz_a2.imag]
-    else:
-        state = {"coefficients": [[z.real, z.imag] for z in s.coefficients]}
-    echo: dict[str, Any] = {"task": s.task, "state": state, "expect": s.expect}
-    if s.task in ("teleport", "sdc"):
-        echo["m"] = s.m
-    if s.task == "teleport":
-        echo["strategy"] = s.strategy
-        echo["grid"] = {"count": s.grid_count, "seed": s.grid_seed}
-    if s.task == "sdc":
-        echo["set"] = s.set_name
-    return echo
 
 
 def parse_config(text: bytes | str) -> ScenarioConfig:
@@ -319,9 +312,7 @@ def parse_config(text: bytes | str) -> ScenarioConfig:
         raw_list = doc["scenarios"]
         if not isinstance(raw_list, list):
             raise ConfigError(["scenarios: must be an array"])
-        for key in doc:
-            if key not in ("scenarios", "out"):
-                errors.append(f"unknown top-level field {key!r}")
+        _reject_unknown(doc, ("scenarios", "out"), "config", errors)
     else:
         raw_list = [doc]
     scenarios = []
@@ -334,22 +325,6 @@ def parse_config(text: bytes | str) -> ScenarioConfig:
     return ScenarioConfig(scenarios=scenarios, out=out_path)
 
 
-def _coefficient_vector(s: Scenario) -> CoefficientVector:
-    if s.state_kind == "named":
-        if s.named == "w":
-            return w_coefficients(s.n)
-        if s.named == "modified-w":
-            return modified_w_coefficients(s.n)
-        raise ValueError("not a W-family state")
-    return CoefficientVector(s.coefficients)
-
-
-def _state_label(s: Scenario) -> str:
-    if s.state_kind == "named":
-        return f"{s.named} (n={s.n})"
-    return f"coefficients (n={s.n})"
-
-
 def _split_sums(r: ConditionReport) -> dict:
     return {
         "m": r.partition_size,
@@ -360,10 +335,10 @@ def _split_sums(r: ConditionReport) -> dict:
 
 
 def _run_scan(s: Scenario) -> tuple[dict, bool, str]:
-    if s.named == "ghz":
-        reports = ghz_suitability_scan(s.ghz_a1, s.ghz_a2, s.n)
+    if isinstance(s.resource, CoefficientVector):
+        reports = suitability_scan(s.resource)
     else:
-        reports = suitability_scan(_coefficient_vector(s))
+        reports = ghz_suitability_scan(*s.resource, s.n)
     rows = [{"holds": r.holds, **_split_sums(r)} for r in reports]
     holding = [r.partition_size for r in reports if r.holds]
     if holding:
@@ -374,7 +349,7 @@ def _run_scan(s: Scenario) -> tuple[dict, bool, str]:
 
 
 def _run_teleport(s: Scenario) -> tuple[dict, bool, str]:
-    c = _coefficient_vector(s)
+    c = s.resource
     grid = unknown_state_grid(s.grid_count, s.grid_seed)
     results: dict[str, Any] = {
         "grid": {"count": s.grid_count, "seed": s.grid_seed},
@@ -405,21 +380,11 @@ def _run_teleport(s: Scenario) -> tuple[dict, bool, str]:
     return results, False, worst.reason
 
 
-def _encoding_set(s: Scenario, c: CoefficientVector) -> EncodingSet:
-    if s.set_name == "pauli":
-        return EncodingSet.from_operators(pauli_set())
-    if s.set_name == "w4":
-        return w4_multiunary_set()
-    if s.set_name == "full-products":
-        return pauli_product_set(s.m)
-    return general_encoding_set(c, s.m)
-
-
 def _run_sdc(s: Scenario) -> tuple[dict, bool, str]:
-    c = _coefficient_vector(s)
-    results: dict[str, Any] = {"set": s.set_name}
+    c = s.resource
+    results: dict[str, Any] = {"set": s.echo["set"]}
     try:
-        encoding = _encoding_set(s, c)
+        encoding = SDC_SETS[s.echo["set"]][1](c, s.m)
         capacity = capacity_check(c, s.m, encoding)
         results.update(
             set_size=capacity.set_size,
@@ -442,13 +407,12 @@ def _run_sdc(s: Scenario) -> tuple[dict, bool, str]:
 
 
 def _run_entropy(s: Scenario) -> tuple[dict, bool, str]:
-    if s.named == "ghz":
-        state = generalized_ghz(s.ghz_a1, s.ghz_a2, s.n)
-        closed = [binary_entropy(abs(s.ghz_a1) ** 2)] * (s.n - 1)
+    if isinstance(s.resource, CoefficientVector):
+        state = generalized_w(s.resource)
+        closed = [cut_entropy(s.resource, x) for x in range(1, s.n)]
     else:
-        c = _coefficient_vector(s)
-        state = generalized_w(c)
-        closed = [cut_entropy(c, x) for x in range(1, s.n)]
+        state = generalized_ghz(*s.resource, s.n)
+        closed = [binary_entropy(abs(s.resource[0]) ** 2)] * (s.n - 1)
     rows = []
     for x, formula in enumerate(closed, 1):
         simulated = spectrum_entropy(reduced_spectrum(state, range(s.n - x + 1, s.n + 1)))
@@ -474,13 +438,13 @@ def run(config: ScenarioConfig) -> RunReport:
     all_matched = True
     for index, scenario in enumerate(config.scenarios):
         results, success, reason = _RUNNERS[scenario.task](scenario)
-        matched = success == (scenario.expect == "success")
+        matched = success == (scenario.echo["expect"] == "success")
         all_matched = all_matched and matched
         entries.append(
             {
                 "index": index,
                 "task": scenario.task,
-                "state": _state_label(scenario),
+                "state": scenario.label,
                 "config": scenario.echo,
                 "results": results,
                 "verdict": {"success": success, "reason": reason},
@@ -570,9 +534,8 @@ def _demo_narration(config: ScenarioConfig, seed: int) -> str:
         if scenario.task != "teleport":
             continue
         try:
-            c = _coefficient_vector(scenario)
             psi = unknown_state_grid(1, scenario.grid_seed)[0]
-            report = run_teleport_one_qubit(c, scenario.m, psi, scenario.strategy)
+            report = run_teleport_one_qubit(scenario.resource, scenario.m, psi, scenario.strategy)
         except UnsuitableResourceError:
             continue
         probs = np.array([o.probability for o in report.outcomes])
@@ -590,6 +553,13 @@ def _demo_narration(config: ScenarioConfig, seed: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: numpy's generators take only integers >= 0."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 0")
+    return int(text)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="wproto",
@@ -603,7 +573,7 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="append a seeded single-shot measurement narration (table format only)",
     )
-    parser.add_argument("--seed", type=int, default=0, help="seed for --demo-sample")
+    parser.add_argument("--seed", type=_seed, default=0, help="seed for --demo-sample")
     args = parser.parse_args(argv)
     try:
         return _main(args)
@@ -638,8 +608,12 @@ def _main(args: argparse.Namespace) -> int:
 
     out_path = args.out or config.out
     if out_path:
-        with open(out_path, "wb") as fh:
-            fh.write(output)
+        try:
+            with open(out_path, "wb") as fh:
+                fh.write(output)
+        except OSError as exc:
+            print(f"cannot write report: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.buffer.write(output)
         sys.stdout.buffer.flush()

@@ -59,8 +59,13 @@ class ProtocolViolationError(RuntimeError):
 
     Raised when a would-be basis fails the orthonormality check, or when a
     state has support outside the span of a partial basis.  Either way the
-    resource/state combination cannot realize the intended protocol.
+    resource/state combination cannot realize the intended protocol.  A
+    failed orthonormality check leaves its Gram matrix in ``gram``.
     """
+
+    def __init__(self, message: str, gram: np.ndarray | None = None):
+        super().__init__(message)
+        self.gram = gram
 
 
 class InternalConsistencyError(RuntimeError):
@@ -204,7 +209,7 @@ class MeasurementBasis:
         dev = float(np.abs(gram - np.eye(len(vecs))).max())
         if not dev <= STRUCTURAL_TOL:
             raise ProtocolViolationError(
-                f"measurement family is not orthonormal (max Gram deviation {dev:.3e})"
+                f"measurement family is not orthonormal (max Gram deviation {dev:.3e})", gram
             )
         gram.flags.writeable = False
         self.subset = idx

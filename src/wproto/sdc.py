@@ -206,10 +206,10 @@ def decode(states: Sequence[StateVector]) -> DecodeVerdict:
 
     The states are tried as a (partial) projective measurement of their
     own: if its orthonormality check passes (Gram matrix the identity
-    within tolerance), it reads the message deterministically and the
-    Gram matrix of that one check is the verdict's.  Otherwise the Gram
-    matrix is computed for the verdict, which names the worst pair.
-    Failure is a verdict, not an error.
+    within tolerance), it reads the message deterministically.  A refused
+    check hands its Gram matrix to the verdict, which names the worst
+    pair, so each call builds one Gram matrix.  Failure is a verdict, not
+    an error.
     """
     states = list(states)
     if not states:
@@ -220,14 +220,15 @@ def decode(states: Sequence[StateVector]) -> DecodeVerdict:
             raise ValueError("all states must share one qubit count")
         if not s.normalized:
             raise ValueError("all states must be normalized")
-    if len(states) <= 2**n:
+    if len(states) > 2**n:
+        gram = gram_matrix(states)  # more states than dimensions: never a basis
+    else:
         labels = [f"s{k}" for k in range(len(states))]
         try:
             basis = MeasurementBasis(range(1, n + 1), states, labels)
             return DecodeVerdict(True, len(states), basis.gram, None, basis)
-        except ProtocolViolationError:
-            pass  # not orthonormal: the Gram matrix below names the worst pair
-    gram = gram_matrix(states)
+        except ProtocolViolationError as exc:
+            gram = exc.gram
     deviation = np.abs(gram - np.eye(len(states)))
     i, j = divmod(int(deviation.argmax()), len(states))
     return DecodeVerdict(False, len(states), gram, (i, j, float(deviation[i, j])), None)

@@ -1,13 +1,14 @@
 """Config parsing, scenario execution, emission, and exit-code contract."""
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from wproto.cli import ConfigError, RunReport, emit, main, parse_config, run
+from wproto.cli import TASKS, ConfigError, RunReport, emit, main, parse_config, run
 
 REPO = Path(__file__).resolve().parents[1]
 ACCEPTANCE_CONFIG = REPO / "configs" / "acceptance.json"
@@ -244,6 +245,28 @@ class TestMainExitCodes:
         assert plain.read_bytes() == sampled.read_bytes()
         capsys.readouterr()
 
+    @pytest.mark.parametrize("seed", ["-1", "x"])
+    def test_exit_two_on_bad_seed(self, tmp_path, capsys, seed):
+        config = self.write(tmp_path, '{"task": "scan", "state": {"named": "w", "n": 4}}')
+        with pytest.raises(SystemExit) as exit_:
+            main(["--config", config, "--demo-sample", "--seed", seed])
+        assert exit_.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_exit_two_on_unwritable_output_path(self, tmp_path, capsys, via):
+        out = str(tmp_path / "missing" / "report.json")
+        doc = {"scenarios": [{"task": "scan", "state": {"named": "w", "n": 4}}]}
+        argv = ["--format", "json"]
+        if via == "flag":
+            argv += ["--out", out]
+        else:
+            doc["out"] = out
+        assert main(["--config", self.write(tmp_path, json.dumps(doc)), *argv]) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert err.startswith("cannot write report: ") and "Traceback" not in err
+
 
 def test_module_entry_point_runs_acceptance_config(tmp_path):
     result = subprocess.run(
@@ -256,3 +279,14 @@ def test_module_entry_point_runs_acceptance_config(tmp_path):
     payload = json.loads(result.stdout)
     assert payload["all_matched"] is True
     assert len(payload["scenarios"]) == 16
+
+
+def test_every_readme_json_block_is_a_valid_config():
+    # the README documents the schema; each example it gives must parse
+    blocks = re.findall(r"```json\n(.*?)```", (REPO / "README.md").read_text(), re.S)
+    assert len(blocks) >= len(TASKS)
+    tasks = set()
+    for block in blocks:
+        config = parse_config(block)
+        tasks.update(s.task for s in config.scenarios)
+    assert tasks == set(TASKS)

@@ -244,3 +244,35 @@ def test_grid_on_another_task_is_named_even_when_falsy(grid):
     with pytest.raises(ConfigError) as err:
         parse_config(json.dumps(doc))
     assert err.value.errors == ["scenario 0.grid: only applies to the teleport task"]
+
+
+@pytest.mark.parametrize(
+    "state, grid, error",
+    [
+        (
+            {"named": "w", "n": 4},
+            {"count": 2, "sed": 5},
+            "scenario 0.grid: unknown field 'sed'",
+        ),
+        (
+            {"named": "w", "n": 4, "bogus": 1},
+            None,
+            "scenario 0.state: unknown field 'bogus'",
+        ),
+        (
+            {"coefficients": [[0.6, 0], [0.8, 0]], "n": 2},
+            None,
+            "scenario 0.state: unknown field 'n'",
+        ),
+        (
+            {"named": "w", "n": 4, "coefficients": [[0.6, 0], [0.8, 0]]},
+            None,
+            "scenario 0.state: state needs exactly one of 'named' or 'coefficients'",
+        ),
+    ],
+)
+def test_unknown_or_conflicting_nested_fields_are_named(state, grid, error):
+    doc = {"task": "teleport", "state": state, "m": 1, "grid": grid}
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(doc))
+    assert err.value.errors == [error]
