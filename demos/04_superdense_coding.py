@@ -25,7 +25,7 @@ from wproto import (
 
 print("=== 2 bits by 1 qubit over the modified three-qubit W-state ===")
 c3 = modified_w_coefficients(3)
-encoding = EncodingSet.from_operators(pauli_set())
+encoding = EncodingSet(pauli_set())
 states = [encode(c3, 1, encoding, msg) for msg in encoding.labels]
 verdict = decode(states)
 print(f"  Gram matrix of the four encoded states (abs):")

@@ -92,7 +92,7 @@ TASK_FIELDS = {
 # builders look their functions up when called, so a wrapper bound to the
 # module name (the benchmark's tracer) sees every call.
 SDC_SETS = {
-    "pauli": (1, lambda c, m: EncodingSet.from_operators(pauli_set())),
+    "pauli": (1, lambda c, m: EncodingSet(pauli_set())),
     "w4": (2, lambda c, m: w4_multiunary_set()),
     "generated": (None, lambda c, m: general_encoding_set(c, m)),
     "full-products": (2, lambda c, m: pauli_product_set(m)),
@@ -597,6 +597,10 @@ def _main(args: argparse.Namespace) -> int:
         for err in exc.errors:
             print(f"config error: {err}", file=sys.stderr)
         return 2
+    out_path = args.out or config.out
+    # fail before running; "ab" leaves an existing report's bytes alone
+    if out_path and not _write_report(out_path, b"", "ab"):
+        return 2
 
     report = run(config)
     output = emit(report, args.format)
@@ -606,18 +610,24 @@ def _main(args: argparse.Namespace) -> int:
         else:
             print("demo sampling is excluded from json output", file=sys.stderr)
 
-    out_path = args.out or config.out
     if out_path:
-        try:
-            with open(out_path, "wb") as fh:
-                fh.write(output)
-        except OSError as exc:
-            print(f"cannot write report: {exc}", file=sys.stderr)
+        if not _write_report(out_path, output, "wb"):
             return 2
     else:
         sys.stdout.buffer.write(output)
         sys.stdout.buffer.flush()
     return 0 if report.all_matched else 1
+
+
+def _write_report(path: str, data: bytes, mode: str) -> bool:
+    """Write ``data`` to ``path``; on failure say so on stderr."""
+    try:
+        with open(path, mode) as fh:
+            fh.write(data)
+    except OSError as exc:
+        print(f"cannot write report: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 if __name__ == "__main__":

@@ -59,13 +59,8 @@ class ProtocolViolationError(RuntimeError):
 
     Raised when a would-be basis fails the orthonormality check, or when a
     state has support outside the span of a partial basis.  Either way the
-    resource/state combination cannot realize the intended protocol.  A
-    failed orthonormality check leaves its Gram matrix in ``gram``.
+    resource/state combination cannot realize the intended protocol.
     """
-
-    def __init__(self, message: str, gram: np.ndarray | None = None):
-        super().__init__(message)
-        self.gram = gram
 
 
 class InternalConsistencyError(RuntimeError):
@@ -176,11 +171,10 @@ class MeasurementBasis:
     A family with fewer vectors than the subset dimension is *partial*;
     ``project`` then demands that the measured state has no support outside
     the family's span, which turns "this resource cannot run the protocol"
-    into a detectable error instead of silent probability loss.  ``gram``
-    keeps the Gram matrix the orthonormality check was made on.
+    into a detectable error instead of silent probability loss.
     """
 
-    __slots__ = ("subset", "vectors", "labels", "gram")
+    __slots__ = ("subset", "vectors", "labels")
 
     def __init__(
         self,
@@ -209,13 +203,11 @@ class MeasurementBasis:
         dev = float(np.abs(gram - np.eye(len(vecs))).max())
         if not dev <= STRUCTURAL_TOL:
             raise ProtocolViolationError(
-                f"measurement family is not orthonormal (max Gram deviation {dev:.3e})", gram
+                f"measurement family is not orthonormal (max Gram deviation {dev:.3e})"
             )
-        gram.flags.writeable = False
         self.subset = idx
         self.vectors = vecs
         self.labels = labels
-        self.gram = gram
 
     @property
     def is_partial(self) -> bool:

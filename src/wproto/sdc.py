@@ -38,8 +38,6 @@ import numpy as np
 from .qsim import (
     PAULI_FOUR,
     STRUCTURAL_TOL,
-    MeasurementBasis,
-    ProtocolViolationError,
     StateVector,
     Unitary,
     apply_unitary,
@@ -51,32 +49,19 @@ from .wstates import CoefficientVector, excitation_blocks, generalized_w
 
 @dataclass(frozen=True)
 class EncodingSet:
-    """2^k local unitaries on the sender's qubits, labeled by k-bit messages."""
+    """2^k local unitaries on the sender's qubits; message k (k bits, most
+    significant first) is the operator at position k."""
 
     operators: tuple[Unitary, ...]
-    labels: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "operators", tuple(self.operators))
         count = len(self.operators)
         if count < 2 or count & (count - 1) != 0:
             raise ValueError(f"operator count must be a power of two, got {count}")
-        if len(self.labels) != count or len(set(self.labels)) != count:
-            raise ValueError("labels must be distinct and match the operator count")
-        bits = self.message_bits
-        for label in self.labels:
-            if len(label) != bits or any(b not in (0, 1) for b in label):
-                raise ValueError(f"labels must be {bits}-bit tuples")
         dim = self.operators[0].dimension
         if any(op.dimension != dim for op in self.operators):
             raise ValueError("all operators must share one dimension")
-
-    @classmethod
-    def from_operators(cls, operators: Sequence[Unitary]) -> "EncodingSet":
-        """Label operators by their position, written in binary."""
-        count = len(operators)
-        bits = count.bit_length() - 1
-        labels = tuple(_bit_tuple(i, bits) for i in range(count))
-        return cls(tuple(operators), labels)
 
     @property
     def message_bits(self) -> int:
@@ -86,22 +71,24 @@ class EncodingSet:
     def num_qubits(self) -> int:
         return self.operators[0].num_qubits
 
+    @property
+    def labels(self) -> tuple[tuple[int, ...], ...]:
+        """Every message, in operator order."""
+        return tuple(product((0, 1), repeat=self.message_bits))
+
     def operator_for(self, message: Sequence[int]) -> Unitary:
-        msg = tuple(int(b) for b in message)
-        try:
-            return self.operators[self.labels.index(msg)]
-        except ValueError:
-            raise ValueError(
-                f"message {msg} is not one of the {len(self.labels)} labels"
-            ) from None
+        """The operator at the message's binary value."""
+        msg = tuple(message)
+        if len(msg) != self.message_bits or any(b not in (0, 1) for b in msg):
+            raise ValueError(f"message {msg} must be {self.message_bits} bits, each 0 or 1")
+        return self.operators[reduce(lambda k, b: 2 * k + int(b), msg, 0)]
 
 
 @dataclass(frozen=True)
 class DecodeVerdict:
     """Whether a list of encoded states is perfectly distinguishable.
 
-    When decodable, ``basis`` holds the induced measurement (the states
-    themselves); otherwise ``worst_pair`` names the largest Gram-matrix
+    When not decodable, ``worst_pair`` names the largest Gram-matrix
     violation (i, j, deviation).
     """
 
@@ -109,7 +96,6 @@ class DecodeVerdict:
     num_states: int
     gram: np.ndarray
     worst_pair: tuple[int, int, float] | None
-    basis: MeasurementBasis | None
 
 
 @dataclass(frozen=True)
@@ -129,10 +115,6 @@ class CapacityResult:
     exhaustive: bool
 
 
-def _bit_tuple(value: int, width: int) -> tuple[int, ...]:
-    return tuple((value >> (width - 1 - i)) & 1 for i in range(width))
-
-
 def pauli_set() -> list[Unitary]:
     """The four single-qubit encoding operators (identity, flips, sign)."""
     return [Unitary(s) for s in PAULI_FOUR]
@@ -146,7 +128,7 @@ def w4_multiunary_set() -> EncodingSet:
     """
     pairs = [(0, 0), (0, 1), (1, 2), (1, 3), (2, 0), (2, 1), (3, 2), (3, 3)]
     ops = [Unitary(np.kron(PAULI_FOUR[i], PAULI_FOUR[j])) for i, j in pairs]
-    return EncodingSet.from_operators(ops)
+    return EncodingSet(ops)
 
 
 def pauli_product_set(m: int) -> EncodingSet:
@@ -157,7 +139,7 @@ def pauli_product_set(m: int) -> EncodingSet:
     for combo in product(range(4), repeat=m):
         mat = reduce(np.kron, (PAULI_FOUR[i] for i in combo))
         ops.append(Unitary(mat))
-    return EncodingSet.from_operators(ops)
+    return EncodingSet(ops)
 
 
 def general_encoding_set(c: CoefficientVector, m: int) -> EncodingSet:
@@ -174,7 +156,7 @@ def general_encoding_set(c: CoefficientVector, m: int) -> EncodingSet:
     corrections = bob_strategy2_set(m, excitation_blocks(c, m)[2])
     rows = np.arange(2**m)
     flips = [rows ^ 2 * b for b in range(2 ** (m - 1))]
-    return EncodingSet.from_operators([Unitary(u.matrix[f]) for f in flips for u in corrections])
+    return EncodingSet([Unitary(u.matrix[f]) for f in flips for u in corrections])
 
 
 def _sender_qubits(c: CoefficientVector, m: int, encoding: EncodingSet) -> range:
@@ -204,12 +186,12 @@ def encode(
 def decode(states: Sequence[StateVector]) -> DecodeVerdict:
     """Judge whether the states are perfectly distinguishable.
 
-    The states are tried as a (partial) projective measurement of their
-    own: if its orthonormality check passes (Gram matrix the identity
-    within tolerance), it reads the message deterministically.  A refused
-    check hands its Gram matrix to the verdict, which names the worst
-    pair, so each call builds one Gram matrix.  Failure is a verdict, not
-    an error.
+    They are exactly when their Gram matrix is the identity within
+    ``STRUCTURAL_TOL``: the states are then a (partial) projective
+    measurement of their own, ``MeasurementBasis(range(1, n + 1), states)``,
+    which reads the message deterministically.  Otherwise the verdict
+    names the worst pair of the same Gram matrix.  Failure is a verdict,
+    not an error.
     """
     states = list(states)
     if not states:
@@ -220,18 +202,12 @@ def decode(states: Sequence[StateVector]) -> DecodeVerdict:
             raise ValueError("all states must share one qubit count")
         if not s.normalized:
             raise ValueError("all states must be normalized")
-    if len(states) > 2**n:
-        gram = gram_matrix(states)  # more states than dimensions: never a basis
-    else:
-        labels = [f"s{k}" for k in range(len(states))]
-        try:
-            basis = MeasurementBasis(range(1, n + 1), states, labels)
-            return DecodeVerdict(True, len(states), basis.gram, None, basis)
-        except ProtocolViolationError as exc:
-            gram = exc.gram
+    gram = gram_matrix(states)
     deviation = np.abs(gram - np.eye(len(states)))
+    if deviation.max() <= STRUCTURAL_TOL:
+        return DecodeVerdict(True, len(states), gram, None)
     i, j = divmod(int(deviation.argmax()), len(states))
-    return DecodeVerdict(False, len(states), gram, (i, j, float(deviation[i, j])), None)
+    return DecodeVerdict(False, len(states), gram, (i, j, float(deviation[i, j])))
 
 
 def capacity_check(

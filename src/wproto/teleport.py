@@ -486,7 +486,8 @@ def _run_branches(
                 reason=(
                     "every outcome reproduces the input exactly"
                     if success
-                    else f"minimum outcome fidelity {min_fid:.12g} is below 1 - 1e-9"
+                    else f"minimum outcome fidelity {min_fid:.12g}"
+                    f" is below {FIDELITY_THRESHOLD:.12g}"
                 ),
             )
         )

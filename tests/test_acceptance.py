@@ -168,7 +168,7 @@ def test_criterion_3_entropy_formula():
 def test_criterion_4_superdense_coding():
     def body():
         result = capacity_check(
-            modified_w_coefficients(3), 1, EncodingSet.from_operators(pauli_set())
+            modified_w_coefficients(3), 1, EncodingSet(pauli_set())
         )
         assert result.decodable and result.bits == 2
         result = capacity_check(w_coefficients(4), 2, w4_multiunary_set())

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import wproto.cli as cli
 from wproto.cli import TASKS, ConfigError, RunReport, emit, main, parse_config, run
 
 REPO = Path(__file__).resolve().parents[1]
@@ -268,6 +269,28 @@ class TestMainExitCodes:
         assert err.startswith("cannot write report: ") and "Traceback" not in err
 
 
+    def test_unwritable_output_path_fails_before_running(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setitem(cli._RUNNERS, "scan", lambda scenario: calls.append(scenario))
+        config = self.write(tmp_path, '{"task": "scan", "state": {"named": "w", "n": 4}}')
+        out = str(tmp_path / "missing" / "report.json")
+        assert main(["--config", config, "--out", out]) == 2
+        assert calls == []
+        assert "cannot write report" in capsys.readouterr().err
+
+    def test_failed_run_keeps_an_existing_report(self, tmp_path, capsys, monkeypatch):
+        def broken(scenario):
+            raise RuntimeError("runner failed")
+
+        monkeypatch.setitem(cli._RUNNERS, "scan", broken)
+        config = self.write(tmp_path, '{"task": "scan", "state": {"named": "w", "n": 4}}')
+        out = tmp_path / "report.json"
+        out.write_bytes(b"previous report\n")
+        assert main(["--config", config, "--out", str(out)]) == cli.EXIT_INTERNAL_ERROR
+        assert out.read_bytes() == b"previous report\n"
+        assert "internal error: RuntimeError: runner failed" in capsys.readouterr().err
+
+
 def test_module_entry_point_runs_acceptance_config(tmp_path):
     result = subprocess.run(
         [sys.executable, "-m", "wproto.cli", "--config", str(ACCEPTANCE_CONFIG),
@@ -290,3 +313,17 @@ def test_every_readme_json_block_is_a_valid_config():
         config = parse_config(block)
         tasks.update(s.task for s in config.scenarios)
     assert tasks == set(TASKS)
+
+
+def test_readme_python_blocks_run_and_give_their_commented_results():
+    # the quick start states its results in comments; run it and check them
+    blocks = re.findall(r"```python\n(.*?)```", (REPO / "README.md").read_text(), re.S)
+    assert blocks
+    for block in blocks:
+        namespace: dict = {}
+        exec(compile(block, "README.md", "exec"), namespace)
+    wp, c = namespace["wp"], namespace["c"]
+    assert [r.partition_size for r in wp.suitability_scan(c) if r.holds] == [2]
+    assert namespace["report"].min_fidelity == 1.0
+    assert len(namespace["report"].outcomes) == 16
+    assert wp.capacity_check(c, 2, namespace["enc"]).bits == 3

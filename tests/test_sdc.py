@@ -5,10 +5,12 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wproto.qsim as qsim
 import wproto.sdc as sdc
-from wproto.qsim import apply_unitary
+from wproto.qsim import MeasurementBasis, ProtocolViolationError, StateVector, apply_unitary
 from wproto.sdc import (
     EncodingSet,
     capacity_check,
@@ -58,7 +60,7 @@ class TestPauliSet:
 
     def test_encoded_states_orthogonal(self):
         states = [
-            encode(MOD_W3, 1, EncodingSet.from_operators(pauli_set()), msg)
+            encode(MOD_W3, 1, EncodingSet(pauli_set()), msg)
             for msg in ((0, 0), (0, 1), (1, 0), (1, 1))
         ]
         np.testing.assert_allclose(
@@ -142,7 +144,7 @@ class TestGeneralEncodingSet:
 
 class TestEncode:
     def test_identity_message_returns_resource(self):
-        got = encode(MOD_W3, 1, EncodingSet.from_operators(pauli_set()), (0, 0))
+        got = encode(MOD_W3, 1, EncodingSet(pauli_set()), (0, 0))
         np.testing.assert_allclose(
             got.amplitudes, generalized_w(MOD_W3).amplitudes, atol=1e-15
         )
@@ -156,24 +158,25 @@ class TestEncode:
 
     def test_unsuitable_resource_rejected(self):
         with pytest.raises(UnsuitableResourceError):
-            encode(w_coefficients(3), 1, EncodingSet.from_operators(pauli_set()), (0, 0))
+            encode(w_coefficients(3), 1, EncodingSet(pauli_set()), (0, 0))
 
     def test_message_out_of_range(self):
         with pytest.raises(ValueError):
-            encode(MOD_W3, 1, EncodingSet.from_operators(pauli_set()), (0, 1, 1))
+            encode(MOD_W3, 1, EncodingSet(pauli_set()), (0, 1, 1))
 
 
 class TestDecode:
     def test_orthogonal_set_decodable_with_induced_basis(self):
         states = [
-            encode(MOD_W3, 1, EncodingSet.from_operators(pauli_set()), msg)
+            encode(MOD_W3, 1, EncodingSet(pauli_set()), msg)
             for msg in ((0, 0), (0, 1), (1, 0), (1, 1))
         ]
         verdict = decode(states)
         assert verdict.decodable
-        assert verdict.basis is not None
-        assert len(verdict.basis.vectors) == 4
         assert verdict.worst_pair is None
+        # the induced measurement is the states themselves
+        basis = MeasurementBasis(range(1, 4), states)
+        assert basis.vectors == tuple(states)
 
     def test_skewed_ghz_not_decodable(self):
         # sign-flip vs identity on one qubit of a lopsided two-term state
@@ -206,7 +209,7 @@ class TestDecode:
 
 class TestCapacityCheck:
     def test_modified_w3_two_bits(self):
-        result = capacity_check(MOD_W3, 1, EncodingSet.from_operators(pauli_set()))
+        result = capacity_check(MOD_W3, 1, EncodingSet(pauli_set()))
         assert result.decodable and result.bits == 2
 
     def test_full_product_set_not_maximal_on_w4(self):
@@ -225,40 +228,96 @@ class TestCapacityCheck:
         assert not result.exhaustive
         assert result.bits <= 4
 
-    @pytest.mark.parametrize("set_name", ["generated", "full-products"])
-    def test_resource_condition_and_gram_built_once(self, monkeypatch, set_name):
-        c = w_coefficients(6)
-        encoding = general_encoding_set(c, 3) if set_name == "generated" else pauli_product_set(3)
+    @pytest.mark.parametrize(
+        "set_name,c,m",
+        [
+            pytest.param("generated", w_coefficients(6), 3, id="generated"),
+            pytest.param("full-products", w_coefficients(6), 3, id="full-products"),
+            # balanced at m = 2: 16 encoded states in 8 dimensions
+            pytest.param(
+                "full-products", CoefficientVector([SQ2, 0.5, 0.5]), 2, id="full-products-m2"
+            ),
+        ],
+    )
+    def test_resource_condition_and_gram_built_once(self, monkeypatch, set_name, c, m):
+        encoding = general_encoding_set(c, m) if set_name == "generated" else pauli_product_set(m)
         calls = Counter()
         for module, name in (
             (sdc, "generalized_w"),
             (sdc, "require_condition"),
             (sdc, "gram_matrix"),
-            (qsim, "gram_matrix"),  # the one MeasurementBasis checks with
+            (qsim, "gram_matrix"),  # any other Gram matrix, e.g. a MeasurementBasis check
         ):
             original = getattr(module, name)
             monkeypatch.setattr(
                 module, name, lambda *a, _f=original, _n=name: calls.update([_n]) or _f(*a)
             )
-        result = capacity_check(c, 3, encoding)
+        basis_init = qsim.MeasurementBasis.__init__
+        monkeypatch.setattr(
+            qsim.MeasurementBasis,
+            "__init__",
+            lambda *a, **k: calls.update(["MeasurementBasis"]) or basis_init(*a, **k),
+        )
+        result = capacity_check(c, m, encoding)
         assert result.decodable == (set_name == "generated")
         assert calls["generalized_w"] == calls["require_condition"] == 1
-        # one Gram matrix either way: a refused basis hands its own to the verdict
+        # decode builds the one Gram matrix itself and no measurement basis
         assert calls["gram_matrix"] == 1
+        assert calls["MeasurementBasis"] == 0
 
 
 class TestEncodingSetValidation:
     def test_size_must_be_power_of_two(self):
         ops = pauli_set()[:3]
         with pytest.raises(ValueError):
-            EncodingSet.from_operators(ops)
+            EncodingSet(ops)
 
-    def test_labels_must_match(self):
-        ops = pauli_set()
+    def test_message_entries_must_be_bits(self):
+        encoding = EncodingSet(pauli_set())
         with pytest.raises(ValueError):
-            EncodingSet(tuple(ops), ((0, 0), (0, 1), (1, 0), (0, 0)))
+            encoding.operator_for((0, 2))
 
     def test_operator_lookup(self):
-        encoding = EncodingSet.from_operators(pauli_set())
+        encoding = EncodingSet(pauli_set())
         np.testing.assert_array_equal(encoding.operator_for((0, 0)).matrix, np.eye(2))
         assert encoding.message_bits == 2
+
+    def test_message_k_is_operator_k(self):
+        encoding = pauli_product_set(2)
+        assert encoding.labels[6] == (0, 1, 1, 0)
+        for k, msg in enumerate(encoding.labels):
+            assert encoding.operator_for(msg) is encoding.operators[k]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    data=st.data(),
+    eps=st.sampled_from([0.0, 1e-12, 1e-9, 1e-6]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_decodable_iff_states_form_a_measurement_basis(n, data, eps, seed):
+    # orthonormal rows of a random unitary, one of them optionally tilted
+    # by eps and renormalized: decode's rule must agree with the
+    # orthonormality check of the measurement the states would induce
+    k = data.draw(st.integers(1, 2**n), label="k")
+    rng = np.random.default_rng(seed)
+    dim = 2**n
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    rows = q[:k].copy()
+    if eps:
+        tilted = int(rng.integers(k))
+        rows[tilted] += eps * (rng.normal(size=dim) + 1j * rng.normal(size=dim))
+        rows[tilted] /= np.linalg.norm(rows[tilted])
+    states = [StateVector(n, row) for row in rows]
+    verdict = decode(states)
+    try:
+        MeasurementBasis(range(1, n + 1), states)
+        accepted = True
+    except ProtocolViolationError:
+        accepted = False
+    assert verdict.decodable == accepted
+    if not accepted:
+        worst = np.abs(gram_of([s.amplitudes for s in states]) - np.eye(k)).max()
+        assert verdict.worst_pair[2] == pytest.approx(worst, rel=1e-6, abs=1e-15)
+        assert verdict.worst_pair[2] == np.abs(verdict.gram - np.eye(k)).max()

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import wproto.teleport as teleport
 from wproto.qsim import (
     PAULI_FOUR,
     DimensionError,
@@ -426,6 +427,13 @@ class TestOneQubitTeleport:
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError):
             run_teleport_one_qubit(MOD_W3, 1, UnknownState(1, 0), "swap")
+
+    def test_failure_reason_names_the_threshold(self, monkeypatch):
+        # no resource misses the threshold, so raise it past any fidelity
+        monkeypatch.setattr(teleport, "FIDELITY_THRESHOLD", 1.5)
+        report = run_teleport_one_qubit(MOD_W3, 1, UnknownState(0.6, 0.8j))
+        assert not report.success
+        assert report.reason.endswith("is below 1.5")
 
 
 class TestGhzFamily:
