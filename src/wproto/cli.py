@@ -197,8 +197,9 @@ def _parse_state(obj: Any, where: str, errors: list[str]) -> tuple[Any, int, dic
     a1 = obj.get("a1")
     a1 = complex(1.0 / math.sqrt(2.0)) if a1 is None else _as_complex(a1, f"{where}.a1", errors)
     a2 = obj.get("a2")
-    if a2 is None:
-        a2 = complex(math.sqrt(max(0.0, 1.0 - abs(a1) ** 2)))
+    if a2 is None:  # |a1| by hypot: abs(a1) raises OverflowError past the float range
+        r = math.hypot(a1.real, a1.imag)
+        a2 = complex(math.sqrt(1.0 - r**2)) if r < 1.0 else 0j
     else:
         a2 = _as_complex(a2, f"{where}.a2", errors)
     try:
@@ -299,7 +300,7 @@ def parse_config(text: bytes | str) -> ScenarioConfig:
             raise ConfigError([f"config is not valid UTF-8: {exc}"]) from None
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
         raise ConfigError([f"config is not valid JSON: {exc}"]) from None
     if not isinstance(doc, dict):
         raise ConfigError(["top level must be an object"])

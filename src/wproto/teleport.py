@@ -9,11 +9,12 @@ The sender measures the unknown register together with her resource share
 in a four-vector orthogonal family; the family is orthonormal exactly when
 the resource satisfies the half-half split condition, so an unsuitable
 resource is rejected up front rather than producing silently degraded
-fidelity.  Every family here (the encoded, one-qubit and GHZ sender
-families and the receiver's serial family) is the same pattern of two
-+/- pairs.  After two classical bits, the receiver's m qubits hold the
-input encoded in span{|0..0>, |w>} (|w> = the normalized excitation block
-on his qubits) up to one of four subspace corrections, and he can
+fidelity.  One builder makes every family here (the encoded, one-qubit
+and GHZ sender families and the receiver's serial family) as two +/- pairs,
+so outcome k of any family is undone by correction (0, 3, 1, 2)[k].  After
+two classical bits, the receiver's m qubits hold the input encoded in
+span{|0..0>, |w>} (|w> = the normalized excitation block on his qubits) up
+to one of four subspace corrections, and he can
 
   * ``subspace``  - keep the state encoded in that two-dimensional span,
   * ``transfer``  - unitarily move it onto his last physical qubit,
@@ -22,12 +23,12 @@ on his qubits) up to one of four subspace corrections, and he can
 
 :func:`run_teleport_grid` builds a resource's family, corrections and
 second-stage basis once and runs every input state through one branch
-loop: each input (x) resource joint state is measured in turn in one
-reused buffer (the joint states are never stacked, since a grid has no
-size limit), each outcome's post-states are stacked into one (G, 2^m)
-array, and the correction, the ``serial`` Bell extension and second
-measurement, the ``transfer`` last-qubit extraction and the fidelity
-checks then run once per outcome over the whole stack through
+loop: each input (x) resource joint state is measured on its own (the
+joint states are never stacked, since a grid has no size limit), each
+outcome's post-states are stacked into one (G, 2^m) array, and the
+correction, the ``serial`` Bell extension and second measurement, the
+``transfer`` last-qubit extraction and the fidelity checks then run once
+per outcome over the whole stack through
 :func:`~wproto.qsim.apply_unitary_stack` and
 :func:`~wproto.qsim.project_stack`.  Every grid point keeps its own
 probabilities, checks and fidelity against its own target, equal bit for
@@ -73,6 +74,7 @@ from .wstates import (
     excitation_blocks,
     generalized_w,
     ghz_condition,
+    require_unit_pair,
     teleport_condition,
 )
 
@@ -82,26 +84,12 @@ FIDELITY_THRESHOLD = 1.0 - 1e-9
 FAMILY_LABELS = ("xi+", "xi-", "eta+", "eta-")
 SERIAL_LABELS = ("phi1+", "phi1-", "phi2+", "phi2-")
 
-# Outcome label -> index into a sigma-ordered correction set
-# (sigma_0, sigma_1, i*sigma_2, sigma_3).
-CORRECTION_INDEX = {
-    "xi+": 0,
-    "eta+": 1,
-    "eta-": 2,
-    "xi-": 3,
-    "phi1+": 0,
-    "phi2+": 1,
-    "phi2-": 2,
-    "phi1-": 3,
-}
+# outcome k -> correction (0, 3, 1, 2)[k] of (sigma_0, sigma_1, i*sigma_2, sigma_3)
+CORRECTION_INDEX = dict(zip(FAMILY_LABELS + SERIAL_LABELS, (0, 3, 1, 2) * 2))
 
 STRATEGIES = ("subspace", "transfer", "serial")
 
-
-def _require_unit_amplitudes(alpha: complex, beta: complex) -> None:
-    total = abs(alpha) ** 2 + abs(beta) ** 2
-    if not abs(total - 1.0) <= STRUCTURAL_TOL:
-        raise NormalizationError(f"|alpha|^2 + |beta|^2 = {total:.12g} must equal 1")
+_K0, _K1 = make_basis_state(1, [0]), make_basis_state(1, [1])
 
 
 @dataclass(frozen=True)
@@ -114,7 +102,7 @@ class UnknownState:
     def __post_init__(self):
         object.__setattr__(self, "alpha", complex(self.alpha))
         object.__setattr__(self, "beta", complex(self.beta))
-        _require_unit_amplitudes(self.alpha, self.beta)
+        require_unit_pair(self.alpha, self.beta)
 
     @property
     def state_vector(self) -> StateVector:
@@ -139,7 +127,7 @@ class EncodedUnknownState:
     def __post_init__(self):
         object.__setattr__(self, "alpha", complex(self.alpha))
         object.__setattr__(self, "beta", complex(self.beta))
-        _require_unit_amplitudes(self.alpha, self.beta)
+        require_unit_pair(self.alpha, self.beta)
         _basis_pair(self.m, self.wm_state, self.zero_state)
 
     @property
@@ -169,17 +157,21 @@ class ProtocolReport:
         return max(abs(o.probability - expected) for o in self.outcomes)
 
 
-def require_condition(c: CoefficientVector, m: int) -> ConditionReport:
-    """Gate: raise UnsuitableResourceError unless the split condition holds."""
-    report = teleport_condition(c, m)
+def _require_split(report: ConditionReport, problem: str) -> ConditionReport:
+    """Gate: unless ``report`` holds, raise UnsuitableResourceError naming ``problem``."""
     if not report.holds:
         raise UnsuitableResourceError(
-            f"resource does not split half-and-half at m={m}"
-            f" (sums {report.left_sum:.6g} / {report.right_sum:.6g});"
+            f"{problem} (sums {report.left_sum:.6g} / {report.right_sum:.6g});"
             " the measurement family would not be orthonormal",
             report,
         )
     return report
+
+
+def require_condition(c: CoefficientVector, m: int) -> ConditionReport:
+    """Gate: raise UnsuitableResourceError unless the split condition holds."""
+    report = teleport_condition(c, m)
+    return _require_split(report, f"resource does not split half-and-half at m={m}")
 
 
 def encoded_state(
@@ -192,33 +184,32 @@ def encoded_state(
     )
 
 
-def _plus_minus(*pairs) -> list[StateVector]:
-    """[a|u> + b|v>, a|u> - b|v>] for each term pair ((a, u), (b, v)), in order.
-
-    Every four-vector family of the protocols is two such pairs.
-    """
+def _family(zero: StateVector, one: StateVector, first: tuple, second: tuple) -> list[StateVector]:
+    """The four vectors x|zero>|A> +- y|one>|B> and y|zero>|B> +- x|one>|A>
+    for ``first`` = (x, A) and ``second`` = (y, B), in that order: every
+    four-vector family of the protocols."""
     vectors = []
-    for (a, u), (b, v) in pairs:
-        vectors += [superpose([(a, u), (b, v)]), superpose([(a, u), (-b, v)])]
+    for (p, u), (q, v) in ((first, second), (second, first)):
+        u, v = tensor(zero, u), tensor(one, v)
+        vectors += [superpose([(p, u), (q, v)]), superpose([(p, u), (-q, v)])]
     return vectors
 
 
 def raw_measurement_vectors(
     c: CoefficientVector, m: int
 ) -> tuple[tuple[str, ...], list[StateVector]]:
-    """The four family vectors for an m-qubit unknown register, ungated.
+    """The four family vectors for an m-qubit unknown register, ungated:
+
+        xi+- = |0..0>|front> +- back_norm wm|0..0>;  eta+- = back_norm|0..0>|0..0> +- wm|front>
 
     Diagnostic: built from the +/- pattern regardless of whether the split
     condition holds, so callers can inspect how far the Gram matrix is from
     the identity for an unsuitable resource.  The vectors live on
     m + (n - m) = n qubits: unknown register first, then the sender's share.
     """
-    front, back_raw, wm, back_norm = excitation_blocks(c, m)
-    zero_u, zero_a = zero_state(m), zero_state(c.n - m)
-    front_term = (1, tensor(zero_u, front))
-    zeros_term = (back_norm, tensor(zero_u, zero_a))
-    return FAMILY_LABELS, _plus_minus(
-        (front_term, (1, tensor(back_raw, zero_a))), (zeros_term, (1, tensor(wm, front)))
+    front, _, wm, back_norm = excitation_blocks(c, m)
+    return FAMILY_LABELS, _family(
+        zero_state(m), wm, (1, front), (back_norm, zero_state(c.n - m))
     )
 
 
@@ -238,20 +229,16 @@ def measurement_family(c: CoefficientVector, m: int) -> MeasurementBasis:
 def raw_one_qubit_measurement_vectors(
     c: CoefficientVector, m: int
 ) -> tuple[tuple[str, ...], list[StateVector]]:
-    """Family vectors for a one-qubit unknown register, ungated.
+    """Family vectors for a one-qubit unknown register, ungated:
 
-    Same +/- pattern as :func:`raw_measurement_vectors` with the unknown
-    register shrunk to a single qubit; the scalar on the flipped term is
-    the back-block norm, with the block's phases folded into the receiver's
-    encoded basis state.  Vectors live on 1 + (n - m) qubits.
+        xi+- = |0>|front> +- back_norm|1>|0..0>;  eta+- = back_norm|0>|0..0> +- |1>|front>
+
+    The back block's phases are folded into the receiver's encoded basis
+    state, which leaves its norm as the scalar.  Vectors live on
+    1 + (n - m) qubits.
     """
     front, _, _, back_norm = excitation_blocks(c, m)
-    k0, k1 = make_basis_state(1, [0]), make_basis_state(1, [1])
-    zero_a = zero_state(c.n - m)
-    return FAMILY_LABELS, _plus_minus(
-        ((1, tensor(k0, front)), (back_norm, tensor(k1, zero_a))),
-        ((back_norm, tensor(k0, zero_a)), (1, tensor(k1, front))),
-    )
+    return FAMILY_LABELS, _family(_K0, _K1, (1, front), (back_norm, zero_state(c.n - m)))
 
 
 def one_qubit_measurement_family(c: CoefficientVector, m: int) -> MeasurementBasis:
@@ -264,31 +251,22 @@ def one_qubit_measurement_family(c: CoefficientVector, m: int) -> MeasurementBas
 def raw_ghz_measurement_vectors(
     a1: complex, a2: complex, n: int
 ) -> tuple[tuple[str, ...], list[StateVector]]:
-    """Bell-type family for a generalized GHZ resource, ungated.
+    """Bell-type family for a generalized GHZ resource, ungated:
+
+        xi+- = a1|0>|0..0> +- a2|1>|1..1>;  eta+- = a2|0>|1..1> +- a1|1>|0..0>
 
     Vectors on n qubits (unknown qubit plus the sender's n-1 resource
     qubits); orthonormal exactly when |a1|^2 = |a2|^2 = 1/2.
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    k0, k1 = make_basis_state(1, [0]), make_basis_state(1, [1])
-    all0 = zero_state(n - 1)
-    all1 = make_basis_state(n - 1, [1] * (n - 1))
-    return FAMILY_LABELS, _plus_minus(
-        ((a1, tensor(k0, all0)), (a2, tensor(k1, all1))),
-        ((a2, tensor(k0, all1)), (a1, tensor(k1, all0))),
-    )
+    all0, all1 = zero_state(n - 1), make_basis_state(n - 1, [1] * (n - 1))
+    return FAMILY_LABELS, _family(_K0, _K1, (a1, all0), (a2, all1))
 
 
 def ghz_measurement_family(a1: complex, a2: complex, n: int) -> MeasurementBasis:
     """Orthonormal Bell-type family for a (proper) GHZ resource."""
-    report = ghz_condition(a1, a2)
-    if not report.holds:
-        raise UnsuitableResourceError(
-            f"GHZ-type resource needs |a1|^2 = |a2|^2 = 1/2, got"
-            f" {report.left_sum:.6g} / {report.right_sum:.6g}",
-            report,
-        )
+    _require_split(ghz_condition(a1, a2), "GHZ-type resource needs |a1|^2 = |a2|^2 = 1/2")
     labels, vectors = raw_ghz_measurement_vectors(a1, a2, n)
     return MeasurementBasis(range(1, n + 1), vectors, labels)
 
@@ -368,13 +346,8 @@ def serial_basis(m: int, wm: StateVector) -> MeasurementBasis:
     The phi2- outcome pairs with the branch carrying both the swap and the
     sign flip, which the i*sigma_2 correction undoes exactly.
     """
-    zero = _basis_pair(m, wm)
-    k0, k1 = make_basis_state(1, [0]), make_basis_state(1, [1])
     h = 1.0 / math.sqrt(2.0)
-    vectors = _plus_minus(
-        ((h, tensor(zero, k0)), (h, tensor(wm, k1))),
-        ((h, tensor(zero, k1)), (h, tensor(wm, k0))),
-    )
+    vectors = _family(_basis_pair(m, wm), wm, (h, _K0), (h, _K1))
     return MeasurementBasis(range(1, m + 2), vectors, SERIAL_LABELS)
 
 
@@ -395,26 +368,20 @@ _STACK_AMPLITUDES = 2 ** (MAX_QUBITS + 1)
 
 
 def _first_stage(
-    inputs: Sequence[np.ndarray], resource: StateVector, basis: MeasurementBasis
+    inputs: Sequence[StateVector], resource: StateVector, basis: MeasurementBasis
 ) -> list[tuple[str, np.ndarray, np.ndarray]]:
     """Measure each input (x) resource in ``basis``; stack each label's rows.
 
-    The joint states are built one at a time into one reused buffer, never
-    stacked: only the post-states of the unmeasured qubits are kept.
+    Each joint state is built and measured on its own, never stacked (a grid
+    has no size limit): only the post-states of the unmeasured qubits are kept.
     """
-    half, count = resource.amplitudes, len(inputs)
-    joint = np.empty((1, len(inputs[0]) * len(half)), dtype=np.complex128)
-    for g, amps in enumerate(inputs):
-        np.multiply(amps[:, None], half, out=joint.reshape(len(amps), -1))
-        measured = project_stack(joint, basis)
-        if g == 0:
-            stacked = [
-                (label, np.empty(count), np.empty((count, post.shape[1]), dtype=np.complex128))
-                for label, _, post in measured
-            ]
-        for (_, probabilities, rows), (_, p, post) in zip(stacked, measured):
-            probabilities[g], rows[g] = p[0], post[0]
-    return stacked
+    half = resource.amplitudes
+    joints = ((psi.amplitudes[:, None] * half).reshape(1, -1) for psi in inputs)
+    measured = [project_stack(joint, basis) for joint in joints]
+    return [
+        (rows[0][0], np.concatenate([r[1] for r in rows]), np.concatenate([r[2] for r in rows]))
+        for rows in zip(*measured)
+    ]
 
 
 def _branches(
@@ -445,7 +412,7 @@ def _branches(
 
 
 def _run_branches(
-    inputs: Sequence[np.ndarray],
+    inputs: Sequence[StateVector],
     resource: StateVector,
     stages: Sequence[Stage],
     targets: Sequence[StateVector],
@@ -513,9 +480,7 @@ def run_teleport_encoded(
     wm = excitation_blocks(c, m)[2]
     stage = (basis, bob_strategy1_set(m, wm), tuple(range(1, m + 1)))
     target = psi.state_vector
-    return _run_branches(
-        [target.amplitudes], generalized_w(c), [stage], [target], _describe(c, m), None
-    )[0]
+    return _run_branches([target], generalized_w(c), [stage], [target], _describe(c, m), None)[0]
 
 
 def run_teleport_grid(
@@ -559,10 +524,7 @@ def run_teleport_grid(
         targets = inputs
         if strategy == "subspace":
             targets = [superpose([(psi.alpha, zero), (psi.beta, wm)]) for psi in chunk]
-        reports += _run_branches(
-            [sv.amplitudes for sv in inputs], resource, stages, targets, describe,
-            strategy, recover,
-        )
+        reports += _run_branches(inputs, resource, stages, targets, describe, strategy, recover)
     return reports
 
 

@@ -47,7 +47,7 @@ class CoefficientVector:
         arr = np.array(coeffs, dtype=np.complex128)
         if arr.ndim != 1 or arr.shape[0] < 2:
             raise ValueError("need at least two coefficients")
-        total = float(np.sum(np.abs(arr) ** 2))
+        total = float(np.vdot(arr, arr).real)  # inf or nan past the float range, no warning
         if not abs(total - 1.0) <= STRUCTURAL_TOL:
             raise NormalizationError(
                 f"coefficients have squared norm {total:.12g}"
@@ -199,11 +199,13 @@ def standard_w(n: int) -> StateVector:
     return generalized_w(w_coefficients(n))
 
 
-def _require_unit_pair(a1: complex, a2: complex) -> None:
-    total = abs(a1) ** 2 + abs(a2) ** 2
-    if not abs(total - 1.0) <= STRUCTURAL_TOL:
+def require_unit_pair(a: complex, b: complex) -> None:
+    """Raise NormalizationError unless |a|^2 + |b|^2 = 1 within tolerance,
+    summed as a ``StateVector`` sums it: inf or nan, never OverflowError."""
+    pair = StateVector(1, [a, b])
+    if not pair.normalized:
         raise NormalizationError(
-            f"|a1|^2 + |a2|^2 = {total:.12g} must equal 1; normalize explicitly"
+            f"|a|^2 + |b|^2 = {pair.norm_squared:.12g} must equal 1; normalize explicitly"
         )
 
 
@@ -211,7 +213,7 @@ def generalized_ghz(a1: complex, a2: complex, n: int) -> StateVector:
     """a1 |00...0> + a2 |11...1| on n qubits; coefficients must be normalized."""
     if n < 2:
         raise ValueError("need n >= 2")
-    _require_unit_pair(a1, a2)
+    require_unit_pair(a1, a2)
     amps = np.zeros(2**n, dtype=np.complex128)
     amps[0] = a1
     amps[-1] = a2
@@ -246,7 +248,7 @@ def ghz_condition(a1: complex, a2: complex, m: int = 1) -> ConditionReport:
     Every bipartition of such a state has the same reduced spectrum
     {|a1|^2, |a2|^2}, so the report is independent of the partition size.
     """
-    _require_unit_pair(a1, a2)
+    require_unit_pair(a1, a2)
     return _condition_report(m, abs(a1) ** 2, abs(a2) ** 2)
 
 

@@ -144,6 +144,54 @@ def test_plus_minus_families_pair_up():
             assert np.linalg.norm(half_diff) > 0
 
 
+def _pm(u, v):
+    return [u + v, u - v]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(min_value=3, max_value=8), seed=st.integers(0, 2**32 - 1))
+def test_families_equal_their_docstring_expressions(data, n, seed):
+    # each family vector, written out with np.kron of the block amplitudes
+    # for a random complex resource and a random complex GHZ pair
+    m = data.draw(st.integers(min_value=1, max_value=n - 1))
+    rng = np.random.default_rng(seed)
+    c = random_condition_coefficients(n, m, rng)
+    blocks = excitation_blocks(c, m)
+    front, wm, back_norm = blocks[0].amplitudes, blocks[2].amplitudes, blocks[3]
+    zeros_m, zeros_a = zero_state(m).amplitudes, zero_state(n - m).amplitudes
+    k0, k1 = np.array([1, 0]), np.array([0, 1])
+    a1, a2 = rng.normal(size=2) + 1j * rng.normal(size=2)
+    all0, all1 = zero_state(n - 1).amplitudes, make_basis_state(n - 1, [1] * (n - 1)).amplitudes
+    h, serial = 1 / math.sqrt(2), serial_basis(m, blocks[2])
+    kron = np.kron
+    cases = [
+        (  # xi+- = |0..0>|front> +- back_norm wm|0..0>, eta+- = back_norm|0..0>|0..0> +- wm|front>
+            raw_measurement_vectors(c, m),
+            _pm(kron(zeros_m, front), back_norm * kron(wm, zeros_a))
+            + _pm(back_norm * kron(zeros_m, zeros_a), kron(wm, front)),
+        ),
+        (  # xi+- = |0>|front> +- back_norm|1>|0..0>, eta+- = back_norm|0>|0..0> +- |1>|front>
+            raw_one_qubit_measurement_vectors(c, m),
+            _pm(kron(k0, front), back_norm * kron(k1, zeros_a))
+            + _pm(back_norm * kron(k0, zeros_a), kron(k1, front)),
+        ),
+        (  # xi+- = a1|0>|0..0> +- a2|1>|1..1>, eta+- = a2|0>|1..1> +- a1|1>|0..0>
+            raw_ghz_measurement_vectors(a1, a2, n),
+            _pm(a1 * kron(k0, all0), a2 * kron(k1, all1))
+            + _pm(a2 * kron(k0, all1), a1 * kron(k1, all0)),
+        ),
+        (  # phi1+- = (|0..0>|0> +- wm|1>)/sqrt(2), phi2+- = (|0..0>|1> +- wm|0>)/sqrt(2)
+            (serial.labels, serial.vectors),
+            _pm(h * kron(zeros_m, k0), h * kron(wm, k1))
+            + _pm(h * kron(zeros_m, k1), h * kron(wm, k0)),
+        ),
+    ]
+    for (labels, vectors), expected in cases:
+        assert tuple(labels) in (teleport.FAMILY_LABELS, teleport.SERIAL_LABELS)
+        for vector, amplitudes in zip(vectors, expected, strict=True):
+            assert np.abs(vector.amplitudes - amplitudes).max() <= 1e-15
+
+
 @pytest.mark.parametrize("build", [bob_strategy1_set, transfer_unitary, serial_basis])
 def test_receiver_constructions_share_the_pair_check(build):
     not_orthogonal = StateVector(2, [1, 0, 0, 0])

@@ -2,6 +2,8 @@
 
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 
 import wproto.cli as cli
 import wproto.wstates as wstates
-from wproto.cli import ConfigError, main, parse_config, run
+from wproto.cli import ConfigError, emit, main, parse_config, run
 from wproto.qsim import (
     MAX_QUBITS,
     DensityMatrix,
@@ -27,6 +29,7 @@ from wproto.wstates import (
     CoefficientVector,
     binary_entropy,
     cut_entropy,
+    generalized_ghz,
     ghz_condition,
     ghz_suitability_scan,
     partition_entropy_formula,
@@ -276,3 +279,159 @@ def test_unknown_or_conflicting_nested_fields_are_named(state, grid, error):
     with pytest.raises(ConfigError) as err:
         parse_config(json.dumps(doc))
     assert err.value.errors == [error]
+
+
+class TestHugeAmplitudes:
+    """Amplitudes near the float range are a NormalizationError: never an
+    OverflowError from Python's abs(a) ** 2, nor a numpy overflow warning."""
+
+    @pytest.mark.parametrize(
+        "state",
+        [
+            {"named": "ghz", "n": 4, "a1": [1e200, 0]},
+            {"named": "ghz", "n": 4, "a1": [1.7e308, 1.7e308]},
+            {"named": "ghz", "n": 4, "a2": [1e200, 0]},
+            {"coefficients": [[1e200, 0], [0.5, 0]]},
+        ],
+    )
+    def test_config_error_without_traceback_or_warning(self, state, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"task": "scan", "state": state}))
+        done = subprocess.run(
+            [sys.executable, "-m", "wproto.cli", "--config", str(path), "--format", "json"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 2, done.stderr
+        assert "scenario 0.state" in done.stderr
+        assert "Traceback" not in done.stderr and "Warning" not in done.stderr
+
+    @pytest.mark.parametrize("a", [1e200, complex(1.7e308, 1.7e308)])
+    def test_library_constructors(self, a):
+        with pytest.raises(NormalizationError):
+            UnknownState(a, 0)
+        with pytest.raises(NormalizationError):
+            EncodedUnknownState(
+                alpha=a,
+                beta=0,
+                m=1,
+                zero_state=make_basis_state(1, [0]),
+                wm_state=make_basis_state(1, [1]),
+            )
+        with pytest.raises(NormalizationError):
+            generalized_ghz(a, 0, 3)
+        with pytest.raises(NormalizationError):
+            ghz_condition(0, a)
+
+
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("text", [DEEP, '{"scenarios": ' + DEEP + "}"], ids=["top", "scenarios"])
+def test_deeply_nested_config_is_a_config_error(text, tmp_path, capsys):
+    # json.loads raises RecursionError, not JSONDecodeError, past the recursion limit
+    with pytest.raises(ConfigError, match="config is not valid JSON"):
+        parse_config(text)
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    assert main(["--config", str(path), "--format", "json"]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+# Config fuzzing.  A well-formed scenario gives its task every field it
+# takes, with edge-case numbers; a junk scenario may put a value of the wrong
+# type in any field, or a field of another task.
+_NUMBERS = st.sampled_from([0, 1, -1, 0.5, 0.6, 0.8, 1e308, -1e308, 1e200, 5e-324, -5e-324]) | (
+    st.floats(allow_nan=False, allow_infinity=False)
+)
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3), st.just([]), st.just({}), _NUMBERS
+)
+_PAIR = st.lists(_NUMBERS, min_size=2, max_size=2)
+
+
+@st.composite
+def _unit_pairs(draw, min_size, max_size):
+    """[re, im] pairs scaled to unit norm when they are not all zero, so that
+    parsing often succeeds and the scenario runs."""
+    pairs = st.lists(st.tuples(_NUMBERS, _NUMBERS), min_size=min_size, max_size=max_size)
+    raw = np.array(draw(pairs))
+    scale = np.abs(raw).max()  # scaled first, so that the norm cannot overflow
+    if scale > 0:
+        raw = raw / scale
+        raw = raw / np.linalg.norm(raw)
+    return raw.tolist()
+
+
+def _balanced(n, m, seed):
+    c = wstates.random_condition_coefficients(n, m, np.random.default_rng(seed))
+    return [[z.real, z.imag] for z in c.coeffs]
+
+
+_STATE = st.one_of(
+    st.fixed_dictionaries(
+        {"named": st.sampled_from(cli.NAMED_STATES), "n": st.integers(2, 6)},
+        optional={"a1": _PAIR, "a2": _PAIR},
+    ),
+    st.builds(
+        lambda n, a: {"named": "ghz", "n": n, "a1": a[0], "a2": a[1]},
+        st.integers(2, 6),
+        _unit_pairs(2, 2),
+    ),
+    st.fixed_dictionaries(
+        {
+            "coefficients": st.one_of(
+                st.lists(_PAIR, min_size=1, max_size=7),
+                _unit_pairs(1, 7),
+                st.builds(_balanced, st.just(6), st.integers(1, 5), st.integers(0, 99)),
+            )
+        }
+    ),
+)
+_FIELDS = {
+    "m": st.integers(0, 7) | st.integers(1, 2),  # the encoding sets' own m, more often
+    "strategy": st.sampled_from(cli.STRATEGIES),
+    "set": st.sampled_from(tuple(cli.SDC_SETS)),
+    "grid": st.fixed_dictionaries(
+        {"count": st.integers(0, 3)}, optional={"seed": st.integers(-1, 2**32)}
+    ),
+}
+_EXPECT = st.sampled_from(("success", "failure"))
+
+
+@st.composite
+def _well_formed(draw, task):
+    fields = cli.TASK_FIELDS[task]
+    doc = {"task": task, "state": draw(_STATE), **{key: draw(_FIELDS[key]) for key in fields}}
+    if 1 <= doc.get("m", 0) <= 6 and draw(st.integers(0, 3)):
+        # a resource balanced at the scenario's cut, so that the protocol runs
+        n, seed = draw(st.integers(doc["m"] + 1, 7)), draw(st.integers(0, 99))
+        doc["state"] = {"coefficients": _balanced(n, doc["m"], seed)}
+    if draw(st.booleans()):
+        doc["expect"] = draw(_EXPECT)
+    return doc
+
+
+def _junk(valid):
+    return valid | _JUNK
+
+
+_SCENARIO = st.sampled_from(cli.TASKS).flatmap(_well_formed) | st.fixed_dictionaries(
+    {"task": _junk(st.sampled_from(cli.TASKS)), "state": _junk(_STATE)},
+    optional={"expect": _junk(_EXPECT), **{key: _junk(v) for key, v in _FIELDS.items()}},
+)
+_CONFIG = _SCENARIO | st.fixed_dictionaries(
+    {"scenarios": _junk(st.lists(_SCENARIO, max_size=3))}, optional={"out": _JUNK}
+)
+
+
+@settings(max_examples=400, deadline=None)
+@example(text=json.dumps({"task": "scan", "state": {"named": "ghz", "n": 4, "a1": [1e200, 0]}}))
+@example(text='{"scenarios": ' + DEEP + "}")
+@given(text=_CONFIG.map(json.dumps))
+def test_any_config_is_a_config_error_or_a_report(text):
+    try:
+        config = parse_config(text)
+    except ConfigError:
+        return
+    report = run(config)
+    assert emit(report, "json") and emit(report, "table")
