@@ -18,9 +18,9 @@ time-dependent is included (wall time shows up in the table format only).
 Flags: ``--config <path>``, ``--format json|table``, ``--out <path>``,
 ``--demo-sample --seed <u64>``.  Exit codes: 0 all expectations met,
 1 verdict mismatch, 2 config error (including a resource larger than
-``qsim.MAX_QUBITS``), bad flag (a negative ``--seed``) or unwritable report
-path, 3 internal error: an exception escaped, and its traceback is on
-stderr.
+``qsim.MAX_QUBITS`` or an sdc set over ``MAX_SET_AMPLITUDES``), bad flag
+(a negative ``--seed``) or unwritable report path, 3 internal error: an
+exception escaped, and its traceback is on stderr.
 """
 
 from __future__ import annotations
@@ -88,15 +88,18 @@ TASK_FIELDS = {
     "scan": {},
     "entropy": {},
 }
-# Each encoding set: the m it encodes on (None: any m) and its builder.  The
-# builders look their functions up when called, so a wrapper bound to the
-# module name (the benchmark's tracer) sees every call.
+# Each encoding set: the m it encodes on (None: any m), its operator count at
+# m, and its builder.  The builders look their functions up when called, so a
+# wrapper bound to the module name (the benchmark's tracer) sees every call.
 SDC_SETS = {
-    "pauli": (1, lambda c, m: EncodingSet(pauli_set())),
-    "w4": (2, lambda c, m: w4_multiunary_set()),
-    "generated": (None, lambda c, m: general_encoding_set(c, m)),
-    "full-products": (2, lambda c, m: pauli_product_set(m)),
+    "pauli": (1, lambda m: 4, lambda c, m: EncodingSet(pauli_set())),
+    "w4": (2, lambda m: 8, lambda c, m: w4_multiunary_set()),
+    "generated": (None, lambda m: 2 ** (m + 1), lambda c, m: general_encoding_set(c, m)),
+    "full-products": (2, lambda m: 4**m, lambda c, m: pauli_product_set(m)),
 }
+#: operator budget: the most dense operator entries one encoding set may hold
+#: (2^25 complex entries take 512 MiB; `generated` fits up to m = 8)
+MAX_SET_AMPLITUDES = 2**25
 CHOICES = {"strategy": STRATEGIES, "set": tuple(SDC_SETS), "expect": ("success", "failure")}
 W_FAMILY = {"w": w_coefficients, "modified-w": modified_w_coefficients}
 NAMED_STATES = ("w", "ghz", "modified-w")
@@ -264,9 +267,16 @@ def _parse_scenario(raw: Any, index: int, errors: list[str]) -> Scenario | None:
         if not _is_int(m) or not 1 <= m <= n - 1:
             errors.append(f"{where}.m: integer in 1..{n - 1} required")
         elif echo.get("set") in CHOICES["set"]:
-            arity = SDC_SETS[echo["set"]][0]
+            arity, count, _ = SDC_SETS[echo["set"]]
+            amplitudes = count(m) * 4**m
             if arity not in (None, m):
                 errors.append(f"{where}.set: {echo['set']!r} encodes on m={arity} only")
+            elif amplitudes > MAX_SET_AMPLITUDES:
+                errors.append(
+                    f"{where}.m: the {echo['set']!r} set at m={m} holds {count(m)}"
+                    f" operators of {2**m}x{2**m} ({amplitudes} entries), over the"
+                    f" operator budget of {MAX_SET_AMPLITUDES}"
+                )
     if "grid" in echo:
         grid = echo["grid"]
         if not isinstance(grid, dict):
@@ -385,7 +395,7 @@ def _run_sdc(s: Scenario) -> tuple[dict, bool, str]:
     c = s.resource
     results: dict[str, Any] = {"set": s.echo["set"]}
     try:
-        encoding = SDC_SETS[s.echo["set"]][1](c, s.m)
+        encoding = SDC_SETS[s.echo["set"]][2](c, s.m)
         capacity = capacity_check(c, s.m, encoding)
         results.update(
             set_size=capacity.set_size,

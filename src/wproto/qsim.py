@@ -138,8 +138,34 @@ class DensityMatrix:
         return f"DensityMatrix(num_qubits={self.num_qubits})"
 
 
+def unitarity_deviation(matrix: np.ndarray) -> float:
+    """max |U†U - I| of a square complex matrix, on the block that moves.
+
+    The block is the set of indices whose row or column differs from the
+    identity's (an off-diagonal entry != 0 or a diagonal entry != 1).
+    Every other row and column is exactly a basis vector, so it adds only
+    exact 0s and 1s to U†U, and B†B - I on the principal block B has the
+    same entries as U†U - I there; U†U - I is exactly 0 elsewhere.  An
+    operator that moves k of d indices costs O(k^3), not O(d^3); a dense
+    matrix's block is the whole matrix.  NaN anywhere gives NaN.
+    """
+    eye = np.eye(len(matrix))
+    moved = matrix != eye
+    idx = (moved | moved.T).any(axis=0).nonzero()[0]
+    k = len(idx)
+    b = matrix if k == len(matrix) else matrix[idx[:, None], idx]
+    return float(np.abs(b.conj().T @ b - eye[:k, :k]).max(initial=0.0))
+
+
 class Unitary:
-    """Complex square matrix verified unitary at construction."""
+    """Complex square matrix verified unitary at construction.
+
+    The check is :func:`unitarity_deviation` <= ``STRUCTURAL_TOL``, the
+    dense max |U†U - I| computed on the block of indices the matrix moves:
+    the strategy-1/2 corrections and the transfer move about m + 1 of 2^m.
+    :meth:`permute_rows` reorders the rows of a checked operator, which
+    keeps U†U, so it checks only that the order is a bijection.
+    """
 
     __slots__ = ("dimension", "matrix")
 
@@ -150,12 +176,35 @@ class Unitary:
         dim = mat.shape[0]
         if dim & (dim - 1) != 0 or dim < 2:
             raise DimensionError(f"dimension must be a power of two, got {dim}")
-        dev = float(np.abs(mat.conj().T @ mat - np.eye(dim)).max())
+        dev = unitarity_deviation(mat)
         if not dev <= STRUCTURAL_TOL:
             raise ValueError(f"matrix is not unitary (max U†U-I deviation {dev:.3e})")
         mat.flags.writeable = False
         self.dimension = dim
         self.matrix = mat
+
+    def permute_rows(self, order: Sequence[int] | np.ndarray) -> "Unitary":
+        """The operator whose row i is row ``order[i]`` of this one.
+
+        A row permutation P keeps (PU)†(PU) = U†U, so only ``order`` is
+        checked, in O(dimension): it must be a bijection of 0..dimension-1.
+        """
+        idx = np.asarray(order)
+        dim = self.dimension
+        if idx.shape != (dim,) or idx.dtype.kind not in "iu":
+            raise ValueError(
+                f"row order must be {dim} integer indices, got {idx.dtype} {idx.shape}"
+            )
+        seen = np.zeros(dim, dtype=bool)
+        if idx.min() >= 0 and idx.max() < dim:
+            seen[idx] = True
+        if not seen.all():
+            raise ValueError(f"row order is not a permutation of 0..{dim - 1}")
+        out = object.__new__(Unitary)
+        out.dimension = dim
+        out.matrix = self.matrix[idx]
+        out.matrix.flags.writeable = False
+        return out
 
     @property
     def num_qubits(self) -> int:

@@ -23,6 +23,9 @@ Encoding sets:
 
 Decoding is modeled as projective measurement onto the encoded states,
 which is valid exactly when their Gram matrix is the identity.
+:func:`capacity_check` encodes on the occupied support: only the n - m + 1
+rows where the resource is nonzero are carried, since a sender operator
+keeps every other row at exactly 0.
 """
 
 from __future__ import annotations
@@ -36,8 +39,10 @@ from typing import Sequence
 import numpy as np
 
 from .qsim import (
+    NORM_PRESERVATION_TOL,
     PAULI_FOUR,
     STRUCTURAL_TOL,
+    InternalConsistencyError,
     StateVector,
     Unitary,
     apply_unitary,
@@ -156,7 +161,7 @@ def general_encoding_set(c: CoefficientVector, m: int) -> EncodingSet:
     corrections = bob_strategy2_set(m, excitation_blocks(c, m)[2])
     rows = np.arange(2**m)
     flips = [rows ^ 2 * b for b in range(2 ** (m - 1))]
-    return EncodingSet([Unitary(u.matrix[f]) for f in flips for u in corrections])
+    return EncodingSet([u.permute_rows(f) for f in flips for u in corrections])
 
 
 def _sender_qubits(c: CoefficientVector, m: int, encoding: EncodingSet) -> range:
@@ -216,16 +221,39 @@ def capacity_check(
     """Encode every message, decode, and report the achievable bit count.
 
     The resource is built and the split condition checked once for the
-    whole set; each message then costs one operator application.  If the
-    full set decodes, the capacity is log2(set size) exactly.  Otherwise
-    the result reports the largest mutually orthogonal subset: exact
-    (max-clique over the orthogonality graph) for set sizes up to 16,
-    greedy and flagged non-optimal beyond that.  Either way the subset
+    whole set.  Its amplitudes, grouped as a (2^(n-m), 2^m) matrix of
+    (first n - m qubits, sender's m qubits), have nonzero rows only where
+    the first n - m qubits hold at most one excitation: n - m + 1 rows.  A
+    sender operator acts within each row, so every other row stays
+    exactly 0 and adds only exact zeros to every inner product.  Each
+    operator is therefore applied to the occupied rows alone, padded with
+    zero rows to a power of two so that each result is an ordinary
+    ``StateVector``, and each result is checked to keep the resource's
+    norm within ``NORM_PRESERVATION_TOL``, as :func:`qsim.apply_unitary`
+    checks it.  These compact states are an isometric image of the full
+    encoded states, so every inner product, and :func:`decode`'s one Gram
+    matrix, is the same up to summation order.
+
+    If the full set decodes, the capacity is log2(set size) exactly.
+    Otherwise the result reports the largest mutually orthogonal subset:
+    exact (max-clique over the orthogonality graph) for set sizes up to
+    16, greedy and flagged non-optimal beyond that.  Either way the subset
     answer is diagnostic — the protocol's capacity claim is about full sets.
     """
-    sender = _sender_qubits(c, m, encoding)
-    resource = generalized_w(c)
-    verdict = decode([apply_unitary(resource, op, sender) for op in encoding.operators])
+    _sender_qubits(c, m, encoding)
+    psi = generalized_w(c).amplitudes.reshape(-1, 2**m)
+    occupied = psi[(psi != 0).any(axis=1)]
+    block = np.zeros((2**m, 1 << (len(occupied) - 1).bit_length()), dtype=np.complex128)
+    block[:, : len(occupied)] = occupied.T
+    qubits = block.size.bit_length() - 1
+    norm = math.sqrt(np.vdot(block, block).real)
+    states = []
+    for op in encoding.operators:
+        state = StateVector(qubits, (op.matrix @ block).reshape(-1))
+        if not abs(state.norm - norm) <= NORM_PRESERVATION_TOL:
+            raise InternalConsistencyError("unitary application failed to preserve the norm")
+        states.append(state)
+    verdict = decode(states)
     size = verdict.num_states
     if verdict.decodable:
         bits = size.bit_length() - 1

@@ -58,12 +58,23 @@ class CoefficientVector:
 
     @classmethod
     def normalize(cls, coeffs: Sequence[complex] | np.ndarray) -> "CoefficientVector":
-        """Explicitly rescale arbitrary nonzero coefficients to unit norm."""
+        """Explicitly rescale arbitrary nonzero coefficients to unit norm.
+
+        The coefficients are first scaled by the power of two that brings
+        their largest real or imaginary part into [1/2, 1), so the norm
+        neither overflows nor underflows at any finite scale.  That scaling
+        is exact, so unit-scale input gives the same bits as a plain
+        division by its norm.
+        """
         arr = np.asarray(coeffs, dtype=np.complex128)
-        nrm = float(np.linalg.norm(arr))
-        if nrm == 0.0:
+        big = float(np.abs(np.stack([arr.real, arr.imag])).max(initial=0.0))
+        if not math.isfinite(big):
+            raise NormalizationError("coefficients must be finite")
+        if big == 0.0:
             raise ValueError("cannot normalize the zero vector")
-        return cls(arr / nrm)
+        shift = -math.frexp(big)[1]
+        arr = np.ldexp(arr.real, shift) + 1j * np.ldexp(arr.imag, shift)
+        return cls(arr / np.linalg.norm(arr))
 
     @property
     def n(self) -> int:

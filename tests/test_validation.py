@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -210,6 +211,49 @@ class TestQubitBudget:
     def test_budget_itself_is_accepted(self):
         doc = {"task": "scan", "state": {"named": "ghz", "n": MAX_QUBITS}}
         assert parse_config(json.dumps(doc)).scenarios[0].n == MAX_QUBITS
+
+
+class TestOperatorBudget:
+    """An sdc set's dense operators are bounded at the config boundary:
+    ``generated`` at m = 10 would hold 2^11 operators of 1024x1024 (32 GiB)."""
+
+    def test_oversized_generated_set_exits_two_fast(self, tmp_path):
+        path = tmp_path / "config.json"
+        doc = {"task": "sdc", "state": {"named": "w", "n": 20}, "m": 10, "set": "generated"}
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-m", "wproto.cli", "--config", str(path), "--format", "json"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert time.perf_counter() - start < 2.0
+        assert done.returncode == 2, done.stderr
+        assert "scenario 0.m" in done.stderr and str(cli.MAX_SET_AMPLITUDES) in done.stderr
+        assert "Traceback" not in done.stderr
+
+    @pytest.mark.parametrize("m", [9, 12, 19])
+    def test_generated_past_m8_is_a_config_error(self, m):
+        doc = {"task": "sdc", "state": {"named": "w", "n": 20}, "m": m, "set": "generated"}
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps(doc))
+        assert [e.split(":")[0] for e in err.value.errors] == ["scenario 0.m"]
+
+    def test_largest_sets_within_budget_parse(self):
+        doc = {"task": "sdc", "state": {"named": "w", "n": 16}, "m": 8, "set": "generated"}
+        assert parse_config(json.dumps(doc)).scenarios[0].m == 8
+        # full-products encodes on m = 2 only; the budget alone would allow m <= 6
+        arity, count, _ = cli.SDC_SETS["full-products"]
+        assert arity == 2
+        assert count(6) * 4**6 <= cli.MAX_SET_AMPLITUDES < count(7) * 4**7
+        doc = {"task": "sdc", "state": {"named": "w", "n": 4}, "m": 2, "set": "full-products"}
+        assert parse_config(json.dumps(doc)).scenarios[0].m == 2
+
+    @pytest.mark.parametrize("name", sorted(cli.SDC_SETS))
+    def test_set_counts_match_the_builders(self, name):
+        arity, count, build = cli.SDC_SETS[name]
+        m = arity or 3
+        c = w_coefficients(2 * m)
+        assert len(build(c, m).operators) == count(m)
 
 
 def test_escaped_exception_is_an_internal_error(monkeypatch, tmp_path, capsys):

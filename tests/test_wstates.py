@@ -61,6 +61,36 @@ class TestCoefficientVector:
         c = CoefficientVector.normalize([3, 4])
         np.testing.assert_allclose(np.abs(c.coeffs), [0.6, 0.8])
 
+    @pytest.mark.parametrize(
+        "raw,want",
+        [
+            ([1e200, 1e200], [SQ2, SQ2]),
+            ([1e-200, 1e-200], [SQ2, SQ2]),
+            ([1.7e308, 1.7e308j], [SQ2, SQ2 * 1j]),
+            ([5e-324, 0], [1, 0]),
+        ],
+    )
+    def test_normalize_far_from_unit_scale(self, raw, want):
+        c = CoefficientVector.normalize(raw)
+        np.testing.assert_allclose(c.coeffs, want, rtol=1e-15, atol=0)
+
+    def test_normalize_is_a_plain_division_at_unit_scale(self):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            raw = rng.normal(size=5) + 1j * rng.normal(size=5)
+            want = raw / np.linalg.norm(raw)
+            np.testing.assert_array_equal(CoefficientVector.normalize(raw).coeffs, want)
+
+    @pytest.mark.parametrize("raw", [[0, 0], [0j, -0.0]])
+    def test_normalize_refuses_the_zero_vector(self, raw):
+        with pytest.raises(ValueError, match="zero vector"):
+            CoefficientVector.normalize(raw)
+
+    @pytest.mark.parametrize("raw", [[np.nan, 1], [np.inf, 1], [1, complex(0, -np.inf)]])
+    def test_normalize_refuses_non_finite_entries(self, raw):
+        with pytest.raises(NormalizationError, match="finite"):
+            CoefficientVector.normalize(raw)
+
     def test_needs_two_entries(self):
         with pytest.raises(ValueError):
             CoefficientVector([1.0])
