@@ -147,13 +147,17 @@ def unitarity_deviation(matrix: np.ndarray) -> float:
     exact 0s and 1s to U†U, and B†B - I on the principal block B has the
     same entries as U†U - I there; U†U - I is exactly 0 elsewhere.  An
     operator that moves k of d indices costs O(k^3), not O(d^3); a dense
-    matrix's block is the whole matrix.  NaN anywhere gives NaN.
+    matrix's block is the whole matrix.  A NaN or infinite entry (always in
+    the block, as it differs from the identity's) gives NaN without
+    multiplying it out, where inf * 0 would raise a floating-point warning.
     """
     eye = np.eye(len(matrix))
     moved = matrix != eye
     idx = (moved | moved.T).any(axis=0).nonzero()[0]
     k = len(idx)
     b = matrix if k == len(matrix) else matrix[idx[:, None], idx]
+    if not np.isfinite(b).all():
+        return float("nan")
     return float(np.abs(b.conj().T @ b - eye[:k, :k]).max(initial=0.0))
 
 
