@@ -18,9 +18,10 @@ time-dependent is included (wall time shows up in the table format only).
 Flags: ``--config <path>``, ``--format json|table``, ``--out <path>``,
 ``--demo-sample --seed <u64>``.  Exit codes: 0 all expectations met,
 1 verdict mismatch, 2 config error (including a resource larger than
-``qsim.MAX_QUBITS`` or an sdc set over ``MAX_SET_AMPLITUDES``), bad flag
-(a negative ``--seed``) or unwritable report path, 3 internal error: an
-exception escaped, and its traceback is on stderr.
+``qsim.MAX_QUBITS``, or an sdc set or teleport grid over
+``MAX_SET_AMPLITUDES``), bad flag (a negative ``--seed``) or unwritable
+report path, 3 internal error: an exception escaped, and its traceback is
+on stderr.
 """
 
 from __future__ import annotations
@@ -97,8 +98,10 @@ SDC_SETS = {
     "generated": (None, lambda m: 2 ** (m + 1), lambda c, m: general_encoding_set(c, m)),
     "full-products": (2, lambda m: 4**m, lambda c, m: pauli_product_set(m)),
 }
-#: operator budget: the most dense operator entries one encoding set may hold
-#: (2^25 complex entries take 512 MiB; `generated` fits up to m = 8)
+#: per-scenario budget: the most dense operator entries one sdc encoding set
+#: may hold, and the most amplitudes one teleport grid's reports may keep,
+#: counting 32 more per kept outcome for its Python objects (2^25 complex
+#: entries take 512 MiB; `generated` fits up to m = 8)
 MAX_SET_AMPLITUDES = 2**25
 CHOICES = {"strategy": STRATEGIES, "set": tuple(SDC_SETS), "expect": ("success", "failure")}
 W_FAMILY = {"w": w_coefficients, "modified-w": modified_w_coefficients}
@@ -287,6 +290,14 @@ def _parse_scenario(raw: Any, index: int, errors: list[str]) -> Scenario | None:
         for key, low in (("count", 1), ("seed", 0)):
             if not _is_int(grid[key]) or grid[key] < low:
                 errors.append(f"{where}.grid.{key}: integer >= {low} required")
+        if len(errors) == before:  # each run keeps its outcomes' (2^q,) states
+            outcomes, q = (16, 1) if echo["strategy"] == "serial" else (4, echo["m"])
+            kept = grid["count"] * outcomes * (2**q + 32)
+            if kept > MAX_SET_AMPLITUDES:
+                errors.append(
+                    f"{where}.grid.count: {grid['count']} runs of {outcomes} outcomes"
+                    f" keep {kept} amplitudes, over the budget of {MAX_SET_AMPLITUDES}"
+                )
     grid = echo.get("grid", TASK_FIELDS["teleport"]["grid"])
     return Scenario(
         task=task,

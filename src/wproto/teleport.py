@@ -22,27 +22,25 @@ to one of four subspace corrections, and he can
                     local measurement and a final single-qubit correction.
 
 :func:`run_teleport_grid` builds a resource's family, corrections and
-second-stage basis once and runs every input state through one branch
-loop: each input (x) resource joint state is measured on its own (the
+relay basis once and sends every input state through one straight
+pipeline: each input (x) resource joint state is measured on its own (the
 joint states are never stacked, since a grid has no size limit), each
-outcome's post-states are stacked into one (G, 2^m) array, and the
-correction, the ``serial`` Bell extension and second measurement, the
-``transfer`` last-qubit extraction and the fidelity checks then run once
-per outcome over the whole stack through
-:func:`~wproto.qsim.apply_unitary_stack` and
-:func:`~wproto.qsim.project_stack`.  Every grid point keeps its own
-probabilities, checks and fidelity against its own target, equal bit for
-bit to a run of that point alone.  :func:`run_teleport_one_qubit` is the
-one-state case and :func:`run_teleport_encoded` drives the same loop with
-the encoded family.  Every branch is enumerated deterministically;
-nothing is sampled.
+outcome's post-states are stacked into one (G, 2^m) array and corrected at
+once, and only ``serial`` adds a relay step (a fresh Bell pair, a second
+measurement and a correction of qubit 1).  Every run is then checked
+against its own target; for ``transfer`` the receiver's last qubit is split
+off first.  Every grid point keeps its own probabilities, checks and
+fidelity, equal bit for bit to a run of that point alone.
+:func:`run_teleport_one_qubit` is the one-state case and
+:func:`run_teleport_encoded` sends the encoded family through the same
+pipeline.  Every branch is enumerated deterministically; nothing is sampled.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -94,19 +92,17 @@ _K0, _K1 = make_basis_state(1, [0]), make_basis_state(1, [1])
 
 @dataclass(frozen=True)
 class UnknownState:
-    """The one-qubit state alpha|0> + beta|1> to be teleported."""
+    """The one-qubit state alpha|0> + beta|1> to be teleported; its pair
+    check builds ``state_vector`` once."""
 
     alpha: complex
     beta: complex
+    state_vector: StateVector = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", complex(self.alpha))
         object.__setattr__(self, "beta", complex(self.beta))
-        require_unit_pair(self.alpha, self.beta)
-
-    @property
-    def state_vector(self) -> StateVector:
-        return StateVector(1, [self.alpha, self.beta])
+        object.__setattr__(self, "state_vector", require_unit_pair(self.alpha, self.beta))
 
 
 @dataclass(frozen=True)
@@ -137,16 +133,32 @@ class EncodedUnknownState:
 
 @dataclass(frozen=True)
 class ProtocolReport:
-    """Aggregate of one protocol run over every measurement branch."""
+    """Aggregate of one protocol run over every measurement branch.  The
+    verdict is derived from ``fidelities`` against ``FIDELITY_THRESHOLD``
+    as it stands when read, so it cannot contradict them."""
 
     resource: str
     strategy: str | None
     outcomes: tuple[ProtocolOutcome, ...]
     fidelities: dict[str, float]
-    min_fidelity: float
-    classical_bits_sent: int
-    success: bool
-    reason: str
+    classical_bits_sent: int = 2
+
+    @property
+    def min_fidelity(self) -> float:
+        return min(self.fidelities.values())
+
+    @property
+    def success(self) -> bool:
+        return self.min_fidelity >= FIDELITY_THRESHOLD
+
+    @property
+    def reason(self) -> str:
+        if self.success:
+            return "every outcome reproduces the input exactly"
+        return (
+            f"minimum outcome fidelity {self.min_fidelity:.12g}"
+            f" is below {FIDELITY_THRESHOLD:.12g}"
+        )
 
     @property
     def probability_deviation(self) -> float:
@@ -351,15 +363,7 @@ def serial_basis(m: int, wm: StateVector) -> MeasurementBasis:
     return MeasurementBasis(range(1, m + 2), vectors, SERIAL_LABELS)
 
 
-#: one stage of a run: (measurement family, sigma-ordered corrections,
-#: qubits the correction acts on)
-Stage = tuple[MeasurementBasis, Sequence[Unitary], tuple[int, ...]]
-
-#: one corrected branch over a stack of runs: (label, (G,) probabilities,
-#: (G, 2^q) corrected states, correction)
-Branch = tuple[str, np.ndarray, np.ndarray, Unitary]
-
-#: the auxiliary pair (|00> + |11>)/sqrt(2) a later stage relays through
+#: the auxiliary pair (|00> + |11>)/sqrt(2) the serial relay measures through
 _BELL = superpose([(1.0 / math.sqrt(2.0), make_basis_state(2, [b, b])) for b in (0, 1)])
 
 #: the branch rows stacked at once hold at most as many amplitudes as the
@@ -367,98 +371,63 @@ _BELL = superpose([(1.0 / math.sqrt(2.0), make_basis_state(2, [b, b])) for b in 
 _STACK_AMPLITUDES = 2 ** (MAX_QUBITS + 1)
 
 
-def _first_stage(
-    inputs: Sequence[StateVector], resource: StateVector, basis: MeasurementBasis
-) -> list[tuple[str, np.ndarray, np.ndarray]]:
-    """Measure each input (x) resource in ``basis``; stack each label's rows.
+def _teleport(
+    inputs: Sequence[StateVector],
+    targets: Sequence[StateVector],
+    resource: StateVector,
+    basis: MeasurementBasis,
+    corrections: Sequence[Unitary],
+    describe: str,
+    strategy: str | None,
+    relay: MeasurementBasis | None = None,
+) -> list[ProtocolReport]:
+    """Teleport each input through ``resource``; one report per input, in order.
 
-    Each joint state is built and measured on its own, never stacked (a grid
-    has no size limit): only the post-states of the unmeasured qubits are kept.
+    Each input (x) resource joint state is measured in ``basis`` on its own,
+    never stacked (a grid has no size limit); each outcome's post-states are
+    stacked and corrected at once.  With a ``relay`` basis, each corrected
+    stack is extended by a fresh Bell pair and measured again, and qubit 1
+    is corrected; such a branch is labelled ``outer|inner`` and has the
+    joint probability.  Each run is verified against its own target, for
+    ``transfer`` after its last qubit is split off.
     """
     half = resource.amplitudes
     joints = ((psi.amplitudes[:, None] * half).reshape(1, -1) for psi in inputs)
     measured = [project_stack(joint, basis) for joint in joints]
-    return [
-        (rows[0][0], np.concatenate([r[1] for r in rows]), np.concatenate([r[2] for r in rows]))
-        for rows in zip(*measured)
-    ]
-
-
-def _branches(
-    measured: Sequence[tuple[str, np.ndarray, np.ndarray]],
-    stages: Sequence[Stage],
-    prefix: str = "",
-    weight: float | np.ndarray = 1.0,
-) -> Iterator[Branch]:
-    """Correct every measured branch of ``stages[0]``, all runs as one stack.
-
-    A later stage measures the corrected states of the one before, each
-    extended by a fresh Bell pair; labels and probabilities of nested
-    branches are joined.
-    """
-    _, corrections, qubits = stages[0]
-    for label, p, post in measured:
-        if not (p > ZERO_PROBABILITY).all():
-            raise InternalConsistencyError(f"branch {prefix + label} has probability 0")
-        corr = corrections[CORRECTION_INDEX[label]]
-        fixed = apply_unitary_stack(post, corr, qubits)
-        label, probability = prefix + label, weight * p
-        if len(stages) > 1:
-            relayed = (fixed[:, :, None] * _BELL.amplitudes).reshape(len(fixed), -1)
-            measured_next = project_stack(relayed, stages[1][0])
-            yield from _branches(measured_next, stages[1:], label + "|", probability)
-        else:
-            yield label, probability, fixed, corr
-
-
-def _run_branches(
-    inputs: Sequence[StateVector],
-    resource: StateVector,
-    stages: Sequence[Stage],
-    targets: Sequence[StateVector],
-    describe: str,
-    strategy: str | None,
-    recover: Callable[[np.ndarray], list[StateVector]] | None = None,
-) -> list[ProtocolReport]:
-    """Every branch of every run: project, correct, and verify each run
-    against its own target; one report per input, in order.
-
-    ``recover`` maps a branch's (G, 2^q) final corrected states to what is
-    compared with the targets (by default the states themselves).
-    """
+    receiver = tuple(range(1, corrections[0].dimension.bit_length()))
+    paulis = [Unitary(sigma) for sigma in PAULI_FOUR] if relay is not None else None
     columns = []
-    for label, p, fixed, corr in _branches(_first_stage(inputs, resource, stages[0][0]), stages):
-        finals = [StateVector(fixed.shape[1].bit_length() - 1, row) for row in fixed]
-        compared = recover(fixed) if recover else finals
-        fids = [fidelity(a, t) for a, t in zip(compared, targets)]
-        columns.append((label, p, finals, corr, fids))
-    reports = []
-    for g in range(len(targets)):
-        outcomes = tuple(
-            ProtocolOutcome(label, float(p[g]), finals[g], corr)
-            for label, p, finals, corr, _ in columns
+    for rows in zip(*measured):
+        label, p = rows[0][0], np.concatenate([r[1] for r in rows])
+        if not (p > ZERO_PROBABILITY).all():
+            raise InternalConsistencyError(f"branch {label} has probability 0")
+        corr = corrections[CORRECTION_INDEX[label]]
+        fixed = apply_unitary_stack(np.concatenate([r[2] for r in rows]), corr, receiver)
+        if relay is None:
+            branches = [(label, p, fixed, corr)]
+        else:
+            extended = (fixed[:, :, None] * _BELL.amplitudes).reshape(len(fixed), -1)
+            branches = []
+            for inner, q, post in project_stack(extended, relay):
+                if not (q > ZERO_PROBABILITY).all():
+                    raise InternalConsistencyError(f"branch {label}|{inner} has probability 0")
+                pauli = paulis[CORRECTION_INDEX[inner]]
+                final = apply_unitary_stack(post, pauli, (1,))
+                branches.append((f"{label}|{inner}", p * q, final, pauli))
+        for name, prob, final, u in branches:
+            finals = [StateVector(final.shape[1].bit_length() - 1, row) for row in final]
+            compared = _extract_last_qubit(final) if strategy == "transfer" else finals
+            fids = [fidelity(a, t) for a, t in zip(compared, targets)]
+            columns.append((name, prob.tolist(), finals, u, fids))
+    return [
+        ProtocolReport(
+            describe,
+            strategy,
+            tuple(ProtocolOutcome(name, prob[g], post[g], u) for name, prob, post, u, _ in columns),
+            {name: fids[g] for name, _, _, _, fids in columns},
         )
-        fidelities = {label: fids[g] for label, _, _, _, fids in columns}
-        min_fid = min(fidelities.values())
-        success = min_fid >= FIDELITY_THRESHOLD
-        reports.append(
-            ProtocolReport(
-                resource=describe,
-                strategy=strategy,
-                outcomes=outcomes,
-                fidelities=fidelities,
-                min_fidelity=min_fid,
-                classical_bits_sent=2,
-                success=success,
-                reason=(
-                    "every outcome reproduces the input exactly"
-                    if success
-                    else f"minimum outcome fidelity {min_fid:.12g}"
-                    f" is below {FIDELITY_THRESHOLD:.12g}"
-                ),
-            )
-        )
-    return reports
+        for g in range(len(targets))
+    ]
 
 
 def _describe(c: CoefficientVector, m: int) -> str:
@@ -478,9 +447,10 @@ def run_teleport_encoded(
     if psi.m != m:
         raise DimensionError(f"encoded state has m={psi.m}, resource partition m={m}")
     wm = excitation_blocks(c, m)[2]
-    stage = (basis, bob_strategy1_set(m, wm), tuple(range(1, m + 1)))
     target = psi.state_vector
-    return _run_branches([target], generalized_w(c), [stage], [target], _describe(c, m), None)[0]
+    return _teleport(
+        [target], [target], generalized_w(c), basis, bob_strategy1_set(m, wm), _describe(c, m), None
+    )[0]
 
 
 def run_teleport_grid(
@@ -492,9 +462,9 @@ def run_teleport_grid(
     """Teleport each genuine one-qubit state; the receiver recovers it per
     ``strategy`` (see module docstring).  One report per state, in order.
 
-    The resource's family, corrections and second-stage basis are built
-    once; every state then gets its own full branch enumeration and
-    per-branch fidelity check.  For ``subspace`` the reported fidelity is
+    The resource's family, corrections and relay basis are built once;
+    every state then gets its own full branch enumeration and per-branch
+    fidelity check.  For ``subspace`` the reported fidelity is
     against the encoded target alpha|0..0> + beta|w>; for ``transfer`` and
     ``serial`` it is the fidelity of the receiver's final physical qubit
     against the input.  ``serial`` enumerates the sender's four outcomes
@@ -507,14 +477,9 @@ def run_teleport_grid(
     wm = excitation_blocks(c, m)[2]
     resource = generalized_w(c)
     corrections = bob_strategy1_set(m, wm)
-    receiver = tuple(range(1, m + 1))
-    recover = None
     if strategy == "transfer":
         corrections = _then(transfer_unitary(m, wm), corrections)
-        recover = _extract_last_qubit
-    stages: list[Stage] = [(basis, corrections, receiver)]
-    if strategy == "serial":
-        stages.append((serial_basis(m, wm), [Unitary(s) for s in PAULI_FOUR], (1,)))
+    relay = serial_basis(m, wm) if strategy == "serial" else None
     zero, describe = zero_state(m), _describe(c, m)
     batch = max(1, _STACK_AMPLITUDES >> (m + 2))
     reports = []
@@ -524,7 +489,9 @@ def run_teleport_grid(
         targets = inputs
         if strategy == "subspace":
             targets = [superpose([(psi.alpha, zero), (psi.beta, wm)]) for psi in chunk]
-        reports += _run_branches(inputs, resource, stages, targets, describe, strategy, recover)
+        reports += _teleport(
+            inputs, targets, resource, basis, corrections, describe, strategy, relay
+        )
     return reports
 
 

@@ -172,7 +172,10 @@ def two_term_decomposition(
 
         tensor(t[0], t[1]) + tensor(t[2], t[3])
 
-    reassembles ``generalized_w(c)`` exactly.
+    reassembles ``generalized_w(c)`` exactly.  Here m counts the *first*
+    block, so the cut falls after qubit m; every other API (the split
+    condition, :func:`excitation_blocks`, the scans and the protocols)
+    counts the *last* block, so its cut at m is this one at n - m.
     """
     n = c.n
     if not (1 <= m <= n - 1):
@@ -210,14 +213,16 @@ def standard_w(n: int) -> StateVector:
     return generalized_w(w_coefficients(n))
 
 
-def require_unit_pair(a: complex, b: complex) -> None:
-    """Raise NormalizationError unless |a|^2 + |b|^2 = 1 within tolerance,
-    summed as a ``StateVector`` sums it: inf or nan, never OverflowError."""
+def require_unit_pair(a: complex, b: complex) -> StateVector:
+    """The one-qubit state a|0> + b|1>; raise NormalizationError unless
+    |a|^2 + |b|^2 = 1 within tolerance, summed as a ``StateVector`` sums it:
+    inf or nan, never OverflowError."""
     pair = StateVector(1, [a, b])
     if not pair.normalized:
         raise NormalizationError(
             f"|a|^2 + |b|^2 = {pair.norm_squared:.12g} must equal 1; normalize explicitly"
         )
+    return pair
 
 
 def generalized_ghz(a1: complex, a2: complex, n: int) -> StateVector:

@@ -25,7 +25,7 @@ from wproto.qsim import (
     Unitary,
     make_basis_state,
 )
-from wproto.teleport import EncodedUnknownState, UnknownState
+from wproto.teleport import STRATEGIES, EncodedUnknownState, UnknownState
 from wproto.wstates import (
     CoefficientVector,
     binary_entropy,
@@ -254,6 +254,56 @@ class TestOperatorBudget:
         m = arity or 3
         c = w_coefficients(2 * m)
         assert len(build(c, m).operators) == count(m)
+
+
+class TestGridBudget:
+    """A teleport grid is bounded at the config boundary by the amplitudes
+    its reports keep: count x outcomes x (2^q + 32), with 4 outcomes on the
+    receiver's q = m qubits, or 16 on one qubit for ``serial``."""
+
+    @staticmethod
+    def doc(count, strategy="subspace", n=4, m=2):
+        return {
+            "task": "teleport", "state": {"named": "w", "n": n}, "m": m,
+            "strategy": strategy, "grid": {"count": count, "seed": 0},
+        }
+
+    def test_oversized_grid_exits_two_fast(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(self.doc(10**12)))
+        start = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-m", "wproto.cli", "--config", str(path), "--format", "json"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert time.perf_counter() - start < 2.0
+        assert done.returncode == 2, done.stderr
+        assert "scenario 0.grid.count" in done.stderr
+        assert str(cli.MAX_SET_AMPLITUDES) in done.stderr
+        assert "Traceback" not in done.stderr
+
+    @pytest.mark.parametrize(
+        "strategy, per_run", [("subspace", 4 * (4 + 32)), ("transfer", 4 * (4 + 32)),
+                              ("serial", 16 * (2 + 32))]
+    )
+    def test_bound_is_exact(self, strategy, per_run):
+        largest = cli.MAX_SET_AMPLITUDES // per_run
+        (s,) = parse_config(json.dumps(self.doc(largest, strategy))).scenarios
+        assert s.grid_count == largest
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps(self.doc(largest + 1, strategy)))
+        assert [e.split(":")[0] for e in err.value.errors] == ["scenario 0.grid.count"]
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_default_grid_refused_only_for_one_qubit_targets_at_m19(self, strategy):
+        doc = self.doc(cli.DEFAULT_GRID_COUNT, strategy, n=20, m=18)
+        assert parse_config(json.dumps(doc)).scenarios[0].m == 18
+        doc["m"] = 19
+        if strategy == "serial":
+            assert parse_config(json.dumps(doc)).scenarios[0].m == 19
+        else:
+            with pytest.raises(ConfigError, match=r"scenario 0\.grid\.count"):
+                parse_config(json.dumps(doc))
 
 
 def test_escaped_exception_is_an_internal_error(monkeypatch, tmp_path, capsys):

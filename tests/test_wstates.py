@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from wproto.qsim import NormalizationError, partial_trace, superpose, tensor, von_neumann_entropy
 from wproto.wstates import (
     CoefficientVector,
+    excitation_blocks,
     generalized_ghz,
     generalized_w,
     ghz,
@@ -205,6 +206,18 @@ class TestTwoTermDecomposition:
         np.testing.assert_allclose(w_front.amplitudes, bell_half, atol=1e-15)
         np.testing.assert_allclose(w_back.amplitudes, bell_half, atol=1e-15)
         np.testing.assert_allclose(zeros_back.amplitudes, build_state(2, {"00": 1}))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 10), st.integers(0, 2**32 - 1))
+    def test_first_block_cut_mirrors_the_last_block_cut(self, n, seed):
+        # two_term_decomposition's m counts the first block; every other API's
+        # m counts the last one, so the two agree at the mirrored cut
+        c = random_coefficients(n, np.random.default_rng(seed))
+        for m in range(1, n):
+            split = two_term_decomposition(c, n - m)
+            front, back_raw, _, _ = excitation_blocks(c, m)
+            assert (split[0].amplitudes == front.amplitudes).all()
+            assert (split[3].amplitudes == back_raw.amplitudes).all()
 
     def test_w2n_even_split(self):
         # W on 2k qubits splits into zeros (x) W_k + W_k (x) zeros, both
