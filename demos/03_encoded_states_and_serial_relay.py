@@ -2,17 +2,20 @@
 
 A resource with a half-half cut at m can carry an m-qubit state of the
 exact form alpha|0..0> + beta|w> (two terms — no more).  This script first
-runs that protocol on the six-qubit W-state, then peels apart the serial
-relay: the receiver adjoins a Bell pair, measures his register plus one
-Bell qubit in a four-vector family, and steers the free Bell qubit home
-with a final single-qubit correction.
+runs that protocol on the six-qubit W-state, then hands the same protocol a
+three-term register and shows the measurement refuse it.  Finally it peels
+apart the serial relay: the receiver adjoins a Bell pair, measures his
+register plus one Bell qubit in a four-vector family, and steers the free
+Bell qubit home with a final single-qubit correction.
 """
 
 import numpy as np
 
 from wproto import (
+    ProtocolViolationError,
     StateVector,
     encoded_state,
+    excitation_blocks,
     make_basis_state,
     project,
     run_teleport_encoded,
@@ -34,6 +37,18 @@ for outcome in report.outcomes:
         f"  fidelity={report.fidelities[outcome.label]:.12f}"
     )
 print("  ->", report.reason)
+print()
+
+# --- a third term leaves span{|000>, |w3>}: the measurement refuses it ----
+print("payload: 0.6|000> + 0.6|w3> + 0.529|111>  (three terms)")
+three_term = superpose(
+    [(0.6, make_basis_state(3, [0, 0, 0])), (0.6, excitation_blocks(c, 3)[2]),
+     (np.sqrt(1 - 2 * 0.36), make_basis_state(3, [1, 1, 1]))]
+)
+try:
+    run_teleport_encoded(c, 3, three_term)
+except ProtocolViolationError as err:
+    print(f"  refused: {err}")
 print()
 
 # --- the serial relay, step by step on the receiver's two qubits ----------

@@ -11,7 +11,6 @@ demonstrates that 2m bits are out of reach.
 import numpy as np
 
 from wproto import (
-    EncodingSet,
     capacity_check,
     decode,
     encode,
@@ -25,7 +24,7 @@ from wproto import (
 
 print("=== 2 bits by 1 qubit over the modified three-qubit W-state ===")
 c3 = modified_w_coefficients(3)
-encoding = EncodingSet(pauli_set())
+encoding = pauli_set()
 states = [encode(c3, 1, encoding, msg) for msg in encoding.labels]
 verdict = decode(states)
 print(f"  Gram matrix of the four encoded states (abs):")

@@ -29,7 +29,7 @@ for n in (3, 5, 7):
 print()
 
 print("=== forcing the family anyway shows *why* it fails ===")
-labels, vectors = raw_one_qubit_measurement_vectors(w_coefficients(3), 1)
+vectors = raw_one_qubit_measurement_vectors(w_coefficients(3), 1)
 gram = gram_matrix(vectors)
 print("  |Gram| of the forced four-vector family for the uniform W3:")
 print(np.round(np.abs(gram), 4))
@@ -46,7 +46,7 @@ a1, a2 = 1 / np.sqrt(3), np.sqrt(2 / 3)
 reports = ghz_suitability_scan(a1, a2, 4)
 print(f"  |a1|^2 = {abs(a1)**2:.4f}: holding partitions ->",
       [r.partition_size for r in reports if r.holds] or "none")
-_, vectors = raw_ghz_measurement_vectors(a1, a2, 4)
+vectors = raw_ghz_measurement_vectors(a1, a2, 4)
 dev = np.abs(gram_matrix(vectors) - np.eye(4)).max()
 print(f"  forced Bell-type family deviation: {dev:.4f}")
 print()

@@ -56,12 +56,10 @@ from .wstates import (
     sub_w,
     suitability_scan,
     teleport_condition,
-    two_term_decomposition,
     w_coefficients,
 )
 from .teleport import (
     FIDELITY_THRESHOLD,
-    EncodedUnknownState,
     ProtocolReport,
     UnknownState,
     bob_strategy1_set,

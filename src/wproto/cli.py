@@ -46,7 +46,6 @@ from .qsim import (
     spectrum_entropy,
 )
 from .sdc import (
-    EncodingSet,
     capacity_check,
     general_encoding_set,
     pauli_product_set,
@@ -55,6 +54,7 @@ from .sdc import (
 )
 from .teleport import (
     STRATEGIES,
+    require_condition,
     run_teleport_grid,
     run_teleport_one_qubit,
     unknown_state_grid,
@@ -93,7 +93,7 @@ TASK_FIELDS = {
 # m, and its builder.  The builders look their functions up when called, so a
 # wrapper bound to the module name (the benchmark's tracer) sees every call.
 SDC_SETS = {
-    "pauli": (1, lambda m: 4, lambda c, m: EncodingSet(pauli_set())),
+    "pauli": (1, lambda m: 4, lambda c, m: pauli_set()),
     "w4": (2, lambda m: 8, lambda c, m: w4_multiunary_set()),
     "generated": (None, lambda m: 2 ** (m + 1), lambda c, m: general_encoding_set(c, m)),
     "full-products": (2, lambda m: 4**m, lambda c, m: pauli_product_set(m)),
@@ -122,16 +122,13 @@ class ConfigError(ValueError):
 class Scenario:
     """A validated scenario.  ``resource`` is built at parse time: the
     CoefficientVector of a W-family state, or the (a1, a2) pair of a GHZ
-    state.  ``echo`` is the config with every default filled in."""
+    state.  ``echo`` is the config with every default filled in; the
+    runners read the task's fields from it."""
 
     task: str
     n: int
     resource: CoefficientVector | tuple[complex, complex]
     label: str
-    m: int | None
-    strategy: str | None
-    grid_count: int
-    grid_seed: int
     echo: dict
 
 
@@ -298,18 +295,8 @@ def _parse_scenario(raw: Any, index: int, errors: list[str]) -> Scenario | None:
                     f"{where}.grid.count: {grid['count']} runs of {outcomes} outcomes"
                     f" keep {kept} amplitudes, over the budget of {MAX_SET_AMPLITUDES}"
                 )
-    grid = echo.get("grid", TASK_FIELDS["teleport"]["grid"])
-    return Scenario(
-        task=task,
-        n=n,
-        resource=resource,
-        label=f"{state_echo.get('named', 'coefficients')} (n={n})",
-        m=echo.get("m"),
-        strategy=echo.get("strategy"),
-        grid_count=grid["count"],
-        grid_seed=grid["seed"],
-        echo=echo,
-    )
+    label = f"{state_echo.get('named', 'coefficients')} (n={n})"
+    return Scenario(task=task, n=n, resource=resource, label=label, echo=echo)
 
 
 def parse_config(text: bytes | str) -> ScenarioConfig:
@@ -371,14 +358,11 @@ def _run_scan(s: Scenario) -> tuple[dict, bool, str]:
 
 
 def _run_teleport(s: Scenario) -> tuple[dict, bool, str]:
-    c = s.resource
-    grid = unknown_state_grid(s.grid_count, s.grid_seed)
-    results: dict[str, Any] = {
-        "grid": {"count": s.grid_count, "seed": s.grid_seed},
-        "strategy": s.strategy,
-    }
+    c, m, strategy, grid = s.resource, s.echo["m"], s.echo["strategy"], s.echo["grid"]
+    states = unknown_state_grid(grid["count"], grid["seed"])
+    results: dict[str, Any] = {"grid": dict(grid), "strategy": strategy}
     try:
-        reports = run_teleport_grid(c, s.m, grid, s.strategy)
+        reports = run_teleport_grid(c, m, states, strategy)
     except UnsuitableResourceError as exc:
         good = [r.partition_size for r in suitability_scan(c) if r.holds]
         reason = f"unsuitable resource: {exc} — " + (
@@ -403,11 +387,11 @@ def _run_teleport(s: Scenario) -> tuple[dict, bool, str]:
 
 
 def _run_sdc(s: Scenario) -> tuple[dict, bool, str]:
-    c = s.resource
-    results: dict[str, Any] = {"set": s.echo["set"]}
+    c, m, name = s.resource, s.echo["m"], s.echo["set"]
+    results: dict[str, Any] = {"set": name}
     try:
-        encoding = SDC_SETS[s.echo["set"]][2](c, s.m)
-        capacity = capacity_check(c, s.m, encoding)
+        require_condition(c, m)  # before the set is built: a refusal names the sums
+        capacity = capacity_check(c, m, SDC_SETS[name][2](c, m))
         results.update(
             set_size=capacity.set_size,
             bits=capacity.bits,
@@ -556,8 +540,9 @@ def _demo_narration(config: ScenarioConfig, seed: int) -> str:
         if scenario.task != "teleport":
             continue
         try:
-            psi = unknown_state_grid(1, scenario.grid_seed)[0]
-            report = run_teleport_one_qubit(scenario.resource, scenario.m, psi, scenario.strategy)
+            echo = scenario.echo
+            psi = unknown_state_grid(1, echo["grid"]["seed"])[0]
+            report = run_teleport_one_qubit(scenario.resource, echo["m"], psi, echo["strategy"])
         except UnsuitableResourceError:
             continue
         probs = np.array([o.probability for o in report.outcomes])

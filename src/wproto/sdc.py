@@ -120,9 +120,9 @@ class CapacityResult:
     exhaustive: bool
 
 
-def pauli_set() -> list[Unitary]:
+def pauli_set() -> EncodingSet:
     """The four single-qubit encoding operators (identity, flips, sign)."""
-    return [Unitary(s) for s in PAULI_FOUR]
+    return EncodingSet([Unitary(s) for s in PAULI_FOUR])
 
 
 def w4_multiunary_set() -> EncodingSet:

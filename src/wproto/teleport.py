@@ -32,8 +32,9 @@ against its own target; for ``transfer`` the receiver's last qubit is split
 off first.  Every grid point keeps its own probabilities, checks and
 fidelity, equal bit for bit to a run of that point alone.
 :func:`run_teleport_one_qubit` is the one-state case and
-:func:`run_teleport_encoded` sends the encoded family through the same
-pipeline.  Every branch is enumerated deterministically; nothing is sampled.
+:func:`run_teleport_encoded` sends any m-qubit register through the same
+pipeline, whose checks refuse one outside span{|0..0>, |w>}.  Every branch
+is enumerated deterministically; nothing is sampled.
 """
 
 from __future__ import annotations
@@ -106,32 +107,6 @@ class UnknownState:
 
 
 @dataclass(frozen=True)
-class EncodedUnknownState:
-    """A two-term m-qubit state alpha|0..0> + beta|w> riding a basis pair.
-
-    ``zero_state``/``wm_state`` are the orthogonal pair spanning the encoded
-    subspace; for a given resource, ``wm_state`` is the renormalized
-    excitation block on the receiver's qubits (see :func:`encoded_state`).
-    """
-
-    alpha: complex
-    beta: complex
-    m: int
-    zero_state: StateVector
-    wm_state: StateVector
-
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", complex(self.alpha))
-        object.__setattr__(self, "beta", complex(self.beta))
-        require_unit_pair(self.alpha, self.beta)
-        _basis_pair(self.m, self.wm_state, self.zero_state)
-
-    @property
-    def state_vector(self) -> StateVector:
-        return superpose([(self.alpha, self.zero_state), (self.beta, self.wm_state)])
-
-
-@dataclass(frozen=True)
 class ProtocolReport:
     """Aggregate of one protocol run over every measurement branch.  The
     verdict is derived from ``fidelities`` against ``FIDELITY_THRESHOLD``
@@ -141,7 +116,12 @@ class ProtocolReport:
     strategy: str | None
     outcomes: tuple[ProtocolOutcome, ...]
     fidelities: dict[str, float]
-    classical_bits_sent: int = 2
+
+    @property
+    def classical_bits_sent(self) -> int:
+        """Two bits name the sender's outcome; the serial relay's second
+        measurement is local to the receiver."""
+        return 2
 
     @property
     def min_fidelity(self) -> float:
@@ -186,14 +166,11 @@ def require_condition(c: CoefficientVector, m: int) -> ConditionReport:
     return _require_split(report, f"resource does not split half-and-half at m={m}")
 
 
-def encoded_state(
-    c: CoefficientVector, m: int, alpha: complex, beta: complex
-) -> EncodedUnknownState:
-    """Encoded input alpha|0..0> + beta|w> with |w> taken from the resource."""
-    wm = excitation_blocks(c, m)[2]
-    return EncodedUnknownState(
-        alpha=alpha, beta=beta, m=m, zero_state=zero_state(m), wm_state=wm
-    )
+def encoded_state(c: CoefficientVector, m: int, alpha: complex, beta: complex) -> StateVector:
+    """The m-qubit register alpha|0..0> + beta|w>, |w> taken from the resource:
+    one that :func:`run_teleport_encoded` carries."""
+    require_unit_pair(alpha, beta)
+    return superpose([(alpha, zero_state(m)), (beta, excitation_blocks(c, m)[2])])
 
 
 def _family(zero: StateVector, one: StateVector, first: tuple, second: tuple) -> list[StateVector]:
@@ -207,9 +184,7 @@ def _family(zero: StateVector, one: StateVector, first: tuple, second: tuple) ->
     return vectors
 
 
-def raw_measurement_vectors(
-    c: CoefficientVector, m: int
-) -> tuple[tuple[str, ...], list[StateVector]]:
+def raw_measurement_vectors(c: CoefficientVector, m: int) -> list[StateVector]:
     """The four family vectors for an m-qubit unknown register, ungated:
 
         xi+- = |0..0>|front> +- back_norm wm|0..0>;  eta+- = back_norm|0..0>|0..0> +- wm|front>
@@ -220,9 +195,7 @@ def raw_measurement_vectors(
     m + (n - m) = n qubits: unknown register first, then the sender's share.
     """
     front, _, wm, back_norm = excitation_blocks(c, m)
-    return FAMILY_LABELS, _family(
-        zero_state(m), wm, (1, front), (back_norm, zero_state(c.n - m))
-    )
+    return _family(zero_state(m), wm, (1, front), (back_norm, zero_state(c.n - m)))
 
 
 def measurement_family(c: CoefficientVector, m: int) -> MeasurementBasis:
@@ -234,13 +207,10 @@ def measurement_family(c: CoefficientVector, m: int) -> MeasurementBasis:
     qubits 1..n of the joint state.
     """
     require_condition(c, m)
-    labels, vectors = raw_measurement_vectors(c, m)
-    return MeasurementBasis(range(1, c.n + 1), vectors, labels)
+    return MeasurementBasis(range(1, c.n + 1), raw_measurement_vectors(c, m), FAMILY_LABELS)
 
 
-def raw_one_qubit_measurement_vectors(
-    c: CoefficientVector, m: int
-) -> tuple[tuple[str, ...], list[StateVector]]:
+def raw_one_qubit_measurement_vectors(c: CoefficientVector, m: int) -> list[StateVector]:
     """Family vectors for a one-qubit unknown register, ungated:
 
         xi+- = |0>|front> +- back_norm|1>|0..0>;  eta+- = back_norm|0>|0..0> +- |1>|front>
@@ -250,19 +220,17 @@ def raw_one_qubit_measurement_vectors(
     1 + (n - m) qubits.
     """
     front, _, _, back_norm = excitation_blocks(c, m)
-    return FAMILY_LABELS, _family(_K0, _K1, (1, front), (back_norm, zero_state(c.n - m)))
+    return _family(_K0, _K1, (1, front), (back_norm, zero_state(c.n - m)))
 
 
 def one_qubit_measurement_family(c: CoefficientVector, m: int) -> MeasurementBasis:
     """Orthonormal family for teleporting a genuine one-qubit state."""
     require_condition(c, m)
-    labels, vectors = raw_one_qubit_measurement_vectors(c, m)
-    return MeasurementBasis(range(1, c.n - m + 2), vectors, labels)
+    vectors = raw_one_qubit_measurement_vectors(c, m)
+    return MeasurementBasis(range(1, c.n - m + 2), vectors, FAMILY_LABELS)
 
 
-def raw_ghz_measurement_vectors(
-    a1: complex, a2: complex, n: int
-) -> tuple[tuple[str, ...], list[StateVector]]:
+def raw_ghz_measurement_vectors(a1: complex, a2: complex, n: int) -> list[StateVector]:
     """Bell-type family for a generalized GHZ resource, ungated:
 
         xi+- = a1|0>|0..0> +- a2|1>|1..1>;  eta+- = a2|0>|1..1> +- a1|1>|0..0>
@@ -273,23 +241,23 @@ def raw_ghz_measurement_vectors(
     if n < 2:
         raise ValueError("need n >= 2")
     all0, all1 = zero_state(n - 1), make_basis_state(n - 1, [1] * (n - 1))
-    return FAMILY_LABELS, _family(_K0, _K1, (a1, all0), (a2, all1))
+    return _family(_K0, _K1, (a1, all0), (a2, all1))
 
 
 def ghz_measurement_family(a1: complex, a2: complex, n: int) -> MeasurementBasis:
     """Orthonormal Bell-type family for a (proper) GHZ resource."""
     _require_split(ghz_condition(a1, a2), "GHZ-type resource needs |a1|^2 = |a2|^2 = 1/2")
-    labels, vectors = raw_ghz_measurement_vectors(a1, a2, n)
-    return MeasurementBasis(range(1, n + 1), vectors, labels)
+    vectors = raw_ghz_measurement_vectors(a1, a2, n)
+    return MeasurementBasis(range(1, n + 1), vectors, FAMILY_LABELS)
 
 
-def _basis_pair(m: int, wm: StateVector, zero: StateVector | None = None) -> StateVector:
-    """Check that {zero, wm} is an orthonormal pair on m qubits, the pair
-    spanning the encoded subspace; return zero (by default |0..0>)."""
-    zero = zero_state(m) if zero is None else zero
-    if zero.num_qubits != m or wm.num_qubits != m:
+def _basis_pair(m: int, wm: StateVector) -> StateVector:
+    """Check that {|0..0>, wm} is an orthonormal pair on m qubits, the pair
+    spanning the encoded subspace; return |0..0>."""
+    zero = zero_state(m)
+    if wm.num_qubits != m:
         raise DimensionError(f"basis pair must live on m={m} qubits")
-    if not (zero.normalized and wm.normalized):
+    if not wm.normalized:
         raise NormalizationError("basis pair must be normalized")
     if not abs(inner_product(zero, wm)) <= STRUCTURAL_TOL:
         raise ValueError("basis pair must be orthogonal")
@@ -434,22 +402,26 @@ def _describe(c: CoefficientVector, m: int) -> str:
     return f"generalized W-state, n={c.n}, partition m={m}"
 
 
-def run_teleport_encoded(
-    c: CoefficientVector, m: int, psi: EncodedUnknownState
-) -> ProtocolReport:
-    """Teleport an encoded two-term m-qubit state through the resource.
+def run_teleport_encoded(c: CoefficientVector, m: int, psi: StateVector) -> ProtocolReport:
+    """Teleport any m-qubit register ``psi`` through the resource.
 
     Enumerates the sender's four outcomes, applies the receiver's subspace
     correction per branch, and reports the fidelity of the corrected state
-    against the input for every branch.
+    against ``psi`` for every branch.  The pipeline decides which registers
+    teleport: only alpha|0..0> + beta|w> (see :func:`encoded_state`).  A
+    register on the wrong qubit count raises DimensionError, an unnormalized
+    or non-finite one NormalizationError, and one with weight outside
+    span{|0..0>, |w>} leaves the family's span, so its measurement raises
+    ProtocolViolationError.
     """
     basis = measurement_family(c, m)
-    if psi.m != m:
-        raise DimensionError(f"encoded state has m={psi.m}, resource partition m={m}")
+    if psi.num_qubits != m:
+        raise DimensionError(f"register has {psi.num_qubits} qubits, resource partition m={m}")
+    if not psi.normalized:  # before the joint state, where inf * 0 would make NaN
+        raise NormalizationError("the register must be normalized")
     wm = excitation_blocks(c, m)[2]
-    target = psi.state_vector
     return _teleport(
-        [target], [target], generalized_w(c), basis, bob_strategy1_set(m, wm), _describe(c, m), None
+        [psi], [psi], generalized_w(c), basis, bob_strategy1_set(m, wm), _describe(c, m), None
     )[0]
 
 

@@ -28,7 +28,6 @@ from .qsim import (
     NormalizationError,
     StateVector,
     reduced_spectrum,
-    zero_state,
 )
 
 
@@ -146,9 +145,11 @@ def excitation_blocks(
     """(front block, raw back block, normalized back block, back norm).
 
     The blocks are the excitation terms on the first n-m and the last m
-    qubits.  The split condition forces both block norms to 1/sqrt(2);
-    vanishing blocks can only come from inconsistent input and are
-    rejected because the protocols' measurement vectors would collapse.
+    qubits, so front (x) |0..0> + |0..0> (x) raw back block reassembles
+    ``generalized_w(c)``: its two-term form at this cut.  The split
+    condition forces both block norms to 1/sqrt(2); vanishing blocks can
+    only come from inconsistent input and are rejected because the
+    protocols' measurement vectors would collapse.
     """
     n = c.n
     front = sub_w(c, 1, n - m)
@@ -160,32 +161,6 @@ def excitation_blocks(
         )
     wm = StateVector(m, back_raw.amplitudes / back_norm)
     return front, back_raw, wm, back_norm
-
-
-def two_term_decomposition(
-    c: CoefficientVector, m: int
-) -> tuple[StateVector, StateVector, StateVector, StateVector]:
-    """Split into (front block, zeros, zeros, back block) for the cut at m.
-
-    Returns (W'_{1..m}, |0..0> on the trailing n-m qubits, |0..0> on the
-    leading m qubits, W'_{m+1..n}) so that
-
-        tensor(t[0], t[1]) + tensor(t[2], t[3])
-
-    reassembles ``generalized_w(c)`` exactly.  Here m counts the *first*
-    block, so the cut falls after qubit m; every other API (the split
-    condition, :func:`excitation_blocks`, the scans and the protocols)
-    counts the *last* block, so its cut at m is this one at n - m.
-    """
-    n = c.n
-    if not (1 <= m <= n - 1):
-        raise ValueError(f"partition size m={m} must lie in 1..{n - 1}")
-    return (
-        sub_w(c, 1, m),
-        zero_state(n - m),
-        zero_state(m),
-        sub_w(c, m + 1, n),
-    )
 
 
 def w_coefficients(n: int) -> CoefficientVector:

@@ -21,7 +21,6 @@ from wproto.qsim import (
     zero_state,
 )
 from wproto.sdc import (
-    EncodingSet,
     capacity_check,
     general_encoding_set,
     pauli_product_set,
@@ -125,16 +124,16 @@ def test_criterion_2_teleportation_impossibility():
         for n in (3, 5, 7):
             c = w_coefficients(n)
             assert not any(r.holds for r in suitability_scan(c))
-            _, vectors = raw_one_qubit_measurement_vectors(c, 1)
+            vectors = raw_one_qubit_measurement_vectors(c, 1)
             dev = np.abs(gram_of([v.amplitudes for v in vectors]) - np.eye(4)).max()
             assert dev > GRAM_FLOOR, (n, 1, dev)
             for m in range(1, n):
-                _, vectors = raw_measurement_vectors(c, m)
+                vectors = raw_measurement_vectors(c, m)
                 dev = np.abs(gram_of([v.amplitudes for v in vectors]) - np.eye(4)).max()
                 assert dev > GRAM_FLOOR, (n, m, dev)
         a1, a2 = 1 / math.sqrt(3), math.sqrt(2 / 3)
         assert not any(r.holds for r in ghz_suitability_scan(a1, a2, 4))
-        _, vectors = raw_ghz_measurement_vectors(a1, a2, 4)
+        vectors = raw_ghz_measurement_vectors(a1, a2, 4)
         dev = np.abs(gram_of([v.amplitudes for v in vectors]) - np.eye(4)).max()
         assert dev > GRAM_FLOOR
 
@@ -167,9 +166,7 @@ def test_criterion_3_entropy_formula():
 
 def test_criterion_4_superdense_coding():
     def body():
-        result = capacity_check(
-            modified_w_coefficients(3), 1, EncodingSet(pauli_set())
-        )
+        result = capacity_check(modified_w_coefficients(3), 1, pauli_set())
         assert result.decodable and result.bits == 2
         result = capacity_check(w_coefficients(4), 2, w4_multiunary_set())
         assert result.decodable and result.bits == 3

@@ -32,8 +32,8 @@ class TestParseConfig:
             ' "m": 2, "strategy": "serial"}'
         )
         s = config.scenarios[0]
-        assert s.strategy == "serial" and s.m == 2
-        assert s.grid_count == 20  # default
+        assert s.echo["strategy"] == "serial" and s.echo["m"] == 2
+        assert s.echo["grid"]["count"] == 20  # default
 
     def test_unnormalized_coefficients_report_deficit(self):
         doc = make_config(
@@ -113,6 +113,31 @@ class TestRun:
         entry = run(parse_config(doc)).payload["scenarios"][0]
         assert entry["results"]["bits"] == 3
         assert entry["verdict"]["success"]
+
+    @pytest.mark.parametrize("name", ["pauli", "generated"])
+    def test_sdc_unbalanced_resource_names_the_sums(self, name):
+        # every set gets the split gate's refusal, not whatever building the
+        # set would trip over first (here: a vanishing excitation block)
+        doc = make_config(
+            [{"task": "sdc", "state": {"coefficients": [[0, 0], [0, 0], [1, 0]]}, "m": 1,
+              "set": name, "expect": "failure"}]
+        )
+        entry = run(parse_config(doc)).payload["scenarios"][0]
+        assert entry["matched"] and not entry["verdict"]["success"]
+        assert "does not split half-and-half at m=1 (sums 0 / 1)" in entry["verdict"]["reason"]
+
+    def test_sdc_gate_runs_before_the_set_is_built(self, monkeypatch):
+        def build(c, m):
+            raise AssertionError("the set was built for an unsuitable resource")
+
+        monkeypatch.setattr(cli, "general_encoding_set", build)
+        doc = make_config(
+            [{"task": "sdc", "state": {"named": "w", "n": 5}, "m": 2, "set": "generated",
+              "expect": "failure"}]
+        )
+        entry = run(parse_config(doc)).payload["scenarios"][0]
+        assert entry["matched"]
+        assert "does not split half-and-half at m=2" in entry["verdict"]["reason"]
 
     def test_teleport_w4_reports_unit_fidelity(self):
         doc = make_config(

@@ -38,16 +38,16 @@ MOD_W3 = CoefficientVector([0.5, 0.5, SQ2])
 
 class TestPauliSet:
     def test_identity_first(self):
-        np.testing.assert_array_equal(pauli_set()[0].matrix, np.eye(2))
+        np.testing.assert_array_equal(pauli_set().operators[0].matrix, np.eye(2))
 
     def test_bit_flip(self):
-        np.testing.assert_array_equal(pauli_set()[1].matrix @ [1, 0], [0, 1])
+        np.testing.assert_array_equal(pauli_set().operators[1].matrix @ [1, 0], [0, 1])
 
     def test_four_transformed_resource_states(self):
         # applying the four operators to the last qubit of the resource
         # produces exactly the expected superpositions
         state = generalized_w(MOD_W3)
-        sets = pauli_set()
+        sets = pauli_set().operators
         expected = [
             build_state(3, {"100": 0.5, "010": 0.5, "001": SQ2}),   # identity
             build_state(3, {"101": 0.5, "011": 0.5, "000": SQ2}),   # bit flip
@@ -60,7 +60,7 @@ class TestPauliSet:
 
     def test_encoded_states_orthogonal(self):
         states = [
-            encode(MOD_W3, 1, EncodingSet(pauli_set()), msg)
+            encode(MOD_W3, 1, pauli_set(), msg)
             for msg in ((0, 0), (0, 1), (1, 0), (1, 1))
         ]
         np.testing.assert_allclose(
@@ -90,7 +90,7 @@ class TestW4MultiunarySet:
 class TestGeneralEncodingSet:
     def test_m1_reduces_to_pauli_set(self):
         ops = general_encoding_set(MOD_W3, 1).operators
-        for got, want in zip(ops, pauli_set()):
+        for got, want in zip(ops, pauli_set().operators):
             np.testing.assert_allclose(got.matrix, want.matrix, atol=1e-12)
 
     @pytest.mark.parametrize("n,m", [(2, 1), (4, 2), (6, 3), (8, 4)])
@@ -144,7 +144,7 @@ class TestGeneralEncodingSet:
 
 class TestEncode:
     def test_identity_message_returns_resource(self):
-        got = encode(MOD_W3, 1, EncodingSet(pauli_set()), (0, 0))
+        got = encode(MOD_W3, 1, pauli_set(), (0, 0))
         np.testing.assert_allclose(
             got.amplitudes, generalized_w(MOD_W3).amplitudes, atol=1e-15
         )
@@ -158,17 +158,17 @@ class TestEncode:
 
     def test_unsuitable_resource_rejected(self):
         with pytest.raises(UnsuitableResourceError):
-            encode(w_coefficients(3), 1, EncodingSet(pauli_set()), (0, 0))
+            encode(w_coefficients(3), 1, pauli_set(), (0, 0))
 
     def test_message_out_of_range(self):
         with pytest.raises(ValueError):
-            encode(MOD_W3, 1, EncodingSet(pauli_set()), (0, 1, 1))
+            encode(MOD_W3, 1, pauli_set(), (0, 1, 1))
 
 
 class TestDecode:
     def test_orthogonal_set_decodable_with_induced_basis(self):
         states = [
-            encode(MOD_W3, 1, EncodingSet(pauli_set()), msg)
+            encode(MOD_W3, 1, pauli_set(), msg)
             for msg in ((0, 0), (0, 1), (1, 0), (1, 1))
         ]
         verdict = decode(states)
@@ -182,7 +182,7 @@ class TestDecode:
         # sign-flip vs identity on one qubit of a lopsided two-term state
         # leaves overlap |a1|^2 - |a2|^2
         state = generalized_ghz(1 / math.sqrt(3), math.sqrt(2 / 3), 3)
-        states = [apply_unitary(state, op, [1]) for op in pauli_set()]
+        states = [apply_unitary(state, op, [1]) for op in pauli_set().operators]
         verdict = decode(states)
         assert not verdict.decodable
         i, j, worst = verdict.worst_pair
@@ -192,7 +192,7 @@ class TestDecode:
     def test_wrong_partition_fails(self):
         # encoding on a single qubit of the 4-qubit W-state (entropy < 1)
         w4 = generalized_w(w_coefficients(4))
-        states = [apply_unitary(w4, op, [4]) for op in pauli_set()]
+        states = [apply_unitary(w4, op, [4]) for op in pauli_set().operators]
         verdict = decode(states)
         assert not verdict.decodable
 
@@ -209,7 +209,7 @@ class TestDecode:
 
 class TestCapacityCheck:
     def test_modified_w3_two_bits(self):
-        result = capacity_check(MOD_W3, 1, EncodingSet(pauli_set()))
+        result = capacity_check(MOD_W3, 1, pauli_set())
         assert result.decodable and result.bits == 2
 
     def test_full_product_set_not_maximal_on_w4(self):
@@ -268,17 +268,17 @@ class TestCapacityCheck:
 
 class TestEncodingSetValidation:
     def test_size_must_be_power_of_two(self):
-        ops = pauli_set()[:3]
+        ops = pauli_set().operators[:3]
         with pytest.raises(ValueError):
             EncodingSet(ops)
 
     def test_message_entries_must_be_bits(self):
-        encoding = EncodingSet(pauli_set())
+        encoding = pauli_set()
         with pytest.raises(ValueError):
             encoding.operator_for((0, 2))
 
     def test_operator_lookup(self):
-        encoding = EncodingSet(pauli_set())
+        encoding = pauli_set()
         np.testing.assert_array_equal(encoding.operator_for((0, 0)).matrix, np.eye(2))
         assert encoding.message_bits == 2
 

@@ -253,7 +253,7 @@ def resource(rng: np.random.Generator, n: int, m: int, kind: str) -> Coefficient
 )
 def test_capacity_equals_the_dense_reference(n, set_name, kind, seed, data):
     if set_name == "pauli":
-        m, encoding = 1, EncodingSet(pauli_set())
+        m, encoding = 1, pauli_set()
     elif set_name == "w4":
         m, encoding = 2, w4_multiunary_set()
     else:

@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wproto.teleport as teleport
 from wproto.qsim import (
     PAULI_FOUR,
     DimensionError,
+    NormalizationError,
     ProtocolViolationError,
     StateVector,
     Unitary,
@@ -23,7 +26,7 @@ from wproto.qsim import (
 )
 from wproto.teleport import (
     CORRECTION_INDEX,
-    EncodedUnknownState,
+    FIDELITY_THRESHOLD,
     UnknownState,
     UnsuitableResourceError,
     bob_strategy1_set,
@@ -43,6 +46,7 @@ from wproto.teleport import (
 )
 from wproto.wstates import (
     CoefficientVector,
+    excitation_blocks,
     generalized_w,
     random_condition_coefficients,
     standard_w,
@@ -119,7 +123,7 @@ class TestMeasurementFamilies:
 
     def test_forced_w3_family_gram_deviation(self):
         # ungated construction shows exactly how far orthonormality fails
-        _, vectors = raw_one_qubit_measurement_vectors(w_coefficients(3), 1)
+        vectors = raw_one_qubit_measurement_vectors(w_coefficients(3), 1)
         gram = gram_of([v.amplitudes for v in vectors])
         deviation = np.abs(gram - np.eye(4)).max()
         assert deviation == pytest.approx(1 / 3, abs=1e-12)
@@ -127,7 +131,7 @@ class TestMeasurementFamilies:
 
     def test_forced_encoded_family_gram_deviation(self):
         for n in (3, 5, 7):
-            _, vectors = raw_measurement_vectors(w_coefficients(n), 1)
+            vectors = raw_measurement_vectors(w_coefficients(n), 1)
             deviation = np.abs(
                 gram_of([v.amplitudes for v in vectors]) - np.eye(4)
             ).max()
@@ -253,7 +257,7 @@ class TestEncodedTeleport:
         alpha, beta = 0.6, 0.8
         c = w_coefficients(4)
         psi = encoded_state(c, 2, alpha, beta)
-        joint = tensor(psi.state_vector, generalized_w(c))
+        joint = tensor(psi, generalized_w(c))
         outcomes = project(joint, measurement_family(c, 2))
         want = {
             "xi+": alpha * K00 + beta * PSI_PLUS,
@@ -304,7 +308,7 @@ class TestEncodedTeleport:
                 "1100": beta * 0.5, "1010": beta * 0.5, "1001": beta * a3,
             },
         )
-        _, vectors = raw_one_qubit_measurement_vectors(MOD_W3, 1)
+        vectors = raw_one_qubit_measurement_vectors(MOD_W3, 1)
         expected_by_label = {
             "xi+": np.array([alpha, beta]),
             "xi-": np.array([alpha, -beta]),
@@ -322,16 +326,11 @@ class TestEncodedTeleport:
         assert report.min_fidelity == pytest.approx(1.0, abs=1e-12)
 
     def test_mismatched_encoding_detected(self):
-        # an encoded input outside span{|0..0>, wm} cannot ride the resource:
-        # the joint state leaves the family's span and the measurement refuses
+        # a register paired with the wrong second state lies outside
+        # span{|0..0>, wm}: the joint state leaves the family's span and the
+        # measurement refuses
         c = w_coefficients(4)
-        rogue = EncodedUnknownState(
-            alpha=0.6,
-            beta=0.8,
-            m=2,
-            zero_state=zero_state(2),
-            wm_state=StateVector(2, K11),
-        )
+        rogue = superpose([(0.6, zero_state(2)), (0.8, StateVector(2, K11))])
         with pytest.raises(ProtocolViolationError):
             run_teleport_encoded(c, 2, rogue)
 
@@ -345,15 +344,55 @@ class TestEncodedTeleport:
                 (math.sqrt(1 - 2 * 0.36), make_basis_state(2, [1, 1])),
             ]
         )
-        joint = tensor(three_term, generalized_w(c))
         with pytest.raises(ProtocolViolationError):
-            project(joint, measurement_family(c, 2))
+            run_teleport_encoded(c, 2, three_term)
 
     def test_m_mismatch(self):
         c = w_coefficients(4)
         psi = encoded_state(c, 2, 1.0, 0.0)
         with pytest.raises((DimensionError, ValueError)):
             run_teleport_encoded(c, 3, psi)
+        with pytest.raises(DimensionError):
+            run_teleport_encoded(c, 2, zero_state(3))
+
+    @pytest.mark.parametrize(
+        "amplitudes", [0.6 * K00 + 0.6 * PSI_PLUS, [math.inf, 0, 0, 0], [math.nan, 0, 0, 0]]
+    )
+    def test_unnormalized_register_refused(self, amplitudes):
+        # refused before the joint state is built: inf * 0 there would warn
+        with pytest.raises(NormalizationError):
+            run_teleport_encoded(w_coefficients(4), 2, StateVector(2, amplitudes))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(2, 8),
+        seed=st.integers(0, 2**32 - 1),
+        outside=st.floats(1e-8, 1.0),
+    )
+    def test_any_register_teleports_iff_it_lies_in_the_span(self, data, n, seed, outside):
+        # alpha|0..0> + beta|w> teleports on every branch; any weight off
+        # span{|0..0>, |w>} is refused by the measurement (for m = 1 the
+        # span is the whole register)
+        m = data.draw(st.integers(1, n - 1))
+        rng = np.random.default_rng(seed)
+        c = random_condition_coefficients(n, m, rng)
+        pair = rng.normal(size=2) + 1j * rng.normal(size=2)
+        alpha, beta = pair / np.linalg.norm(pair)
+        psi = encoded_state(c, m, alpha, beta)
+        report = run_teleport_encoded(c, m, psi)
+        assert len(report.fidelities) == 4
+        assert all(f >= FIDELITY_THRESHOLD for f in report.fidelities.values())
+        if m == 1:
+            return
+        wm = excitation_blocks(c, m)[2].amplitudes
+        perp = rng.normal(size=2**m) + 1j * rng.normal(size=2**m)
+        perp[0] = 0.0
+        perp -= np.vdot(wm, perp) * wm
+        perp /= np.linalg.norm(perp)
+        rogue = math.sqrt(1.0 - outside) * psi.amplitudes + math.sqrt(outside) * perp
+        with pytest.raises(ProtocolViolationError):
+            run_teleport_encoded(c, m, StateVector(m, rogue))
 
 
 class TestOneQubitTeleport:
@@ -456,7 +495,7 @@ class TestGhzFamily:
         a1, a2 = 1 / math.sqrt(3), math.sqrt(2 / 3)
         with pytest.raises(UnsuitableResourceError):
             ghz_measurement_family(a1, a2, 3)
-        _, vectors = raw_ghz_measurement_vectors(a1, a2, 3)
+        vectors = raw_ghz_measurement_vectors(a1, a2, 3)
         deviation = np.abs(gram_of([v.amplitudes for v in vectors]) - np.eye(4)).max()
         assert deviation == pytest.approx(1 / 3, abs=1e-12)
         assert deviation > 1e-3
@@ -480,19 +519,9 @@ class TestInputValidation:
         with pytest.raises(ValueError):
             UnknownState(1.0, 1.0)
 
-    def test_encoded_state_pair_must_be_orthogonal(self):
-        with pytest.raises(ValueError):
-            EncodedUnknownState(
-                alpha=SQ2,
-                beta=SQ2,
-                m=1,
-                zero_state=make_basis_state(1, [0]),
-                wm_state=StateVector(1, [SQ2, SQ2]),
-            )
-
     def test_encoded_state_vector(self):
         c = w_coefficients(4)
         psi = encoded_state(c, 2, 0.6, 0.8)
         np.testing.assert_allclose(
-            psi.state_vector.amplitudes, 0.6 * K00 + 0.8 * PSI_PLUS, atol=1e-14
+            psi.amplitudes, 0.6 * K00 + 0.8 * PSI_PLUS, atol=1e-14
         )

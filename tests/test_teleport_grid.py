@@ -131,9 +131,9 @@ def test_plus_minus_families_pair_up():
     c = random_condition_coefficients(5, 2, np.random.default_rng(2))
     wm = excitation_blocks(c, 2)[2]
     families = [
-        raw_measurement_vectors(c, 2)[1],
-        raw_one_qubit_measurement_vectors(c, 2)[1],
-        raw_ghz_measurement_vectors(0.6, 0.8, 3)[1],
+        raw_measurement_vectors(c, 2),
+        raw_one_qubit_measurement_vectors(c, 2),
+        raw_ghz_measurement_vectors(0.6, 0.8, 3),
         serial_basis(2, wm).vectors,
     ]
     for vectors in families:
@@ -181,13 +181,13 @@ def test_families_equal_their_docstring_expressions(data, n, seed):
             + _pm(a2 * kron(k0, all1), a1 * kron(k1, all0)),
         ),
         (  # phi1+- = (|0..0>|0> +- wm|1>)/sqrt(2), phi2+- = (|0..0>|1> +- wm|0>)/sqrt(2)
-            (serial.labels, serial.vectors),
+            serial.vectors,
             _pm(h * kron(zeros_m, k0), h * kron(wm, k1))
             + _pm(h * kron(zeros_m, k1), h * kron(wm, k0)),
         ),
     ]
-    for (labels, vectors), expected in cases:
-        assert tuple(labels) in (teleport.FAMILY_LABELS, teleport.SERIAL_LABELS)
+    assert serial.labels == teleport.SERIAL_LABELS
+    for vectors, expected in cases:
         for vector, amplitudes in zip(vectors, expected, strict=True):
             assert np.abs(vector.amplitudes - amplitudes).max() <= 1e-15
 

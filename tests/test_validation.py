@@ -23,9 +23,8 @@ from wproto.qsim import (
     ProtocolViolationError,
     StateVector,
     Unitary,
-    make_basis_state,
 )
-from wproto.teleport import STRATEGIES, EncodedUnknownState, UnknownState
+from wproto.teleport import STRATEGIES, UnknownState, encoded_state
 from wproto.wstates import (
     CoefficientVector,
     binary_entropy,
@@ -86,13 +85,7 @@ class TestNonFiniteInputRejected:
 
     def test_encoded_unknown_state(self):
         with pytest.raises(NormalizationError):
-            EncodedUnknownState(
-                alpha=NAN,
-                beta=1.0,
-                m=1,
-                zero_state=make_basis_state(1, [0]),
-                wm_state=make_basis_state(1, [1]),
-            )
+            encoded_state(w_coefficients(2), 1, NAN, 1.0)
 
     def test_density_matrix(self):
         with pytest.raises(ValueError, match="Hermitian") as err:
@@ -240,13 +233,13 @@ class TestOperatorBudget:
 
     def test_largest_sets_within_budget_parse(self):
         doc = {"task": "sdc", "state": {"named": "w", "n": 16}, "m": 8, "set": "generated"}
-        assert parse_config(json.dumps(doc)).scenarios[0].m == 8
+        assert parse_config(json.dumps(doc)).scenarios[0].echo["m"] == 8
         # full-products encodes on m = 2 only; the budget alone would allow m <= 6
         arity, count, _ = cli.SDC_SETS["full-products"]
         assert arity == 2
         assert count(6) * 4**6 <= cli.MAX_SET_AMPLITUDES < count(7) * 4**7
         doc = {"task": "sdc", "state": {"named": "w", "n": 4}, "m": 2, "set": "full-products"}
-        assert parse_config(json.dumps(doc)).scenarios[0].m == 2
+        assert parse_config(json.dumps(doc)).scenarios[0].echo["m"] == 2
 
     @pytest.mark.parametrize("name", sorted(cli.SDC_SETS))
     def test_set_counts_match_the_builders(self, name):
@@ -289,7 +282,7 @@ class TestGridBudget:
     def test_bound_is_exact(self, strategy, per_run):
         largest = cli.MAX_SET_AMPLITUDES // per_run
         (s,) = parse_config(json.dumps(self.doc(largest, strategy))).scenarios
-        assert s.grid_count == largest
+        assert s.echo["grid"]["count"] == largest
         with pytest.raises(ConfigError) as err:
             parse_config(json.dumps(self.doc(largest + 1, strategy)))
         assert [e.split(":")[0] for e in err.value.errors] == ["scenario 0.grid.count"]
@@ -297,10 +290,10 @@ class TestGridBudget:
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_default_grid_refused_only_for_one_qubit_targets_at_m19(self, strategy):
         doc = self.doc(cli.DEFAULT_GRID_COUNT, strategy, n=20, m=18)
-        assert parse_config(json.dumps(doc)).scenarios[0].m == 18
+        assert parse_config(json.dumps(doc)).scenarios[0].echo["m"] == 18
         doc["m"] = 19
         if strategy == "serial":
-            assert parse_config(json.dumps(doc)).scenarios[0].m == 19
+            assert parse_config(json.dumps(doc)).scenarios[0].echo["m"] == 19
         else:
             with pytest.raises(ConfigError, match=r"scenario 0\.grid\.count"):
                 parse_config(json.dumps(doc))
@@ -332,7 +325,7 @@ def test_teleport_grid_must_be_an_object(grid):
 def test_teleport_grid_null_or_empty_means_the_defaults(grid):
     doc = {"task": "teleport", "state": {"named": "w", "n": 4}, "m": 2, "grid": grid}
     (s,) = parse_config(json.dumps(doc)).scenarios
-    assert (s.grid_count, s.grid_seed) == (cli.DEFAULT_GRID_COUNT, cli.DEFAULT_GRID_SEED)
+    assert s.echo["grid"] == {"count": cli.DEFAULT_GRID_COUNT, "seed": cli.DEFAULT_GRID_SEED}
 
 
 @pytest.mark.parametrize("grid", [[], 0, False, ""])
@@ -404,13 +397,7 @@ class TestHugeAmplitudes:
         with pytest.raises(NormalizationError):
             UnknownState(a, 0)
         with pytest.raises(NormalizationError):
-            EncodedUnknownState(
-                alpha=a,
-                beta=0,
-                m=1,
-                zero_state=make_basis_state(1, [0]),
-                wm_state=make_basis_state(1, [1]),
-            )
+            encoded_state(w_coefficients(2), 1, a, 0)
         with pytest.raises(NormalizationError):
             generalized_ghz(a, 0, 3)
         with pytest.raises(NormalizationError):

@@ -7,9 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wproto.qsim import NormalizationError, partial_trace, superpose, tensor, von_neumann_entropy
+from wproto.qsim import (
+    NormalizationError,
+    partial_trace,
+    superpose,
+    tensor,
+    von_neumann_entropy,
+    zero_state,
+)
 from wproto.wstates import (
     CoefficientVector,
+    UnsuitableResourceError,
     excitation_blocks,
     generalized_ghz,
     generalized_w,
@@ -25,7 +33,6 @@ from wproto.wstates import (
     sub_w,
     suitability_scan,
     teleport_condition,
-    two_term_decomposition,
     w_coefficients,
 )
 
@@ -184,14 +191,20 @@ class TestSubW:
 
 
 class TestTwoTermDecomposition:
+    """``excitation_blocks`` is the two-term split of a W-state at a cut."""
+
     @settings(max_examples=40, deadline=None)
     @given(coefficient_lists(), st.integers(0, 100))
     def test_reconstruction(self, coeffs, pick):
         c = CoefficientVector(coeffs)
         m = 1 + pick % (c.n - 1)
-        w_front, zeros_back, zeros_front, w_back = two_term_decomposition(c, m)
+        try:
+            front, back_raw, _, _ = excitation_blocks(c, m)
+        except UnsuitableResourceError:  # only a vanishing block is refused
+            assert min(sub_w(c, 1, c.n - m).norm, sub_w(c, c.n - m + 1, c.n).norm) < 1e-12
+            return
         rebuilt = superpose(
-            [(1, tensor(w_front, zeros_back)), (1, tensor(zeros_front, w_back))]
+            [(1, tensor(front, zero_state(m))), (1, tensor(zero_state(c.n - m), back_raw))]
         )
         np.testing.assert_allclose(
             rebuilt.amplitudes, generalized_w(c).amplitudes, atol=1e-12
@@ -199,39 +212,26 @@ class TestTwoTermDecomposition:
 
     def test_w4_half_split_structure(self):
         # both blocks are the two-qubit Bell-type state scaled by 1/sqrt(2)
-        w_front, zeros_back, zeros_front, w_back = two_term_decomposition(
-            w_coefficients(4), 2
-        )
+        front, back_raw, wm, back_norm = excitation_blocks(w_coefficients(4), 2)
         bell_half = build_state(2, {"10": 0.5, "01": 0.5})
-        np.testing.assert_allclose(w_front.amplitudes, bell_half, atol=1e-15)
-        np.testing.assert_allclose(w_back.amplitudes, bell_half, atol=1e-15)
-        np.testing.assert_allclose(zeros_back.amplitudes, build_state(2, {"00": 1}))
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(2, 10), st.integers(0, 2**32 - 1))
-    def test_first_block_cut_mirrors_the_last_block_cut(self, n, seed):
-        # two_term_decomposition's m counts the first block; every other API's
-        # m counts the last one, so the two agree at the mirrored cut
-        c = random_coefficients(n, np.random.default_rng(seed))
-        for m in range(1, n):
-            split = two_term_decomposition(c, n - m)
-            front, back_raw, _, _ = excitation_blocks(c, m)
-            assert (split[0].amplitudes == front.amplitudes).all()
-            assert (split[3].amplitudes == back_raw.amplitudes).all()
+        np.testing.assert_allclose(front.amplitudes, bell_half, atol=1e-15)
+        np.testing.assert_allclose(back_raw.amplitudes, bell_half, atol=1e-15)
+        np.testing.assert_allclose(wm.amplitudes, bell_half / SQ2, atol=1e-15)
+        assert back_norm == pytest.approx(SQ2, abs=1e-15)
 
     def test_w2n_even_split(self):
-        # W on 2k qubits splits into zeros (x) W_k + W_k (x) zeros, both
+        # W on 2k qubits splits into W_k (x) zeros + zeros (x) W_k, both
         # weighted 1/sqrt(2)
         for k in (2, 3):
             c = w_coefficients(2 * k)
-            w_front, _, _, w_back = two_term_decomposition(c, k)
+            front, back_raw, _, _ = excitation_blocks(c, k)
             scaled_wk = standard_w(k).amplitudes / math.sqrt(2)
-            np.testing.assert_allclose(w_front.amplitudes, scaled_wk, atol=1e-12)
-            np.testing.assert_allclose(w_back.amplitudes, scaled_wk, atol=1e-12)
+            np.testing.assert_allclose(front.amplitudes, scaled_wk, atol=1e-12)
+            np.testing.assert_allclose(back_raw.amplitudes, scaled_wk, atol=1e-12)
 
     def test_m_out_of_range(self):
         with pytest.raises(ValueError):
-            two_term_decomposition(w_coefficients(4), 4)
+            excitation_blocks(w_coefficients(4), 4)
 
 
 class TestTeleportCondition:
