@@ -41,17 +41,17 @@ from .wstates import (
     UnsuitableResourceError,
     binary_entropy,
     cut_entropy,
+    entropy_scan,
     excitation_blocks,
     generalized_ghz,
     generalized_w,
     ghz,
     ghz_condition,
+    ghz_entropy_scan,
     ghz_suitability_scan,
     modified_w_coefficients,
     partition_entropy_formula,
     permute_coefficients,
-    random_coefficients,
-    random_condition_coefficients,
     standard_w,
     sub_w,
     suitability_scan,
@@ -68,6 +68,7 @@ from .teleport import (
     ghz_measurement_family,
     measurement_family,
     one_qubit_measurement_family,
+    outcome_shape,
     raw_ghz_measurement_vectors,
     raw_measurement_vectors,
     raw_one_qubit_measurement_vectors,
@@ -79,6 +80,7 @@ from .teleport import (
     unknown_state_grid,
 )
 from .sdc import (
+    ENCODING_SETS,
     CapacityResult,
     DecodeVerdict,
     EncodingSet,

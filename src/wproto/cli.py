@@ -38,22 +38,11 @@ from typing import Any
 import numpy as np
 
 from . import __version__
-from .qsim import (
-    MAX_QUBITS,
-    STRUCTURAL_TOL,
-    NormalizationError,
-    reduced_spectrum,
-    spectrum_entropy,
-)
-from .sdc import (
-    capacity_check,
-    general_encoding_set,
-    pauli_product_set,
-    pauli_set,
-    w4_multiunary_set,
-)
+from .qsim import MAX_QUBITS, NormalizationError
+from .sdc import ENCODING_SETS, capacity_check
 from .teleport import (
     STRATEGIES,
+    outcome_shape,
     require_condition,
     run_teleport_grid,
     run_teleport_one_qubit,
@@ -63,11 +52,9 @@ from .wstates import (
     CoefficientVector,
     ConditionReport,
     UnsuitableResourceError,
-    binary_entropy,
-    cut_entropy,
-    generalized_ghz,
-    generalized_w,
+    entropy_scan,
     ghz_condition,
+    ghz_entropy_scan,
     ghz_suitability_scan,
     modified_w_coefficients,
     suitability_scan,
@@ -89,21 +76,12 @@ TASK_FIELDS = {
     "scan": {},
     "entropy": {},
 }
-# Each encoding set: the m it encodes on (None: any m), its operator count at
-# m, and its builder.  The builders look their functions up when called, so a
-# wrapper bound to the module name (the benchmark's tracer) sees every call.
-SDC_SETS = {
-    "pauli": (1, lambda m: 4, lambda c, m: pauli_set()),
-    "w4": (2, lambda m: 8, lambda c, m: w4_multiunary_set()),
-    "generated": (None, lambda m: 2 ** (m + 1), lambda c, m: general_encoding_set(c, m)),
-    "full-products": (2, lambda m: 4**m, lambda c, m: pauli_product_set(m)),
-}
 #: per-scenario budget: the most dense operator entries one sdc encoding set
 #: may hold, and the most amplitudes one teleport grid's reports may keep,
 #: counting 32 more per kept outcome for its Python objects (2^25 complex
 #: entries take 512 MiB; `generated` fits up to m = 8)
 MAX_SET_AMPLITUDES = 2**25
-CHOICES = {"strategy": STRATEGIES, "set": tuple(SDC_SETS), "expect": ("success", "failure")}
+CHOICES = {"strategy": STRATEGIES, "set": tuple(ENCODING_SETS), "expect": ("success", "failure")}
 W_FAMILY = {"w": w_coefficients, "modified-w": modified_w_coefficients}
 NAMED_STATES = ("w", "ghz", "modified-w")
 STATE_FIELDS = {"named": ("named", "n", "a1", "a2"), "coefficients": ("coefficients",)}
@@ -267,7 +245,7 @@ def _parse_scenario(raw: Any, index: int, errors: list[str]) -> Scenario | None:
         if not _is_int(m) or not 1 <= m <= n - 1:
             errors.append(f"{where}.m: integer in 1..{n - 1} required")
         elif echo.get("set") in CHOICES["set"]:
-            arity, count, _ = SDC_SETS[echo["set"]]
+            arity, count, _ = ENCODING_SETS[echo["set"]]
             amplitudes = count(m) * 4**m
             if arity not in (None, m):
                 errors.append(f"{where}.set: {echo['set']!r} encodes on m={arity} only")
@@ -288,7 +266,7 @@ def _parse_scenario(raw: Any, index: int, errors: list[str]) -> Scenario | None:
             if not _is_int(grid[key]) or grid[key] < low:
                 errors.append(f"{where}.grid.{key}: integer >= {low} required")
         if len(errors) == before:  # each run keeps its outcomes' (2^q,) states
-            outcomes, q = (16, 1) if echo["strategy"] == "serial" else (4, echo["m"])
+            outcomes, q = outcome_shape(echo["m"], echo["strategy"])
             kept = grid["count"] * outcomes * (2**q + 32)
             if kept > MAX_SET_AMPLITUDES:
                 errors.append(
@@ -391,7 +369,7 @@ def _run_sdc(s: Scenario) -> tuple[dict, bool, str]:
     results: dict[str, Any] = {"set": name}
     try:
         require_condition(c, m)  # before the set is built: a refusal names the sums
-        capacity = capacity_check(c, m, SDC_SETS[name][2](c, m))
+        capacity = capacity_check(c, m, ENCODING_SETS[name][2](c, m))
         results.update(
             set_size=capacity.set_size,
             bits=capacity.bits,
@@ -414,16 +392,10 @@ def _run_sdc(s: Scenario) -> tuple[dict, bool, str]:
 
 def _run_entropy(s: Scenario) -> tuple[dict, bool, str]:
     if isinstance(s.resource, CoefficientVector):
-        state = generalized_w(s.resource)
-        closed = [cut_entropy(s.resource, x) for x in range(1, s.n)]
+        scan = entropy_scan(s.resource)
     else:
-        state = generalized_ghz(*s.resource, s.n)
-        closed = [binary_entropy(abs(s.resource[0]) ** 2)] * (s.n - 1)
-    rows = []
-    for x, formula in enumerate(closed, 1):
-        simulated = spectrum_entropy(reduced_spectrum(state, range(s.n - x + 1, s.n + 1)))
-        match = abs(simulated - formula) <= STRUCTURAL_TOL
-        rows.append({"x": x, "simulated": simulated, "formula": formula, "match": match})
+        scan = ghz_entropy_scan(*s.resource, s.n)
+    rows = [dict(zip(("x", "simulated", "formula", "match"), row)) for row in scan]
     if all(row["match"] for row in rows):
         return {"rows": rows}, True, "simulated bipartition entropies match the closed form"
     return {"rows": rows}, False, "simulated entropy deviates from the closed form"

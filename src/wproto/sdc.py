@@ -164,6 +164,17 @@ def general_encoding_set(c: CoefficientVector, m: int) -> EncodingSet:
     return EncodingSet([u.permute_rows(f) for f in flips for u in corrections])
 
 
+#: each named set: the m it encodes on (None: any m), its operator count at m
+#: and its builder, which looks its function up when called, so a wrapper
+#: bound to the module name (a profiler, a test's patch) sees every call
+ENCODING_SETS = {
+    "pauli": (1, lambda m: 4, lambda c, m: pauli_set()),
+    "w4": (2, lambda m: 8, lambda c, m: w4_multiunary_set()),
+    "generated": (None, lambda m: 2 ** (m + 1), lambda c, m: general_encoding_set(c, m)),
+    "full-products": (2, lambda m: 4**m, lambda c, m: pauli_product_set(m)),
+}
+
+
 def _sender_qubits(c: CoefficientVector, m: int, encoding: EncodingSet) -> range:
     """Gate on the split condition at m and the set's size; the sender's
     last m qubits."""

@@ -300,18 +300,14 @@ def transfer_unitary(m: int, wm: StateVector) -> Unitary:
     return Unitary(t)
 
 
-def _then(t: Unitary, ops: Sequence[Unitary]) -> list[Unitary]:
-    """Each of ``ops`` followed by ``t``."""
-    return [Unitary(t.matrix @ u.matrix) for u in ops]
-
-
 def bob_strategy2_set(m: int, wm: StateVector) -> list[Unitary]:
-    """The strategy-1 corrections composed with the transfer onto one qubit.
+    """The strategy-1 corrections, each followed by the transfer onto one qubit.
 
     Applying the k-th operator to the k-th measurement branch leaves the
     receiver's register in |0..0> (x) (alpha|0> + beta|1>) on his last qubit.
     """
-    return _then(transfer_unitary(m, wm), bob_strategy1_set(m, wm))
+    t = transfer_unitary(m, wm)
+    return [Unitary(t.matrix @ u.matrix) for u in bob_strategy1_set(m, wm)]
 
 
 def serial_basis(m: int, wm: StateVector) -> MeasurementBasis:
@@ -337,6 +333,12 @@ _BELL = superpose([(1.0 / math.sqrt(2.0), make_basis_state(2, [b, b])) for b in 
 #: the branch rows stacked at once hold at most as many amplitudes as the
 #: largest joint state the qubit budget allows
 _STACK_AMPLITUDES = 2 ** (MAX_QUBITS + 1)
+
+
+def outcome_shape(m: int, strategy: str) -> tuple[int, int]:
+    """(outcomes, post-state qubits) of one :func:`run_teleport_grid` run: four
+    on the receiver's m qubits, or sixteen on one after the ``serial`` relay."""
+    return (16, 1) if strategy == "serial" else (4, m)
 
 
 def _teleport(
@@ -448,9 +450,7 @@ def run_teleport_grid(
     basis = one_qubit_measurement_family(c, m)  # gates on the split condition
     wm = excitation_blocks(c, m)[2]
     resource = generalized_w(c)
-    corrections = bob_strategy1_set(m, wm)
-    if strategy == "transfer":
-        corrections = _then(transfer_unitary(m, wm), corrections)
+    corrections = (bob_strategy2_set if strategy == "transfer" else bob_strategy1_set)(m, wm)
     relay = serial_basis(m, wm) if strategy == "serial" else None
     zero, describe = zero_state(m), _describe(c, m)
     batch = max(1, _STACK_AMPLITUDES >> (m + 2))

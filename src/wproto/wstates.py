@@ -28,6 +28,7 @@ from .qsim import (
     NormalizationError,
     StateVector,
     reduced_spectrum,
+    spectrum_entropy,
 )
 
 
@@ -278,17 +279,18 @@ def cut_entropy(c: CoefficientVector, x: int) -> float:
     return binary_entropy(teleport_condition(c, x).right_sum)
 
 
-def _checked_scan(state: StateVector, condition) -> list[ConditionReport]:
-    """``condition(m)`` for every m in 1..n-1, checked against the simulator.
+def _checked_scan(state: StateVector, condition, side: str | None = None) -> tuple[list, list]:
+    """``condition(m)`` for every m in 1..n-1, checked against the simulated
+    spectrum of the last m qubits; given a ``side``, also the entropy row from
+    that spectrum: (m, simulated entropy, H(report.<side>), match within tolerance).
 
-    Both state families split into two orthogonal terms across every cut,
-    so the simulated reduced state of the last m qubits has exactly two
-    nonzero eigenvalues, which must equal the report's left and right sums.
-    The comparison is in the same linear units as ``holds``; a disagreement
-    would mean the checker and the simulator have diverged, so it raises.
+    Both state families split into two orthogonal terms across every cut, so
+    the spectrum has exactly two nonzero eigenvalues, which must equal the
+    report's left and right sums; a disagreement would mean the checker and
+    the simulator have diverged, so it raises.
     """
     n = state.num_qubits
-    reports = []
+    reports, rows = [], []
     for m in range(1, n):
         rep = condition(m)
         spectrum = reduced_spectrum(state, range(n - m + 1, n + 1))
@@ -301,19 +303,36 @@ def _checked_scan(state: StateVector, condition) -> list[ConditionReport]:
                 f" (max deviation {deviation:.3e})"
             )
         reports.append(rep)
-    return reports
+        if side:
+            simulated, formula = spectrum_entropy(spectrum), binary_entropy(getattr(rep, side))
+            rows.append((m, simulated, formula, abs(simulated - formula) <= STRUCTURAL_TOL))
+    return reports, rows
 
 
 def suitability_scan(c: CoefficientVector) -> list[ConditionReport]:
     """Condition reports for every partition size m in 1..n-1, each
     cross-validated against the simulated reduced spectrum."""
-    return _checked_scan(generalized_w(c), lambda m: teleport_condition(c, m))
+    return _checked_scan(generalized_w(c), lambda m: teleport_condition(c, m))[0]
 
 
 def ghz_suitability_scan(a1: complex, a2: complex, n: int) -> list[ConditionReport]:
     """Per-partition reports for a generalized GHZ state, cross-validated
     against the simulated reduced spectrum {|a1|^2, |a2|^2}."""
-    return _checked_scan(generalized_ghz(a1, a2, n), lambda m: ghz_condition(a1, a2, m))
+    state = generalized_ghz(a1, a2, n)
+    return _checked_scan(state, lambda m: ghz_condition(a1, a2, m))[0]
+
+
+def entropy_scan(c: CoefficientVector) -> list[tuple[int, float, float, bool]]:
+    """(x, simulated entropy, :func:`cut_entropy`, match) for the last x
+    qubits, x in 1..n-1, from the spectra :func:`suitability_scan` checks."""
+    return _checked_scan(generalized_w(c), lambda m: teleport_condition(c, m), "right_sum")[1]
+
+
+def ghz_entropy_scan(a1: complex, a2: complex, n: int) -> list[tuple[int, float, float, bool]]:
+    """(x, simulated entropy, H(|a1|^2), match) for the last x qubits of the
+    generalized GHZ state, x in 1..n-1."""
+    state = generalized_ghz(a1, a2, n)
+    return _checked_scan(state, lambda m: ghz_condition(a1, a2, m), "left_sum")[1]
 
 
 def permute_coefficients(c: CoefficientVector, order: Sequence[int]) -> CoefficientVector:
@@ -328,25 +347,3 @@ def permute_coefficients(c: CoefficientVector, order: Sequence[int]) -> Coeffici
         raise ValueError(f"order must be a permutation of 1..{c.n}")
     return CoefficientVector(c.coeffs[[q - 1 for q in order]])
 
-
-def random_coefficients(n: int, rng: np.random.Generator) -> CoefficientVector:
-    """Haar-ish random normalized complex coefficients."""
-    raw = rng.normal(size=n) + 1j * rng.normal(size=n)
-    return CoefficientVector.normalize(raw)
-
-
-def random_condition_coefficients(
-    n: int, m: int, rng: np.random.Generator
-) -> CoefficientVector:
-    """Random coefficients that satisfy the split condition at partition m.
-
-    Each block is drawn at random and rescaled to squared norm 1/2, so
-    ``teleport_condition(result, m).holds`` by construction.
-    """
-    if not (1 <= m <= n - 1):
-        raise ValueError(f"partition size m={m} must lie in 1..{n - 1}")
-    front = rng.normal(size=n - m) + 1j * rng.normal(size=n - m)
-    back = rng.normal(size=m) + 1j * rng.normal(size=m)
-    front *= 1.0 / (math.sqrt(2.0) * np.linalg.norm(front))
-    back *= 1.0 / (math.sqrt(2.0) * np.linalg.norm(back))
-    return CoefficientVector(np.concatenate([front, back]))

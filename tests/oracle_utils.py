@@ -7,7 +7,11 @@ machinery, so a bug in the package cannot hide in its own verification.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from wproto.wstates import CoefficientVector
 
 
 def ket(n: int, bits: str) -> np.ndarray:
@@ -79,3 +83,26 @@ def gram_of(vectors: list[np.ndarray]) -> np.ndarray:
         for j in range(k):
             g[i, j] = np.sum(np.conj(vectors[i]) * vectors[j])
     return g
+
+
+def random_coefficients(n: int, rng: np.random.Generator) -> CoefficientVector:
+    """Haar-ish random normalized complex coefficients."""
+    raw = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return CoefficientVector.normalize(raw)
+
+
+def random_condition_coefficients(
+    n: int, m: int, rng: np.random.Generator
+) -> CoefficientVector:
+    """Random coefficients that satisfy the split condition at partition m.
+
+    Each block is drawn at random and rescaled to squared norm 1/2, so
+    ``teleport_condition(result, m).holds`` by construction.
+    """
+    if not (1 <= m <= n - 1):
+        raise ValueError(f"partition size m={m} must lie in 1..{n - 1}")
+    front = rng.normal(size=n - m) + 1j * rng.normal(size=n - m)
+    back = rng.normal(size=m) + 1j * rng.normal(size=m)
+    front *= 1.0 / (math.sqrt(2.0) * np.linalg.norm(front))
+    back *= 1.0 / (math.sqrt(2.0) * np.linalg.norm(back))
+    return CoefficientVector(np.concatenate([front, back]))

@@ -42,8 +42,6 @@ from wproto.wstates import (
     ghz_suitability_scan,
     modified_w_coefficients,
     partition_entropy_formula,
-    random_coefficients,
-    random_condition_coefficients,
     standard_w,
     sub_w,
     suitability_scan,
@@ -51,7 +49,7 @@ from wproto.wstates import (
     w_coefficients,
 )
 
-from oracle_utils import gram_of
+from oracle_utils import gram_of, random_coefficients, random_condition_coefficients
 
 REPO = Path(__file__).resolve().parents[1]
 ACCEPTANCE_CONFIG = REPO / "configs" / "acceptance.json"

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import wproto.cli as cli
+import wproto.sdc as sdc
 from wproto.cli import TASKS, ConfigError, RunReport, emit, main, parse_config, run
 
 REPO = Path(__file__).resolve().parents[1]
@@ -130,7 +131,7 @@ class TestRun:
         def build(c, m):
             raise AssertionError("the set was built for an unsuitable resource")
 
-        monkeypatch.setattr(cli, "general_encoding_set", build)
+        monkeypatch.setattr(sdc, "general_encoding_set", build)
         doc = make_config(
             [{"task": "sdc", "state": {"named": "w", "n": 5}, "m": 2, "set": "generated",
               "expect": "failure"}]

@@ -38,6 +38,35 @@ def test_no_module_imports_a_private_name_from_another():
     assert not offenders
 
 
+def test_the_cli_holds_no_physics():
+    # the CLI parses, calls one library function per task and formats the
+    # result: tolerances, spectra, entropies and encoding sets stay below it
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    from_qsim = {
+        alias.name
+        for node in imports
+        if (node.module or "").removeprefix("wproto.") == "qsim"
+        for alias in node.names
+    }
+    assert from_qsim <= {"MAX_QUBITS", "NormalizationError"}
+    names = {alias.name for node in imports for alias in node.names}
+    names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not [name for name in names if name.endswith("_TOL") or name == "FIDELITY_THRESHOLD"]
+    physics = {
+        "reduced_spectrum",
+        "spectrum_entropy",
+        "binary_entropy",
+        "cut_entropy",
+        "pauli_set",
+        "w4_multiunary_set",
+        "general_encoding_set",
+        "pauli_product_set",
+    }
+    assert not names & physics
+
+
 @pytest.mark.parametrize("name", sorted(GOLDENS))
 def test_acceptance_report_is_byte_identical_to_golden(tmp_path, name):
     config, golden = GOLDENS[name]

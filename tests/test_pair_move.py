@@ -29,9 +29,10 @@ from wproto.wstates import (
     CoefficientVector,
     excitation_blocks,
     modified_w_coefficients,
-    random_condition_coefficients,
     w_coefficients,
 )
+
+from oracle_utils import random_condition_coefficients
 
 TOL = 1e-12
 

@@ -21,9 +21,10 @@ from wproto.qsim import (
 from wproto.wstates import (
     CoefficientVector,
     ghz_suitability_scan,
-    random_coefficients,
     suitability_scan,
 )
+
+from oracle_utils import random_coefficients
 
 SPECTRUM_TOL = 1e-12
 

@@ -26,11 +26,10 @@ from wproto.wstates import (
     CoefficientVector,
     generalized_ghz,
     generalized_w,
-    random_condition_coefficients,
     w_coefficients,
 )
 
-from oracle_utils import build_state, gram_of
+from oracle_utils import build_state, gram_of, random_condition_coefficients
 
 SQ2 = 1 / math.sqrt(2)
 MOD_W3 = CoefficientVector([0.5, 0.5, SQ2])

@@ -48,12 +48,11 @@ from wproto.wstates import (
     CoefficientVector,
     excitation_blocks,
     generalized_w,
-    random_condition_coefficients,
     standard_w,
     w_coefficients,
 )
 
-from oracle_utils import build_state, gram_of, ket, oracle_branch
+from oracle_utils import build_state, gram_of, ket, oracle_branch, random_condition_coefficients
 
 SQ2 = 1 / math.sqrt(2)
 MOD_W3 = CoefficientVector([0.5, 0.5, SQ2])

@@ -32,6 +32,7 @@ from wproto.teleport import (
     raw_ghz_measurement_vectors,
     raw_measurement_vectors,
     one_qubit_measurement_family,
+    outcome_shape,
     raw_one_qubit_measurement_vectors,
     run_teleport_encoded,
     run_teleport_grid,
@@ -44,9 +45,10 @@ from wproto.wstates import (
     excitation_blocks,
     generalized_w,
     modified_w_coefficients,
-    random_condition_coefficients,
     w_coefficients,
 )
+
+from oracle_utils import random_condition_coefficients
 
 STRATEGIES = ("subspace", "transfer", "serial")
 
@@ -103,6 +105,21 @@ def test_rejection_comes_before_any_construction(monkeypatch):
 def test_strategy_is_checked_before_the_resource():
     with pytest.raises(ValueError, match="unknown strategy"):
         run_teleport_grid(w_coefficients(5), 2, [UnknownState(1, 0)], "swap")
+
+
+
+@pytest.mark.parametrize("strategy", teleport.STRATEGIES)
+def test_outcome_shape_is_what_a_run_keeps(strategy):
+    resources = [
+        (modified_w_coefficients(3), 1),
+        (w_coefficients(4), 2),
+        (random_condition_coefficients(7, 3, np.random.default_rng(6)), 3),
+    ]
+    for c, m in resources:
+        outcomes, qubits = outcome_shape(m, strategy)
+        for report in run_teleport_grid(c, m, unknown_state_grid(2, 4), strategy):
+            assert len(report.outcomes) == outcomes
+            assert [o.post_state.num_qubits for o in report.outcomes] == [qubits] * outcomes
 
 
 def test_probability_deviation_uses_the_branch_count():

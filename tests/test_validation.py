@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wproto.cli as cli
+import wproto.sdc as sdc
 import wproto.wstates as wstates
 from wproto.cli import ConfigError, emit, main, parse_config, run
 from wproto.qsim import (
@@ -37,6 +38,8 @@ from wproto.wstates import (
     teleport_condition,
     w_coefficients,
 )
+
+from oracle_utils import random_condition_coefficients
 
 NAN = float("nan")
 
@@ -172,7 +175,7 @@ class TestEntropyClosedFormForEveryWState:
                 )
 
     def test_wrong_simulated_entropy_fails_the_scenario(self, monkeypatch):
-        monkeypatch.setattr(cli, "spectrum_entropy", lambda lam: 1e-6)
+        monkeypatch.setattr(wstates, "spectrum_entropy", lambda lam: 1e-6)
         doc = {"task": "entropy", "state": {"coefficients": [[0.6, 0], [0, 0.8], [0, 0]]}}
         report = run(parse_config(json.dumps(doc)))
         entry = report.payload["scenarios"][0]
@@ -235,15 +238,15 @@ class TestOperatorBudget:
         doc = {"task": "sdc", "state": {"named": "w", "n": 16}, "m": 8, "set": "generated"}
         assert parse_config(json.dumps(doc)).scenarios[0].echo["m"] == 8
         # full-products encodes on m = 2 only; the budget alone would allow m <= 6
-        arity, count, _ = cli.SDC_SETS["full-products"]
+        arity, count, _ = sdc.ENCODING_SETS["full-products"]
         assert arity == 2
         assert count(6) * 4**6 <= cli.MAX_SET_AMPLITUDES < count(7) * 4**7
         doc = {"task": "sdc", "state": {"named": "w", "n": 4}, "m": 2, "set": "full-products"}
         assert parse_config(json.dumps(doc)).scenarios[0].echo["m"] == 2
 
-    @pytest.mark.parametrize("name", sorted(cli.SDC_SETS))
+    @pytest.mark.parametrize("name", sorted(sdc.ENCODING_SETS))
     def test_set_counts_match_the_builders(self, name):
-        arity, count, build = cli.SDC_SETS[name]
+        arity, count, build = sdc.ENCODING_SETS[name]
         m = arity or 3
         c = w_coefficients(2 * m)
         assert len(build(c, m).operators) == count(m)
@@ -444,7 +447,7 @@ def _unit_pairs(draw, min_size, max_size):
 
 
 def _balanced(n, m, seed):
-    c = wstates.random_condition_coefficients(n, m, np.random.default_rng(seed))
+    c = random_condition_coefficients(n, m, np.random.default_rng(seed))
     return [[z.real, z.imag] for z in c.coeffs]
 
 
@@ -471,7 +474,7 @@ _STATE = st.one_of(
 _FIELDS = {
     "m": st.integers(0, 7) | st.integers(1, 2),  # the encoding sets' own m, more often
     "strategy": st.sampled_from(cli.STRATEGIES),
-    "set": st.sampled_from(tuple(cli.SDC_SETS)),
+    "set": st.sampled_from(tuple(sdc.ENCODING_SETS)),
     "grid": st.fixed_dictionaries(
         {"count": st.integers(0, 3)}, optional={"seed": st.integers(-1, 2**32)}
     ),

@@ -1,5 +1,6 @@
 """State-family constructors and suitability-condition checkers."""
 
+import cmath
 import math
 
 import numpy as np
@@ -8,8 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wproto.qsim import (
+    STRUCTURAL_TOL,
     NormalizationError,
     partial_trace,
+    reduced_spectrum,
+    spectrum_entropy,
     superpose,
     tensor,
     von_neumann_entropy,
@@ -18,17 +22,19 @@ from wproto.qsim import (
 from wproto.wstates import (
     CoefficientVector,
     UnsuitableResourceError,
+    binary_entropy,
+    cut_entropy,
+    entropy_scan,
     excitation_blocks,
     generalized_ghz,
     generalized_w,
     ghz,
     ghz_condition,
+    ghz_entropy_scan,
     ghz_suitability_scan,
     modified_w_coefficients,
     partition_entropy_formula,
     permute_coefficients,
-    random_coefficients,
-    random_condition_coefficients,
     standard_w,
     sub_w,
     suitability_scan,
@@ -36,7 +42,7 @@ from wproto.wstates import (
     w_coefficients,
 )
 
-from oracle_utils import build_state
+from oracle_utils import build_state, random_coefficients, random_condition_coefficients
 
 H13 = 0.9182958340544896
 SQ2 = 1 / math.sqrt(2)
@@ -356,6 +362,39 @@ class TestSuitabilityScan:
             m = int(rng.integers(1, n))
             reports = suitability_scan(random_condition_coefficients(n, m, rng))
             assert reports[m - 1].holds
+
+
+
+class TestEntropyScan:
+    """Each row is, bit for bit, the simulated entropy of the last x qubits'
+    spectrum and the closed form, compared within ``STRUCTURAL_TOL``."""
+
+    @staticmethod
+    def check(rows, state, closed):
+        n = state.num_qubits
+        assert [row[0] for row in rows] == list(range(1, n))
+        for x, simulated, formula, match in rows:
+            assert simulated == spectrum_entropy(reduced_spectrum(state, range(n - x + 1, n + 1)))
+            assert formula == closed(x)
+            assert match == (abs(simulated - formula) <= STRUCTURAL_TOL)
+            assert match
+
+    @settings(max_examples=60, deadline=None)
+    @given(coeffs=coefficient_lists(2, 8))
+    def test_w_rows_are_the_spectrum_and_cut_entropy(self, coeffs):
+        c = CoefficientVector(coeffs)
+        self.check(entropy_scan(c), generalized_w(c), lambda x: cut_entropy(c, x))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        theta=st.floats(0, math.pi / 2),
+        phases=st.tuples(st.floats(0, 2 * math.pi), st.floats(0, 2 * math.pi)),
+        n=st.integers(2, 8),
+    )
+    def test_ghz_rows_are_the_spectrum_and_the_a1_weight(self, theta, phases, n):
+        a1, a2 = cmath.rect(math.cos(theta), phases[0]), cmath.rect(math.sin(theta), phases[1])
+        state = generalized_ghz(a1, a2, n)
+        self.check(ghz_entropy_scan(a1, a2, n), state, lambda x: binary_entropy(abs(a1) ** 2))
 
 
 def test_random_condition_coefficients_hold():
