@@ -9,11 +9,12 @@ are algebraic identities, not statistics.
 
 import numpy as np
 
-from wproto import UnknownState, run_teleport_one_qubit, w_coefficients
+from wproto import StateVector, run_teleport_one_qubit, w_coefficients
 
 c = w_coefficients(4)
-psi = UnknownState(0.6, 0.8j)
-print(f"input qubit: alpha={psi.alpha}, beta={psi.beta}")
+psi = StateVector(1, [0.6, 0.8j])
+alpha, beta = (complex(a) for a in psi.amplitudes)
+print(f"input qubit: alpha={alpha}, beta={beta}")
 print()
 
 print("=== strategy 'subspace': keep the state encoded on two qubits ===")

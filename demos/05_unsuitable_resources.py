@@ -9,7 +9,7 @@ family's span.  This script triggers both on purpose.
 import numpy as np
 
 from wproto import (
-    UnknownState,
+    StateVector,
     UnsuitableResourceError,
     ghz_suitability_scan,
     gram_matrix,
@@ -22,7 +22,7 @@ from wproto import (
 print("=== uniform odd-n W-states are rejected up front ===")
 for n in (3, 5, 7):
     try:
-        run_teleport_one_qubit(w_coefficients(n), 1, UnknownState(0.6, 0.8))
+        run_teleport_one_qubit(w_coefficients(n), 1, StateVector(1, [0.6, 0.8]))
     except UnsuitableResourceError as err:
         rep = err.report
         print(f"  n={n}: rejected — sums {rep.left_sum:.4f} / {rep.right_sum:.4f}")

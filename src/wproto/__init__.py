@@ -61,7 +61,6 @@ from .wstates import (
 from .teleport import (
     FIDELITY_THRESHOLD,
     ProtocolReport,
-    UnknownState,
     bob_strategy1_set,
     bob_strategy2_set,
     encoded_state,

@@ -130,6 +130,11 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _present(obj: dict) -> dict:
+    """``obj`` without its null fields: a null field is an absent one."""
+    return {key: value for key, value in obj.items() if value is not None}
+
+
 def _reject_unknown(obj: dict, known, where: str, errors: list[str]) -> None:
     errors += [f"{where}: unknown field {key!r}" for key in obj if key not in known]
 
@@ -154,6 +159,7 @@ def _parse_state(obj: Any, where: str, errors: list[str]) -> tuple[Any, int, dic
     if not isinstance(obj, dict):
         errors.append(f"{where}: state must be an object")
         return None
+    obj = _present(obj)
     kinds = [kind for kind in STATE_FIELDS if kind in obj]
     if len(kinds) != 1:
         errors.append(f"{where}: state needs exactly one of 'named' or 'coefficients'")
@@ -175,14 +181,10 @@ def _parse_state(obj: Any, where: str, errors: list[str]) -> tuple[Any, int, dic
         if "a1" in obj or "a2" in obj:
             errors.append(f"{where}: a1/a2 only apply to the ghz state")
         return W_FAMILY[name](n), n, {"named": name, "n": n}
-    a1 = obj.get("a1")
-    a1 = complex(1.0 / math.sqrt(2.0)) if a1 is None else _as_complex(a1, f"{where}.a1", errors)
-    a2 = obj.get("a2")
-    if a2 is None:  # |a1| by hypot: abs(a1) raises OverflowError past the float range
-        r = math.hypot(a1.real, a1.imag)
-        a2 = complex(math.sqrt(1.0 - r**2)) if r < 1.0 else 0j
-    else:
-        a2 = _as_complex(a2, f"{where}.a2", errors)
+    a1 = _as_complex(obj.get("a1", [1.0 / math.sqrt(2.0), 0.0]), f"{where}.a1", errors)
+    r = math.hypot(a1.real, a1.imag)  # |a1|: abs(a1) raises OverflowError past the float range
+    fill = [math.sqrt(1.0 - r**2) if r < 1.0 else 0.0, 0.0]
+    a2 = _as_complex(obj.get("a2", fill), f"{where}.a2", errors)
     try:
         ghz_condition(a1, a2)
     except NormalizationError as exc:
@@ -214,6 +216,7 @@ def _parse_scenario(raw: Any, index: int, errors: list[str]) -> Scenario | None:
     if not isinstance(raw, dict):
         errors.append(f"{where}: must be an object")
         return None
+    raw = _present(raw)
     task = raw.get("task")
     fields = TASK_FIELDS[task] if task in TASKS else {}
     for key in raw:
@@ -222,7 +225,7 @@ def _parse_scenario(raw: Any, index: int, errors: list[str]) -> Scenario | None:
         users = [name for name, optional in TASK_FIELDS.items() if key in optional]
         if not users:
             errors.append(f"{where}: unknown field {key!r}")
-        elif task in TASKS and raw[key] is not None:
+        elif task in TASKS:
             errors.append(f"{where}.{key}: only applies to the {' or '.join(users)} task")
     if task not in TASKS:
         errors.append(f"{where}.task: must be one of {TASKS}")
@@ -233,7 +236,7 @@ def _parse_scenario(raw: Any, index: int, errors: list[str]) -> Scenario | None:
         return None
     resource, n, state_echo = state
 
-    echo = {key: value if raw.get(key) is None else raw[key] for key, value in fields.items()}
+    echo = {key: raw.get(key, value) for key, value in fields.items()}
     echo.update(task=task, state=state_echo, expect=raw.get("expect", "success"))
     for key, choices in CHOICES.items():
         if key in echo and echo[key] not in choices:
@@ -260,6 +263,7 @@ def _parse_scenario(raw: Any, index: int, errors: list[str]) -> Scenario | None:
         if not isinstance(grid, dict):
             errors.append(f"{where}.grid: must be an object with count/seed")
             return None
+        grid = _present(grid)
         _reject_unknown(grid, fields["grid"], f"{where}.grid", errors)
         echo["grid"] = grid = {**fields["grid"], **grid}
         for key, low in (("count", 1), ("seed", 0)):

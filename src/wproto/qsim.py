@@ -218,6 +218,10 @@ class Unitary:
         return f"Unitary(dimension={self.dimension})"
 
 
+#: ``PAULI_FOUR`` as checked operators, built once
+PAULIS = tuple(Unitary(sigma) for sigma in PAULI_FOUR)
+
+
 class MeasurementBasis:
     """Orthonormal family of labeled vectors on an ordered qubit subset.
 

@@ -41,6 +41,7 @@ import numpy as np
 from .qsim import (
     NORM_PRESERVATION_TOL,
     PAULI_FOUR,
+    PAULIS,
     STRUCTURAL_TOL,
     InternalConsistencyError,
     StateVector,
@@ -122,7 +123,7 @@ class CapacityResult:
 
 def pauli_set() -> EncodingSet:
     """The four single-qubit encoding operators (identity, flips, sign)."""
-    return EncodingSet([Unitary(s) for s in PAULI_FOUR])
+    return EncodingSet(PAULIS)
 
 
 def w4_multiunary_set() -> EncodingSet:

@@ -33,14 +33,15 @@ off first.  Every grid point keeps its own probabilities, checks and
 fidelity, equal bit for bit to a run of that point alone.
 :func:`run_teleport_one_qubit` is the one-state case and
 :func:`run_teleport_encoded` sends any m-qubit register through the same
-pipeline, whose checks refuse one outside span{|0..0>, |w>}.  Every branch
-is enumerated deterministically; nothing is sampled.
+pipeline, whose checks refuse one outside span{|0..0>, |w>}.  Each entry
+point refuses a bad ``StateVector`` register with one shared check.  Every
+branch is enumerated deterministically; nothing is sampled.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -48,6 +49,7 @@ import numpy as np
 from .qsim import (
     MAX_QUBITS,
     PAULI_FOUR,
+    PAULIS,
     STRUCTURAL_TOL,
     ZERO_PROBABILITY,
     DimensionError,
@@ -89,21 +91,6 @@ CORRECTION_INDEX = dict(zip(FAMILY_LABELS + SERIAL_LABELS, (0, 3, 1, 2) * 2))
 STRATEGIES = ("subspace", "transfer", "serial")
 
 _K0, _K1 = make_basis_state(1, [0]), make_basis_state(1, [1])
-
-
-@dataclass(frozen=True)
-class UnknownState:
-    """The one-qubit state alpha|0> + beta|1> to be teleported; its pair
-    check builds ``state_vector`` once."""
-
-    alpha: complex
-    beta: complex
-    state_vector: StateVector = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", complex(self.alpha))
-        object.__setattr__(self, "beta", complex(self.beta))
-        object.__setattr__(self, "state_vector", require_unit_pair(self.alpha, self.beta))
 
 
 @dataclass(frozen=True)
@@ -365,7 +352,6 @@ def _teleport(
     joints = ((psi.amplitudes[:, None] * half).reshape(1, -1) for psi in inputs)
     measured = [project_stack(joint, basis) for joint in joints]
     receiver = tuple(range(1, corrections[0].dimension.bit_length()))
-    paulis = [Unitary(sigma) for sigma in PAULI_FOUR] if relay is not None else None
     columns = []
     for rows in zip(*measured):
         label, p = rows[0][0], np.concatenate([r[1] for r in rows])
@@ -381,7 +367,7 @@ def _teleport(
             for inner, q, post in project_stack(extended, relay):
                 if not (q > ZERO_PROBABILITY).all():
                     raise InternalConsistencyError(f"branch {label}|{inner} has probability 0")
-                pauli = paulis[CORRECTION_INDEX[inner]]
+                pauli = PAULIS[CORRECTION_INDEX[inner]]
                 final = apply_unitary_stack(post, pauli, (1,))
                 branches.append((f"{label}|{inner}", p * q, final, pauli))
         for name, prob, final, u in branches:
@@ -404,6 +390,15 @@ def _describe(c: CoefficientVector, m: int) -> str:
     return f"generalized W-state, n={c.n}, partition m={m}"
 
 
+def _require_registers(states: Sequence[StateVector], qubits: int) -> None:
+    """Refuse a bad register before anything multiplies it (inf * 0 is NaN)."""
+    for psi in states:
+        if psi.num_qubits != qubits:
+            raise DimensionError(f"register has {psi.num_qubits} qubits, need {qubits}")
+        if not psi.normalized:
+            raise NormalizationError("the register must be normalized")
+
+
 def run_teleport_encoded(c: CoefficientVector, m: int, psi: StateVector) -> ProtocolReport:
     """Teleport any m-qubit register ``psi`` through the resource.
 
@@ -417,10 +412,7 @@ def run_teleport_encoded(c: CoefficientVector, m: int, psi: StateVector) -> Prot
     ProtocolViolationError.
     """
     basis = measurement_family(c, m)
-    if psi.num_qubits != m:
-        raise DimensionError(f"register has {psi.num_qubits} qubits, resource partition m={m}")
-    if not psi.normalized:  # before the joint state, where inf * 0 would make NaN
-        raise NormalizationError("the register must be normalized")
+    _require_registers([psi], m)
     wm = excitation_blocks(c, m)[2]
     return _teleport(
         [psi], [psi], generalized_w(c), basis, bob_strategy1_set(m, wm), _describe(c, m), None
@@ -428,13 +420,10 @@ def run_teleport_encoded(c: CoefficientVector, m: int, psi: StateVector) -> Prot
 
 
 def run_teleport_grid(
-    c: CoefficientVector,
-    m: int,
-    states: Sequence[UnknownState],
-    strategy: str = "subspace",
+    c: CoefficientVector, m: int, states: Sequence[StateVector], strategy: str = "subspace"
 ) -> list[ProtocolReport]:
-    """Teleport each genuine one-qubit state; the receiver recovers it per
-    ``strategy`` (see module docstring).  One report per state, in order.
+    """Teleport each one-qubit register alpha|0> + beta|1>; the receiver
+    recovers it per ``strategy`` (see module docstring).  One report per state, in order.
 
     The resource's family, corrections and relay basis are built once;
     every state then gets its own full branch enumeration and per-branch
@@ -448,6 +437,7 @@ def run_teleport_grid(
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; pick one of {STRATEGIES}")
     basis = one_qubit_measurement_family(c, m)  # gates on the split condition
+    _require_registers(states, 1)
     wm = excitation_blocks(c, m)[2]
     resource = generalized_w(c)
     corrections = (bob_strategy2_set if strategy == "transfer" else bob_strategy1_set)(m, wm)
@@ -457,24 +447,19 @@ def run_teleport_grid(
     reports = []
     for start in range(0, len(states), batch):
         chunk = states[start : start + batch]
-        inputs = [psi.state_vector for psi in chunk]
-        targets = inputs
+        targets = chunk
         if strategy == "subspace":
-            targets = [superpose([(psi.alpha, zero), (psi.beta, wm)]) for psi in chunk]
+            targets = [superpose(zip(psi.amplitudes, (zero, wm))) for psi in chunk]
         reports += _teleport(
-            inputs, targets, resource, basis, corrections, describe, strategy, relay
+            chunk, targets, resource, basis, corrections, describe, strategy, relay
         )
     return reports
 
 
 def run_teleport_one_qubit(
-    c: CoefficientVector,
-    m: int,
-    psi: UnknownState,
-    strategy: str = "subspace",
+    c: CoefficientVector, m: int, psi: StateVector, strategy: str = "subspace"
 ) -> ProtocolReport:
-    """Teleport one genuine one-qubit state: :func:`run_teleport_grid` for a
-    single state."""
+    """Teleport one register: :func:`run_teleport_grid` for a single state."""
     return run_teleport_grid(c, m, [psi], strategy)[0]
 
 
@@ -494,8 +479,8 @@ def _extract_last_qubit(rows: np.ndarray) -> list[StateVector]:
     return [StateVector(1, pair / np.linalg.norm(pair)) for pair in rows[:, :2]]
 
 
-def unknown_state_grid(count: int, seed: int) -> list[UnknownState]:
-    """Deterministic grid of unknown states including complex phases.
+def unknown_state_grid(count: int, seed: int) -> list[StateVector]:
+    """Deterministic grid of registers cos(t)|0> + sin(t) e^(ip)|1>.
 
     Seed-derived so a run can be reproduced exactly from its recorded
     configuration.
@@ -506,6 +491,6 @@ def unknown_state_grid(count: int, seed: int) -> list[UnknownState]:
     theta = rng.uniform(0.0, math.pi / 2.0, size=count)
     phase = rng.uniform(0.0, 2.0 * math.pi, size=count)
     return [
-        UnknownState(math.cos(t), math.sin(t) * complex(math.cos(p), math.sin(p)))
+        StateVector(1, [math.cos(t), math.sin(t) * complex(math.cos(p), math.sin(p))])
         for t, p in zip(theta, phase)
     ]

@@ -17,7 +17,7 @@ the protocol engines live in :mod:`wproto.teleport` and :mod:`wproto.sdc`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -189,16 +189,14 @@ def standard_w(n: int) -> StateVector:
     return generalized_w(w_coefficients(n))
 
 
-def require_unit_pair(a: complex, b: complex) -> StateVector:
-    """The one-qubit state a|0> + b|1>; raise NormalizationError unless
-    |a|^2 + |b|^2 = 1 within tolerance, summed as a ``StateVector`` sums it:
-    inf or nan, never OverflowError."""
+def require_unit_pair(a: complex, b: complex) -> None:
+    """Raise NormalizationError unless |a|^2 + |b|^2 = 1 within tolerance,
+    summed as a ``StateVector`` sums it: inf or nan, never OverflowError."""
     pair = StateVector(1, [a, b])
     if not pair.normalized:
         raise NormalizationError(
             f"|a|^2 + |b|^2 = {pair.norm_squared:.12g} must equal 1; normalize explicitly"
         )
-    return pair
 
 
 def generalized_ghz(a1: complex, a2: complex, n: int) -> StateVector:
@@ -317,9 +315,9 @@ def suitability_scan(c: CoefficientVector) -> list[ConditionReport]:
 
 def ghz_suitability_scan(a1: complex, a2: complex, n: int) -> list[ConditionReport]:
     """Per-partition reports for a generalized GHZ state, cross-validated
-    against the simulated reduced spectrum {|a1|^2, |a2|^2}."""
-    state = generalized_ghz(a1, a2, n)
-    return _checked_scan(state, lambda m: ghz_condition(a1, a2, m))[0]
+    against the simulated reduced spectrum {|a1|^2, |a2|^2}; one pair check."""
+    state, rep = generalized_ghz(a1, a2, n), ghz_condition(a1, a2)
+    return _checked_scan(state, lambda m: replace(rep, partition_size=m))[0]
 
 
 def entropy_scan(c: CoefficientVector) -> list[tuple[int, float, float, bool]]:
@@ -330,9 +328,9 @@ def entropy_scan(c: CoefficientVector) -> list[tuple[int, float, float, bool]]:
 
 def ghz_entropy_scan(a1: complex, a2: complex, n: int) -> list[tuple[int, float, float, bool]]:
     """(x, simulated entropy, H(|a1|^2), match) for the last x qubits of the
-    generalized GHZ state, x in 1..n-1."""
-    state = generalized_ghz(a1, a2, n)
-    return _checked_scan(state, lambda m: ghz_condition(a1, a2, m), "left_sum")[1]
+    generalized GHZ state, x in 1..n-1, from the pair checked once."""
+    state, rep = generalized_ghz(a1, a2, n), ghz_condition(a1, a2)
+    return _checked_scan(state, lambda m: replace(rep, partition_size=m), "left_sum")[1]
 
 
 def permute_coefficients(c: CoefficientVector, order: Sequence[int]) -> CoefficientVector:

@@ -102,14 +102,14 @@ def _check_probabilities(report) -> None:
 def test_criterion_1_teleportation_success():
     def body():
         grid = unknown_state_grid(20, 424242)
-        assert any(abs(psi.beta.imag) > 1e-3 for psi in grid)
+        assert any(abs(psi.amplitudes[1].imag) > 1e-3 for psi in grid)
         for c, m in _suitable_resources():
             for psi in grid:
                 for strategy in ("subspace", "transfer", "serial"):
                     report = run_teleport_one_qubit(c, m, psi, strategy)
                     assert report.min_fidelity >= 1 - FID_TOL, (c.n, m, strategy)
                     _check_probabilities(report)
-                encoded = encoded_state(c, m, psi.alpha, psi.beta)
+                encoded = encoded_state(c, m, psi.amplitudes[0], psi.amplitudes[1])
                 report = run_teleport_encoded(c, m, encoded)
                 assert report.min_fidelity >= 1 - FID_TOL, (c.n, m, "encoded")
                 _check_probabilities(report)
@@ -230,11 +230,11 @@ def test_criterion_6_strategy_agreement():
                     for o in transfer.outcomes
                 ] + [o.post_state for o in serial.outcomes]
                 for i, a in enumerate(singles):
-                    assert fidelity(a, psi.state_vector) >= 1 - FID_TOL
+                    assert fidelity(a, psi) >= 1 - FID_TOL
                     for b in singles[i + 1 :]:
                         assert fidelity(a, b) >= 1 - FID_TOL
                 subspace = run_teleport_one_qubit(c, m, psi, "subspace")
-                target = superpose([(psi.alpha, zero_state(m)), (psi.beta, wm)])
+                target = superpose([(psi.amplitudes[0], zero_state(m)), (psi.amplitudes[1], wm)])
                 for outcome in subspace.outcomes:
                     assert fidelity(outcome.post_state, target) >= 1 - FID_TOL
 

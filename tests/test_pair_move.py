@@ -19,7 +19,6 @@ from wproto.qsim import StateVector, orthonormal_extension, zero_state
 from wproto.sdc import capacity_check, general_encoding_set
 from wproto.teleport import (
     FIDELITY_THRESHOLD,
-    UnknownState,
     bob_strategy2_set,
     run_teleport_grid,
     transfer_unitary,
@@ -129,7 +128,7 @@ def test_transfer_teleport_near_degenerate_back_block(m, eps):
         back[0] = math.sqrt(0.5 * eps)
         back[-1] = math.sqrt(0.5 * (1 - eps))
     c = CoefficientVector([0.5, 0.5 * np.exp(0.7j)] + back)
-    psi = UnknownState(0.6, 0.8j)
+    psi = StateVector(1, [0.6, 0.8j])
     (report,) = run_teleport_grid(c, m, [psi], "transfer")
     assert report.min_fidelity >= FIDELITY_THRESHOLD
 

@@ -1,5 +1,6 @@
 """Measurement families, recovery operator sets, and full protocol runs."""
 
+import cmath
 import math
 
 import numpy as np
@@ -27,7 +28,6 @@ from wproto.qsim import (
 from wproto.teleport import (
     CORRECTION_INDEX,
     FIDELITY_THRESHOLD,
-    UnknownState,
     UnsuitableResourceError,
     bob_strategy1_set,
     bob_strategy2_set,
@@ -321,7 +321,7 @@ class TestEncodedTeleport:
             overlap = abs(np.vdot(expected_by_label[label], branch / math.sqrt(prob)))
             assert overlap == pytest.approx(1.0, abs=1e-12)
         # and the engine agrees
-        report = run_teleport_one_qubit(MOD_W3, 1, UnknownState(alpha, beta), "transfer")
+        report = run_teleport_one_qubit(MOD_W3, 1, StateVector(1, [alpha, beta]), "transfer")
         assert report.min_fidelity == pytest.approx(1.0, abs=1e-12)
 
     def test_mismatched_encoding_detected(self):
@@ -398,7 +398,7 @@ class TestOneQubitTeleport:
     @pytest.mark.parametrize("strategy", ["subspace", "transfer", "serial"])
     def test_w4_all_strategies(self, strategy):
         c = w_coefficients(4)
-        psi = UnknownState(SQ2, SQ2 * 1j)
+        psi = StateVector(1, [SQ2, SQ2 * 1j])
         report = run_teleport_one_qubit(c, 2, psi, strategy)
         assert report.success
         assert report.strategy == strategy
@@ -408,7 +408,7 @@ class TestOneQubitTeleport:
 
     def test_serial_probabilities_and_marginals(self):
         c = w_coefficients(4)
-        report = run_teleport_one_qubit(c, 2, UnknownState(0.6, 0.8), "serial")
+        report = run_teleport_one_qubit(c, 2, StateVector(1, [0.6, 0.8]), "serial")
         marginals: dict[str, float] = {}
         for outcome in report.outcomes:
             assert outcome.probability == pytest.approx(1 / 16, abs=1e-10)
@@ -420,7 +420,7 @@ class TestOneQubitTeleport:
 
     def test_transfer_leaves_zero_padding(self):
         c = w_coefficients(6)
-        report = run_teleport_one_qubit(c, 3, UnknownState(0.6, 0.8j), "transfer")
+        report = run_teleport_one_qubit(c, 3, StateVector(1, [0.6, 0.8j]), "transfer")
         assert report.success
         for outcome in report.outcomes:
             # receiver register factorizes as |00>(alpha|0> + beta|1>)
@@ -430,7 +430,7 @@ class TestOneQubitTeleport:
     def test_strategy_agreement(self):
         rng = np.random.default_rng(77)
         c = random_condition_coefficients(6, 3, rng)
-        psi = UnknownState(math.cos(0.4), math.sin(0.4) * np.exp(0.9j))
+        psi = StateVector(1, [math.cos(0.4), math.sin(0.4) * np.exp(0.9j)])
         transfer = run_teleport_one_qubit(c, 3, psi, "transfer")
         serial = run_teleport_one_qubit(c, 3, psi, "serial")
         singles = [
@@ -438,38 +438,38 @@ class TestOneQubitTeleport:
             for o in transfer.outcomes
         ] + [o.post_state for o in serial.outcomes]
         for i, a in enumerate(singles):
-            assert fidelity(a, psi.state_vector) >= 1 - 1e-9
+            assert fidelity(a, psi) >= 1 - 1e-9
             for b in singles[i + 1 :]:
                 assert fidelity(a, b) >= 1 - 1e-9
 
     def test_subspace_targets_encoded_state(self):
         c = w_coefficients(4)
-        psi = UnknownState(0.28, math.sqrt(1 - 0.28**2) * 1j)
+        psi = StateVector(1, [0.28, math.sqrt(1 - 0.28**2) * 1j])
         report = run_teleport_one_qubit(c, 2, psi, "subspace")
         target = superpose(
-            [(psi.alpha, zero_state(2)), (psi.beta, StateVector(2, PSI_PLUS))]
+            [(psi.amplitudes[0], zero_state(2)), (psi.amplitudes[1], StateVector(2, PSI_PLUS))]
         )
         for outcome in report.outcomes:
             assert fidelity(outcome.post_state, target) >= 1 - 1e-9
 
     def test_beta_zero_trivial(self):
         for strategy in ("subspace", "transfer", "serial"):
-            report = run_teleport_one_qubit(MOD_W3, 1, UnknownState(1.0, 0.0), strategy)
+            report = run_teleport_one_qubit(MOD_W3, 1, StateVector(1, [1.0, 0.0]), strategy)
             assert report.min_fidelity == pytest.approx(1.0, abs=1e-12)
 
     def test_unsuitable_resource_propagates(self):
         for n in (3, 5):
             with pytest.raises(UnsuitableResourceError):
-                run_teleport_one_qubit(w_coefficients(n), 1, UnknownState(0.6, 0.8))
+                run_teleport_one_qubit(w_coefficients(n), 1, StateVector(1, [0.6, 0.8]))
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError):
-            run_teleport_one_qubit(MOD_W3, 1, UnknownState(1, 0), "swap")
+            run_teleport_one_qubit(MOD_W3, 1, StateVector(1, [1, 0]), "swap")
 
     def test_failure_reason_names_the_threshold(self, monkeypatch):
         # no resource misses the threshold, so raise it past any fidelity
         monkeypatch.setattr(teleport, "FIDELITY_THRESHOLD", 1.5)
-        report = run_teleport_one_qubit(MOD_W3, 1, UnknownState(0.6, 0.8j))
+        report = run_teleport_one_qubit(MOD_W3, 1, StateVector(1, [0.6, 0.8j]))
         assert not report.success
         assert report.reason.endswith("is below 1.5")
 
@@ -500,23 +500,36 @@ class TestGhzFamily:
         assert deviation > 1e-3
 
 
-class TestUnknownStateGrid:
+class TestStateGrid:
     def test_deterministic(self):
         a = unknown_state_grid(20, 7)
         b = unknown_state_grid(20, 7)
-        assert [(s.alpha, s.beta) for s in a] == [(s.alpha, s.beta) for s in b]
+        assert [s.amplitudes.tolist() for s in a] == [s.amplitudes.tolist() for s in b]
 
     def test_has_complex_phases_and_normalization(self):
         grid = unknown_state_grid(20, 3)
-        assert any(abs(s.beta.imag) > 1e-3 for s in grid)
+        assert any(abs(s.amplitudes[1].imag) > 1e-3 for s in grid)
         for s in grid:
-            assert abs(s.alpha) ** 2 + abs(s.beta) ** 2 == pytest.approx(1.0, abs=1e-12)
+            assert s.num_qubits == 1
+            assert abs(s.amplitudes[0]) ** 2 + abs(s.amplitudes[1]) ** 2 == pytest.approx(
+                1.0, abs=1e-12
+            )
+
+    @pytest.mark.parametrize("count, seed", [(1, 0), (20, 3), (7, 424242)])
+    def test_seeded_amplitudes_bit_for_bit(self, count, seed):
+        # cos(theta)|0> + sin(theta) e^(i phi)|1>, theta then phi drawn from the seed
+        rng = np.random.default_rng(seed)
+        theta = rng.uniform(0.0, math.pi / 2.0, size=count)
+        phi = rng.uniform(0.0, 2.0 * math.pi, size=count)
+        want = [[complex(math.cos(t)), cmath.rect(math.sin(t), p)] for t, p in zip(theta, phi)]
+        assert [s.amplitudes.tolist() for s in unknown_state_grid(count, seed)] == want
 
 
 class TestInputValidation:
     def test_unknown_state_normalization(self):
-        with pytest.raises(ValueError):
-            UnknownState(1.0, 1.0)
+        # an unnormalized pair is refused at the entry point
+        with pytest.raises(NormalizationError):
+            run_teleport_one_qubit(MOD_W3, 1, StateVector(1, [1.0, 1.0]))
 
     def test_encoded_state_vector(self):
         c = w_coefficients(4)

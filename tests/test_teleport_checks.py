@@ -1,26 +1,37 @@
 """The teleport pipeline's own consistency checks, and the report verdict
 derived from its fidelities."""
 
+import math
 import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wproto.teleport as teleport
-from wproto.qsim import InternalConsistencyError, Unitary
+from wproto.qsim import (
+    DimensionError,
+    InternalConsistencyError,
+    NormalizationError,
+    StateVector,
+    Unitary,
+)
 from wproto.teleport import (
     FAMILY_LABELS,
     FIDELITY_THRESHOLD,
     SERIAL_LABELS,
+    STRATEGIES,
     ProtocolReport,
     encoded_state,
     run_teleport_encoded,
     run_teleport_grid,
+    run_teleport_one_qubit,
     unknown_state_grid,
 )
-from wproto.wstates import w_coefficients
+from wproto.wstates import UnsuitableResourceError, w_coefficients
+
+from oracle_utils import random_condition_coefficients
 
 ONE_ULP_BELOW = float(np.nextafter(FIDELITY_THRESHOLD, 0.0))
 
@@ -65,6 +76,59 @@ def test_transfer_without_the_pair_move_leaves_residual_entanglement(monkeypatch
     monkeypatch.setattr(teleport, "transfer_unitary", lambda m, wm: Unitary(np.eye(2**m)))
     with pytest.raises(InternalConsistencyError, match="residual entanglement"):
         run_teleport_grid(w_coefficients(n), m, unknown_state_grid(2, 1), "transfer")
+
+
+def _entry_points(c, m):
+    """Every teleport entry point as (register qubits, run of one register):
+    the grid per strategy (the register after a good one), the one-qubit run
+    and the encoded run."""
+    good = unknown_state_grid(1, 0)
+    grid = [(1, lambda psi, s=s: run_teleport_grid(c, m, good + [psi], s)) for s in STRATEGIES]
+    return grid + [
+        (1, lambda psi: run_teleport_one_qubit(c, m, psi)),
+        (m, lambda psi: run_teleport_encoded(c, m, psi)),
+    ]
+
+
+SPOILS = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}
+
+
+def _last_basis_state(qubits):
+    return StateVector(qubits, np.eye(2**qubits)[-1])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(3, 8),
+    seed=st.integers(0, 2**32 - 1),
+    spoil=st.sampled_from(["scale", *SPOILS]),
+    scale=st.floats(1e-3, 1e3).filter(lambda s: abs(s * s - 1.0) > 1e-6),
+)
+def test_one_register_check_serves_every_entry_point(data, n, seed, spoil, scale):
+    m = data.draw(st.integers(1, n - 1))
+    rng = np.random.default_rng(seed)
+    c = random_condition_coefficients(n, m, rng)
+    pair = rng.normal(size=2) + 1j * rng.normal(size=2)
+    pair /= np.linalg.norm(pair)
+    for q, run in _entry_points(c, m):
+        psi = StateVector(1, pair) if q == 1 else encoded_state(c, m, *pair)
+        run(psi)  # the register itself teleports
+        wrong = data.draw(st.integers(1, 4).filter(lambda k: k != q))
+        with pytest.raises(DimensionError):
+            run(_last_basis_state(wrong))
+        amps = psi.amplitudes * scale
+        if spoil in SPOILS:
+            amps[int(rng.integers(2**q))] = SPOILS[spoil]
+        with pytest.raises(NormalizationError):
+            run(StateVector(q, amps))
+    # an unsuitable resource is refused at the split gate, before the register
+    bad_m = data.draw(st.integers(1, n - 1).filter(lambda k: 2 * k != n))
+    for q, run in _entry_points(w_coefficients(n), bad_m):
+        for register in (StateVector(q, np.full(2**q, math.nan)), _last_basis_state(q + 1)):
+            with pytest.raises(UnsuitableResourceError):
+                run(register)
 
 
 FIDELITIES = st.one_of(

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import wproto.teleport as teleport
 from wproto.qsim import (
     PAULI_FOUR,
+    PAULIS,
     StateVector,
     Unitary,
     apply_unitary,
@@ -24,7 +25,6 @@ from wproto.qsim import (
 from wproto.teleport import (
     CORRECTION_INDEX,
     FIDELITY_THRESHOLD,
-    UnknownState,
     UnsuitableResourceError,
     bob_strategy1_set,
     bob_strategy2_set,
@@ -41,6 +41,7 @@ from wproto.teleport import (
     transfer_unitary,
     unknown_state_grid,
 )
+from wproto.sdc import pauli_set
 from wproto.wstates import (
     excitation_blocks,
     generalized_w,
@@ -102,9 +103,19 @@ def test_rejection_comes_before_any_construction(monkeypatch):
     assert len(families) == 1 and not corrections
 
 
+def test_the_four_paulis_are_built_once():
+    (report,) = run_teleport_grid(w_coefficients(4), 2, unknown_state_grid(1, 0), "serial")
+    for outcome in report.outcomes:
+        inner = outcome.label.split("|")[1]
+        assert outcome.correction is PAULIS[CORRECTION_INDEX[inner]]
+    assert pauli_set().operators == PAULIS
+    for u, sigma in zip(PAULIS, PAULI_FOUR, strict=True):
+        assert (u.matrix == sigma).all()
+
+
 def test_strategy_is_checked_before_the_resource():
     with pytest.raises(ValueError, match="unknown strategy"):
-        run_teleport_grid(w_coefficients(5), 2, [UnknownState(1, 0)], "swap")
+        run_teleport_grid(w_coefficients(5), 2, [StateVector(1, [1, 0])], "swap")
 
 
 
@@ -124,7 +135,7 @@ def test_outcome_shape_is_what_a_run_keeps(strategy):
 
 def test_probability_deviation_uses_the_branch_count():
     c = modified_w_coefficients(3)
-    psi = UnknownState(0.6, 0.8j)
+    psi = StateVector(1, [0.6, 0.8j])
     for strategy, branches in (("subspace", 4), ("serial", 16)):
         report = run_teleport_one_qubit(c, 1, psi, strategy)
         assert len(report.outcomes) == branches
@@ -229,15 +240,15 @@ def test_transfer_grid_lands_on_the_last_qubit():
             amps = outcome.post_state.amplitudes
             assert np.abs(amps[2:]).max() < 1e-12
             single = StateVector(1, amps[:2] / np.linalg.norm(amps[:2]))
-            assert fidelity(single, psi.state_vector) >= FIDELITY_THRESHOLD
+            assert fidelity(single, psi) >= FIDELITY_THRESHOLD
 
 
 def test_subspace_grid_targets_the_encoded_state():
     c = w_coefficients(4)
     wm = excitation_blocks(c, 2)[2]
-    psi = UnknownState(math.cos(0.3), math.sin(0.3) * 1j)
+    psi = StateVector(1, [math.cos(0.3), math.sin(0.3) * 1j])
     (report,) = run_teleport_grid(c, 2, [psi], "subspace")
-    target = psi.alpha * zero_state(2).amplitudes + psi.beta * wm.amplitudes
+    target = psi.amplitudes[0] * zero_state(2).amplitudes + psi.amplitudes[1] * wm.amplitudes
     for outcome in report.outcomes:
         assert abs(np.vdot(target, outcome.post_state.amplitudes)) ** 2 >= FIDELITY_THRESHOLD
 
@@ -250,12 +261,12 @@ def _one_state_loop(c, m, psi, strategy):
     corrections = bob_strategy1_set(m, wm)
     if strategy == "transfer":
         corrections = bob_strategy2_set(m, wm)
-    target = psi.state_vector
+    target = psi
     if strategy == "subspace":
-        target = superpose([(psi.alpha, zero_state(m)), (psi.beta, wm)])
+        target = superpose([(psi.amplitudes[0], zero_state(m)), (psi.amplitudes[1], wm)])
     h = 1 / math.sqrt(2)
     bell = superpose([(h, make_basis_state(2, [0, 0])), (h, make_basis_state(2, [1, 1]))])
-    joint = tensor(psi.state_vector, generalized_w(c))
+    joint = tensor(psi, generalized_w(c))
     branches = []
     for first in project(joint, one_qubit_measurement_family(c, m)):
         fixed = apply_unitary(

@@ -25,7 +25,7 @@ from wproto.qsim import (
     StateVector,
     Unitary,
 )
-from wproto.teleport import STRATEGIES, UnknownState, encoded_state
+from wproto.teleport import STRATEGIES, encoded_state, run_teleport_one_qubit
 from wproto.wstates import (
     CoefficientVector,
     binary_entropy,
@@ -84,7 +84,7 @@ class TestNonFiniteInputRejected:
 
     def test_unknown_state(self):
         with pytest.raises(NormalizationError):
-            UnknownState(NAN, 1.0)
+            run_teleport_one_qubit(w_coefficients(2), 1, StateVector(1, [NAN, 1.0]))
 
     def test_encoded_unknown_state(self):
         with pytest.raises(NormalizationError):
@@ -324,11 +324,39 @@ def test_teleport_grid_must_be_an_object(grid):
     assert err.value.errors == ["scenario 0.grid: must be an object with count/seed"]
 
 
-@pytest.mark.parametrize("grid", [None, {}])
+@pytest.mark.parametrize("grid", [None, {}, {"count": None}, {"seed": None}])
 def test_teleport_grid_null_or_empty_means_the_defaults(grid):
     doc = {"task": "teleport", "state": {"named": "w", "n": 4}, "m": 2, "grid": grid}
     (s,) = parse_config(json.dumps(doc)).scenarios
     assert s.echo["grid"] == {"count": cli.DEFAULT_GRID_COUNT, "seed": cli.DEFAULT_GRID_SEED}
+
+
+@pytest.mark.parametrize(
+    "with_null, without",
+    [
+        ({"expect": None}, {}),
+        ({"state": {"named": "w", "n": 4, "a1": None}}, {}),
+        ({"state": {"named": "w", "n": 4, "coefficients": None}}, {}),
+        ({"state": {"named": None, "coefficients": [[0.6, 0], [0.8, 0]]}},
+         {"state": {"coefficients": [[0.6, 0], [0.8, 0]]}}),
+        ({"state": {"named": "ghz", "n": 3, "a1": None, "a2": [math.sqrt(0.5), 0]}},
+         {"state": {"named": "ghz", "n": 3, "a2": [math.sqrt(0.5), 0]}}),
+        ({"state": {"named": "ghz", "n": 3, "a1": [0.6, 0], "a2": None}},
+         {"state": {"named": "ghz", "n": 3, "a1": [0.6, 0]}}),
+    ],
+)
+def test_null_means_absent_in_scenario_and_state(with_null, without):
+    base = {"task": "scan", "state": {"named": "w", "n": 4}}
+    (got,) = parse_config(json.dumps({**base, **with_null})).scenarios
+    (want,) = parse_config(json.dumps({**base, **without})).scenarios
+    assert got.echo == want.echo
+    assert got.label == want.label
+
+
+def test_null_scenarios_are_still_refused():
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps({"scenarios": None}))
+    assert err.value.errors == ["scenarios: must be an array"]
 
 
 @pytest.mark.parametrize("grid", [[], 0, False, ""])
@@ -398,7 +426,7 @@ class TestHugeAmplitudes:
     @pytest.mark.parametrize("a", [1e200, complex(1.7e308, 1.7e308)])
     def test_library_constructors(self, a):
         with pytest.raises(NormalizationError):
-            UnknownState(a, 0)
+            run_teleport_one_qubit(w_coefficients(2), 1, StateVector(1, [a, 0]))
         with pytest.raises(NormalizationError):
             encoded_state(w_coefficients(2), 1, a, 0)
         with pytest.raises(NormalizationError):

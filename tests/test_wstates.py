@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wproto.wstates as wstates
 from wproto.qsim import (
     STRUCTURAL_TOL,
     NormalizationError,
@@ -295,6 +296,18 @@ class TestGhzCondition:
     def test_scan_all_partitions_hold_for_ghz(self):
         reports = ghz_suitability_scan(SQ2, SQ2, 5)
         assert all(r.holds for r in reports)
+
+    @pytest.mark.parametrize("scan", [ghz_suitability_scan, ghz_entropy_scan])
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_scans_check_the_pair_once(self, monkeypatch, scan, n):
+        # the state's own check and one condition report, not one per cut
+        calls = []
+        check = wstates.require_unit_pair
+        monkeypatch.setattr(
+            wstates, "require_unit_pair", lambda a, b: calls.append((a, b)) or check(a, b)
+        )
+        assert len(scan(1 / math.sqrt(3), math.sqrt(2 / 3), n)) == n - 1
+        assert len(calls) <= 2
 
 
 class TestEntropyFormula:
