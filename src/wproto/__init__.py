@@ -22,6 +22,7 @@ from .qsim import (
     apply_unitary,
     apply_unitary_stack,
     fidelity,
+    fidelity_stack,
     gram_matrix,
     inner_product,
     make_basis_state,
@@ -30,6 +31,7 @@ from .qsim import (
     project_stack,
     reduced_spectrum,
     spectrum_entropy,
+    state_rows,
     superpose,
     tensor,
     von_neumann_entropy,

@@ -295,16 +295,17 @@ def parse_config(text: bytes | str) -> ScenarioConfig:
     if not isinstance(doc, dict):
         raise ConfigError(["top level must be an object"])
     errors: list[str] = []
-    out_path = doc.get("out")
-    if out_path is not None and not isinstance(out_path, str):
-        errors.append("out: must be a string path")
-        out_path = None
+    out_path = None
     if "scenarios" in doc:
         raw_list = doc["scenarios"]
         if not isinstance(raw_list, list):
             raise ConfigError(["scenarios: must be an array"])
+        out_path = doc.get("out")
+        if out_path is not None and not isinstance(out_path, str):
+            errors.append("out: must be a string path")
+            out_path = None
         _reject_unknown(doc, ("scenarios", "out"), "config", errors)
-    else:
+    else:  # a single scenario; only the list form carries "out"
         raw_list = [doc]
     scenarios = []
     for i, raw in enumerate(raw_list):

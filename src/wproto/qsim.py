@@ -11,7 +11,12 @@ kernels over a (G, 2^n) array of amplitude rows, one state per row
 (:func:`apply_unitary_stack`, :func:`project_stack`).  They run the same
 BLAS call on every row that the one-state call runs on that row, so each
 row's result is equal bit for bit, and they check every row on its own;
-:func:`apply_unitary` and :func:`project` are their one-row case.
+:func:`apply_unitary` and :func:`project` are their one-row case.  Row
+norms and overlaps are one ``np.vecdot`` over the stack, the BLAS zdotc
+that ``np.vdot`` runs on each row.  :func:`state_rows` turns a stack into
+``StateVector`` rows and :func:`fidelity_stack` compares two stacks row by
+row (:func:`fidelity` is its one-row case), so a caller that works on
+stacks makes no per-row call.
 
 All values are immutable after construction (amplitude buffers are marked
 read-only) and every operation is a pure function, so independent
@@ -316,8 +321,34 @@ def _stack(rows: np.ndarray) -> np.ndarray:
 
 
 def _norms_squared(rows: np.ndarray) -> np.ndarray:
-    """<r|r> of every row, each by the same ``np.vdot`` a ``StateVector`` uses."""
-    return np.array([np.vdot(r, r).real for r in rows])
+    """<r|r> of every row by one ``np.vecdot``: it runs the BLAS zdotc that
+    a ``StateVector``'s ``np.vdot`` runs on each row, so each value is equal
+    bit for bit."""
+    return np.vecdot(rows, rows).real
+
+
+def _unit_rows(rows: np.ndarray) -> np.ndarray:
+    """Which rows are normalized, by the rule of ``StateVector.normalized``."""
+    return np.abs(_norms_squared(rows) - 1.0) <= STRUCTURAL_TOL
+
+
+def state_rows(rows: np.ndarray) -> list[StateVector]:
+    """Each row of a (G, 2^q) amplitude stack as a read-only ``StateVector``,
+    equal to ``StateVector(q, row)``.
+
+    The stack is copied once and marked read-only, each state's amplitudes
+    are a row of that copy, and every ``normalized`` flag comes from one
+    batched norm; no state is constructed row by row.
+    """
+    rows = _stack(np.array(rows, dtype=np.complex128))
+    rows.flags.writeable = False
+    q = rows.shape[1].bit_length() - 1
+    states = []
+    for amps, unit in zip(rows, _unit_rows(rows).tolist()):
+        state = object.__new__(StateVector)
+        state.num_qubits, state.amplitudes, state.normalized = q, amps, unit
+        states.append(state)
+    return states
 
 
 def _grouped(rows: np.ndarray, subset: Sequence[int]) -> tuple[np.ndarray, list[int], int]:
@@ -386,11 +417,27 @@ def inner_product(a: StateVector, b: StateVector) -> complex:
     return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
-def fidelity(a: StateVector, b: StateVector) -> float:
-    """|<a|b>|² between normalized states; global phase drops out."""
-    if not (a.normalized and b.normalized):
+def fidelity_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|<a_g|b_g>|² of row g of two equal-shape (G, 2^q) amplitude stacks.
+
+    Every row on both sides must be normalized (the rule of
+    ``StateVector.normalized``).  Each overlap is one ``np.vecdot`` row, the
+    BLAS zdotc of ``np.vdot``, and its modulus is the ``hypot`` that ``abs``
+    of a Python complex takes; global phase drops out.
+    """
+    a, b = _stack(a), _stack(b)
+    if a.shape != b.shape:
+        raise DimensionError(f"fidelity needs equal-shape stacks, got {a.shape} and {b.shape}")
+    if not (_unit_rows(a).all() and _unit_rows(b).all()):
         raise NormalizationError("fidelity is defined for normalized states only")
-    return abs(inner_product(a, b)) ** 2
+    overlap = np.vecdot(a, b)
+    return np.hypot(overlap.real, overlap.imag) ** 2
+
+
+def fidelity(a: StateVector, b: StateVector) -> float:
+    """|<a|b>|² between normalized states: the one-row case of
+    :func:`fidelity_stack`."""
+    return float(fidelity_stack(a.amplitudes[None], b.amplitudes[None])[0])
 
 
 def gram_matrix(vectors: Sequence[StateVector]) -> np.ndarray:
@@ -443,10 +490,11 @@ def project_stack(
     one; a row that fails either raises, as :func:`project` does for it
     alone.  Every value equals :func:`project` on that row bit for bit: one
     ``vec.conj() @ psi`` per family vector runs the same BLAS call on each
-    row, and each probability is the same ``np.vdot``.
+    row, and each probability is the ``np.vdot`` value (see
+    :func:`_norms_squared`).
     """
     rows = _stack(rows)
-    if not (np.abs(_norms_squared(rows) - 1.0) <= STRUCTURAL_TOL).all():
+    if not _unit_rows(rows).all():
         raise NormalizationError("projective measurement expects a normalized state")
     psi, perm, k = _grouped(rows, basis.subset)
     v, g = len(basis.vectors), len(rows)

@@ -23,14 +23,17 @@ to one of four subspace corrections, and he can
 
 :func:`run_teleport_grid` builds a resource's family, corrections and
 relay basis once and sends every input state through one straight
-pipeline: each input (x) resource joint state is measured on its own (the
-joint states are never stacked, since a grid has no size limit), each
+pipeline on row stacks: the input (x) resource joint states are multiplied
+into stacks of at most 2^14 amplitudes (256 KiB, which stays in cache; a
+larger joint state is measured alone), each measured by one call, each
 outcome's post-states are stacked into one (G, 2^m) array and corrected at
 once, and only ``serial`` adds a relay step (a fresh Bell pair, a second
 measurement and a correction of qubit 1).  Every run is then checked
 against its own target; for ``transfer`` the receiver's last qubit is split
-off first.  Every grid point keeps its own probabilities, checks and
-fidelity, equal bit for bit to a run of that point alone.
+off first.  Targets, post-states, transfer pairs and fidelities are built
+from the stacks, not row by row, and every grid point keeps its own
+probabilities, checks and fidelity, equal bit for bit to a run of that
+point alone.
 :func:`run_teleport_one_qubit` is the one-state case and
 :func:`run_teleport_encoded` sends any m-qubit register through the same
 pipeline, whose checks refuse one outside span{|0..0>, |w>}.  Each entry
@@ -60,10 +63,11 @@ from .qsim import (
     StateVector,
     Unitary,
     apply_unitary_stack,
-    fidelity,
+    fidelity_stack,
     inner_product,
     make_basis_state,
     project_stack,
+    state_rows,
     superpose,
     tensor,
     zero_state,
@@ -321,6 +325,11 @@ _BELL = superpose([(1.0 / math.sqrt(2.0), make_basis_state(2, [b, b])) for b in 
 #: largest joint state the qubit budget allows
 _STACK_AMPLITUDES = 2 ** (MAX_QUBITS + 1)
 
+#: the sender's joint states are measured in stacks of at most this many
+#: amplitudes (256 KiB, which stays in cache); a larger joint state is
+#: measured on its own
+_JOINT_AMPLITUDES = 2**14
+
 
 def outcome_shape(m: int, strategy: str) -> tuple[int, int]:
     """(outcomes, post-state qubits) of one :func:`run_teleport_grid` run: four
@@ -329,8 +338,8 @@ def outcome_shape(m: int, strategy: str) -> tuple[int, int]:
 
 
 def _teleport(
-    inputs: Sequence[StateVector],
-    targets: Sequence[StateVector],
+    inputs: np.ndarray,
+    targets: np.ndarray,
     resource: StateVector,
     basis: MeasurementBasis,
     corrections: Sequence[Unitary],
@@ -338,19 +347,26 @@ def _teleport(
     strategy: str | None,
     relay: MeasurementBasis | None = None,
 ) -> list[ProtocolReport]:
-    """Teleport each input through ``resource``; one report per input, in order.
+    """Teleport each row of the (G, 2^q) ``inputs`` stack through ``resource``
+    and check it against the same row of ``targets``; one report per row, in
+    order.
 
-    Each input (x) resource joint state is measured in ``basis`` on its own,
-    never stacked (a grid has no size limit); each outcome's post-states are
-    stacked and corrected at once.  With a ``relay`` basis, each corrected
-    stack is extended by a fresh Bell pair and measured again, and qubit 1
-    is corrected; such a branch is labelled ``outer|inner`` and has the
-    joint probability.  Each run is verified against its own target, for
-    ``transfer`` after its last qubit is split off.
+    The input (x) resource joint states are multiplied straight into stacks
+    of at most ``_JOINT_AMPLITUDES`` amplitudes (one joint state per stack
+    when it is larger), and each stack is measured in ``basis`` by one call;
+    each outcome's post-states are stacked and corrected at once.  With a
+    ``relay`` basis, each corrected stack is extended by a fresh Bell pair
+    and measured again, and qubit 1 is corrected; such a branch is labelled
+    ``outer|inner`` and has the joint probability.  Each branch's
+    post-states, transfer pairs (the receiver's last qubit, split off) and
+    fidelities come from its stack, each row checked on its own.
     """
     half = resource.amplitudes
-    joints = ((psi.amplitudes[:, None] * half).reshape(1, -1) for psi in inputs)
-    measured = [project_stack(joint, basis) for joint in joints]
+    per = max(1, _JOINT_AMPLITUDES // (inputs.shape[1] * len(half)))
+    measured = []
+    for start in range(0, len(inputs), per):
+        chunk = inputs[start : start + per]
+        measured.append(project_stack((chunk[:, :, None] * half).reshape(len(chunk), -1), basis))
     receiver = tuple(range(1, corrections[0].dimension.bit_length()))
     columns = []
     for rows in zip(*measured):
@@ -371,10 +387,9 @@ def _teleport(
                 final = apply_unitary_stack(post, pauli, (1,))
                 branches.append((f"{label}|{inner}", p * q, final, pauli))
         for name, prob, final, u in branches:
-            finals = [StateVector(final.shape[1].bit_length() - 1, row) for row in final]
-            compared = _extract_last_qubit(final) if strategy == "transfer" else finals
-            fids = [fidelity(a, t) for a, t in zip(compared, targets)]
-            columns.append((name, prob.tolist(), finals, u, fids))
+            compared = _extract_last_qubit(final) if strategy == "transfer" else final
+            fids = fidelity_stack(compared, targets).tolist()
+            columns.append((name, prob.tolist(), state_rows(final), u, fids))
     return [
         ProtocolReport(
             describe,
@@ -414,8 +429,9 @@ def run_teleport_encoded(c: CoefficientVector, m: int, psi: StateVector) -> Prot
     basis = measurement_family(c, m)
     _require_registers([psi], m)
     wm = excitation_blocks(c, m)[2]
+    rows = psi.amplitudes[None]
     return _teleport(
-        [psi], [psi], generalized_w(c), basis, bob_strategy1_set(m, wm), _describe(c, m), None
+        rows, rows, generalized_w(c), basis, bob_strategy1_set(m, wm), _describe(c, m), None
     )[0]
 
 
@@ -443,13 +459,14 @@ def run_teleport_grid(
     corrections = (bob_strategy2_set if strategy == "transfer" else bob_strategy1_set)(m, wm)
     relay = serial_basis(m, wm) if strategy == "serial" else None
     zero, describe = zero_state(m), _describe(c, m)
+    inputs = np.array([psi.amplitudes for psi in states])
     batch = max(1, _STACK_AMPLITUDES >> (m + 2))
     reports = []
     for start in range(0, len(states), batch):
-        chunk = states[start : start + batch]
+        chunk = inputs[start : start + batch]
         targets = chunk
-        if strategy == "subspace":
-            targets = [superpose(zip(psi.amplitudes, (zero, wm))) for psi in chunk]
+        if strategy == "subspace":  # alpha|0..0> + beta|w> per row
+            targets = chunk[:, :1] * zero.amplitudes + chunk[:, 1:] * wm.amplitudes
         reports += _teleport(
             chunk, targets, resource, basis, corrections, describe, strategy, relay
         )
@@ -463,8 +480,9 @@ def run_teleport_one_qubit(
     return run_teleport_grid(c, m, [psi], strategy)[0]
 
 
-def _extract_last_qubit(rows: np.ndarray) -> list[StateVector]:
-    """Split |0..0>(x)(a|0>+b|1>) off each transfer-corrected register row.
+def _extract_last_qubit(rows: np.ndarray) -> np.ndarray:
+    """Split |0..0>(x)(a|0>+b|1>) off each transfer-corrected register row:
+    the (G, 2) stack of pairs, each divided by its ``np.linalg.norm``.
 
     The transfer corrections guarantee this factoring; any support outside
     the first two amplitudes means the correction table is wrong, which is
@@ -476,7 +494,10 @@ def _extract_last_qubit(rows: np.ndarray) -> list[StateVector]:
             raise InternalConsistencyError(
                 f"transfer strategy left residual entanglement (|amp| {stray:.3e})"
             )
-    return [StateVector(1, pair / np.linalg.norm(pair)) for pair in rows[:, :2]]
+    pairs = rows[:, :2]
+    # the real and imaginary dot products np.linalg.norm sums for a complex vector
+    norms = np.sqrt(np.vecdot(pairs.real, pairs.real) + np.vecdot(pairs.imag, pairs.imag))
+    return pairs / norms[:, None]
 
 
 def unknown_state_grid(count: int, seed: int) -> list[StateVector]:
@@ -490,7 +511,8 @@ def unknown_state_grid(count: int, seed: int) -> list[StateVector]:
     rng = np.random.default_rng(seed)
     theta = rng.uniform(0.0, math.pi / 2.0, size=count)
     phase = rng.uniform(0.0, 2.0 * math.pi, size=count)
-    return [
-        StateVector(1, [math.cos(t), math.sin(t) * complex(math.cos(p), math.sin(p))])
+    rows = [
+        [math.cos(t), math.sin(t) * complex(math.cos(p), math.sin(p))]
         for t, p in zip(theta, phase)
     ]
+    return state_rows(np.array(rows))

@@ -82,6 +82,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(doc)
 
+    def test_single_scenario_document_carries_no_out(self):
+        # only the {"scenarios": [...], "out": ...} form names a report path
+        doc = '{"task": "scan", "state": {"named": "w", "n": 4}, "out": 5}'
+        with pytest.raises(ConfigError) as err:
+            parse_config(doc)
+        assert err.value.errors == ["scenario 0: unknown field 'out'"]
+
     def test_empty_scenario_list_is_valid(self):
         config = parse_config('{"scenarios": []}')
         assert config.scenarios == []

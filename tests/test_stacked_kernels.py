@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wproto.qsim as qsim
 from wproto.qsim import (
     DimensionError,
     MeasurementBasis,
@@ -17,9 +18,12 @@ from wproto.qsim import (
     Unitary,
     apply_unitary,
     apply_unitary_stack,
+    fidelity,
+    fidelity_stack,
     make_basis_state,
     project,
     project_stack,
+    state_rows,
 )
 
 
@@ -173,3 +177,75 @@ def test_stack_shape_is_checked(rows):
         project_stack(rows, basis)
     with pytest.raises(DimensionError):
         apply_unitary_stack(rows, Unitary(np.eye(2)), [1])
+
+
+def _dot_stacks(width):
+    """A contiguous (4, width) stack, with one all-zero row and exact zeros
+    in the others, and a strided view of a wider stack."""
+    rng = np.random.default_rng(width)
+    rows = _complex(rng, 4, width)
+    rows[1] = 0.0
+    rows[2, ::3] = 0.0
+    rows[3, : width // 2] = 0.0
+    wide = _complex(rng, 5, 2 * width)
+    wide[2, ::4] = 0.0
+    return [rows, wide[::2, ::2]]
+
+
+@pytest.mark.parametrize("width", [2**k for k in range(1, 18)])
+def test_batched_dot_equals_vdot_row_by_row(width):
+    # every byte-stable report rests on this equality: norms, probabilities
+    # and fidelities are batched dots, and each must equal np.vdot exactly
+    for rows in _dot_stacks(width):
+        other = rows[::-1]
+        norms = qsim._norms_squared(rows)
+        overlaps = np.vecdot(rows, other)
+        for g, (a, b) in enumerate(zip(rows, other)):
+            assert norms[g] == np.vdot(a, a).real
+            assert overlaps[g] == np.vdot(a, b)
+        # the real dots np.linalg.norm sums for a complex vector
+        for part in (rows.real, rows.imag):
+            dots = np.vecdot(part, part)
+            assert all(dots[g] == r.dot(r) for g, r in enumerate(part))
+
+
+def test_state_rows_equal_state_vectors():
+    rng = np.random.default_rng(5)
+    rows = _complex(rng, 4, 8)
+    rows[:2] /= np.linalg.norm(rows[:2], axis=1)[:, None]
+    rows[3] = 0.0
+    states = state_rows(rows)
+    for row, state in zip(rows, states, strict=True):
+        one = StateVector(3, row)
+        assert state.num_qubits == 3 and state.normalized == one.normalized
+        assert (state.amplitudes == one.amplitudes).all()
+        assert not state.amplitudes.flags.writeable
+    assert [s.normalized for s in states] == [True, True, False, False]
+    rows[0] = 0.0  # the states hold a copy
+    assert states[0].normalized and states[0].amplitudes.any()
+
+
+def test_fidelity_stack_rows_equal_fidelity():
+    rng = np.random.default_rng(6)
+    a, b = _complex(rng, 5, 4), _complex(rng, 5, 4)
+    a /= np.linalg.norm(a, axis=1)[:, None]
+    b /= np.linalg.norm(b, axis=1)[:, None]
+    stacked = fidelity_stack(a, b)
+    for g, (x, y) in enumerate(zip(a, b)):
+        overlap = np.vdot(x, y)
+        modulus = np.hypot(overlap.real, overlap.imag)  # abs() of a Python complex
+        assert modulus == abs(complex(overlap))
+        assert stacked[g] == fidelity(StateVector(2, x), StateVector(2, y)) == modulus * modulus
+
+
+@pytest.mark.parametrize("side", [0, 1])
+def test_fidelity_stack_refuses_an_unnormalized_row_on_either_side(side):
+    rng = np.random.default_rng(side)
+    stacks = [_complex(rng, 3, 4), _complex(rng, 3, 4)]
+    for rows in stacks:
+        rows /= np.linalg.norm(rows, axis=1)[:, None]
+    stacks[side][2] *= 1.001
+    with pytest.raises(NormalizationError):
+        fidelity_stack(*stacks)
+    with pytest.raises(DimensionError):
+        fidelity_stack(stacks[0], stacks[1][:, :2])

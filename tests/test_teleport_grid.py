@@ -351,3 +351,34 @@ def test_batched_grid_equals_one_batch(monkeypatch, strategy):
         for a, b in zip(one.outcomes, other.outcomes, strict=True):
             assert a.probability == b.probability
             assert (a.post_state.amplitudes == b.post_state.amplitudes).all()
+
+
+def _per_row_work(monkeypatch, c, m, grid, strategy) -> tuple[int, int]:
+    """(np.vdot calls, StateVector constructions) inside one grid run."""
+    counts = [0, 0]
+    vdot, init = np.vdot, StateVector.__init__
+
+    def counted_vdot(*args, **kwargs):
+        counts[0] += 1
+        return vdot(*args, **kwargs)
+
+    def counted_init(self, *args, **kwargs):
+        counts[1] += 1
+        init(self, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "vdot", counted_vdot)
+        patch.setattr(StateVector, "__init__", counted_init)
+        run_teleport_grid(c, m, grid, strategy)
+    return tuple(counts)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_grid_checks_are_batched_not_per_row(monkeypatch, strategy):
+    # norms, fidelities, targets and post-states come from the row stacks:
+    # a grid of 40 makes as many np.vdot calls and StateVectors as a grid of 1
+    c = w_coefficients(4)
+    one, forty = unknown_state_grid(1, 3), unknown_state_grid(40, 3)
+    assert _per_row_work(monkeypatch, c, 2, one, strategy) == _per_row_work(
+        monkeypatch, c, 2, forty, strategy
+    )
