@@ -297,9 +297,17 @@ class ProtocolOutcome:
     correction: Unitary | None = None
 
 
+def _integer(value: object) -> int:
+    """An index as an int: Python and numpy integers pass; a bool, a float
+    or anything else raises ValueError rather than being truncated."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"expected an integer, got {value!r}")
+
+
 def _validated_subset(subset: Sequence[int], num_qubits: int | None = None) -> tuple[int, ...]:
     """Distinct 1-based qubit indices, at most ``num_qubits`` when given."""
-    idx = tuple(int(q) for q in subset)
+    idx = tuple(_integer(q) for q in subset)
     if not idx:
         raise ValueError("qubit subset must be non-empty")
     if len(set(idx)) != len(idx):
@@ -365,7 +373,7 @@ def _grouped(rows: np.ndarray, subset: Sequence[int]) -> tuple[np.ndarray, list[
 
 def make_basis_state(num_qubits: int, bits: Sequence[int]) -> StateVector:
     """Computational basis state |b1 b2 ... bn> (qubit 1 = leftmost bit)."""
-    bits = list(bits)
+    bits = [_integer(b) for b in bits]
     if len(bits) != num_qubits:
         raise DimensionError(f"expected {num_qubits} bits, got {len(bits)}")
     if any(b not in (0, 1) for b in bits):

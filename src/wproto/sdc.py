@@ -43,7 +43,9 @@ from .qsim import (
     PAULI_FOUR,
     PAULIS,
     STRUCTURAL_TOL,
+    DimensionError,
     InternalConsistencyError,
+    NormalizationError,
     StateVector,
     Unitary,
     apply_unitary,
@@ -216,9 +218,9 @@ def decode(states: Sequence[StateVector]) -> DecodeVerdict:
     n = states[0].num_qubits
     for s in states:
         if s.num_qubits != n:
-            raise ValueError("all states must share one qubit count")
+            raise DimensionError("all states must share one qubit count")
         if not s.normalized:
-            raise ValueError("all states must be normalized")
+            raise NormalizationError("all states must be normalized")
     gram = gram_matrix(states)
     deviation = np.abs(gram - np.eye(len(states)))
     if deviation.max() <= STRUCTURAL_TOL:

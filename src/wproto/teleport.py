@@ -18,34 +18,29 @@ to one of four subspace corrections, and he can
 
   * ``subspace``  - keep the state encoded in that two-dimensional span,
   * ``transfer``  - unitarily move it onto his last physical qubit,
-  * ``serial``    - teleport it onto a fresh Bell-pair qubit with a second
-                    local measurement and a final single-qubit correction.
+  * ``serial``    - teleport it again, through a fresh Bell pair, onto one
+                    qubit.
 
-:func:`run_teleport_grid` builds a resource's family, corrections and
-relay basis once and sends every input state through one straight
-pipeline on row stacks: the input (x) resource joint states are multiplied
-into stacks of at most 2^14 amplitudes (256 KiB, which stays in cache; a
-larger joint state is measured alone), each measured by one call, each
-outcome's post-states are stacked into one (G, 2^m) array and corrected at
-once, and only ``serial`` adds a relay step (a fresh Bell pair, a second
-measurement and a correction of qubit 1).  Every run is then checked
-against its own target; for ``transfer`` the receiver's last qubit is split
-off first.  Targets, post-states, transfer pairs and fidelities are built
-from the stacks, not row by row, and every grid point keeps its own
-probabilities, checks and fidelity, equal bit for bit to a run of that
-point alone.
-:func:`run_teleport_one_qubit` is the one-state case and
-:func:`run_teleport_encoded` sends any m-qubit register through the same
-pipeline, whose checks refuse one outside span{|0..0>, |w>}.  Each entry
-point refuses a bad ``StateVector`` register with one shared check.  Every
-branch is enumerated deterministically; nothing is sampled.
+Each protocol is one hop, taken once or twice: every input row (x) the
+resource is measured in a family, and the receiver's qubits get the
+correction its outcome names.  ``serial`` takes a second hop from each
+branch, through (|00> + |11>)/sqrt(2) in the relay family, and corrects its
+first qubit; its sixteen branches carry joint probabilities.
+:func:`run_teleport_grid` builds a resource's family, corrections and relay
+basis once and checks every grid point against its own target, equal bit
+for bit to a run of that point alone; :func:`run_teleport_one_qubit` is its
+one-state case, and :func:`run_teleport_encoded` sends any m-qubit register
+through the same hop, whose measurement refuses one outside
+span{|0..0>, |w>}.  One check refuses a ``StateVector`` of the wrong size
+or norm, be it an input register or the receiver's |w>.  Every branch is
+enumerated deterministically; nothing is sampled.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -64,7 +59,6 @@ from .qsim import (
     Unitary,
     apply_unitary_stack,
     fidelity_stack,
-    inner_product,
     make_basis_state,
     project_stack,
     state_rows,
@@ -103,16 +97,13 @@ class ProtocolReport:
     verdict is derived from ``fidelities`` against ``FIDELITY_THRESHOLD``
     as it stands when read, so it cannot contradict them."""
 
-    resource: str
     strategy: str | None
     outcomes: tuple[ProtocolOutcome, ...]
     fidelities: dict[str, float]
 
-    @property
-    def classical_bits_sent(self) -> int:
-        """Two bits name the sender's outcome; the serial relay's second
-        measurement is local to the receiver."""
-        return 2
+    #: two bits name the sender's outcome; the serial relay's second
+    #: measurement is local to the receiver
+    classical_bits_sent = 2
 
     @property
     def min_fidelity(self) -> float:
@@ -238,21 +229,17 @@ def raw_ghz_measurement_vectors(a1: complex, a2: complex, n: int) -> list[StateV
 def ghz_measurement_family(a1: complex, a2: complex, n: int) -> MeasurementBasis:
     """Orthonormal Bell-type family for a (proper) GHZ resource."""
     _require_split(ghz_condition(a1, a2), "GHZ-type resource needs |a1|^2 = |a2|^2 = 1/2")
-    vectors = raw_ghz_measurement_vectors(a1, a2, n)
-    return MeasurementBasis(range(1, n + 1), vectors, FAMILY_LABELS)
+    return MeasurementBasis(range(1, n + 1), raw_ghz_measurement_vectors(a1, a2, n), FAMILY_LABELS)
 
 
 def _basis_pair(m: int, wm: StateVector) -> StateVector:
     """Check that {|0..0>, wm} is an orthonormal pair on m qubits, the pair
     spanning the encoded subspace; return |0..0>."""
-    zero = zero_state(m)
-    if wm.num_qubits != m:
-        raise DimensionError(f"basis pair must live on m={m} qubits")
-    if not wm.normalized:
-        raise NormalizationError("basis pair must be normalized")
-    if not abs(inner_product(zero, wm)) <= STRUCTURAL_TOL:
+    _require_registers([wm], m)
+    # <0..0|wm> is wm's first amplitude; its modulus by hypot, as fidelities take it
+    if not abs(complex(wm.amplitudes[0])) <= STRUCTURAL_TOL:
         raise ValueError("basis pair must be orthogonal")
-    return zero
+    return zero_state(m)
 
 
 def bob_strategy1_set(m: int, wm: StateVector) -> list[Unitary]:
@@ -325,9 +312,8 @@ _BELL = superpose([(1.0 / math.sqrt(2.0), make_basis_state(2, [b, b])) for b in 
 #: largest joint state the qubit budget allows
 _STACK_AMPLITUDES = 2 ** (MAX_QUBITS + 1)
 
-#: the sender's joint states are measured in stacks of at most this many
-#: amplitudes (256 KiB, which stays in cache); a larger joint state is
-#: measured on its own
+#: each hop measures its joint states in stacks of at most this many
+#: amplitudes (256 KiB, which stays in cache); a larger one on its own
 _JOINT_AMPLITUDES = 2**14
 
 
@@ -337,62 +323,62 @@ def outcome_shape(m: int, strategy: str) -> tuple[int, int]:
     return (16, 1) if strategy == "serial" else (4, m)
 
 
+def _hop(
+    rows: np.ndarray,
+    resource: StateVector,
+    basis: MeasurementBasis,
+    corrections: Sequence[Unitary],
+    receiver: tuple[int, ...],
+    prefix: str,
+) -> Iterator[tuple[str, np.ndarray, np.ndarray, Unitary]]:
+    """One teleportation step on every row of a (G, 2^q) stack: row (x)
+    ``resource`` is measured in ``basis`` in stacks of at most
+    ``_JOINT_AMPLITUDES`` amplitudes (a larger joint state alone), and each
+    outcome's post-states are corrected at once on the ``receiver`` qubits.
+    Yields (label, probabilities, corrected stack, correction) per outcome;
+    a branch of probability 0 is a bug, named ``prefix`` + its label."""
+    per = max(1, _JOINT_AMPLITUDES // (rows.shape[1] * len(resource.amplitudes)))
+    measured = [
+        project_stack((chunk[:, :, None] * resource.amplitudes).reshape(len(chunk), -1), basis)
+        for chunk in (rows[start : start + per] for start in range(0, len(rows), per))
+    ]
+    for outcome in zip(*measured):
+        label, p = outcome[0][0], np.concatenate([o[1] for o in outcome])
+        if not (p > ZERO_PROBABILITY).all():
+            raise InternalConsistencyError(f"branch {prefix}{label} has probability 0")
+        u = corrections[CORRECTION_INDEX[label]]
+        yield label, p, apply_unitary_stack(np.concatenate([o[2] for o in outcome]), u, receiver), u
+
+
 def _teleport(
     inputs: np.ndarray,
     targets: np.ndarray,
     resource: StateVector,
     basis: MeasurementBasis,
     corrections: Sequence[Unitary],
-    describe: str,
     strategy: str | None,
     relay: MeasurementBasis | None = None,
 ) -> list[ProtocolReport]:
     """Teleport each row of the (G, 2^q) ``inputs`` stack through ``resource``
     and check it against the same row of ``targets``; one report per row, in
-    order.
-
-    The input (x) resource joint states are multiplied straight into stacks
-    of at most ``_JOINT_AMPLITUDES`` amplitudes (one joint state per stack
-    when it is larger), and each stack is measured in ``basis`` by one call;
-    each outcome's post-states are stacked and corrected at once.  With a
-    ``relay`` basis, each corrected stack is extended by a fresh Bell pair
-    and measured again, and qubit 1 is corrected; such a branch is labelled
-    ``outer|inner`` and has the joint probability.  Each branch's
-    post-states, transfer pairs (the receiver's last qubit, split off) and
-    fidelities come from its stack, each row checked on its own.
-    """
-    half = resource.amplitudes
-    per = max(1, _JOINT_AMPLITUDES // (inputs.shape[1] * len(half)))
-    measured = []
-    for start in range(0, len(inputs), per):
-        chunk = inputs[start : start + per]
-        measured.append(project_stack((chunk[:, :, None] * half).reshape(len(chunk), -1), basis))
+    order.  With a ``relay`` basis each sender branch hops again, through a
+    fresh Bell pair, as branch ``outer|inner`` with the joint probability;
+    for ``transfer`` the receiver's last qubit is split off before the check."""
     receiver = tuple(range(1, corrections[0].dimension.bit_length()))
     columns = []
-    for rows in zip(*measured):
-        label, p = rows[0][0], np.concatenate([r[1] for r in rows])
-        if not (p > ZERO_PROBABILITY).all():
-            raise InternalConsistencyError(f"branch {label} has probability 0")
-        corr = corrections[CORRECTION_INDEX[label]]
-        fixed = apply_unitary_stack(np.concatenate([r[2] for r in rows]), corr, receiver)
-        if relay is None:
-            branches = [(label, p, fixed, corr)]
-        else:
-            extended = (fixed[:, :, None] * _BELL.amplitudes).reshape(len(fixed), -1)
-            branches = []
-            for inner, q, post in project_stack(extended, relay):
-                if not (q > ZERO_PROBABILITY).all():
-                    raise InternalConsistencyError(f"branch {label}|{inner} has probability 0")
-                pauli = PAULIS[CORRECTION_INDEX[inner]]
-                final = apply_unitary_stack(post, pauli, (1,))
-                branches.append((f"{label}|{inner}", p * q, final, pauli))
+    for label, p, fixed, u in _hop(inputs, resource, basis, corrections, receiver, ""):
+        branches = [(label, p, fixed, u)]
+        if relay is not None:
+            branches = [
+                (f"{label}|{inner}", p * q, final, pauli)
+                for inner, q, final, pauli in _hop(fixed, _BELL, relay, PAULIS, (1,), label + "|")
+            ]
         for name, prob, final, u in branches:
             compared = _extract_last_qubit(final) if strategy == "transfer" else final
             fids = fidelity_stack(compared, targets).tolist()
             columns.append((name, prob.tolist(), state_rows(final), u, fids))
     return [
         ProtocolReport(
-            describe,
             strategy,
             tuple(ProtocolOutcome(name, prob[g], post[g], u) for name, prob, post, u, _ in columns),
             {name: fids[g] for name, _, _, _, fids in columns},
@@ -401,17 +387,14 @@ def _teleport(
     ]
 
 
-def _describe(c: CoefficientVector, m: int) -> str:
-    return f"generalized W-state, n={c.n}, partition m={m}"
-
-
 def _require_registers(states: Sequence[StateVector], qubits: int) -> None:
-    """Refuse a bad register before anything multiplies it (inf * 0 is NaN)."""
+    """Refuse a state of the wrong size or norm, an input register or the
+    receiver's |w>, before anything multiplies it (inf * 0 is NaN)."""
     for psi in states:
         if psi.num_qubits != qubits:
-            raise DimensionError(f"register has {psi.num_qubits} qubits, need {qubits}")
+            raise DimensionError(f"state has {psi.num_qubits} qubits, need {qubits}")
         if not psi.normalized:
-            raise NormalizationError("the register must be normalized")
+            raise NormalizationError("the state must be normalized")
 
 
 def run_teleport_encoded(c: CoefficientVector, m: int, psi: StateVector) -> ProtocolReport:
@@ -430,9 +413,7 @@ def run_teleport_encoded(c: CoefficientVector, m: int, psi: StateVector) -> Prot
     _require_registers([psi], m)
     wm = excitation_blocks(c, m)[2]
     rows = psi.amplitudes[None]
-    return _teleport(
-        rows, rows, generalized_w(c), basis, bob_strategy1_set(m, wm), _describe(c, m), None
-    )[0]
+    return _teleport(rows, rows, generalized_w(c), basis, bob_strategy1_set(m, wm), None)[0]
 
 
 def run_teleport_grid(
@@ -458,7 +439,7 @@ def run_teleport_grid(
     resource = generalized_w(c)
     corrections = (bob_strategy2_set if strategy == "transfer" else bob_strategy1_set)(m, wm)
     relay = serial_basis(m, wm) if strategy == "serial" else None
-    zero, describe = zero_state(m), _describe(c, m)
+    zero = zero_state(m)
     inputs = np.array([psi.amplitudes for psi in states])
     batch = max(1, _STACK_AMPLITUDES >> (m + 2))
     reports = []
@@ -467,9 +448,7 @@ def run_teleport_grid(
         targets = chunk
         if strategy == "subspace":  # alpha|0..0> + beta|w> per row
             targets = chunk[:, :1] * zero.amplitudes + chunk[:, 1:] * wm.amplitudes
-        reports += _teleport(
-            chunk, targets, resource, basis, corrections, describe, strategy, relay
-        )
+        reports += _teleport(chunk, targets, resource, basis, corrections, strategy, relay)
     return reports
 
 
@@ -488,12 +467,11 @@ def _extract_last_qubit(rows: np.ndarray) -> np.ndarray:
     the first two amplitudes means the correction table is wrong, which is
     a bug, not a caller error.
     """
-    if rows.shape[1] > 2:
-        stray = float(np.abs(rows[:, 2:]).max())
-        if not stray <= STRUCTURAL_TOL:
-            raise InternalConsistencyError(
-                f"transfer strategy left residual entanglement (|amp| {stray:.3e})"
-            )
+    stray = float(np.abs(rows[:, 2:]).max(initial=0.0))
+    if not stray <= STRUCTURAL_TOL:
+        raise InternalConsistencyError(
+            f"transfer strategy left residual entanglement (|amp| {stray:.3e})"
+        )
     pairs = rows[:, :2]
     # the real and imaginary dot products np.linalg.norm sums for a complex vector
     norms = np.sqrt(np.vecdot(pairs.real, pairs.real) + np.vecdot(pairs.imag, pairs.imag))

@@ -216,6 +216,14 @@ def ghz(n: int) -> StateVector:
     return generalized_ghz(s, s, n)
 
 
+def _integer(value: object) -> int:
+    """A partition size or qubit number as an int: Python and numpy integers
+    pass; a bool, a float or anything else raises ValueError."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"expected an integer, got {value!r}")
+
+
 def teleport_condition(c: CoefficientVector, m: int) -> ConditionReport:
     """Check the half-half split for the cut "last m qubits vs the rest".
 
@@ -223,7 +231,7 @@ def teleport_condition(c: CoefficientVector, m: int) -> ConditionReport:
     (see :func:`permute_coefficients`); the single canonical formula keeps
     the bookkeeping honest.
     """
-    n = c.n
+    n, m = c.n, _integer(m)
     if not (1 <= m <= n - 1):
         raise ValueError(f"partition size m={m} must lie in 1..{n - 1}")
     weights = np.abs(c.coeffs) ** 2
@@ -340,7 +348,7 @@ def permute_coefficients(c: CoefficientVector, order: Sequence[int]) -> Coeffici
     permuting the qubits of ``generalized_w(c)`` are the same operation, so
     this is how arbitrary qubit assignments are fed to the last-m condition.
     """
-    order = [int(q) for q in order]
+    order = [_integer(q) for q in order]
     if sorted(order) != list(range(1, c.n + 1)):
         raise ValueError(f"order must be a permutation of 1..{c.n}")
     return CoefficientVector(c.coeffs[[q - 1 for q in order]])

@@ -67,6 +67,26 @@ def test_the_cli_holds_no_physics():
     assert not names & physics
 
 
+def _name(node: ast.expr) -> str | None:
+    return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
+def test_teleport_measures_in_one_hop_and_checks_states_once():
+    # one step measures and corrects every stack, sender's and relay's alike,
+    # and one check refuses a state of the wrong size or norm
+    called, raised = {}, {}
+    for top in ast.parse((PACKAGE / "teleport.py").read_text()).body:
+        owner = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                called.setdefault(_name(node.func), set()).add(owner)
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.setdefault(_name(exc), set()).add(owner)
+    assert called["project_stack"] == called["apply_unitary_stack"] == {"_hop"}
+    assert raised["DimensionError"] == raised["NormalizationError"] == {"_require_registers"}
+
+
 @pytest.mark.parametrize("name", sorted(GOLDENS))
 def test_acceptance_report_is_byte_identical_to_golden(tmp_path, name):
     config, golden = GOLDENS[name]

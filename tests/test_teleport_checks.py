@@ -141,7 +141,7 @@ FIDELITIES = st.one_of(
 @example({"xi+": 1.0, "xi-": FIDELITY_THRESHOLD})
 @example({"xi+": 1.0, "xi-": ONE_ULP_BELOW})
 def test_verdict_derives_from_the_fidelities(fidelities):
-    report = ProtocolReport("resource", "subspace", (), fidelities)
+    report = ProtocolReport("subspace", (), fidelities)
     low = min(fidelities.values())
     assert report.min_fidelity == low
     assert report.success == (low >= FIDELITY_THRESHOLD)
@@ -157,4 +157,4 @@ def test_verdict_derives_from_the_fidelities(fidelities):
 @pytest.mark.parametrize("field", ["success", "min_fidelity", "reason"])
 def test_verdict_cannot_be_passed_in(field):
     with pytest.raises(TypeError):
-        ProtocolReport("resource", None, (), {"xi+": 0.5}, **{field: True})
+        ProtocolReport(None, (), {"xi+": 0.5}, **{field: True})

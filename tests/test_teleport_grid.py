@@ -228,7 +228,7 @@ def test_receiver_constructions_share_the_pair_check(build):
     unnormalized = StateVector(2, [0, 1, 1, 0])
     with pytest.raises(ValueError, match="normalized"):
         build(2, unnormalized)
-    with pytest.raises(ValueError, match="m=3"):
+    with pytest.raises(ValueError, match="need 3"):
         build(3, StateVector(2, [0, 1, 0, 0]))
 
 
@@ -339,12 +339,21 @@ def test_grid_does_not_stack_the_joint_states(strategy):
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
-def test_batched_grid_equals_one_batch(monkeypatch, strategy):
+@pytest.mark.parametrize(
+    "constant, value",
+    [
+        # three grid points' branch rows per batch: batches of 3, 3 and 1
+        ("_STACK_AMPLITUDES", 3 * 2 ** (3 + 2)),
+        # the sender's 128-amplitude joint states one per stack, the relay's
+        # 32-amplitude ones two per stack: both hops measure in several chunks
+        ("_JOINT_AMPLITUDES", 2**6),
+    ],
+)
+def test_batched_grid_equals_one_batch(monkeypatch, constant, value, strategy):
     c = random_condition_coefficients(6, 3, np.random.default_rng(8))
     grid = unknown_state_grid(7, 2)
     whole = run_teleport_grid(c, 3, grid, strategy)
-    # three grid points' branch rows per batch: batches of 3, 3 and 1
-    monkeypatch.setattr(teleport, "_STACK_AMPLITUDES", 3 * 2 ** (3 + 2))
+    monkeypatch.setattr(teleport, constant, value)
     batched = run_teleport_grid(c, 3, grid, strategy)
     for one, other in zip(whole, batched, strict=True):
         assert one.fidelities == other.fidelities

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wproto.cli as cli
+import wproto.qsim as qsim
 import wproto.sdc as sdc
 import wproto.wstates as wstates
 from wproto.cli import ConfigError, emit, main, parse_config, run
@@ -547,3 +548,42 @@ def test_any_config_is_a_config_error_or_a_report(text):
         return
     report = run(config)
     assert emit(report, "json") and emit(report, "table")
+
+
+_W3, _C4 = wstates.standard_w(3), w_coefficients(4)
+# each call with a bool or non-integer index, and the same call with numpy ints
+_INDEX_CALLS = {
+    "reduced_spectrum": (
+        lambda i: qsim.reduced_spectrum(_W3, [i]), [1.9, True], np.int64(1)
+    ),
+    "apply_unitary": (
+        lambda i: qsim.apply_unitary(_W3, qsim.PAULIS[1], [i]), [2.5, True], np.int32(2)
+    ),
+    "permute_coefficients": (
+        lambda i: wstates.permute_coefficients(_C4, [i, 2, 3, 4]), [1.5, True], np.int64(1)
+    ),
+    "make_basis_state": (lambda i: qsim.make_basis_state(1, [i]), [1.0, True], np.int8(1)),
+    "teleport_condition": (lambda i: teleport_condition(_C4, i), [1.5, True], np.int64(1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_INDEX_CALLS))
+def test_indices_must_be_integers(name):
+    # int() used to truncate 1.9 to qubit 1, and True read as 1
+    call, bad, good = _INDEX_CALLS[name]
+    for value in bad:
+        with pytest.raises(ValueError, match="expected an integer"):
+            call(value)
+    call(good)
+
+
+def test_decode_raises_the_register_errors():
+    # a mixed qubit count or an unnormalized state: the error types every
+    # teleport entry point raises, both still ValueErrors
+    one, two = qsim.zero_state(1), qsim.zero_state(2)
+    with pytest.raises(qsim.DimensionError, match="one qubit count"):
+        sdc.decode([one, two])
+    with pytest.raises(NormalizationError, match="normalized"):
+        sdc.decode([one, StateVector(1, [1.0, 1.0])])
+    assert issubclass(qsim.DimensionError, ValueError)
+    assert issubclass(NormalizationError, ValueError)
