@@ -19,11 +19,8 @@ print()
 
 print("=== strategy 'subspace': keep the state encoded on two qubits ===")
 report = run_teleport_one_qubit(c, 2, psi, "subspace")
-for outcome in report.outcomes:
-    print(
-        f"  outcome {outcome.label:<5} p={outcome.probability:.4f}"
-        f"  fidelity vs encoded target = {report.fidelities[outcome.label]:.12f}"
-    )
+for label, p, f in zip(report.labels, report.probabilities[0], report.fidelities[0]):
+    print(f"  outcome {label:<5} p={p:.4f}  fidelity vs encoded target = {f:.12f}")
 print("  ->", report.reason)
 print()
 print("The input now lives in span{|00>, (|01>+|10>)/sqrt(2)} of the")
@@ -33,9 +30,8 @@ print()
 
 print("=== strategy 'transfer': squeeze it onto one physical qubit ===")
 report = run_teleport_one_qubit(c, 2, psi, "transfer")
-for outcome in report.outcomes:
-    amps = np.round(outcome.post_state.amplitudes, 6)
-    print(f"  outcome {outcome.label:<5} receiver register -> {amps}")
+for label, post in zip(report.labels, report.post_states[0]):
+    print(f"  outcome {label:<5} receiver register -> {np.round(post, 6)}")
 print("  ->", report.reason)
 print()
 print("The corrections compose the subspace recovery with the basis change")
@@ -45,8 +41,8 @@ print()
 
 print("=== strategy 'serial': relay through a fresh Bell pair ===")
 report = run_teleport_one_qubit(c, 2, psi, "serial")
-print(f"  {len(report.outcomes)} combined branches (4 sender x 4 receiver),")
-print(f"  each with joint probability {report.outcomes[0].probability:.6f}")
+print(f"  {len(report.labels)} combined branches (4 sender x 4 receiver),")
+print(f"  each with joint probability {report.probabilities[0, 0]:.6f}")
 print(f"  minimum fidelity over all branches: {report.min_fidelity:.12f}")
 print(f"  classical bits from the sender: {report.classical_bits_sent}")
 print()

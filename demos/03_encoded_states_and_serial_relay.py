@@ -31,11 +31,8 @@ c = w_coefficients(6)
 payload = encoded_state(c, 3, 0.8, -0.6j)
 print("payload: 0.8|000> - 0.6i|w3>  (|w3> = the receiver-side excitation block)")
 report = run_teleport_encoded(c, 3, payload)
-for outcome in report.outcomes:
-    print(
-        f"  outcome {outcome.label:<5} p={outcome.probability:.4f}"
-        f"  fidelity={report.fidelities[outcome.label]:.12f}"
-    )
+for label, p, f in zip(report.labels, report.probabilities[0], report.fidelities[0]):
+    print(f"  outcome {label:<5} p={p:.4f}  fidelity={f:.12f}")
 print("  ->", report.reason)
 print()
 

@@ -77,9 +77,9 @@ TASK_FIELDS = {
     "entropy": {},
 }
 #: per-scenario budget: the most dense operator entries one sdc encoding set
-#: may hold, and the most amplitudes one teleport grid's reports may keep,
-#: counting 32 more per kept outcome for its Python objects (2^25 complex
-#: entries take 512 MiB; `generated` fits up to m = 8)
+#: may hold, and the most amplitudes one teleport grid's report may keep,
+#: plus a margin of 32 per kept outcome, which covers its probability and
+#: fidelity (2^25 complex entries take 512 MiB; `generated` fits up to m = 8)
 MAX_SET_AMPLITUDES = 2**25
 CHOICES = {"strategy": STRATEGIES, "set": tuple(ENCODING_SETS), "expect": ("success", "failure")}
 W_FAMILY = {"w": w_coefficients, "modified-w": modified_w_coefficients}
@@ -269,7 +269,7 @@ def _parse_scenario(raw: Any, index: int, errors: list[str]) -> Scenario | None:
         for key, low in (("count", 1), ("seed", 0)):
             if not _is_int(grid[key]) or grid[key] < low:
                 errors.append(f"{where}.grid.{key}: integer >= {low} required")
-        if len(errors) == before:  # each run keeps its outcomes' (2^q,) states
+        if len(errors) == before:  # the report keeps a (2^q,) state per run and outcome
             outcomes, q = outcome_shape(echo["m"], echo["strategy"])
             kept = grid["count"] * outcomes * (2**q + 32)
             if kept > MAX_SET_AMPLITUDES:
@@ -345,7 +345,7 @@ def _run_teleport(s: Scenario) -> tuple[dict, bool, str]:
     states = unknown_state_grid(grid["count"], grid["seed"])
     results: dict[str, Any] = {"grid": dict(grid), "strategy": strategy}
     try:
-        reports = run_teleport_grid(c, m, states, strategy)
+        report = run_teleport_grid(c, m, states, strategy)
     except UnsuitableResourceError as exc:
         good = [r.partition_size for r in suitability_scan(c) if r.holds]
         reason = f"unsuitable resource: {exc} — " + (
@@ -356,17 +356,16 @@ def _run_teleport(s: Scenario) -> tuple[dict, bool, str]:
         if exc.report is not None:
             results["condition"] = _split_sums(exc.report)
         return results, False, reason
-    worst = min(reports, key=lambda r: r.min_fidelity)
     results.update(
-        runs=len(reports),
-        min_fidelity=worst.min_fidelity,
-        max_probability_deviation=max(r.probability_deviation for r in reports),
-        outcome_labels=[o.label for o in reports[0].outcomes],
-        classical_bits_sent=worst.classical_bits_sent,
+        runs=len(report.probabilities),
+        min_fidelity=report.min_fidelity,
+        max_probability_deviation=report.probability_deviation,
+        outcome_labels=list(report.labels),
+        classical_bits_sent=report.classical_bits_sent,
     )
-    if worst.success:
+    if report.success:
         return results, True, "every outcome of every run reproduced the input"
-    return results, False, worst.reason
+    return results, False, report.reason
 
 
 def _run_sdc(s: Scenario) -> tuple[dict, bool, str]:
@@ -522,14 +521,13 @@ def _demo_narration(config: ScenarioConfig, seed: int) -> str:
             report = run_teleport_one_qubit(scenario.resource, echo["m"], psi, echo["strategy"])
         except UnsuitableResourceError:
             continue
-        probs = np.array([o.probability for o in report.outcomes])
+        probs = report.probabilities[0]
         pick = int(rng.choice(len(probs), p=probs / probs.sum()))
-        outcome = report.outcomes[pick]
         lines.append(
-            f"  scenario {index}: measured '{outcome.label}'"
-            f" (p={outcome.probability:.4f}); after the correction the"
+            f"  scenario {index}: measured '{report.labels[pick]}'"
+            f" (p={probs[pick]:.4f}); after the correction the"
             f" receiver holds the input with fidelity"
-            f" {report.fidelities[outcome.label]:.9f}"
+            f" {report.fidelities[0, pick]:.9f}"
         )
         sampled = True
     if not sampled:

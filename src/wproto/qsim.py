@@ -84,6 +84,7 @@ class StateVector:
     __slots__ = ("num_qubits", "amplitudes", "normalized")
 
     def __init__(self, num_qubits: int, amplitudes: Sequence[complex] | np.ndarray):
+        num_qubits = require_int(num_qubits)
         if num_qubits < 1:
             raise DimensionError("a state needs at least one qubit")
         amps = np.array(amplitudes, dtype=np.complex128)
@@ -284,30 +285,32 @@ class MeasurementBasis:
 
 @dataclass(frozen=True)
 class ProtocolOutcome:
-    """One measurement branch: label, probability, post-state, correction.
+    """One measurement branch of :func:`project`: label, probability, post-state.
 
     ``post_state`` covers the unmeasured qubits in their original order and
     is None when the branch probability is (numerically) zero or when every
-    qubit was measured.  ``correction`` is filled in by the protocol layer.
+    qubit was measured.
     """
 
     label: str
     probability: float
     post_state: StateVector | None
-    correction: Unitary | None = None
 
 
-def _integer(value: object) -> int:
-    """An index as an int: Python and numpy integers pass; a bool, a float
-    or anything else raises ValueError rather than being truncated."""
+def require_int(value: object, low: int | None = None) -> int:
+    """A size, index or bit as an int: Python and numpy integers pass; a
+    bool, a float or anything else raises ValueError rather than being
+    truncated, and so does an integer below ``low`` when one is given."""
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
+        if low is None or value >= low:
+            return int(value)
+        raise ValueError(f"expected an integer >= {low}, got {value!r}")
     raise ValueError(f"expected an integer, got {value!r}")
 
 
 def _validated_subset(subset: Sequence[int], num_qubits: int | None = None) -> tuple[int, ...]:
     """Distinct 1-based qubit indices, at most ``num_qubits`` when given."""
-    idx = tuple(_integer(q) for q in subset)
+    idx = tuple(require_int(q) for q in subset)
     if not idx:
         raise ValueError("qubit subset must be non-empty")
     if len(set(idx)) != len(idx):
@@ -373,7 +376,8 @@ def _grouped(rows: np.ndarray, subset: Sequence[int]) -> tuple[np.ndarray, list[
 
 def make_basis_state(num_qubits: int, bits: Sequence[int]) -> StateVector:
     """Computational basis state |b1 b2 ... bn> (qubit 1 = leftmost bit)."""
-    bits = [_integer(b) for b in bits]
+    num_qubits = require_int(num_qubits)
+    bits = [require_int(b) for b in bits]
     if len(bits) != num_qubits:
         raise DimensionError(f"expected {num_qubits} bits, got {len(bits)}")
     if any(b not in (0, 1) for b in bits):
@@ -388,7 +392,7 @@ def make_basis_state(num_qubits: int, bits: Sequence[int]) -> StateVector:
 
 def zero_state(num_qubits: int) -> StateVector:
     """The all-zeros state |00...0>."""
-    return make_basis_state(num_qubits, [0] * num_qubits)
+    return make_basis_state(num_qubits, [0] * require_int(num_qubits))
 
 
 def superpose(terms: Iterable[tuple[complex, StateVector]]) -> StateVector:

@@ -50,6 +50,7 @@ from .qsim import (
     Unitary,
     apply_unitary,
     gram_matrix,
+    require_int,
 )
 from .teleport import bob_strategy2_set, require_condition
 from .wstates import CoefficientVector, excitation_blocks, generalized_w
@@ -141,10 +142,8 @@ def w4_multiunary_set() -> EncodingSet:
 
 def pauli_product_set(m: int) -> EncodingSet:
     """All 4^m tensor products of the single-qubit set on m qubits."""
-    if m < 1:
-        raise ValueError("need m >= 1")
     ops = []
-    for combo in product(range(4), repeat=m):
+    for combo in product(range(4), repeat=require_int(m, 1)):
         mat = reduce(np.kron, (PAULI_FOUR[i] for i in combo))
         ops.append(Unitary(mat))
     return EncodingSet(ops)

@@ -28,12 +28,14 @@ branch, through (|00> + |11>)/sqrt(2) in the relay family, and corrects its
 first qubit; its sixteen branches carry joint probabilities.
 :func:`run_teleport_grid` builds a resource's family, corrections and relay
 basis once and checks every grid point against its own target, equal bit
-for bit to a run of that point alone; :func:`run_teleport_one_qubit` is its
-one-state case, and :func:`run_teleport_encoded` sends any m-qubit register
-through the same hop, whose measurement refuses one outside
-span{|0..0>, |w>}.  One check refuses a ``StateVector`` of the wrong size
-or norm, be it an input register or the receiver's |w>.  Every branch is
-enumerated deterministically; nothing is sampled.
+for bit to a run of that point alone, in one columnar
+:class:`ProtocolReport` (a row per grid point, a column per branch);
+:func:`run_teleport_one_qubit` is its one-state case, and
+:func:`run_teleport_encoded` sends any m-qubit register through the same
+hop, whose measurement refuses one outside span{|0..0>, |w>}.  One check
+refuses a ``StateVector`` of the wrong size or norm, be it an input register
+or the receiver's |w>.  Every branch is enumerated deterministically; nothing
+is sampled.
 """
 
 from __future__ import annotations
@@ -54,13 +56,13 @@ from .qsim import (
     InternalConsistencyError,
     MeasurementBasis,
     NormalizationError,
-    ProtocolOutcome,
     StateVector,
     Unitary,
     apply_unitary_stack,
     fidelity_stack,
     make_basis_state,
     project_stack,
+    require_int,
     state_rows,
     superpose,
     tensor,
@@ -91,15 +93,19 @@ STRATEGIES = ("subspace", "transfer", "serial")
 _K0, _K1 = make_basis_state(1, [0]), make_basis_state(1, [1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProtocolReport:
-    """Aggregate of one protocol run over every measurement branch.  The
-    verdict is derived from ``fidelities`` against ``FIDELITY_THRESHOLD``
-    as it stands when read, so it cannot contradict them."""
+    """A protocol run over G inputs and its K branches, as columns: branch
+    k's label and last correction, and read-only (G, K) probabilities and
+    fidelities and (G, K, 2^q) post-states.  The verdict is derived from
+    ``fidelities`` against ``FIDELITY_THRESHOLD`` as it stands when read."""
 
     strategy: str | None
-    outcomes: tuple[ProtocolOutcome, ...]
-    fidelities: dict[str, float]
+    labels: tuple[str, ...]
+    corrections: tuple[Unitary, ...]
+    probabilities: np.ndarray
+    fidelities: np.ndarray
+    post_states: np.ndarray
 
     #: two bits name the sender's outcome; the serial relay's second
     #: measurement is local to the receiver
@@ -107,7 +113,7 @@ class ProtocolReport:
 
     @property
     def min_fidelity(self) -> float:
-        return min(self.fidelities.values())
+        return float(self.fidelities.min())
 
     @property
     def success(self) -> bool:
@@ -127,8 +133,7 @@ class ProtocolReport:
         """Largest distance of a branch probability from the expected one:
         the branches are equiprobable, 1/4 per four-outcome measurement
         (1/16 for the serial relay's two)."""
-        expected = 1.0 / len(self.outcomes)
-        return max(abs(o.probability - expected) for o in self.outcomes)
+        return float(np.abs(self.probabilities - 1.0 / len(self.labels)).max())
 
 
 def _require_split(report: ConditionReport, problem: str) -> ConditionReport:
@@ -220,8 +225,7 @@ def raw_ghz_measurement_vectors(a1: complex, a2: complex, n: int) -> list[StateV
     Vectors on n qubits (unknown qubit plus the sender's n-1 resource
     qubits); orthonormal exactly when |a1|^2 = |a2|^2 = 1/2.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
+    n = require_int(n, 2)
     all0, all1 = zero_state(n - 1), make_basis_state(n - 1, [1] * (n - 1))
     return _family(_K0, _K1, (a1, all0), (a2, all1))
 
@@ -352,39 +356,51 @@ def _hop(
 
 def _teleport(
     inputs: np.ndarray,
-    targets: np.ndarray,
     resource: StateVector,
     basis: MeasurementBasis,
     corrections: Sequence[Unitary],
     strategy: str | None,
     relay: MeasurementBasis | None = None,
-) -> list[ProtocolReport]:
+    wm: StateVector | None = None,
+) -> ProtocolReport:
     """Teleport each row of the (G, 2^q) ``inputs`` stack through ``resource``
-    and check it against the same row of ``targets``; one report per row, in
-    order.  With a ``relay`` basis each sender branch hops again, through a
-    fresh Bell pair, as branch ``outer|inner`` with the joint probability;
-    for ``transfer`` the receiver's last qubit is split off before the check."""
-    receiver = tuple(range(1, corrections[0].dimension.bit_length()))
-    columns = []
-    for label, p, fixed, u in _hop(inputs, resource, basis, corrections, receiver, ""):
-        branches = [(label, p, fixed, u)]
-        if relay is not None:
-            branches = [
-                (f"{label}|{inner}", p * q, final, pauli)
-                for inner, q, final, pauli in _hop(fixed, _BELL, relay, PAULIS, (1,), label + "|")
-            ]
-        for name, prob, final, u in branches:
-            compared = _extract_last_qubit(final) if strategy == "transfer" else final
-            fids = fidelity_stack(compared, targets).tolist()
-            columns.append((name, prob.tolist(), state_rows(final), u, fids))
-    return [
-        ProtocolReport(
-            strategy,
-            tuple(ProtocolOutcome(name, prob[g], post[g], u) for name, prob, post, u, _ in columns),
-            {name: fids[g] for name, _, _, _, fids in columns},
-        )
-        for g in range(len(targets))
-    ]
+    and check it against its target: the row itself, or alpha|0..0> +
+    beta|wm> given ``wm``.  With a ``relay`` basis each sender branch hops
+    again, through a fresh Bell pair, as branch ``outer|inner`` with the
+    joint probability; for ``transfer`` the receiver's last qubit is split
+    off before the check.  The report's columns are allocated up front, in
+    the shape :func:`outcome_shape` gives, and the rows go in batches of at
+    most ``_STACK_AMPLITUDES`` branch amplitudes, each writing its rows of
+    every branch's column in place."""
+    m = corrections[0].num_qubits
+    outcomes, qubits = outcome_shape(m, strategy or "subspace")
+    probabilities = np.empty((len(inputs), outcomes))
+    fidelities = np.empty((len(inputs), outcomes))
+    post_states = np.empty((len(inputs), outcomes, 2**qubits), dtype=np.complex128)
+    receiver = tuple(range(1, m + 1))
+    batch = max(1, _STACK_AMPLITUDES >> (m + 2))
+    for start in range(0, len(inputs), batch):
+        rows = slice(start, start + batch)
+        targets = inputs[rows]
+        if wm is not None:
+            targets = targets[:, :1] * zero_state(m).amplitudes + targets[:, 1:] * wm.amplitudes
+        columns = []
+        for label, p, fixed, u in _hop(inputs[rows], resource, basis, corrections, receiver, ""):
+            branches = [(label, p, fixed, u)]
+            if relay is not None:
+                second = _hop(fixed, _BELL, relay, PAULIS, (1,), label + "|")
+                branches = [(f"{label}|{inner}", p * q, final, v) for inner, q, final, v in second]
+            for name, prob, final, u in branches:
+                compared = _extract_last_qubit(final) if strategy == "transfer" else final
+                k = len(columns)
+                probabilities[rows, k] = prob
+                post_states[rows, k] = final
+                fidelities[rows, k] = fidelity_stack(compared, targets)
+                columns.append((name, u))
+    for array in (probabilities, fidelities, post_states):
+        array.flags.writeable = False
+    labels, fixes = zip(*columns)
+    return ProtocolReport(strategy, labels, fixes, probabilities, fidelities, post_states)
 
 
 def _require_registers(states: Sequence[StateVector], qubits: int) -> None:
@@ -412,15 +428,15 @@ def run_teleport_encoded(c: CoefficientVector, m: int, psi: StateVector) -> Prot
     basis = measurement_family(c, m)
     _require_registers([psi], m)
     wm = excitation_blocks(c, m)[2]
-    rows = psi.amplitudes[None]
-    return _teleport(rows, rows, generalized_w(c), basis, bob_strategy1_set(m, wm), None)[0]
+    return _teleport(psi.amplitudes[None], generalized_w(c), basis, bob_strategy1_set(m, wm), None)
 
 
 def run_teleport_grid(
     c: CoefficientVector, m: int, states: Sequence[StateVector], strategy: str = "subspace"
-) -> list[ProtocolReport]:
+) -> ProtocolReport:
     """Teleport each one-qubit register alpha|0> + beta|1>; the receiver
-    recovers it per ``strategy`` (see module docstring).  One report per state, in order.
+    recovers it per ``strategy`` (see module docstring).  One report for the
+    grid: row g of its columns belongs to ``states[g]``.
 
     The resource's family, corrections and relay basis are built once;
     every state then gets its own full branch enumeration and per-branch
@@ -428,35 +444,28 @@ def run_teleport_grid(
     against the encoded target alpha|0..0> + beta|w>; for ``transfer`` and
     ``serial`` it is the fidelity of the receiver's final physical qubit
     against the input.  ``serial`` enumerates the sender's four outcomes
-    times the receiver's four, so its reports carry sixteen branches with
+    times the receiver's four, so its report carries sixteen branches with
     joint probabilities.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; pick one of {STRATEGIES}")
     basis = one_qubit_measurement_family(c, m)  # gates on the split condition
+    if not states:
+        raise ValueError("need at least one state")
     _require_registers(states, 1)
     wm = excitation_blocks(c, m)[2]
-    resource = generalized_w(c)
     corrections = (bob_strategy2_set if strategy == "transfer" else bob_strategy1_set)(m, wm)
     relay = serial_basis(m, wm) if strategy == "serial" else None
-    zero = zero_state(m)
     inputs = np.array([psi.amplitudes for psi in states])
-    batch = max(1, _STACK_AMPLITUDES >> (m + 2))
-    reports = []
-    for start in range(0, len(states), batch):
-        chunk = inputs[start : start + batch]
-        targets = chunk
-        if strategy == "subspace":  # alpha|0..0> + beta|w> per row
-            targets = chunk[:, :1] * zero.amplitudes + chunk[:, 1:] * wm.amplitudes
-        reports += _teleport(chunk, targets, resource, basis, corrections, strategy, relay)
-    return reports
+    target = wm if strategy == "subspace" else None
+    return _teleport(inputs, generalized_w(c), basis, corrections, strategy, relay, target)
 
 
 def run_teleport_one_qubit(
     c: CoefficientVector, m: int, psi: StateVector, strategy: str = "subspace"
 ) -> ProtocolReport:
     """Teleport one register: :func:`run_teleport_grid` for a single state."""
-    return run_teleport_grid(c, m, [psi], strategy)[0]
+    return run_teleport_grid(c, m, [psi], strategy)
 
 
 def _extract_last_qubit(rows: np.ndarray) -> np.ndarray:
@@ -484,8 +493,7 @@ def unknown_state_grid(count: int, seed: int) -> list[StateVector]:
     Seed-derived so a run can be reproduced exactly from its recorded
     configuration.
     """
-    if count < 1:
-        raise ValueError("need at least one grid point")
+    count, seed = require_int(count, 1), require_int(seed)
     rng = np.random.default_rng(seed)
     theta = rng.uniform(0.0, math.pi / 2.0, size=count)
     phase = rng.uniform(0.0, 2.0 * math.pi, size=count)

@@ -28,6 +28,7 @@ from .qsim import (
     NormalizationError,
     StateVector,
     reduced_spectrum,
+    require_int,
     spectrum_entropy,
 )
 
@@ -131,6 +132,7 @@ def sub_w(c: CoefficientVector, start: int, end: int) -> StateVector:
     sqrt(sum |a_l|^2 over the range); for the full range this is the
     normalized state itself.
     """
+    start, end = require_int(start), require_int(end)
     if not (1 <= start <= end <= c.n):
         raise ValueError(f"invalid range ({start}, {end}) for n={c.n}")
     k = end - start + 1
@@ -152,7 +154,7 @@ def excitation_blocks(
     only come from inconsistent input and are rejected because the
     protocols' measurement vectors would collapse.
     """
-    n = c.n
+    n, m = c.n, require_int(m)
     front = sub_w(c, 1, n - m)
     back_raw = sub_w(c, n - m + 1, n)
     back_norm = back_raw.norm
@@ -166,8 +168,7 @@ def excitation_blocks(
 
 def w_coefficients(n: int) -> CoefficientVector:
     """Uniform coefficients 1/sqrt(n)."""
-    if n < 2:
-        raise ValueError("need n >= 2")
+    n = require_int(n, 2)
     return CoefficientVector(np.full(n, 1.0 / math.sqrt(n)))
 
 
@@ -177,8 +178,7 @@ def modified_w_coefficients(n: int) -> CoefficientVector:
     a_n = 1/sqrt(2) and a_l = 1/sqrt(2(n-1)) otherwise, so the m=1 split
     condition holds for every n.  For n=3 this is (1/2, 1/2, 1/sqrt(2)).
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
+    n = require_int(n, 2)
     coeffs = np.full(n, 1.0 / math.sqrt(2.0 * (n - 1)), dtype=np.complex128)
     coeffs[-1] = 1.0 / math.sqrt(2.0)
     return CoefficientVector(coeffs)
@@ -201,8 +201,7 @@ def require_unit_pair(a: complex, b: complex) -> None:
 
 def generalized_ghz(a1: complex, a2: complex, n: int) -> StateVector:
     """a1 |00...0> + a2 |11...1| on n qubits; coefficients must be normalized."""
-    if n < 2:
-        raise ValueError("need n >= 2")
+    n = require_int(n, 2)
     require_unit_pair(a1, a2)
     amps = np.zeros(2**n, dtype=np.complex128)
     amps[0] = a1
@@ -216,14 +215,6 @@ def ghz(n: int) -> StateVector:
     return generalized_ghz(s, s, n)
 
 
-def _integer(value: object) -> int:
-    """A partition size or qubit number as an int: Python and numpy integers
-    pass; a bool, a float or anything else raises ValueError."""
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    raise ValueError(f"expected an integer, got {value!r}")
-
-
 def teleport_condition(c: CoefficientVector, m: int) -> ConditionReport:
     """Check the half-half split for the cut "last m qubits vs the rest".
 
@@ -231,7 +222,7 @@ def teleport_condition(c: CoefficientVector, m: int) -> ConditionReport:
     (see :func:`permute_coefficients`); the single canonical formula keeps
     the bookkeeping honest.
     """
-    n, m = c.n, _integer(m)
+    n, m = c.n, require_int(m)
     if not (1 <= m <= n - 1):
         raise ValueError(f"partition size m={m} must lie in 1..{n - 1}")
     weights = np.abs(c.coeffs) ** 2
@@ -268,8 +259,7 @@ def partition_entropy_formula(n: int, x: int) -> float:
     For any x-qubit subset: H(x/n) = -(x/n)log2(x/n) - (1-x/n)log2(1-x/n),
     which reaches one exactly when n is even and x = n/2.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
+    n, x = require_int(n, 2), require_int(x)
     if not (0 < x < n):
         raise ValueError(f"subset size x={x} must lie in 1..{n - 1}")
     return binary_entropy(x / n)
@@ -348,7 +338,7 @@ def permute_coefficients(c: CoefficientVector, order: Sequence[int]) -> Coeffici
     permuting the qubits of ``generalized_w(c)`` are the same operation, so
     this is how arbitrary qubit assignments are fed to the last-m condition.
     """
-    order = [_integer(q) for q in order]
+    order = [require_int(q) for q in order]
     if sorted(order) != list(range(1, c.n + 1)):
         raise ValueError(f"order must be a permutation of 1..{c.n}")
     return CoefficientVector(c.coeffs[[q - 1 for q in order]])

@@ -358,5 +358,7 @@ def test_readme_python_blocks_run_and_give_their_commented_results():
     wp, c = namespace["wp"], namespace["c"]
     assert [r.partition_size for r in wp.suitability_scan(c) if r.holds] == [2]
     assert namespace["report"].min_fidelity == 1.0
-    assert len(namespace["report"].outcomes) == 16
+    assert len(namespace["report"].labels) == 16
+    assert namespace["columns"].fidelities.shape == (20, 4)
+    assert namespace["columns"].min_fidelity >= 1 - 1e-9
     assert wp.capacity_check(c, 2, namespace["enc"]).bits == 3

@@ -1,10 +1,12 @@
-"""Repository-level guards: module boundaries, the golden reports and the
-names the benchmark's tracer wraps."""
+"""Repository-level guards: module boundaries, the golden reports, the
+names the benchmark's tracer wraps and the suite's own warning policy."""
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -87,6 +89,20 @@ def test_teleport_measures_in_one_hop_and_checks_states_once():
     assert raised["DimensionError"] == raised["NormalizationError"] == {"_require_registers"}
 
 
+def test_teleport_reports_are_columns_not_outcome_objects():
+    # a run writes its branches into the report's arrays: no module-level
+    # function builds a ProtocolOutcome or a StateVector list per grid row,
+    # and only the grid of input registers turns a stack into states
+    named = {}
+    for top in ast.parse((PACKAGE / "teleport.py").read_text()).body:
+        for node in ast.walk(top):
+            name = node.name if isinstance(node, ast.alias) else _name(node)
+            if name in ("ProtocolOutcome", "state_rows"):
+                named.setdefault(name, set()).add(getattr(top, "name", "<import>"))
+    assert "ProtocolOutcome" not in named
+    assert named["state_rows"] - {"<import>"} == {"unknown_state_grid"}
+
+
 @pytest.mark.parametrize("name", sorted(GOLDENS))
 def test_acceptance_report_is_byte_identical_to_golden(tmp_path, name):
     config, golden = GOLDENS[name]
@@ -134,3 +150,29 @@ def test_traced_work_functions_read_real_parameters():
                 read.setdefault(key, set()).add(name)
     assert read["qsim.project"] == {"state", "basis"}
     assert read["qsim.apply_unitary"] == {"state", "subset"}
+
+
+def test_a_failing_property_test_is_reported_not_an_internal_error(tmp_path):
+    # hypothesis reports a failing @given test through libcst, whose import
+    # warns "mypy_extensions.TypedDict is deprecated"; under pyproject's
+    # error::DeprecationWarning that warning used to end the session with
+    # INTERNALERROR (exit 3), leaving every later test unreported
+    (tmp_path / "test_always_fails.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_always_fails(x):\n"
+        "    assert x != x\n"
+    )
+    command = [sys.executable, "-m", "pytest", "-p", "no:cacheprovider"]
+    command += ["-c", str(ROOT / "pyproject.toml"), str(tmp_path)]
+    done = subprocess.run(
+        command,
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    output = done.stdout + done.stderr
+    assert done.returncode == 1, output
+    assert "INTERNALERROR" not in output
+    assert "1 failed" in output

@@ -114,8 +114,8 @@ def test_transfer_with_last_coefficient_zero():
     wm = excitation_blocks(c, 2)[2]
     assert wm.amplitudes[1] == 0
     _check_transfer(2, wm)
-    for report in run_teleport_grid(c, 2, unknown_state_grid(4, 3), "transfer"):
-        assert report.min_fidelity >= FIDELITY_THRESHOLD
+    report = run_teleport_grid(c, 2, unknown_state_grid(4, 3), "transfer")
+    assert report.min_fidelity >= FIDELITY_THRESHOLD
 
 
 @pytest.mark.parametrize("eps", [0.0, 1e-16, 1e-12, 1e-8, 1e-3])
@@ -129,7 +129,7 @@ def test_transfer_teleport_near_degenerate_back_block(m, eps):
         back[-1] = math.sqrt(0.5 * (1 - eps))
     c = CoefficientVector([0.5, 0.5 * np.exp(0.7j)] + back)
     psi = StateVector(1, [0.6, 0.8j])
-    (report,) = run_teleport_grid(c, m, [psi], "transfer")
+    report = run_teleport_grid(c, m, [psi], "transfer")
     assert report.min_fidelity >= FIDELITY_THRESHOLD
 
 

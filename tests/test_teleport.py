@@ -275,10 +275,11 @@ class TestEncodedTeleport:
         report = run_teleport_encoded(c, 2, encoded_state(c, 2, 0.6, 0.8j))
         assert report.success
         assert report.classical_bits_sent == 2
-        assert set(report.fidelities) == {"xi+", "xi-", "eta+", "eta-"}
-        for outcome in report.outcomes:
-            assert outcome.probability == pytest.approx(0.25, abs=1e-10)
-            assert outcome.correction is not None
+        assert set(report.labels) == {"xi+", "xi-", "eta+", "eta-"}
+        assert report.fidelities.shape == (1, 4)
+        for probability in report.probabilities[0]:
+            assert probability == pytest.approx(0.25, abs=1e-10)
+        assert len(report.corrections) == 4
         assert report.min_fidelity >= 1 - 1e-9
 
     def test_basis_state_input_trivial(self):
@@ -380,8 +381,8 @@ class TestEncodedTeleport:
         alpha, beta = pair / np.linalg.norm(pair)
         psi = encoded_state(c, m, alpha, beta)
         report = run_teleport_encoded(c, m, psi)
-        assert len(report.fidelities) == 4
-        assert all(f >= FIDELITY_THRESHOLD for f in report.fidelities.values())
+        assert report.fidelities.shape == (1, 4)
+        assert (report.fidelities >= FIDELITY_THRESHOLD).all()
         if m == 1:
             return
         wm = excitation_blocks(c, m)[2].amplitudes
@@ -404,16 +405,16 @@ class TestOneQubitTeleport:
         assert report.strategy == strategy
         assert report.classical_bits_sent == 2
         expected_outcomes = 16 if strategy == "serial" else 4
-        assert len(report.outcomes) == expected_outcomes
+        assert len(report.labels) == expected_outcomes
 
     def test_serial_probabilities_and_marginals(self):
         c = w_coefficients(4)
         report = run_teleport_one_qubit(c, 2, StateVector(1, [0.6, 0.8]), "serial")
         marginals: dict[str, float] = {}
-        for outcome in report.outcomes:
-            assert outcome.probability == pytest.approx(1 / 16, abs=1e-10)
-            first = outcome.label.split("|")[0]
-            marginals[first] = marginals.get(first, 0.0) + outcome.probability
+        for label, probability in zip(report.labels, report.probabilities[0]):
+            assert probability == pytest.approx(1 / 16, abs=1e-10)
+            first = label.split("|")[0]
+            marginals[first] = marginals.get(first, 0.0) + probability
         assert sorted(marginals) == ["eta+", "eta-", "xi+", "xi-"]
         for value in marginals.values():
             assert value == pytest.approx(0.25, abs=1e-10)
@@ -422,9 +423,8 @@ class TestOneQubitTeleport:
         c = w_coefficients(6)
         report = run_teleport_one_qubit(c, 3, StateVector(1, [0.6, 0.8j]), "transfer")
         assert report.success
-        for outcome in report.outcomes:
+        for amps in report.post_states[0]:
             # receiver register factorizes as |00>(alpha|0> + beta|1>)
-            amps = outcome.post_state.amplitudes
             assert np.abs(amps[2:]).max() < 1e-12
 
     def test_strategy_agreement(self):
@@ -434,9 +434,8 @@ class TestOneQubitTeleport:
         transfer = run_teleport_one_qubit(c, 3, psi, "transfer")
         serial = run_teleport_one_qubit(c, 3, psi, "serial")
         singles = [
-            StateVector(1, o.post_state.amplitudes[:2] / np.linalg.norm(o.post_state.amplitudes[:2]))
-            for o in transfer.outcomes
-        ] + [o.post_state for o in serial.outcomes]
+            StateVector(1, amps[:2] / np.linalg.norm(amps[:2])) for amps in transfer.post_states[0]
+        ] + [StateVector(1, amps) for amps in serial.post_states[0]]
         for i, a in enumerate(singles):
             assert fidelity(a, psi) >= 1 - 1e-9
             for b in singles[i + 1 :]:
@@ -449,8 +448,8 @@ class TestOneQubitTeleport:
         target = superpose(
             [(psi.amplitudes[0], zero_state(2)), (psi.amplitudes[1], StateVector(2, PSI_PLUS))]
         )
-        for outcome in report.outcomes:
-            assert fidelity(outcome.post_state, target) >= 1 - 1e-9
+        for amps in report.post_states[0]:
+            assert fidelity(StateVector(2, amps), target) >= 1 - 1e-9
 
     def test_beta_zero_trivial(self):
         for strategy in ("subspace", "transfer", "serial"):

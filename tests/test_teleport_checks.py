@@ -131,6 +131,19 @@ def test_one_register_check_serves_every_entry_point(data, n, seed, spoil, scale
                 run(register)
 
 
+def _report(fidelities: dict[str, float]) -> ProtocolReport:
+    """A one-row report whose branches carry ``fidelities``, label by label."""
+    k = len(fidelities)
+    return ProtocolReport(
+        "subspace",
+        tuple(fidelities),
+        (),
+        np.full((1, k), 1.0 / k),
+        np.array([list(fidelities.values())]),
+        np.zeros((1, k, 2), dtype=np.complex128),
+    )
+
+
 FIDELITIES = st.one_of(
     st.sampled_from([FIDELITY_THRESHOLD, ONE_ULP_BELOW, 1.0, 0.0]),
     st.floats(0.0, 1.0),
@@ -141,7 +154,7 @@ FIDELITIES = st.one_of(
 @example({"xi+": 1.0, "xi-": FIDELITY_THRESHOLD})
 @example({"xi+": 1.0, "xi-": ONE_ULP_BELOW})
 def test_verdict_derives_from_the_fidelities(fidelities):
-    report = ProtocolReport("subspace", (), fidelities)
+    report = _report(fidelities)
     low = min(fidelities.values())
     assert report.min_fidelity == low
     assert report.success == (low >= FIDELITY_THRESHOLD)
@@ -156,5 +169,16 @@ def test_verdict_derives_from_the_fidelities(fidelities):
 
 @pytest.mark.parametrize("field", ["success", "min_fidelity", "reason"])
 def test_verdict_cannot_be_passed_in(field):
+    columns = vars(_report({"xi+": 0.5}))
     with pytest.raises(TypeError):
-        ProtocolReport(None, (), {"xi+": 0.5}, **{field: True})
+        ProtocolReport(**columns, **{field: True})
+
+
+def test_verdict_and_deviation_span_every_row():
+    # the worst grid point decides the verdict, wherever it sits in the grid
+    fidelities = np.array([[1.0, 1.0], [1.0, ONE_ULP_BELOW], [1.0, 1.0]])
+    probabilities = np.array([[0.5, 0.5], [0.5, 0.5], [0.5, 0.5 + 1e-3]])
+    posts = np.zeros((3, 2, 2), dtype=np.complex128)
+    report = ProtocolReport("subspace", ("xi+", "xi-"), (), probabilities, fidelities, posts)
+    assert report.min_fidelity == ONE_ULP_BELOW and not report.success
+    assert report.probability_deviation == (0.5 + 1e-3) - 0.5

@@ -66,19 +66,25 @@ def _counting(monkeypatch, name):
     return calls
 
 
+def _assert_row_is_run(report, g, single):
+    """Row g of a grid report equals the one-row report ``single`` bit for
+    bit, in every column."""
+    assert report.labels == single.labels
+    for u, v in zip(report.corrections, single.corrections, strict=True):
+        assert (u.matrix == v.matrix).all()
+    for column in ("probabilities", "fidelities", "post_states"):
+        assert (getattr(report, column)[g] == getattr(single, column)[0]).all(), column
+
+
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_grid_reports_match_single_runs(strategy):
     c = random_condition_coefficients(5, 2, np.random.default_rng(4))
     grid = unknown_state_grid(6, 11)
-    reports = run_teleport_grid(c, 2, grid, strategy)
-    assert len(reports) == len(grid)
-    for psi, report in zip(grid, reports):
-        single = run_teleport_one_qubit(c, 2, psi, strategy)
-        assert report.fidelities == single.fidelities
-        assert [o.probability for o in report.outcomes] == [
-            o.probability for o in single.outcomes
-        ]
-        assert report.success and report.strategy == strategy
+    report = run_teleport_grid(c, 2, grid, strategy)
+    assert len(report.probabilities) == len(grid)
+    for g, psi in enumerate(grid):
+        _assert_row_is_run(report, g, run_teleport_one_qubit(c, 2, psi, strategy))
+    assert report.success and report.strategy == strategy
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -104,10 +110,10 @@ def test_rejection_comes_before_any_construction(monkeypatch):
 
 
 def test_the_four_paulis_are_built_once():
-    (report,) = run_teleport_grid(w_coefficients(4), 2, unknown_state_grid(1, 0), "serial")
-    for outcome in report.outcomes:
-        inner = outcome.label.split("|")[1]
-        assert outcome.correction is PAULIS[CORRECTION_INDEX[inner]]
+    report = run_teleport_grid(w_coefficients(4), 2, unknown_state_grid(1, 0), "serial")
+    for label, correction in zip(report.labels, report.corrections, strict=True):
+        inner = label.split("|")[1]
+        assert correction is PAULIS[CORRECTION_INDEX[inner]]
     assert pauli_set().operators == PAULIS
     for u, sigma in zip(PAULIS, PAULI_FOUR, strict=True):
         assert (u.matrix == sigma).all()
@@ -128,9 +134,33 @@ def test_outcome_shape_is_what_a_run_keeps(strategy):
     ]
     for c, m in resources:
         outcomes, qubits = outcome_shape(m, strategy)
-        for report in run_teleport_grid(c, m, unknown_state_grid(2, 4), strategy):
-            assert len(report.outcomes) == outcomes
-            assert [o.post_state.num_qubits for o in report.outcomes] == [qubits] * outcomes
+        report = run_teleport_grid(c, m, unknown_state_grid(2, 4), strategy)
+        assert len(report.labels) == len(report.corrections) == outcomes
+        assert report.probabilities.shape == report.fidelities.shape == (2, outcomes)
+        assert report.post_states.shape == (2, outcomes, 2**qubits)
+
+
+@pytest.mark.parametrize("strategy", teleport.STRATEGIES)
+def test_report_columns_are_read_only(strategy):
+    c, m = random_condition_coefficients(6, 3, np.random.default_rng(5)), 3
+    reports = [
+        (run_teleport_grid(c, m, unknown_state_grid(3, 2), strategy), 3, strategy),
+        (run_teleport_encoded(c, m, encoded_state(c, m, 0.6, 0.8j)), 1, "subspace"),
+    ]
+    for report, count, shape_of in reports:
+        outcomes, qubits = outcome_shape(m, shape_of)
+        shapes = [(count, outcomes), (count, outcomes), (count, outcomes, 2**qubits)]
+        columns = [report.probabilities, report.fidelities, report.post_states]
+        for column, shape in zip(columns, shapes, strict=True):
+            assert column.shape == shape and not column.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                column[0, 0] = 0.5
+        assert isinstance(report.labels, tuple) and isinstance(report.corrections, tuple)
+
+
+def test_empty_grid_is_refused():
+    with pytest.raises(ValueError, match="at least one state"):
+        run_teleport_grid(w_coefficients(4), 2, [])
 
 
 def test_probability_deviation_uses_the_branch_count():
@@ -138,9 +168,9 @@ def test_probability_deviation_uses_the_branch_count():
     psi = StateVector(1, [0.6, 0.8j])
     for strategy, branches in (("subspace", 4), ("serial", 16)):
         report = run_teleport_one_qubit(c, 1, psi, strategy)
-        assert len(report.outcomes) == branches
+        assert len(report.labels) == branches
         assert report.probability_deviation == max(
-            abs(o.probability - 1.0 / branches) for o in report.outcomes
+            abs(p - 1.0 / branches) for p in report.probabilities[0].tolist()
         )
         assert report.probability_deviation < 1e-12
 
@@ -235,9 +265,9 @@ def test_receiver_constructions_share_the_pair_check(build):
 def test_transfer_grid_lands_on_the_last_qubit():
     c = w_coefficients(6)
     grid = unknown_state_grid(4, 5)
-    for psi, report in zip(grid, run_teleport_grid(c, 3, grid, "transfer")):
-        for outcome in report.outcomes:
-            amps = outcome.post_state.amplitudes
+    report = run_teleport_grid(c, 3, grid, "transfer")
+    for psi, row in zip(grid, report.post_states, strict=True):
+        for amps in row:
             assert np.abs(amps[2:]).max() < 1e-12
             single = StateVector(1, amps[:2] / np.linalg.norm(amps[:2]))
             assert fidelity(single, psi) >= FIDELITY_THRESHOLD
@@ -247,10 +277,10 @@ def test_subspace_grid_targets_the_encoded_state():
     c = w_coefficients(4)
     wm = excitation_blocks(c, 2)[2]
     psi = StateVector(1, [math.cos(0.3), math.sin(0.3) * 1j])
-    (report,) = run_teleport_grid(c, 2, [psi], "subspace")
+    report = run_teleport_grid(c, 2, [psi], "subspace")
     target = psi.amplitudes[0] * zero_state(2).amplitudes + psi.amplitudes[1] * wm.amplitudes
-    for outcome in report.outcomes:
-        assert abs(np.vdot(target, outcome.post_state.amplitudes)) ** 2 >= FIDELITY_THRESHOLD
+    for post in report.post_states[0]:
+        assert abs(np.vdot(target, post)) ** 2 >= FIDELITY_THRESHOLD
 
 
 def _one_state_loop(c, m, psi, strategy):
@@ -301,21 +331,18 @@ def test_grid_equals_one_state_runs_exactly(data, n, count, seed, strategy):
     rng = np.random.default_rng(seed)
     c = random_condition_coefficients(n, m, rng)
     grid = unknown_state_grid(count, int(rng.integers(2**31)))
-    reports = run_teleport_grid(c, m, grid, strategy)
-    for psi, report in zip(grid, reports, strict=True):
+    report = run_teleport_grid(c, m, grid, strategy)
+    assert report.success and len(report.probabilities) == len(grid)
+    for g, psi in enumerate(grid):
         single = run_teleport_one_qubit(c, m, psi, strategy)
+        _assert_row_is_run(report, g, single)
+        assert single.min_fidelity == float(report.fidelities[g].min())
         reference = _one_state_loop(c, m, psi, strategy)
-        assert report.fidelities == single.fidelities
-        assert report.min_fidelity == single.min_fidelity and report.success
-        assert list(report.fidelities.items()) == [(b[0], b[3]) for b in reference]
-        for outcome, one, (label, probability, post, _) in zip(
-            report.outcomes, single.outcomes, reference, strict=True
-        ):
-            assert outcome.label == one.label == label
-            assert outcome.probability == one.probability == probability
-            assert (outcome.post_state.amplitudes == one.post_state.amplitudes).all()
-            assert (outcome.post_state.amplitudes == post.amplitudes).all()
-            assert (outcome.correction.matrix == one.correction.matrix).all()
+        assert list(report.labels) == [b[0] for b in reference]
+        assert report.fidelities[g].tolist() == [b[3] for b in reference]
+        assert report.probabilities[g].tolist() == [b[1] for b in reference]
+        for post, (_, _, state, _) in zip(report.post_states[g], reference, strict=True):
+            assert (post == state.amplitudes).all()
 
 
 def _traced_peak(c, m, grid, strategy) -> int:
@@ -355,11 +382,9 @@ def test_batched_grid_equals_one_batch(monkeypatch, constant, value, strategy):
     whole = run_teleport_grid(c, 3, grid, strategy)
     monkeypatch.setattr(teleport, constant, value)
     batched = run_teleport_grid(c, 3, grid, strategy)
-    for one, other in zip(whole, batched, strict=True):
-        assert one.fidelities == other.fidelities
-        for a, b in zip(one.outcomes, other.outcomes, strict=True):
-            assert a.probability == b.probability
-            assert (a.post_state.amplitudes == b.post_state.amplitudes).all()
+    assert batched.labels == whole.labels
+    for column in ("probabilities", "fidelities", "post_states"):
+        assert (getattr(batched, column) == getattr(whole, column)).all(), column
 
 
 def _per_row_work(monkeypatch, c, m, grid, strategy) -> tuple[int, int]:

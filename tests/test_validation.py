@@ -26,7 +26,12 @@ from wproto.qsim import (
     StateVector,
     Unitary,
 )
-from wproto.teleport import STRATEGIES, encoded_state, run_teleport_one_qubit
+from wproto.teleport import (
+    STRATEGIES,
+    encoded_state,
+    run_teleport_one_qubit,
+    unknown_state_grid,
+)
 from wproto.wstates import (
     CoefficientVector,
     binary_entropy,
@@ -587,3 +592,47 @@ def test_decode_raises_the_register_errors():
         sdc.decode([one, StateVector(1, [1.0, 1.0])])
     assert issubclass(qsim.DimensionError, ValueError)
     assert issubclass(NormalizationError, ValueError)
+
+
+_S = 1 / math.sqrt(2)
+# each call with a bool or non-integer size, and the same call with a numpy int
+_SIZE_CALLS = {
+    "StateVector": (lambda k: StateVector(k, [1, 0]), [True, 1.0], np.int64(1)),
+    "make_basis_state": (lambda k: qsim.make_basis_state(k, [1]), [True, 1.0], np.int8(1)),
+    "zero_state": (qsim.zero_state, [True, 2.0], np.int32(2)),
+    "w_coefficients": (w_coefficients, [True, 4.0], np.int64(4)),
+    "modified_w_coefficients": (wstates.modified_w_coefficients, [True, 3.0], np.int16(3)),
+    "generalized_ghz": (lambda k: generalized_ghz(_S, _S, k), [True, 3.0], np.int64(3)),
+    "ghz": (wstates.ghz, [True, 3.0], np.uint8(3)),
+    "sub_w.start": (lambda k: wstates.sub_w(_C4, k, 2), [True, 1.0], np.int64(1)),
+    "sub_w.end": (lambda k: wstates.sub_w(_C4, 1, k), [True, 2.0], np.int64(2)),
+    "excitation_blocks": (lambda k: wstates.excitation_blocks(_C4, k), [True, 1.5], np.int64(2)),
+    "partition_entropy_formula.n": (
+        lambda k: partition_entropy_formula(k, 1), [True, 4.0], np.int64(4)
+    ),
+    "partition_entropy_formula.x": (
+        lambda k: partition_entropy_formula(4, k), [True, 1.5], np.int64(1)
+    ),
+    "pauli_product_set": (sdc.pauli_product_set, [True, 1.0], np.int64(1)),
+    "unknown_state_grid.count": (lambda k: unknown_state_grid(k, 1), [True, 2.5], np.int64(2)),
+    "unknown_state_grid.seed": (lambda k: unknown_state_grid(2, k), [True, 1.0], np.int64(1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SIZE_CALLS))
+def test_sizes_must_be_integers(name):
+    # True used to pass as 1 (num_qubits=True), and a float raised a bare
+    # TypeError from numpy or Python, or was accepted as a qubit count
+    call, bad, good = _SIZE_CALLS[name]
+    for value in bad:
+        with pytest.raises(ValueError, match="expected an integer"):
+            call(value)
+    call(good)
+
+
+def test_size_floors_name_the_bound():
+    with pytest.raises(ValueError, match="expected an integer >= 2, got 1"):
+        w_coefficients(1)
+    with pytest.raises(ValueError, match="expected an integer >= 1, got 0"):
+        sdc.pauli_product_set(0)
+    assert type(qsim.require_int(np.int64(5), 5)) is int
