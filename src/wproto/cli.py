@@ -76,10 +76,10 @@ TASK_FIELDS = {
     "scan": {},
     "entropy": {},
 }
-#: per-scenario budget: the most dense operator entries one sdc encoding set
-#: may hold, and the most amplitudes one teleport grid's report may keep,
-#: plus a margin of 32 per kept outcome, which covers its probability and
-#: fidelity (2^25 complex entries take 512 MiB; `generated` fits up to m = 8)
+#: per-scenario budget: count(m) * 4**m, the entries an sdc set's operators
+#: would take as dense matrices (sets are held as blocks, so this now bounds
+#: the states a capacity check encodes; `generated` fits up to m = 8), and the
+#: amplitudes a teleport grid's report keeps, plus 32 per outcome (its p, F)
 MAX_SET_AMPLITUDES = 2**25
 CHOICES = {"strategy": STRATEGIES, "set": tuple(ENCODING_SETS), "expect": ("success", "failure")}
 W_FAMILY = {"w": w_coefficients, "modified-w": modified_w_coefficients}

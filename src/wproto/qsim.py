@@ -16,7 +16,10 @@ norms and overlaps are one ``np.vecdot`` over the stack, the BLAS zdotc
 that ``np.vdot`` runs on each row.  :func:`state_rows` turns a stack into
 ``StateVector`` rows and :func:`fidelity_stack` compares two stacks row by
 row (:func:`fidelity` is its one-row case), so a caller that works on
-stacks makes no per-row call.
+stacks makes no per-row call.  A :class:`Unitary` is the identity but a
+block on the indices it moves, with an optional row order; it is built,
+checked, composed and permuted on that block, and only its application
+reads the dense matrix, built once.
 
 All values are immutable after construction (amplitude buffers are marked
 read-only) and every operation is a pure function, so independent
@@ -119,6 +122,7 @@ class DensityMatrix:
     __slots__ = ("num_qubits", "entries", "eigenvalues")
 
     def __init__(self, num_qubits: int, entries: np.ndarray):
+        num_qubits = require_int(num_qubits)
         if num_qubits < 1:
             raise DimensionError("a density matrix needs at least one qubit")
         mat = np.array(entries, dtype=np.complex128)
@@ -144,77 +148,117 @@ class DensityMatrix:
         return f"DensityMatrix(num_qubits={self.num_qubits})"
 
 
+def _block_deviation(block: np.ndarray) -> float:
+    """max |B†B - I|; NaN for a NaN or infinite entry, without multiplying it
+    out (inf * 0 would raise a floating-point warning)."""
+    if not np.isfinite(block).all():
+        return float("nan")
+    gram = block.conj().T @ block
+    gram.ravel()[:: len(gram) + 1] -= 1.0  # B†B - I in place
+    return float(np.abs(gram).max(initial=0.0))
+
+
 def unitarity_deviation(matrix: np.ndarray) -> float:
     """max |U†U - I| of a square complex matrix, on the block that moves.
 
     The block is the set of indices whose row or column differs from the
-    identity's (an off-diagonal entry != 0 or a diagonal entry != 1).
+    identity's (an off-diagonal entry != 0 or a diagonal entry != 1, or NaN).
     Every other row and column is exactly a basis vector, so it adds only
     exact 0s and 1s to U†U, and B†B - I on the principal block B has the
     same entries as U†U - I there; U†U - I is exactly 0 elsewhere.  An
     operator that moves k of d indices costs O(k^3), not O(d^3); a dense
-    matrix's block is the whole matrix.  A NaN or infinite entry (always in
-    the block, as it differs from the identity's) gives NaN without
-    multiplying it out, where inf * 0 would raise a floating-point warning.
+    matrix's block is the whole matrix.
     """
-    eye = np.eye(len(matrix))
-    moved = matrix != eye
+    moved = matrix != np.eye(len(matrix))
     idx = (moved | moved.T).any(axis=0).nonzero()[0]
-    k = len(idx)
-    b = matrix if k == len(matrix) else matrix[idx[:, None], idx]
-    if not np.isfinite(b).all():
-        return float("nan")
-    return float(np.abs(b.conj().T @ b - eye[:k, :k]).max(initial=0.0))
+    return _block_deviation(matrix[idx[:, None], idx])
 
 
 class Unitary:
-    """Complex square matrix verified unitary at construction.
-
-    The check is :func:`unitarity_deviation` <= ``STRUCTURAL_TOL``, the
-    dense max |U†U - I| computed on the block of indices the matrix moves:
-    the strategy-1/2 corrections and the transfer move about m + 1 of 2^m.
-    :meth:`permute_rows` reorders the rows of a checked operator, which
-    keeps U†U, so it checks only that the order is a bijection.
+    """Unitary operator: the identity but a k x k ``block`` on its sorted
+    ``moved`` indices, then an optional row ``order`` (row i is row
+    ``order[i]``).  ``Unitary(matrix)`` finds the block as
+    :func:`unitarity_deviation` does, :meth:`on_block` takes it given, and
+    both check max |B†B - I| <= ``STRUCTURAL_TOL`` in O(k^3).  ``matrix`` is
+    the dense view, built on first read and cached read-only.
     """
 
-    __slots__ = ("dimension", "matrix")
+    __slots__ = ("dimension", "moved", "block", "order", "_matrix")
 
     def __init__(self, matrix: np.ndarray):
         mat = np.array(matrix, dtype=np.complex128)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise DimensionError(f"expected a square matrix, got {mat.shape}")
-        dim = mat.shape[0]
+        moved = mat != np.eye(len(mat))  # as unitarity_deviation finds them
+        idx = (moved | moved.T).any(axis=0).nonzero()[0]
+        self._store(len(mat), idx, mat if len(idx) == len(mat) else mat[idx[:, None], idx], mat)
+
+    def _store(self, dim: int, moved: np.ndarray, block: np.ndarray, matrix: np.ndarray | None):
         if dim & (dim - 1) != 0 or dim < 2:
             raise DimensionError(f"dimension must be a power of two, got {dim}")
-        dev = unitarity_deviation(mat)
+        dev = _block_deviation(block)
         if not dev <= STRUCTURAL_TOL:
             raise ValueError(f"matrix is not unitary (max U†U-I deviation {dev:.3e})")
-        mat.flags.writeable = False
-        self.dimension = dim
-        self.matrix = mat
+        for array in (moved, block) if matrix is None else (moved, block, matrix):
+            array.flags.writeable = False
+        self.dimension, self.moved, self.block, self.order = dim, moved, block, None
+        self._matrix = matrix
+
+    @classmethod
+    def on_block(cls, dimension: int, moved: Sequence[int], block: np.ndarray) -> "Unitary":
+        """The identity on ``dimension`` indices but ``block`` on the sorted,
+        distinct ``moved`` ones."""
+        dim, idx, b = require_int(dimension), np.asarray(moved), np.array(block, np.complex128)
+        listed = idx.tolist()
+        if idx.ndim != 1 or listed and (idx.dtype.kind not in "iu" or sorted(set(listed)) != listed
+                                        or not 0 <= listed[0] <= listed[-1] < dim):
+            raise ValueError(f"moved indices must be sorted, distinct integers in 0..{dim - 1}")
+        if b.shape != (len(idx), len(idx)):
+            raise DimensionError(f"expected a {len(idx)}x{len(idx)} block, got {b.shape}")
+        out = object.__new__(cls)
+        out._store(dim, idx.astype(np.int64), b, None)
+        return out
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            mat = np.eye(self.dimension, dtype=np.complex128)
+            mat[self.moved[:, None], self.moved] = self.block
+            self._matrix = mat if self.order is None else mat[self.order]
+            self._matrix.flags.writeable = False
+        return self._matrix
 
     def permute_rows(self, order: Sequence[int] | np.ndarray) -> "Unitary":
         """The operator whose row i is row ``order[i]`` of this one.
 
         A row permutation P keeps (PU)†(PU) = U†U, so only ``order`` is
         checked, in O(dimension): it must be a bijection of 0..dimension-1.
+        The result shares this operator's block and composes the orders.
         """
-        idx = np.asarray(order)
-        dim = self.dimension
-        if idx.shape != (dim,) or idx.dtype.kind not in "iu":
-            raise ValueError(
-                f"row order must be {dim} integer indices, got {idx.dtype} {idx.shape}"
-            )
+        idx, dim = np.array(order), self.dimension
         seen = np.zeros(dim, dtype=bool)
-        if idx.min() >= 0 and idx.max() < dim:
+        if idx.shape == (dim,) and idx.dtype.kind in "iu" and 0 <= idx.min() and idx.max() < dim:
             seen[idx] = True
         if not seen.all():
-            raise ValueError(f"row order is not a permutation of 0..{dim - 1}")
+            raise ValueError(f"row order is not a permutation of 0..{dim - 1}: {idx.dtype} {idx.shape}")
         out = object.__new__(Unitary)
-        out.dimension = dim
-        out.matrix = self.matrix[idx]
-        out.matrix.flags.writeable = False
+        out.dimension, out.moved, out.block, out._matrix = dim, self.moved, self.block, None
+        out.order = idx if self.order is None else self.order[idx]
+        out.order.flags.writeable = False
         return out
+
+    def __matmul__(self, other: "Unitary") -> "Unitary":
+        """self·other, composed on the union of the moved indices in O(k^3)."""
+        if self.order is not None or other.order is not None or other.dimension != self.dimension:
+            raise ValueError("only operators of one dimension and no row order compose on blocks")
+        idx = np.array(sorted({*self.moved.tolist(), *other.moved.tolist()}), dtype=np.int64)
+        a, b = self.block, other.block
+        if len(idx) > min(len(self.moved), len(other.moved)):  # embed both in the union
+            a, b = np.eye(len(idx), dtype=np.complex128), np.eye(len(idx), dtype=np.complex128)
+            for full, u in ((a, self), (b, other)):
+                pos = np.searchsorted(idx, u.moved)
+                full[pos[:, None], pos] = u.block
+        return Unitary.on_block(self.dimension, idx, a @ b)
 
     @property
     def num_qubits(self) -> int:

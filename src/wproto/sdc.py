@@ -25,7 +25,8 @@ Decoding is modeled as projective measurement onto the encoded states,
 which is valid exactly when their Gram matrix is the identity.
 :func:`capacity_check` encodes on the occupied support: only the n - m + 1
 rows where the resource is nonzero are carried, since a sender operator
-keeps every other row at exactly 0.
+keeps every other row at exactly 0, and each distinct operator block is
+multiplied into them once; no dense 2^m x 2^m operator is built.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from .qsim import (
     apply_unitary,
     gram_matrix,
     require_int,
+    state_rows,
 )
 from .teleport import bob_strategy2_set, require_condition
 from .wstates import CoefficientVector, excitation_blocks, generalized_w
@@ -237,15 +239,15 @@ def capacity_check(
     whole set.  Its amplitudes, grouped as a (2^(n-m), 2^m) matrix of
     (first n - m qubits, sender's m qubits), have nonzero rows only where
     the first n - m qubits hold at most one excitation: n - m + 1 rows.  A
-    sender operator acts within each row, so every other row stays
-    exactly 0 and adds only exact zeros to every inner product.  Each
-    operator is therefore applied to the occupied rows alone, padded with
-    zero rows to a power of two so that each result is an ordinary
-    ``StateVector``, and each result is checked to keep the resource's
-    norm within ``NORM_PRESERVATION_TOL``, as :func:`qsim.apply_unitary`
-    checks it.  These compact states are an isometric image of the full
-    encoded states, so every inner product, and :func:`decode`'s one Gram
-    matrix, is the same up to summation order.
+    sender operator acts within each row, so every other row stays exactly
+    0 and adds only exact zeros to every inner product.  The occupied rows,
+    padded with zero rows to a power of two, are multiplied once by each
+    distinct block (``generated`` has four, shared by its row orders) on
+    the indices it moves; each encoded state is a row gather of one such
+    product, written into one stack whose row norms must all keep the
+    resource's within ``NORM_PRESERVATION_TOL``.  These compact states are
+    an isometric image of the full encoded states, so :func:`decode`'s one
+    Gram matrix is the same up to summation order.
 
     If the full set decodes, the capacity is log2(set size) exactly.
     Otherwise the result reports the largest mutually orthogonal subset:
@@ -256,17 +258,23 @@ def capacity_check(
     _sender_qubits(c, m, encoding)
     psi = generalized_w(c).amplitudes.reshape(-1, 2**m)
     occupied = psi[(psi != 0).any(axis=1)]
-    block = np.zeros((2**m, 1 << (len(occupied) - 1).bit_length()), dtype=np.complex128)
-    block[:, : len(occupied)] = occupied.T
-    qubits = block.size.bit_length() - 1
-    norm = math.sqrt(np.vdot(block, block).real)
-    states = []
-    for op in encoding.operators:
-        state = StateVector(qubits, (op.matrix @ block).reshape(-1))
-        if not abs(state.norm - norm) <= NORM_PRESERVATION_TOL:
-            raise InternalConsistencyError("unitary application failed to preserve the norm")
-        states.append(state)
-    verdict = decode(states)
+    padded = np.zeros((2**m, 1 << (len(occupied) - 1).bit_length()), dtype=np.complex128)
+    padded[:, : len(occupied)] = occupied.T
+    norm = math.sqrt(np.vdot(padded, padded).real)
+    stack = np.empty((len(encoding.operators),) + padded.shape, dtype=np.complex128)
+    products: dict[int, np.ndarray] = {}
+    for op, state in zip(encoding.operators, stack):
+        product = products.get(id(op.block))
+        if product is None and len(op.moved) == len(padded):  # the block is the operator
+            product = products[id(op.block)] = op.block @ padded
+        elif product is None:
+            product = products[id(op.block)] = padded.copy()
+            product[op.moved] = op.block @ padded[op.moved]
+        state[...] = product if op.order is None else product[op.order]
+    stack = stack.reshape(len(stack), -1)
+    if not (np.abs(np.sqrt(np.vecdot(stack, stack).real) - norm) <= NORM_PRESERVATION_TOL).all():
+        raise InternalConsistencyError("unitary application failed to preserve the norm")
+    verdict = decode(state_rows(stack))
     size = verdict.num_states
     if verdict.decodable:
         bits = size.bit_length() - 1

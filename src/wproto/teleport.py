@@ -14,7 +14,8 @@ and GHZ sender families and the receiver's serial family) as two +/- pairs,
 so outcome k of any family is undone by correction (0, 3, 1, 2)[k].  After
 two classical bits, the receiver's m qubits hold the input encoded in
 span{|0..0>, |w>} (|w> = the normalized excitation block on his qubits) up
-to one of four subspace corrections, and he can
+to one of four subspace corrections, each built on its block (|0..0>,
+|0..01> and |w>'s support), and he can
 
   * ``subspace``  - keep the state encoded in that two-dimensional span,
   * ``transfer``  - unitarily move it onto his last physical qubit,
@@ -236,14 +237,17 @@ def ghz_measurement_family(a1: complex, a2: complex, n: int) -> MeasurementBasis
     return MeasurementBasis(range(1, n + 1), raw_ghz_measurement_vectors(a1, a2, n), FAMILY_LABELS)
 
 
-def _basis_pair(m: int, wm: StateVector) -> StateVector:
+def _basis_pair(m: int, wm: StateVector) -> np.ndarray:
     """Check that {|0..0>, wm} is an orthonormal pair on m qubits, the pair
-    spanning the encoded subspace; return |0..0>."""
+    spanning the encoded subspace; return the sorted indices the corrections
+    and the transfer move: |0..0>, |0..01> (so block row 1) and wm's support."""
     _require_registers([wm], m)
     # <0..0|wm> is wm's first amplitude; its modulus by hypot, as fidelities take it
     if not abs(complex(wm.amplitudes[0])) <= STRUCTURAL_TOL:
         raise ValueError("basis pair must be orthogonal")
-    return zero_state(m)
+    moved = wm.amplitudes != 0
+    moved[:2] = True
+    return np.flatnonzero(moved)
 
 
 def bob_strategy1_set(m: int, wm: StateVector) -> list[Unitary]:
@@ -253,10 +257,12 @@ def bob_strategy1_set(m: int, wm: StateVector) -> list[Unitary]:
     These are the receiver-side corrections that keep the teleported state
     encoded in the two-dimensional subspace.
     """
-    b0, b1 = _basis_pair(m, wm).amplitudes, wm.amplitudes
-    complement = np.eye(2**m) - np.outer(b0, b0.conj()) - np.outer(b1, b1.conj())
+    idx = _basis_pair(m, wm)
+    b0, b1 = (idx == 0).astype(np.complex128), wm.amplitudes[idx]  # |0..0> and wm
+    complement = np.eye(len(idx)) - np.outer(b0, b0.conj()) - np.outer(b1, b1.conj())
     pair = np.stack([b0, b1], axis=1)
-    return [Unitary(complement + pair @ sigma @ pair.conj().T) for sigma in PAULI_FOUR]
+    blocks = complement + pair @ np.stack(PAULI_FOUR) @ pair.conj().T
+    return [Unitary.on_block(2**m, idx, block) for block in blocks]
 
 
 def transfer_unitary(m: int, wm: StateVector) -> Unitary:
@@ -269,17 +275,17 @@ def transfer_unitary(m: int, wm: StateVector) -> Unitary:
     orthogonal to wm onto the one orthogonal to |0..01>.  For m = 2 and
     wm = (|01>+|10>)/sqrt(2) it sends the singlet to |10>.
     """
-    _basis_pair(m, wm)
+    idx = _basis_pair(m, wm)
     v, w1 = wm.amplitudes.copy(), wm.amplitudes[1]
     p = w1 / abs(w1) if w1 else 1.0
     # wm's weight off |0..01>, summed directly: 1 - |w1|^2 cancels near |0..01>
     s = float(np.sum(np.abs(np.delete(v, 1)) ** 2))
     v[1] = -p * s / (1.0 + abs(w1))  # w1 - p for a unit wm, without that cancellation
-    t = np.eye(2**m, dtype=np.complex128)
+    t = np.eye(len(idx), dtype=np.complex128)
     if s > 0.0:
-        t -= (2.0 / (s + abs(v[1]) ** 2)) * np.outer(v, v.conj())
+        t -= (2.0 / (s + abs(v[1]) ** 2)) * np.outer(v[idx], v[idx].conj())
     t[1] *= np.conj(p)
-    return Unitary(t)
+    return Unitary.on_block(2**m, idx, t)
 
 
 def bob_strategy2_set(m: int, wm: StateVector) -> list[Unitary]:
@@ -289,7 +295,7 @@ def bob_strategy2_set(m: int, wm: StateVector) -> list[Unitary]:
     receiver's register in |0..0> (x) (alpha|0> + beta|1>) on his last qubit.
     """
     t = transfer_unitary(m, wm)
-    return [Unitary(t.matrix @ u.matrix) for u in bob_strategy1_set(m, wm)]
+    return [t @ u for u in bob_strategy1_set(m, wm)]
 
 
 def serial_basis(m: int, wm: StateVector) -> MeasurementBasis:
@@ -305,7 +311,8 @@ def serial_basis(m: int, wm: StateVector) -> MeasurementBasis:
     sign flip, which the i*sigma_2 correction undoes exactly.
     """
     h = 1.0 / math.sqrt(2.0)
-    vectors = _family(_basis_pair(m, wm), wm, (h, _K0), (h, _K1))
+    _basis_pair(m, wm)
+    vectors = _family(zero_state(m), wm, (h, _K0), (h, _K1))
     return MeasurementBasis(range(1, m + 2), vectors, SERIAL_LABELS)
 
 

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 
+from wproto.qsim import PAULI_FOUR
 from wproto.wstates import CoefficientVector
 
 
@@ -106,3 +107,33 @@ def random_condition_coefficients(
     front *= 1.0 / (math.sqrt(2.0) * np.linalg.norm(front))
     back *= 1.0 / (math.sqrt(2.0) * np.linalg.norm(back))
     return CoefficientVector(np.concatenate([front, back]))
+
+
+def dense_strategy1_set(wm: np.ndarray) -> list[np.ndarray]:
+    """The four subspace corrections on span{|0..0>, wm} as dense matrices:
+    I - |0><0| - |w><w| + [|0>, |w>] sigma [|0>, |w>]^dagger."""
+    b0 = np.zeros_like(wm)
+    b0[0] = 1.0
+    complement = np.eye(len(wm)) - np.outer(b0, b0.conj()) - np.outer(wm, wm.conj())
+    pair = np.stack([b0, wm], axis=1)
+    return [complement + pair @ sigma @ pair.conj().T for sigma in PAULI_FOUR]
+
+
+def dense_transfer(wm: np.ndarray) -> np.ndarray:
+    """The reflection swapping wm with p|0..01>, then the phase conj(p) on
+    |0..01>, as a dense matrix."""
+    v, w1 = wm.astype(np.complex128), wm[1]
+    p = w1 / abs(w1) if w1 else 1.0
+    s = float(np.sum(np.abs(np.delete(v, 1)) ** 2))
+    v[1] = -p * s / (1.0 + abs(w1))
+    t = np.eye(len(wm), dtype=np.complex128)
+    if s > 0.0:
+        t -= (2.0 / (s + abs(v[1]) ** 2)) * np.outer(v, v.conj())
+    t[1] *= np.conj(p)
+    return t
+
+
+def dense_strategy2_set(wm: np.ndarray) -> list[np.ndarray]:
+    """The transfer after each subspace correction, multiplied out densely."""
+    t = dense_transfer(wm)
+    return [t @ u for u in dense_strategy1_set(wm)]

@@ -103,6 +103,18 @@ def test_teleport_reports_are_columns_not_outcome_objects():
     assert named["state_rows"] - {"<import>"} == {"unknown_state_grid"}
 
 
+def test_only_qsim_reads_an_operators_dense_view():
+    # operators are built, composed and encoded on their blocks; the dense
+    # 2^m x 2^m view is qsim's, for dense application alone
+    readers = {
+        path.name
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "matrix"
+    }
+    assert readers == {"qsim.py"}
+
+
 @pytest.mark.parametrize("name", sorted(GOLDENS))
 def test_acceptance_report_is_byte_identical_to_golden(tmp_path, name):
     config, golden = GOLDENS[name]

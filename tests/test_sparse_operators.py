@@ -1,11 +1,14 @@
 """Operator work that skips exact zeros, checked against the dense rules.
 
-``Unitary`` checks U†U on the block of indices the matrix moves,
-``Unitary.permute_rows`` checks only that the row order is a bijection, and
-``capacity_check`` encodes on the occupied rows of the resource.  Each is
-compared here with the dense computation it replaces.
+``Unitary`` holds the identity plus a block on the indices it moves and an
+optional row order: it checks U†U on that block, ``Unitary.on_block`` takes
+the block as given, ``Unitary.permute_rows`` checks only that the row order
+is a bijection, ``u @ v`` composes on the union of two blocks, and
+``capacity_check`` encodes each distinct block once on the occupied rows of
+the resource.  Each is compared here with the dense computation it replaces.
 """
 
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -28,8 +31,16 @@ from wproto.sdc import (
     pauli_set,
     w4_multiunary_set,
 )
-from wproto.teleport import UnsuitableResourceError, require_condition
+from wproto.teleport import (
+    UnsuitableResourceError,
+    bob_strategy1_set,
+    bob_strategy2_set,
+    require_condition,
+    transfer_unitary,
+)
 from wproto.wstates import CoefficientVector, generalized_w, w_coefficients
+
+from oracle_utils import dense_strategy1_set, dense_strategy2_set, dense_transfer
 
 ROOT = Path(__file__).resolve().parent.parent
 EPSILONS = (1e-12, 1e-9, 1e-6)
@@ -166,16 +177,131 @@ class TestBlockCheck:
         assert moved == [8, 9, 9, 8]
 
 
+def block_operator(rng: np.random.Generator, dim: int, k: int) -> Unitary:
+    """Identity plus a Haar block on k random indices, built on the block."""
+    return Unitary.on_block(dim, np.sort(rng.choice(dim, size=k, replace=False)), haar(rng, k))
+
+
+class TestBlockRepresentation:
+    @settings(max_examples=100, deadline=None)
+    @given(case=structured_unitaries())
+    def test_a_matrix_is_kept_as_its_moved_indices_and_block(self, case):
+        mat, _ = case
+        u = Unitary(mat)
+        assert (np.diff(u.moved) > 0).all() and u.order is None
+        rebuilt = Unitary.on_block(len(mat), u.moved, u.block)
+        np.testing.assert_array_equal(rebuilt.matrix, mat)
+        assert np.array_equal(rebuilt.moved, u.moved)
+
+    @settings(max_examples=100, deadline=None)
+    @given(qubits=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_the_dense_view_is_read_only_and_the_identity_off_the_block(self, qubits, seed, data):
+        dim = 2**qubits
+        rng = np.random.default_rng(seed)
+        u = block_operator(rng, dim, data.draw(st.integers(0, dim), label="block size"))
+        perm = rng.permutation(dim)
+        for op in (u, u.permute_rows(perm)):
+            mat = op.matrix
+            assert mat is op.matrix  # built once
+            assert not mat.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                mat[0, 0] = 2.0
+            assert dense_deviation(mat) <= STRUCTURAL_TOL
+        mat = u.matrix
+        off = np.setdiff1d(np.arange(dim), u.moved)
+        np.testing.assert_array_equal(mat[off], np.eye(dim)[off])
+        np.testing.assert_array_equal(mat[:, off], np.eye(dim)[:, off])
+        np.testing.assert_array_equal(mat[np.ix_(u.moved, u.moved)], u.block)
+        np.testing.assert_array_equal(u.permute_rows(perm).matrix, mat[perm])
+
+    @settings(max_examples=150, deadline=None)
+    @given(qubits=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_a_product_composes_on_the_union_of_the_blocks(self, qubits, seed, data):
+        dim = 2**qubits
+        rng = np.random.default_rng(seed)
+        a, b = (block_operator(rng, dim, data.draw(st.integers(0, dim))) for _ in range(2))
+        product = a @ b
+        assert set(product.moved.tolist()) == set(a.moved.tolist()) | set(b.moved.tolist())
+        assert np.abs(product.matrix - a.matrix @ b.matrix).max(initial=0.0) <= 1e-14
+        assert dense_deviation(product.matrix) <= STRUCTURAL_TOL
+
+    def test_a_product_refuses_a_row_order_or_another_dimension(self):
+        u = Unitary.on_block(4, [0, 1], [[0, 1], [1, 0]])
+        swapped = u.permute_rows([1, 0, 2, 3])
+        for a, b in ((swapped, u), (u, swapped)):
+            with pytest.raises(ValueError, match="row order"):
+                a @ b
+        with pytest.raises(ValueError, match="one dimension"):
+            u @ qsim.PAULIS[1]
+
+    @pytest.mark.parametrize(
+        "moved, block",
+        [
+            ([1, 0], np.eye(2)),  # not sorted
+            ([0, 0], np.eye(2)),  # repeated
+            ([-1, 0], np.eye(2)),  # negative
+            ([0, 4], np.eye(2)),  # out of range
+            ([0.0, 1.0], np.eye(2)),  # not integers
+            ([False, True], np.eye(2)),  # booleans
+            ([[0, 1]], np.eye(2)),  # not one axis
+        ],
+    )
+    def test_on_block_refuses_bad_indices(self, moved, block):
+        with pytest.raises(ValueError, match="moved indices"):
+            Unitary.on_block(4, moved, block)
+
+    def test_on_block_refuses_a_bad_block_or_dimension(self):
+        with pytest.raises(qsim.DimensionError, match="2x2 block"):
+            Unitary.on_block(4, [0, 1], np.eye(3))
+        with pytest.raises(ValueError, match="not unitary"):
+            Unitary.on_block(4, [0, 1], [[1, 1], [0, 1]])
+        with pytest.raises(ValueError, match="not unitary"):
+            Unitary.on_block(4, [0, 1], [[np.inf, 0], [0, 1]])
+        with pytest.raises(qsim.DimensionError, match="power of two"):
+            Unitary.on_block(6, [0, 1], np.eye(2))
+        with pytest.raises(ValueError, match="expected an integer"):
+            Unitary.on_block(True, [0], np.eye(1))
+        assert Unitary.on_block(4, [], np.eye(0)).matrix.tolist() == np.eye(4).tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=st.integers(1, 8), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_block_built_corrections_match_the_dense_formulas(m, seed, data):
+    """The strategy-1 corrections, the transfer and their products, built on
+    |0..0>, |0..01> and wm's support, against the dense formulas of
+    ``oracle_utils`` for any unit wm orthogonal to |0..0>."""
+    rng = np.random.default_rng(seed)
+    dim = 2**m
+    size = data.draw(st.integers(1, min(dim - 1, 12)), label="support size")
+    support = rng.choice(np.arange(1, dim), size=size, replace=False)
+    amps = np.zeros(dim, dtype=np.complex128)
+    amps[support] = rng.normal(size=size) + 1j * rng.normal(size=size)
+    wm = qsim.StateVector(m, amps / np.linalg.norm(amps))
+    for got, want in (
+        (bob_strategy1_set(m, wm), dense_strategy1_set(wm.amplitudes)),
+        ([transfer_unitary(m, wm)], [dense_transfer(wm.amplitudes)]),
+        (bob_strategy2_set(m, wm), dense_strategy2_set(wm.amplitudes)),
+    ):
+        assert len(got) == len(want)
+        for u, ref in zip(got, want):
+            assert len(u.moved) <= size + 2
+            assert np.abs(u.matrix - ref).max() <= 1e-14
+
+
 class TestPermuteRows:
     @settings(max_examples=200, deadline=None)
     @given(
         qubits=st.integers(1, 5),
         seed=st.integers(0, 2**32 - 1),
+        base=st.sampled_from(("dense", "block", "permuted")),
         data=st.data(),
     )
-    def test_equals_the_checked_construction_or_refuses(self, qubits, seed, data):
+    def test_equals_the_checked_construction_or_refuses(self, qubits, seed, base, data):
         dim = 2**qubits
-        u = Unitary(haar(np.random.default_rng(seed), dim))
+        rng = np.random.default_rng(seed)
+        u = Unitary(haar(rng, dim)) if base == "dense" else block_operator(rng, dim, dim // 2)
+        if base == "permuted":  # a second order composes with the first
+            u = u.permute_rows(rng.permutation(dim))
         order = data.draw(
             st.permutations(range(dim))
             | st.lists(st.integers(-2, dim + 1), min_size=dim - 1, max_size=dim + 1),
@@ -188,8 +314,10 @@ class TestPermuteRows:
             got = u.permute_rows(order)
             want = Unitary(u.matrix[order])
             assert got.dimension == want.dimension
+            assert got.block is u.block  # no copy
             np.testing.assert_array_equal(got.matrix, want.matrix)
             assert not got.matrix.flags.writeable
+            assert dense_deviation(got.matrix) <= STRUCTURAL_TOL
         else:
             with pytest.raises(ValueError, match="row order"):
                 u.permute_rows(order)
@@ -304,8 +432,8 @@ def test_capacity_makes_no_dense_application(monkeypatch, c, m, encoding):
 
 def test_a_norm_that_drifts_is_an_internal_error():
     c = CoefficientVector([0.5] * 4)
-    stretched = object.__new__(Unitary)  # skips the check it would fail
-    stretched.dimension, stretched.matrix = 4, 2 * np.eye(4, dtype=np.complex128)
+    stretched = Unitary.on_block(4, range(4), np.eye(4))
+    stretched.block = 2 * np.eye(4, dtype=np.complex128)  # after the check it would fail
     encoding = EncodingSet((stretched,) + w4_multiunary_set().operators[1:])
     with pytest.raises(qsim.InternalConsistencyError, match="preserve the norm"):
         capacity_check(c, 2, encoding)
@@ -313,26 +441,57 @@ def test_a_norm_that_drifts_is_an_internal_error():
 
 def test_every_operator_built_passes_the_dense_check(monkeypatch):
     """Dense shadow: every operator the acceptance and large configs build,
-    by the constructor or by a row permutation, also passes the dense U†U
-    rule, so no structural shortcut accepts what that rule refuses."""
+    from a matrix, on a block, as a product or by a row permutation (and
+    each permuted one permuted again, composing two orders), also passes
+    the dense U†U rule on its ``.matrix``, so no structural shortcut accepts
+    what that rule refuses."""
     checked = Counter()
-    init, permute = Unitary.__init__, Unitary.permute_rows
+    init, on_block = Unitary.__init__, Unitary.on_block.__func__
+    matmul, permute = Unitary.__matmul__, Unitary.permute_rows
 
-    def shadow(u: Unitary, kind: str) -> None:
+    def shadow(u: Unitary, kind: str) -> Unitary:
         assert dense_deviation(u.matrix) <= STRUCTURAL_TOL
         checked[kind] += 1
+        return u
 
     def shadowed_init(self, matrix):
         init(self, matrix)
         shadow(self, "constructed")
 
     def shadowed_permute(self, order):
-        out = permute(self, order)
-        shadow(out, "permuted")
+        out = shadow(permute(self, order), "permuted")
+        again = np.random.default_rng(checked["permuted"]).permutation(out.dimension)
+        twice = shadow(permute(out, again), "permuted twice")
+        np.testing.assert_array_equal(twice.matrix, out.matrix[again])
         return out
 
     monkeypatch.setattr(Unitary, "__init__", shadowed_init)
+    monkeypatch.setattr(Unitary, "on_block", classmethod(lambda *a: shadow(on_block(*a), "block")))
+    monkeypatch.setattr(Unitary, "__matmul__", lambda a, b: shadow(matmul(a, b), "product"))
     monkeypatch.setattr(Unitary, "permute_rows", shadowed_permute)
     for config in (ROOT / "configs" / "acceptance.json", ROOT / "tests" / "config_large.json"):
         assert run(parse_config(config.read_bytes())).all_matched
-    assert checked["constructed"] > 0 and checked["permuted"] > 0
+    assert min(checked[kind] for kind in ("constructed", "block", "product", "permuted")) > 0
+
+
+def test_the_largest_generated_set_builds_no_dense_operator(monkeypatch):
+    """W16 at m = 8: 512 operators of 256 x 256 are 4 blocks and their row
+    orders, and encoding them all reads no operator's dense view."""
+    reads = Counter()
+    dense = Unitary.matrix.fget
+    monkeypatch.setattr(
+        Unitary, "matrix", property(lambda u: reads.update([u.dimension]) or dense(u))
+    )
+    c = w_coefficients(16)
+    tracemalloc.start()
+    try:
+        encoding = general_encoding_set(c, 8)
+        result = capacity_check(c, 8, encoding)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.decodable and result.bits == 9
+    assert len(encoding.operators) == 512
+    assert len({id(op.block) for op in encoding.operators}) == 4
+    assert reads[256] == 0
+    assert peak < 150 * 2**20

@@ -216,8 +216,9 @@ class TestQubitBudget:
 
 
 class TestOperatorBudget:
-    """An sdc set's dense operators are bounded at the config boundary:
-    ``generated`` at m = 10 would hold 2^11 operators of 1024x1024 (32 GiB)."""
+    """An sdc set's size rule, count(m) * 4**m, is enforced at the config
+    boundary: ``generated`` at m = 10 counts 2^11 operators of 1024x1024
+    (32 GiB, were they dense)."""
 
     def test_oversized_generated_set_exits_two_fast(self, tmp_path):
         path = tmp_path / "config.json"
@@ -598,6 +599,7 @@ _S = 1 / math.sqrt(2)
 # each call with a bool or non-integer size, and the same call with a numpy int
 _SIZE_CALLS = {
     "StateVector": (lambda k: StateVector(k, [1, 0]), [True, 1.0], np.int64(1)),
+    "DensityMatrix": (lambda k: DensityMatrix(k, np.diag([1, 0])), [True, 1.0], np.int64(1)),
     "make_basis_state": (lambda k: qsim.make_basis_state(k, [1]), [True, 1.0], np.int8(1)),
     "zero_state": (qsim.zero_state, [True, 2.0], np.int32(2)),
     "w_coefficients": (w_coefficients, [True, 4.0], np.int64(4)),
