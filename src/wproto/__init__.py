@@ -24,7 +24,6 @@ from .qsim import (
     fidelity,
     fidelity_stack,
     gram_matrix,
-    inner_product,
     make_basis_state,
     partial_trace,
     project,

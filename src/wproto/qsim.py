@@ -464,15 +464,6 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
     return StateVector(a.num_qubits + b.num_qubits, np.kron(a.amplitudes, b.amplitudes))
 
 
-def inner_product(a: StateVector, b: StateVector) -> complex:
-    """<a|b>, conjugate-linear in the first argument."""
-    if a.num_qubits != b.num_qubits:
-        raise DimensionError(
-            f"inner product needs equal qubit counts, got {a.num_qubits} and {b.num_qubits}"
-        )
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
-
-
 def fidelity_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """|<a_g|b_g>|² of row g of two equal-shape (G, 2^q) amplitude stacks.
 
@@ -496,9 +487,10 @@ def fidelity(a: StateVector, b: StateVector) -> float:
     return float(fidelity_stack(a.amplitudes[None], b.amplitudes[None])[0])
 
 
-def gram_matrix(vectors: Sequence[StateVector]) -> np.ndarray:
-    """Matrix of pairwise inner products <v_i|v_j>."""
-    arr = np.array([v.amplitudes for v in vectors])
+def gram_matrix(vectors: Sequence[StateVector] | np.ndarray) -> np.ndarray:
+    """Matrix of pairwise inner products <v_i|v_j> of states, or of the rows
+    of a (K, 2^n) amplitude stack as it is: only its conjugate is a copy."""
+    arr = vectors if isinstance(vectors, np.ndarray) else np.array([v.amplitudes for v in vectors])
     return arr.conj() @ arr.T
 
 

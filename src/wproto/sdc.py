@@ -52,7 +52,6 @@ from .qsim import (
     apply_unitary,
     gram_matrix,
     require_int,
-    state_rows,
 )
 from .teleport import bob_strategy2_set, require_condition
 from .wstates import CoefficientVector, excitation_blocks, generalized_w
@@ -88,11 +87,12 @@ class EncodingSet:
         return tuple(product((0, 1), repeat=self.message_bits))
 
     def operator_for(self, message: Sequence[int]) -> Unitary:
-        """The operator at the message's binary value."""
-        msg = tuple(message)
+        """The operator at the message's binary value; each bit passes
+        ``require_int``, so a bool or a float raises ValueError."""
+        msg = tuple(require_int(b) for b in message)
         if len(msg) != self.message_bits or any(b not in (0, 1) for b in msg):
             raise ValueError(f"message {msg} must be {self.message_bits} bits, each 0 or 1")
-        return self.operators[reduce(lambda k, b: 2 * k + int(b), msg, 0)]
+        return self.operators[reduce(lambda k, b: 2 * k + b, msg, 0)]
 
 
 @dataclass(frozen=True)
@@ -216,18 +216,22 @@ def decode(states: Sequence[StateVector]) -> DecodeVerdict:
     states = list(states)
     if not states:
         raise ValueError("need at least one state")
-    n = states[0].num_qubits
-    for s in states:
-        if s.num_qubits != n:
-            raise DimensionError("all states must share one qubit count")
-        if not s.normalized:
-            raise NormalizationError("all states must be normalized")
-    gram = gram_matrix(states)
-    deviation = np.abs(gram - np.eye(len(states)))
+    if len({s.num_qubits for s in states}) != 1:
+        raise DimensionError("all states must share one qubit count")
+    return _verdict(np.array([s.amplitudes for s in states]))
+
+
+def _verdict(rows: np.ndarray) -> DecodeVerdict:
+    """:func:`decode`'s rule on a (K, 2^n) stack: every row normalized, and
+    the Gram matrix, taken from the stack in place, I or its worst pair."""
+    if not (np.abs(np.vecdot(rows, rows).real - 1.0) <= STRUCTURAL_TOL).all():
+        raise NormalizationError("all states must be normalized")
+    gram = gram_matrix(rows)
+    deviation = np.abs(gram - np.eye(len(gram)))
     if deviation.max() <= STRUCTURAL_TOL:
-        return DecodeVerdict(True, len(states), gram, None)
-    i, j = divmod(int(deviation.argmax()), len(states))
-    return DecodeVerdict(False, len(states), gram, (i, j, float(deviation[i, j])))
+        return DecodeVerdict(True, len(gram), gram, None)
+    i, j = divmod(int(deviation.argmax()), len(gram))
+    return DecodeVerdict(False, len(gram), gram, (i, j, float(deviation[i, j])))
 
 
 def capacity_check(
@@ -246,8 +250,8 @@ def capacity_check(
     the indices it moves; each encoded state is a row gather of one such
     product, written into one stack whose row norms must all keep the
     resource's within ``NORM_PRESERVATION_TOL``.  These compact states are
-    an isometric image of the full encoded states, so :func:`decode`'s one
-    Gram matrix is the same up to summation order.
+    an isometric image of the full encoded states, so :func:`decode`'s rule
+    on the stack sees the same Gram matrix up to summation order.
 
     If the full set decodes, the capacity is log2(set size) exactly.
     Otherwise the result reports the largest mutually orthogonal subset:
@@ -274,7 +278,7 @@ def capacity_check(
     stack = stack.reshape(len(stack), -1)
     if not (np.abs(np.sqrt(np.vecdot(stack, stack).real) - norm) <= NORM_PRESERVATION_TOL).all():
         raise InternalConsistencyError("unitary application failed to preserve the norm")
-    verdict = decode(state_rows(stack))
+    verdict = _verdict(stack)
     size = verdict.num_states
     if verdict.decodable:
         bits = size.bit_length() - 1

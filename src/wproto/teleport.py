@@ -23,27 +23,27 @@ to one of four subspace corrections, each built on its block (|0..0>,
                     qubit.
 
 Each protocol is one hop, taken once or twice: every input row (x) the
-resource is measured in a family, and the receiver's qubits get the
-correction its outcome names.  ``serial`` takes a second hop from each
-branch, through (|00> + |11>)/sqrt(2) in the relay family, and corrects its
-first qubit; its sixteen branches carry joint probabilities.
-:func:`run_teleport_grid` builds a resource's family, corrections and relay
-basis once and checks every grid point against its own target, equal bit
-for bit to a run of that point alone, in one columnar
-:class:`ProtocolReport` (a row per grid point, a column per branch);
-:func:`run_teleport_one_qubit` is its one-state case, and
-:func:`run_teleport_encoded` sends any m-qubit register through the same
-hop, whose measurement refuses one outside span{|0..0>, |w>}.  One check
-refuses a ``StateVector`` of the wrong size or norm, be it an input register
-or the receiver's |w>.  Every branch is enumerated deterministically; nothing
-is sampled.
+resource is measured in a family, and each outcome's rows get the
+correction it names on the receiver's qubits, as arrays over all outcomes.
+``serial`` takes a second hop from every sender branch at once, through
+(|00> + |11>)/sqrt(2) in the relay family, and corrects its first qubit;
+its sixteen branches carry joint probabilities.  :func:`run_teleport_grid`
+builds a resource's family, corrections and relay basis once and checks
+every grid point against its own target, equal bit for bit to a run of
+that point alone, in one columnar :class:`ProtocolReport` (a row per grid
+point, a column per branch); :func:`run_teleport_one_qubit` is its
+one-state case, and :func:`run_teleport_encoded` sends any m-qubit
+register through the same hop, whose measurement refuses one outside
+span{|0..0>, |w>}.  One check refuses a ``StateVector`` of the wrong size
+or norm, be it an input register or the receiver's |w>.  Every branch is
+enumerated deterministically; nothing is sampled.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -66,7 +66,6 @@ from .qsim import (
     require_int,
     state_rows,
     superpose,
-    tensor,
     zero_state,
 )
 from .wstates import (
@@ -164,12 +163,15 @@ def encoded_state(c: CoefficientVector, m: int, alpha: complex, beta: complex) -
 def _family(zero: StateVector, one: StateVector, first: tuple, second: tuple) -> list[StateVector]:
     """The four vectors x|zero>|A> +- y|one>|B> and y|zero>|B> +- x|one>|A>
     for ``first`` = (x, A) and ``second`` = (y, B), in that order: every
-    four-vector family of the protocols."""
-    vectors = []
-    for (p, u), (q, v) in ((first, second), (second, first)):
-        u, v = tensor(zero, u), tensor(one, v)
-        vectors += [superpose([(p, u), (q, v)]), superpose([(p, u), (-q, v)])]
-    return vectors
+    four-vector family of the protocols, summed as ``superpose`` sums
+    ``tensor`` products (into zeros, so -0 becomes +0), bit for bit."""
+    (x, a), (y, b) = first, second
+    coefficients = np.array([complex(x), complex(y)])[:, None, None]
+    parts = np.array([a.amplitudes, b.amplitudes])[:, None, :]
+    base = (coefficients * (zero.amplitudes[:, None] * parts) + 0.0).reshape(2, -1)
+    tails = (coefficients[::-1] * (one.amplitudes[:, None] * parts[::-1])).reshape(2, -1)
+    rows = np.stack([base + tails, base - tails], axis=1)  # (pair, +-)
+    return [StateVector(zero.num_qubits + a.num_qubits, row) for row in rows.reshape(4, -1)]
 
 
 def raw_measurement_vectors(c: CoefficientVector, m: int) -> list[StateVector]:
@@ -339,26 +341,34 @@ def _hop(
     resource: StateVector,
     basis: MeasurementBasis,
     corrections: Sequence[Unitary],
-    receiver: tuple[int, ...],
-    prefix: str,
-) -> Iterator[tuple[str, np.ndarray, np.ndarray, Unitary]]:
+    receiver: Sequence[int],
+    prefixes: Sequence[str] = ("",),
+) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, tuple[Unitary, ...]]:
     """One teleportation step on every row of a (G, 2^q) stack: row (x)
     ``resource`` is measured in ``basis`` in stacks of at most
     ``_JOINT_AMPLITUDES`` amplitudes (a larger joint state alone), and each
     outcome's post-states are corrected at once on the ``receiver`` qubits.
-    Yields (label, probabilities, corrected stack, correction) per outcome;
-    a branch of probability 0 is a bug, named ``prefix`` + its label."""
-    per = max(1, _JOINT_AMPLITUDES // (rows.shape[1] * len(resource.amplitudes)))
-    measured = [
-        project_stack((chunk[:, :, None] * resource.amplitudes).reshape(len(chunk), -1), basis)
-        for chunk in (rows[start : start + per] for start in range(0, len(rows), per))
-    ]
-    for outcome in zip(*measured):
-        label, p = outcome[0][0], np.concatenate([o[1] for o in outcome])
-        if not (p > ZERO_PROBABILITY).all():
-            raise InternalConsistencyError(f"branch {prefix}{label} has probability 0")
-        u = corrections[CORRECTION_INDEX[label]]
-        yield label, p, apply_unitary_stack(np.concatenate([o[2] for o in outcome]), u, receiver), u
+    Returns the K labels, (K, G) probabilities, (K, G, 2^r) corrected
+    post-states and K corrections.  The rows form one group per prefix; a
+    branch of probability 0 is a bug, named by the first such group's prefix
+    and its label."""
+    size = rows.shape[1] * len(resource.amplitudes)
+    per = max(1, _JOINT_AMPLITUDES // size)
+    p = np.empty((len(basis.labels), len(rows)))
+    post = np.empty(p.shape + (size >> len(basis.subset),), dtype=np.complex128)
+    for start in range(0, len(rows), per):
+        at = slice(start, start + per)
+        measured = project_stack((rows[at, :, None] * resource.amplitudes).reshape(-1, size), basis)
+        for k, (_, prob, branch) in enumerate(measured):
+            p[k, at], post[k, at] = prob, branch
+    failing = ~(p > ZERO_PROBABILITY).reshape(len(p), len(prefixes), -1).any(axis=2).T
+    if failing.any():
+        name = [f + label for f in prefixes for label in basis.labels][failing.argmax()]
+        raise InternalConsistencyError(f"branch {name} has probability 0")
+    fixes = tuple(corrections[CORRECTION_INDEX[label]] for label in basis.labels)
+    for k, u in enumerate(fixes):
+        post[k] = apply_unitary_stack(post[k], u, receiver)
+    return basis.labels, p, post, fixes
 
 
 def _teleport(
@@ -372,41 +382,38 @@ def _teleport(
 ) -> ProtocolReport:
     """Teleport each row of the (G, 2^q) ``inputs`` stack through ``resource``
     and check it against its target: the row itself, or alpha|0..0> +
-    beta|wm> given ``wm``.  With a ``relay`` basis each sender branch hops
-    again, through a fresh Bell pair, as branch ``outer|inner`` with the
-    joint probability; for ``transfer`` the receiver's last qubit is split
-    off before the check.  The report's columns are allocated up front, in
-    the shape :func:`outcome_shape` gives, and the rows go in batches of at
-    most ``_STACK_AMPLITUDES`` branch amplitudes, each writing its rows of
-    every branch's column in place."""
+    beta|wm> given ``wm``.  With a ``relay`` basis every sender branch hops
+    again at once, through a fresh Bell pair, as branch ``outer|inner`` with
+    the joint probability; ``transfer`` splits off the last qubit first.  The
+    rows go in batches of at most ``_STACK_AMPLITUDES`` branch amplitudes;
+    one fidelity stack checks a batch, which writes its rows of every column
+    of the report (shaped as :func:`outcome_shape` says) as one slice."""
     m = corrections[0].num_qubits
     outcomes, qubits = outcome_shape(m, strategy or "subspace")
     probabilities = np.empty((len(inputs), outcomes))
     fidelities = np.empty((len(inputs), outcomes))
     post_states = np.empty((len(inputs), outcomes, 2**qubits), dtype=np.complex128)
-    receiver = tuple(range(1, m + 1))
     batch = max(1, _STACK_AMPLITUDES >> (m + 2))
     for start in range(0, len(inputs), batch):
         rows = slice(start, start + batch)
         targets = inputs[rows]
         if wm is not None:
             targets = targets[:, :1] * zero_state(m).amplitudes + targets[:, 1:] * wm.amplitudes
-        columns = []
-        for label, p, fixed, u in _hop(inputs[rows], resource, basis, corrections, receiver, ""):
-            branches = [(label, p, fixed, u)]
-            if relay is not None:
-                second = _hop(fixed, _BELL, relay, PAULIS, (1,), label + "|")
-                branches = [(f"{label}|{inner}", p * q, final, v) for inner, q, final, v in second]
-            for name, prob, final, u in branches:
-                compared = _extract_last_qubit(final) if strategy == "transfer" else final
-                k = len(columns)
-                probabilities[rows, k] = prob
-                post_states[rows, k] = final
-                fidelities[rows, k] = fidelity_stack(compared, targets)
-                columns.append((name, u))
+        labels, p, final, fixes = _hop(inputs[rows], resource, basis, corrections, range(1, m + 1))
+        if relay is not None:  # one hop over every sender branch's rows, sender-branch-major
+            outer = [label + "|" for label in labels]
+            inner, q, final, fixes = _hop(final.reshape(-1, 2**m), _BELL, relay, PAULIS, [1], outer)
+            labels, fixes = tuple(o + i for o in outer for i in inner), fixes * len(outer)
+            # its (inner, outer) axes become (outer, inner) branches
+            p = (p[:, None] * q.reshape(4, 4, -1).swapaxes(0, 1)).reshape(16, -1)
+            final = final.reshape(4, 4, -1, 2).swapaxes(0, 1).reshape(16, -1, 2)
+        compared = final.reshape(-1, final.shape[2])
+        compared = _extract_last_qubit(compared) if strategy == "transfer" else compared
+        checked = fidelity_stack(compared, np.tile(targets, (len(labels), 1)))
+        probabilities[rows], fidelities[rows] = p.T, checked.reshape(len(labels), -1).T
+        post_states[rows] = final.swapaxes(0, 1)
     for array in (probabilities, fidelities, post_states):
         array.flags.writeable = False
-    labels, fixes = zip(*columns)
     return ProtocolReport(strategy, labels, fixes, probabilities, fidelities, post_states)
 
 
@@ -477,12 +484,9 @@ def run_teleport_one_qubit(
 
 def _extract_last_qubit(rows: np.ndarray) -> np.ndarray:
     """Split |0..0>(x)(a|0>+b|1>) off each transfer-corrected register row:
-    the (G, 2) stack of pairs, each divided by its ``np.linalg.norm``.
-
-    The transfer corrections guarantee this factoring; any support outside
-    the first two amplitudes means the correction table is wrong, which is
-    a bug, not a caller error.
-    """
+    the (G, 2) stack of pairs, each divided by its ``np.linalg.norm``.  Any
+    other support means the correction table is wrong: a bug, not a caller
+    error."""
     stray = float(np.abs(rows[:, 2:]).max(initial=0.0))
     if not stray <= STRUCTURAL_TOL:
         raise InternalConsistencyError(

@@ -237,6 +237,7 @@ def ghz_condition(a1: complex, a2: complex, m: int = 1) -> ConditionReport:
     Every bipartition of such a state has the same reduced spectrum
     {|a1|^2, |a2|^2}, so the report is independent of the partition size.
     """
+    m = require_int(m, 1)
     require_unit_pair(a1, a2)
     return _condition_report(m, abs(a1) ** 2, abs(a2) ** 2)
 

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from wproto.qsim import PAULI_FOUR
+from wproto.qsim import PAULI_FOUR, DimensionError, StateVector
 from wproto.wstates import CoefficientVector
 
 
@@ -29,6 +29,15 @@ def build_state(n: int, terms: dict[str, complex]) -> np.ndarray:
     for bits, amp in terms.items():
         vec[int(bits, 2)] += amp
     return vec
+
+
+def inner_product(a: StateVector, b: StateVector) -> complex:
+    """<a|b>, conjugate-linear in the first argument."""
+    if a.num_qubits != b.num_qubits:
+        raise DimensionError(
+            f"inner product needs equal qubit counts, got {a.num_qubits} and {b.num_qubits}"
+        )
+    return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
 def oracle_branch(joint: np.ndarray, vec: np.ndarray, n: int, k: int) -> np.ndarray:

@@ -103,6 +103,20 @@ def test_teleport_reports_are_columns_not_outcome_objects():
     assert named["state_rows"] - {"<import>"} == {"unknown_state_grid"}
 
 
+def test_teleport_returns_columns_and_checks_fidelity_in_one_place():
+    # a hop returns its branches as arrays instead of yielding them, and one
+    # call checks the fidelity of every branch of a batch
+    tree = ast.parse((PACKAGE / "teleport.py").read_text())
+    assert not [node for node in ast.walk(tree) if isinstance(node, (ast.Yield, ast.YieldFrom))]
+    callers = [
+        getattr(top, "name", "<module>")
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and _name(node.func) == "fidelity_stack"
+    ]
+    assert callers == ["_teleport"]
+
+
 def test_only_qsim_reads_an_operators_dense_view():
     # operators are built, composed and encoded on their blocks; the dense
     # 2^m x 2^m view is qsim's, for dense application alone

@@ -20,7 +20,6 @@ from wproto.qsim import (
     apply_unitary,
     fidelity,
     gram_matrix,
-    inner_product,
     make_basis_state,
     orthonormal_extension,
     partial_trace,
@@ -34,6 +33,7 @@ from wproto.wstates import generalized_w, standard_w, CoefficientVector
 
 from oracle_utils import (
     build_state,
+    inner_product,
     ket,
     oracle_entropy,
     oracle_reduced_density,

@@ -1,6 +1,7 @@
 """Superdense-coding encoders, decoders, and capacity verification."""
 
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -320,3 +321,21 @@ def test_decodable_iff_states_form_a_measurement_basis(n, data, eps, seed):
         worst = np.abs(gram_of([s.amplitudes for s in states]) - np.eye(k)).max()
         assert verdict.worst_pair[2] == pytest.approx(worst, rel=1e-6, abs=1e-15)
         assert verdict.worst_pair[2] == np.abs(verdict.gram - np.eye(k)).max()
+
+
+def test_capacity_check_holds_its_encoded_stack_under_three_times():
+    # W14, m = 7: 256 encoded states of 2^7 x 8 compact amplitudes, a 4 MiB
+    # stack and a 1 MiB Gram matrix.  The Gram matrix comes from the stack
+    # itself; copying the stack into states and again into the Gram matrix's
+    # operand, then conjugating it, used to peak at 17.4 MiB
+    c, m = w_coefficients(14), 7
+    encoding = general_encoding_set(c, m)
+    stack, gram = 256 * 2**7 * 8 * 16, 256**2 * 16
+    tracemalloc.start()
+    try:
+        result = capacity_check(c, m, encoding)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.decodable and result.bits == 8 and result.set_size == 256
+    assert peak < 3 * stack + gram

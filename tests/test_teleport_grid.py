@@ -15,9 +15,12 @@ from wproto.qsim import (
     StateVector,
     Unitary,
     apply_unitary,
+    apply_unitary_stack,
     fidelity,
+    fidelity_stack,
     make_basis_state,
     project,
+    project_stack,
     superpose,
     tensor,
     zero_state,
@@ -416,3 +419,111 @@ def test_grid_checks_are_batched_not_per_row(monkeypatch, strategy):
     assert _per_row_work(monkeypatch, c, 2, one, strategy) == _per_row_work(
         monkeypatch, c, 2, forty, strategy
     )
+
+
+def _kernel_calls(monkeypatch, c, m, grid, strategy) -> dict[str, int]:
+    """Calls of each stacked kernel (and the transfer split) in one grid run."""
+    names = ("project_stack", "apply_unitary_stack", "fidelity_stack", "_extract_last_qubit")
+    calls = {name: _counting(monkeypatch, name) for name in names}
+    run_teleport_grid(c, m, grid, strategy)
+    return {name: len(made) for name, made in calls.items()}
+
+
+@pytest.mark.parametrize(
+    "strategy, expected",
+    [
+        # the relay hops once over all four sender branches' rows
+        ("serial", (2, 8, 1, 0)),
+        ("subspace", (1, 4, 1, 0)),
+        ("transfer", (1, 4, 1, 1)),
+    ],
+)
+def test_a_batch_hops_once_per_measurement(monkeypatch, strategy, expected):
+    calls = _kernel_calls(monkeypatch, w_coefficients(4), 2, unknown_state_grid(20, 1), strategy)
+    assert tuple(calls.values()) == expected
+
+
+def _per_sender_branch_relay(c, m, grid):
+    """The serial relay as a loop over the sender's branches, one relay
+    measurement per branch on that branch's G rows, through the stacked
+    kernels: labels and (G, 16) probabilities, fidelities and post-states."""
+    wm = excitation_blocks(c, m)[2]
+    inputs = np.array([psi.amplitudes for psi in grid])
+    joint = (inputs[:, :, None] * generalized_w(c).amplitudes).reshape(len(grid), -1)
+    corrections = bob_strategy1_set(m, wm)
+    h = 1 / math.sqrt(2)
+    bell = np.array([h, 0, 0, h], dtype=np.complex128)
+    labels, probabilities, fidelities, posts = [], [], [], []
+    for outer, p, post in project_stack(joint, one_qubit_measurement_family(c, m)):
+        u = corrections[CORRECTION_INDEX[outer]]
+        fixed = apply_unitary_stack(post, u, range(1, m + 1))
+        relayed = (fixed[:, :, None] * bell).reshape(len(grid), -1)
+        for inner, q, final in project_stack(relayed, serial_basis(m, wm)):
+            final = apply_unitary_stack(final, PAULIS[CORRECTION_INDEX[inner]], [1])
+            labels.append(f"{outer}|{inner}")
+            probabilities.append(p * q)
+            fidelities.append(fidelity_stack(final, inputs))
+            posts.append(final)
+    return labels, np.array(probabilities).T, np.array(fidelities).T, np.stack(posts, axis=1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(min_value=3, max_value=8),
+    count=st.integers(min_value=1, max_value=8),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    joint=st.sampled_from([None, 2**5, 2**7]),
+)
+def test_stacked_relay_equals_a_relay_per_sender_branch(data, n, count, seed, joint):
+    m = data.draw(st.integers(min_value=1, max_value=n - 1))
+    rng = np.random.default_rng(seed)
+    c = random_condition_coefficients(n, m, rng)
+    grid = unknown_state_grid(count, int(rng.integers(2**31)))
+    with pytest.MonkeyPatch.context() as patch:
+        if joint is not None:  # several chunks per hop, straddling sender branches
+            patch.setattr(teleport, "_JOINT_AMPLITUDES", joint)
+        report = run_teleport_grid(c, m, grid, "serial")
+    labels, probabilities, fidelities, posts = _per_sender_branch_relay(c, m, grid)
+    assert list(report.labels) == labels
+    assert (report.probabilities == probabilities).all()
+    assert (report.fidelities == fidelities).all()
+    assert (report.post_states == posts).all()
+
+
+def _reference_family(zero, one, first, second):
+    """The four-vector family as ``superpose`` of ``tensor`` products."""
+    vectors = []
+    for (p, u), (q, v) in ((first, second), (second, first)):
+        u, v = tensor(zero, u), tensor(one, v)
+        vectors += [superpose([(p, u), (q, v)]), superpose([(p, u), (-q, v)])]
+    return vectors
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(min_value=2, max_value=8),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_families_built_as_arrays_equal_superposed_products_bytewise(data, n, seed):
+    # down to the sign of every zero
+    m = data.draw(st.integers(min_value=1, max_value=n - 1))
+    rng = np.random.default_rng(seed)
+    c = random_condition_coefficients(n, m, rng)
+    front, _, wm, back_norm = excitation_blocks(c, m)
+    k0, k1 = make_basis_state(1, [0]), make_basis_state(1, [1])
+    rest = zero_state(n - m)
+    a1, a2 = (rng.normal(size=2) + 1j * rng.normal(size=2)) / 2
+    all0, all1 = zero_state(n - 1), make_basis_state(n - 1, [1] * (n - 1))
+    h = 1 / math.sqrt(2)
+    pairs = [
+        (raw_measurement_vectors(c, m), (zero_state(m), wm, (1, front), (back_norm, rest))),
+        (raw_one_qubit_measurement_vectors(c, m), (k0, k1, (1, front), (back_norm, rest))),
+        (raw_ghz_measurement_vectors(a1, a2, n), (k0, k1, (a1, all0), (a2, all1))),
+        (serial_basis(m, wm).vectors, (zero_state(m), wm, (h, k0), (h, k1))),
+    ]
+    for built, args in pairs:
+        for vector, reference in zip(built, _reference_family(*args), strict=True):
+            assert vector.amplitudes.tobytes() == reference.amplitudes.tobytes()
+            assert vector.normalized == reference.normalized

@@ -638,3 +638,20 @@ def test_size_floors_name_the_bound():
     with pytest.raises(ValueError, match="expected an integer >= 1, got 0"):
         sdc.pauli_product_set(0)
     assert type(qsim.require_int(np.int64(5), 5)) is int
+
+
+@pytest.mark.parametrize("message", [(True, False), (0.0, 1.0), (np.float64(0), np.float64(1))])
+def test_message_bits_must_be_integers(message):
+    # a bool, a float or a numpy float used to select an operator as a bit
+    encoding = sdc.pauli_set()
+    with pytest.raises(ValueError, match="expected an integer"):
+        encoding.operator_for(message)
+    assert encoding.operator_for((np.int64(1), np.uint8(0))) is encoding.operators[2]
+
+
+@pytest.mark.parametrize("m", [True, 1.0, 0])
+def test_ghz_partition_size_must_be_an_integer(m):
+    # m=True used to come back as partition_size=True
+    with pytest.raises(ValueError, match="expected an integer"):
+        ghz_condition(_S, _S, m)
+    assert ghz_condition(_S, _S, np.int64(2)).partition_size == 2
