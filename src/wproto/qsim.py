@@ -15,11 +15,11 @@ row's result is equal bit for bit, and they check every row on its own;
 norms and overlaps are one ``np.vecdot`` over the stack, the BLAS zdotc
 that ``np.vdot`` runs on each row.  :func:`state_rows` turns a stack into
 ``StateVector`` rows and :func:`fidelity_stack` compares two stacks row by
-row (:func:`fidelity` is its one-row case), so a caller that works on
-stacks makes no per-row call.  A :class:`Unitary` is the identity but a
-block on the indices it moves, with an optional row order; it is built,
-checked, composed and permuted on that block, and only its application
-reads the dense matrix, built once.
+row, the second repeated over blocks of the first (:func:`fidelity` is its
+one-row case), so a caller that works on stacks makes no per-row call.  A
+:class:`Unitary` is the identity but a block on the indices it moves, with
+an optional row order; it is built, checked, composed and permuted on that
+block, and only its application reads the dense matrix, built once.
 
 All values are immutable after construction (amplitude buffers are marked
 read-only) and every operation is a pure function, so independent
@@ -382,7 +382,7 @@ def _norms_squared(rows: np.ndarray) -> np.ndarray:
     return np.vecdot(rows, rows).real
 
 
-def _unit_rows(rows: np.ndarray) -> np.ndarray:
+def unit_rows(rows: np.ndarray) -> np.ndarray:
     """Which rows are normalized, by the rule of ``StateVector.normalized``."""
     return np.abs(_norms_squared(rows) - 1.0) <= STRUCTURAL_TOL
 
@@ -399,7 +399,7 @@ def state_rows(rows: np.ndarray) -> list[StateVector]:
     rows.flags.writeable = False
     q = rows.shape[1].bit_length() - 1
     states = []
-    for amps, unit in zip(rows, _unit_rows(rows).tolist()):
+    for amps, unit in zip(rows, unit_rows(rows).tolist()):
         state = object.__new__(StateVector)
         state.num_qubits, state.amplitudes, state.normalized = q, amps, unit
         states.append(state)
@@ -465,7 +465,8 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
 
 
 def fidelity_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """|<a_g|b_g>|² of row g of two equal-shape (G, 2^q) amplitude stacks.
+    """|<a_g|b_g>|² of row g of a (K·G, 2^q) stack and row g mod G of a (G, 2^q)
+    one: ``b`` is held against each of K blocks of ``a`` without a copy.
 
     Every row on both sides must be normalized (the rule of
     ``StateVector.normalized``).  Each overlap is one ``np.vecdot`` row, the
@@ -473,11 +474,11 @@ def fidelity_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     of a Python complex takes; global phase drops out.
     """
     a, b = _stack(a), _stack(b)
-    if a.shape != b.shape:
-        raise DimensionError(f"fidelity needs equal-shape stacks, got {a.shape} and {b.shape}")
-    if not (_unit_rows(a).all() and _unit_rows(b).all()):
+    if a.shape[1] != b.shape[1] or len(a) % len(b):
+        raise DimensionError(f"fidelity needs b's rows to tile a's, got {a.shape} and {b.shape}")
+    if not (unit_rows(a).all() and unit_rows(b).all()):
         raise NormalizationError("fidelity is defined for normalized states only")
-    overlap = np.vecdot(a, b)
+    overlap = np.vecdot(a.reshape((-1,) + b.shape), b).reshape(-1)
     return np.hypot(overlap.real, overlap.imag) ** 2
 
 
@@ -542,7 +543,7 @@ def project_stack(
     :func:`_norms_squared`).
     """
     rows = _stack(rows)
-    if not _unit_rows(rows).all():
+    if not unit_rows(rows).all():
         raise NormalizationError("projective measurement expects a normalized state")
     psi, perm, k = _grouped(rows, basis.subset)
     v, g = len(basis.vectors), len(rows)

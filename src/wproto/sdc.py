@@ -52,6 +52,7 @@ from .qsim import (
     apply_unitary,
     gram_matrix,
     require_int,
+    unit_rows,
 )
 from .teleport import bob_strategy2_set, require_condition
 from .wstates import CoefficientVector, excitation_blocks, generalized_w
@@ -224,7 +225,7 @@ def decode(states: Sequence[StateVector]) -> DecodeVerdict:
 def _verdict(rows: np.ndarray) -> DecodeVerdict:
     """:func:`decode`'s rule on a (K, 2^n) stack: every row normalized, and
     the Gram matrix, taken from the stack in place, I or its worst pair."""
-    if not (np.abs(np.vecdot(rows, rows).real - 1.0) <= STRUCTURAL_TOL).all():
+    if not unit_rows(rows).all():
         raise NormalizationError("all states must be normalized")
     gram = gram_matrix(rows)
     deviation = np.abs(gram - np.eye(len(gram)))

@@ -350,8 +350,8 @@ def _hop(
     outcome's post-states are corrected at once on the ``receiver`` qubits.
     Returns the K labels, (K, G) probabilities, (K, G, 2^r) corrected
     post-states and K corrections.  The rows form one group per prefix; a
-    branch of probability 0 is a bug, named by the first such group's prefix
-    and its label."""
+    branch of probability 0 in any row is a bug, named by the first such
+    group's prefix and its label."""
     size = rows.shape[1] * len(resource.amplitudes)
     per = max(1, _JOINT_AMPLITUDES // size)
     p = np.empty((len(basis.labels), len(rows)))
@@ -361,7 +361,7 @@ def _hop(
         measured = project_stack((rows[at, :, None] * resource.amplitudes).reshape(-1, size), basis)
         for k, (_, prob, branch) in enumerate(measured):
             p[k, at], post[k, at] = prob, branch
-    failing = ~(p > ZERO_PROBABILITY).reshape(len(p), len(prefixes), -1).any(axis=2).T
+    failing = ~(p > ZERO_PROBABILITY).reshape(len(p), len(prefixes), -1).all(axis=2).T
     if failing.any():
         name = [f + label for f in prefixes for label in basis.labels][failing.argmax()]
         raise InternalConsistencyError(f"branch {name} has probability 0")
@@ -390,8 +390,7 @@ def _teleport(
     of the report (shaped as :func:`outcome_shape` says) as one slice."""
     m = corrections[0].num_qubits
     outcomes, qubits = outcome_shape(m, strategy or "subspace")
-    probabilities = np.empty((len(inputs), outcomes))
-    fidelities = np.empty((len(inputs), outcomes))
+    probabilities, fidelities = np.empty((2, len(inputs), outcomes))
     post_states = np.empty((len(inputs), outcomes, 2**qubits), dtype=np.complex128)
     batch = max(1, _STACK_AMPLITUDES >> (m + 2))
     for start in range(0, len(inputs), batch):
@@ -409,9 +408,8 @@ def _teleport(
             final = final.reshape(4, 4, -1, 2).swapaxes(0, 1).reshape(16, -1, 2)
         compared = final.reshape(-1, final.shape[2])
         compared = _extract_last_qubit(compared) if strategy == "transfer" else compared
-        checked = fidelity_stack(compared, np.tile(targets, (len(labels), 1)))
-        probabilities[rows], fidelities[rows] = p.T, checked.reshape(len(labels), -1).T
-        post_states[rows] = final.swapaxes(0, 1)
+        fidelities[rows] = fidelity_stack(compared, targets).reshape(len(labels), -1).T
+        probabilities[rows], post_states[rows] = p.T, final.swapaxes(0, 1)
     for array in (probabilities, fidelities, post_states):
         array.flags.writeable = False
     return ProtocolReport(strategy, labels, fixes, probabilities, fidelities, post_states)

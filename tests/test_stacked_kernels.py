@@ -238,6 +238,19 @@ def test_fidelity_stack_rows_equal_fidelity():
         assert stacked[g] == fidelity(StateVector(2, x), StateVector(2, y)) == modulus * modulus
 
 
+def test_fidelity_stack_holds_its_second_stack_against_each_block_of_the_first():
+    rng = np.random.default_rng(7)
+    a, b = _complex(rng, 12, 4), _complex(rng, 3, 4)
+    a /= np.linalg.norm(a, axis=1)[:, None]
+    b /= np.linalg.norm(b, axis=1)[:, None]
+    stacked = fidelity_stack(a, b)
+    assert (stacked == fidelity_stack(a, np.tile(b, (4, 1)))).all()
+    for g, x in enumerate(a):
+        assert stacked[g] == fidelity(StateVector(2, x), StateVector(2, b[g % 3]))
+    with pytest.raises(DimensionError):
+        fidelity_stack(a[:11], b)
+
+
 @pytest.mark.parametrize("side", [0, 1])
 def test_fidelity_stack_refuses_an_unnormalized_row_on_either_side(side):
     rng = np.random.default_rng(side)

@@ -64,6 +64,41 @@ def test_zero_probability_branch_is_named(monkeypatch, strategy, label, branch):
         run_teleport_grid(w_coefficients(4), 2, unknown_state_grid(3, 0), strategy)
 
 
+def _zero_row(monkeypatch, label, row):
+    """Make every measurement report probability 0 for outcome ``label`` in
+    stacked row ``row`` only."""
+    project_stack = teleport.project_stack
+
+    def patched(rows, basis):
+        measured = []
+        for lab, p, post in project_stack(rows, basis):
+            if lab == label:
+                p = p.copy()
+                p[row] = 0.0
+            measured.append((lab, p, post))
+        return measured
+
+    monkeypatch.setattr(teleport, "project_stack", patched)
+
+
+@pytest.mark.parametrize(
+    "strategy, label, row, branch",
+    [
+        ("subspace", "eta+", 1, "eta+"),
+        ("transfer", "xi-", 2, "xi-"),
+        ("serial", "xi-", 1, "xi-"),
+        # the relay stacks its rows sender-branch-major: row 4 is xi-, point 1
+        ("serial", "phi1+", 1, "xi+|phi1+"),
+        ("serial", "phi2-", 4, "xi-|phi2-"),
+    ],
+)
+def test_zero_probability_in_one_grid_row_is_named(monkeypatch, strategy, label, row, branch):
+    _zero_row(monkeypatch, label, row)
+    message = re.escape(f"branch {branch} has probability 0")
+    with pytest.raises(InternalConsistencyError, match=message):
+        run_teleport_grid(w_coefficients(4), 2, unknown_state_grid(3, 0), strategy)
+
+
 def test_zero_probability_branch_is_named_for_encoded_runs(monkeypatch):
     c = w_coefficients(4)
     _zero_outcome(monkeypatch, "xi+")
