@@ -14,6 +14,9 @@ only when every scenario's verdict matches its declared expectation.
 JSON output is byte-stable: keys are sorted, reals carry 12 significant
 digits, complex numbers appear as two-element [re, im] arrays, and nothing
 time-dependent is included (wall time shows up in the table format only).
+It is written in one recursive pass that clamps each real as it goes and
+gives the bytes of ``json.dumps(..., sort_keys=True, indent=2)`` on the
+clamped report.
 
 Flags: ``--config <path>``, ``--format json|table``, ``--out <path>``,
 ``--demo-sample --seed <u64>``.  Exit codes: 0 all expectations met,
@@ -33,6 +36,7 @@ import sys
 import time
 import traceback
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 import numpy as np
@@ -342,9 +346,10 @@ def _run_scan(s: Scenario) -> tuple[dict, bool, str]:
 
 def _run_teleport(s: Scenario) -> tuple[dict, bool, str]:
     c, m, strategy, grid = s.resource, s.echo["m"], s.echo["strategy"], s.echo["grid"]
-    states = unknown_state_grid(grid["count"], grid["seed"])
     results: dict[str, Any] = {"grid": dict(grid), "strategy": strategy}
     try:
+        require_condition(c, m)  # before the grid is built: a refusal names the sums
+        states = unknown_state_grid(grid["count"], grid["seed"])
         report = run_teleport_grid(c, m, states, strategy)
     except UnsuitableResourceError as exc:
         good = [r.partition_size for r in suitability_scan(c) if r.holds]
@@ -445,24 +450,39 @@ def run(config: ScenarioConfig) -> RunReport:
     )
 
 
-def _round_floats(obj: Any) -> Any:
-    """Clamp reals to 12 significant digits for stable emission."""
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, float):
-        return float(f"{obj:.12g}")
-    if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
-    return obj
+def _write_json(obj: Any, out: list[str], indent: str = "") -> None:
+    """Append ``obj`` to ``out`` as ``json.dumps(obj, sort_keys=True, indent=2)``
+    writes it at depth ``indent``, each real first clamped to 12 significant digits."""
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None or obj is True or obj is False:
+        out.append("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        x = float(f"{obj:.12g}")
+        out.append(repr(x) if math.isfinite(x) else "NaN" if x != x else "Infinity" if x > 0
+                   else "-Infinity")
+    elif not (isinstance(obj, (dict, list, tuple)) and obj):
+        out.append(json.dumps(obj))  # an empty container, or json's TypeError for any other type
+    else:
+        inner, is_dict = indent + "  ", isinstance(obj, dict)
+        for i, item in enumerate(sorted(obj.items()) if is_dict else obj):
+            out.append((",\n" if i else "{\n" if is_dict else "[\n") + inner)
+            if is_dict:  # json's own rule converts or refuses a key that is not a str
+                key, item = item
+                out.append((encode_basestring_ascii(key) if isinstance(key, str)
+                            else json.dumps({key: 0})[1:-4]) + ": ")
+            _write_json(item, out, inner)
+        out.append("\n" + indent + ("}" if is_dict else "]"))
 
 
 def emit(report: RunReport, fmt: str = "json") -> bytes:
     """Render a report as stable JSON or an aligned text table."""
     if fmt == "json":
-        text = json.dumps(_round_floats(report.payload), sort_keys=True, indent=2)
-        return (text + "\n").encode("utf-8")
+        out: list[str] = []
+        _write_json(report.payload, out)
+        return "".join(out + ["\n"]).encode("utf-8")
     if fmt != "table":
         raise ValueError(f"unknown format {fmt!r}; expected 'json' or 'table'")
     lines = [

@@ -4,7 +4,8 @@ States are dense complex amplitude vectors indexed so that qubit 1 is the
 most significant bit of the amplitude index: ``|q1 q2 ... qn>`` lives at
 index ``q1*2^(n-1) + q2*2^(n-2) + ... + qn``.  Dense vectors keep every
 operation exact up to float rounding; reduced spectra come from the Schmidt
-values across a cut, so entropies never build a 2^k x 2^k density matrix.
+values of a cut's support block, so the cuts of a GHZ state or of a W-class
+state on n >= 4 qubits share one SVD and no entropy builds a 2^k x 2^k matrix.
 
 Unitary application and projective measurement also come as stacked
 kernels over a (G, 2^n) array of amplitude rows, one state per row
@@ -590,33 +591,88 @@ def project(state: StateVector, basis: MeasurementBasis) -> list[ProtocolOutcome
 
 
 def _cut(state: StateVector, keep: Sequence[int]) -> tuple[np.ndarray, int]:
-    """Amplitudes grouped across the cut "``keep`` vs the rest", and k."""
-    psi, _, k = _grouped(state.amplitudes[None], keep)
-    if k == state.num_qubits:
+    """The amplitudes with the ``keep`` qubits moved last (in listed order), and k."""
+    idx, n = _validated_subset(keep, state.num_qubits), state.num_qubits
+    if len(idx) == n:
         raise ValueError("keep must be a proper subset; use an outer product instead")
     if not state.normalized:
         raise NormalizationError("a reduced state needs a normalized state")
-    return psi[0], k
+    order = [q - 1 for q in range(1, n + 1) if q not in idx] + [q - 1 for q in idx]
+    return state.amplitudes.reshape((2,) * n).transpose(order).reshape(-1), len(idx)
 
 
 def partial_trace(state: StateVector, keep: Sequence[int]) -> DensityMatrix:
     """Reduced density matrix of the ``keep`` qubits (in listed order)."""
-    psi, k = _cut(state, keep)
+    amps, k = _cut(state, keep)
+    psi = amps.reshape(-1, 2**k).T
     return DensityMatrix(k, psi @ psi.conj().T)
 
 
-def reduced_spectrum(state: StateVector, keep: Sequence[int]) -> np.ndarray:
-    """Ascending spectrum of the reduced state of the ``keep`` qubits.
+def _ranks(keys: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Each key's place among its row's distinct keys, ascending, and their count."""
+    at = (np.arange(len(keys))[:, None], keys.argsort(axis=1))
+    ordered, new = keys[at], np.zeros(keys.shape, dtype=bool)
+    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=new[:, 1:])
+    ranks = np.empty(keys.shape, dtype=np.intp)
+    ranks[at] = steps = np.add.accumulate(new, axis=1, dtype=np.intp)
+    return ranks, (steps[:, -1] + 1).tolist()
 
-    The squared Schmidt coefficients, i.e. singular values of the amplitudes
-    grouped as a (2^k, 2^(n-k)) matrix: the largest min(2^k, 2^(n-k))
-    eigenvalues of ``partial_trace(state, keep)``, found without building or
-    diagonalizing that 2^k x 2^k matrix.  Every other eigenvalue is zero.
+
+def _spectra(amps: np.ndarray, ks: Sequence[int]) -> list[np.ndarray]:
+    """Ascending spectrum of the last k qubits of ``amps`` for each k in ``ks``.
+
+    A cut's support block is the grouped (2^k, 2^(n-k)) matrix without its zero
+    rows and columns: rows are the kept patterns ``i & (2^k - 1)`` and columns
+    the rest patterns ``i >> k`` that occur, both ascending.  With s nonzero
+    amplitudes and s^2 <= 2^n, blocks are zero-padded to (s, s) and share one
+    SVD; otherwise blocks of one shape share one.  A block depends only on the
+    state and the cut, so no batch changes a bit.  Past the block's rank bound
+    min(rows, columns) a spectrum is exact zeros, up to min(2^k, 2^(n-k)) values.
     """
-    psi, _ = _cut(state, keep)
-    lam = np.linalg.svd(psi, compute_uv=False)[::-1] ** 2
-    lam.flags.writeable = False
-    return lam
+    n, cuts, s = len(amps).bit_length() - 1, len(ks), int(np.count_nonzero(amps))
+    if s * s <= 2**n:
+        support, m = (amps != 0).nonzero()[0], np.array(ks, dtype=np.intp)[:, None]
+        ranks, counts = _ranks(np.concatenate([support & ((1 << m) - 1), support >> m]))
+        stack = np.zeros((cuts, s, s), dtype=np.complex128)
+        stack[np.arange(cuts)[:, None], ranks[:cuts], ranks[cuts:]] = amps[support]
+        batches = [(range(cuts), stack, list(map(min, counts[:cuts], counts[cuts:])))]
+    else:
+        groups, batches = {}, []
+        for i, k in enumerate(ks):
+            psi = amps.reshape(-1, 2**k).T
+            if s < len(amps):  # drop the zero rows and columns
+                occupied = psi != 0
+                psi = psi[np.logical_or.reduce(occupied, 1)][:, np.logical_or.reduce(occupied, 0)]
+            groups.setdefault(psi.shape, []).append((i, psi))
+        for shape, group in groups.items():
+            at, blocks = zip(*group)  # a lone block goes in as a view, not a copy
+            stack = np.stack(blocks) if len(blocks) > 1 else blocks[0][None]
+            batches.append((at, stack, [min(shape)] * len(at)))
+    spectra = [None] * cuts
+    for at, stack, widths in batches:
+        lam = np.linalg.svd(stack, compute_uv=False)[:, ::-1] ** 2
+        for i, values, width in zip(at, lam, widths):
+            spectra[i] = np.zeros(2 ** min(ks[i], n - ks[i]))
+            spectra[i][-width:] = values[-width:]
+            spectra[i].flags.writeable = False
+    return spectra
+
+
+def reduced_spectrum(state: StateVector, keep: Sequence[int]) -> np.ndarray:
+    """Ascending spectrum of the reduced state of the ``keep`` qubits: the largest
+    min(2^k, 2^(n-k)) eigenvalues of ``partial_trace(state, keep)`` (the others
+    are zero), from the cut's support block with ``keep`` moved last (see
+    :func:`_spectra`), so no 2^k x 2^k matrix is built."""
+    amps, k = _cut(state, keep)
+    return _spectra(amps, [k])[0]
+
+
+def trailing_spectra(state: StateVector) -> list[np.ndarray]:
+    """:func:`reduced_spectrum` of the last m qubits for m = 1..n-1, bit for bit,
+    from one stacked SVD when s^2 <= 2^n (any GHZ state, any W-class one on n >= 4)."""
+    if not state.normalized:
+        raise NormalizationError("a reduced state needs a normalized state")
+    return _spectra(state.amplitudes, range(1, state.num_qubits))
 
 
 def spectrum_entropy(eigenvalues: np.ndarray) -> float:

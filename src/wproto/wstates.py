@@ -27,9 +27,9 @@ from .qsim import (
     InternalConsistencyError,
     NormalizationError,
     StateVector,
-    reduced_spectrum,
     require_int,
     spectrum_entropy,
+    trailing_spectra,
 )
 
 
@@ -281,16 +281,16 @@ def _checked_scan(state: StateVector, condition, side: str | None = None) -> tup
     spectrum of the last m qubits; given a ``side``, also the entropy row from
     that spectrum: (m, simulated entropy, H(report.<side>), match within tolerance).
 
-    Both state families split into two orthogonal terms across every cut, so
-    the spectrum has exactly two nonzero eigenvalues, which must equal the
-    report's left and right sums; a disagreement would mean the checker and
-    the simulator have diverged, so it raises.
+    All n-1 spectra come from one ``trailing_spectra`` call (one stacked SVD
+    of the support blocks for n >= 4), each equal bit for bit to
+    ``reduced_spectrum`` of its cut.  Both state families split into two orthogonal terms across
+    every cut, so the spectrum has exactly two nonzero eigenvalues, which
+    must equal the report's left and right sums; a disagreement would mean
+    the checker and the simulator have diverged, so it raises.
     """
-    n = state.num_qubits
     reports, rows = [], []
-    for m in range(1, n):
+    for m, spectrum in enumerate(trailing_spectra(state), 1):
         rep = condition(m)
-        spectrum = reduced_spectrum(state, range(n - m + 1, n + 1))
         expected = np.zeros(spectrum.shape[0])
         expected[-2:] = sorted((rep.left_sum, rep.right_sum))
         deviation = float(np.abs(spectrum - expected).max())

@@ -8,6 +8,7 @@ machinery, so a bug in the package cannot hide in its own verification.
 from __future__ import annotations
 
 import math
+from typing import Any
 
 import numpy as np
 
@@ -146,3 +147,18 @@ def dense_strategy2_set(wm: np.ndarray) -> list[np.ndarray]:
     """The transfer after each subspace correction, multiplied out densely."""
     t = dense_transfer(wm)
     return [t @ u for u in dense_strategy1_set(wm)]
+
+
+def round_floats(obj: Any) -> Any:
+    """Clamp reals to 12 significant digits, rebuilding dicts and turning
+    tuples into lists: the report tree that ``json.dumps(...,
+    sort_keys=True, indent=2)`` renders into the bytes ``cli.emit`` must write."""
+    if isinstance(obj, bool):
+        return obj
+    if isinstance(obj, float):
+        return float(f"{obj:.12g}")
+    if isinstance(obj, dict):
+        return {k: round_floats(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [round_floats(v) for v in obj]
+    return obj

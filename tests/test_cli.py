@@ -6,11 +6,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import wproto.cli as cli
 import wproto.sdc as sdc
 from wproto.cli import TASKS, ConfigError, RunReport, emit, main, parse_config, run
+
+from oracle_utils import round_floats
 
 REPO = Path(__file__).resolve().parents[1]
 ACCEPTANCE_CONFIG = REPO / "configs" / "acceptance.json"
@@ -147,6 +152,23 @@ class TestRun:
         assert entry["matched"]
         assert "does not split half-and-half at m=2" in entry["verdict"]["reason"]
 
+    def test_refused_teleport_builds_no_grid(self, monkeypatch):
+        # the split gate refuses before the grid of input states is drawn;
+        # the refusal and its condition block are what the gate names
+        calls = []
+        monkeypatch.setattr(cli, "unknown_state_grid", lambda *args: calls.append(args))
+        doc = make_config(
+            [{"task": "teleport", "state": {"named": "w", "n": 5}, "m": 2, "strategy": strategy,
+              "grid": {"count": 20, "seed": 3}, "expect": "failure"}
+             for strategy in ("subspace", "transfer", "serial")]
+        )
+        report = run(parse_config(doc))
+        assert report.all_matched
+        for entry in report.payload["scenarios"]:
+            assert "does not split half-and-half at m=2" in entry["verdict"]["reason"]
+            assert entry["results"]["condition"]["m"] == 2
+        assert calls == []
+
     def test_teleport_w4_reports_unit_fidelity(self):
         doc = make_config(
             [{"task": "teleport", "state": {"named": "w", "n": 4}, "m": 2,
@@ -200,6 +222,68 @@ class TestEmit:
         report = run(parse_config('{"scenarios": []}'))
         with pytest.raises(ValueError):
             emit(report, "yaml")
+
+    @pytest.mark.parametrize("value", [object(), {1, 2}, np.int64(3), b"bytes", np.bool_(True)])
+    def test_unsupported_type_raises_type_error_as_json_does(self, value):
+        with pytest.raises(TypeError):
+            json.dumps(round_floats(value))
+        for payload in (value, [1, value], {"key": value}):
+            with pytest.raises(TypeError):
+                emit(RunReport(payload, 0.0, True), "json")
+
+    @pytest.mark.parametrize("key", [(1, 2), frozenset()])
+    def test_unsupported_key_raises_type_error_as_json_does(self, key):
+        with pytest.raises(TypeError):
+            json.dumps({key: 0})
+        with pytest.raises(TypeError):
+            emit(RunReport({key: 0}, 0.0, True), "json")
+
+
+_REALS = (
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+    | st.sampled_from([-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16, 123456789012.5])
+    | st.floats(allow_nan=True, allow_infinity=True).map(np.float64)
+)
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(2**200), max_value=2**200)
+    | _REALS
+    | st.text()
+    | st.text(st.characters(max_codepoint=0x1F))  # control characters
+    | st.text(st.characters(min_codepoint=0x80))  # non-ASCII, astral planes too
+)
+_KEYS = st.text() | st.sampled_from(["", "\n", "\u00e9", "\U0001f600", "a\"b"])
+_PAYLOADS = st.recursive(
+    _SCALARS,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(_KEYS, children, max_size=4)
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@example(payload={})
+@example(payload=[])
+@example(payload=())
+@example(payload={"a": [], "b": {}, "c": (), "d": [[]], "e": {"f": {}}})
+@example(payload=[float("nan"), float("inf"), -float("inf"), -0.0, np.float64(0.1)])
+@example(payload={"z": 1, "a": True, "m": None, "\u00ff": 0.30000000000000004})
+@given(payload=_PAYLOADS)
+def test_json_emission_is_the_rounded_json_dumps(payload):
+    expected = json.dumps(round_floats(payload), sort_keys=True, indent=2) + "\n"
+    assert emit(RunReport(payload, 0.0, True), "json") == expected.encode("utf-8")
+
+
+@pytest.mark.parametrize("key", [1, -7, 2.5, float("nan"), True, None])
+def test_json_emission_converts_other_keys_as_json_does(key):
+    payload = {key: [1.23456789012345]}
+    expected = json.dumps(round_floats(payload), sort_keys=True, indent=2) + "\n"
+    assert emit(RunReport(payload, 0.0, True), "json") == expected.encode("utf-8")
 
 
 class TestMainExitCodes:

@@ -129,6 +129,31 @@ def test_only_qsim_reads_an_operators_dense_view():
     assert readers == {"qsim.py"}
 
 
+def _calls(tree: ast.AST, dotted: str) -> list[ast.Call]:
+    """Every call in ``tree`` spelled as the attribute chain ``dotted``."""
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == dotted]
+
+
+def test_spectra_come_from_one_svd_site_and_reports_from_one_writer():
+    # qsim holds the only SVD, in one place, and a scan asks it once for all
+    # of its cuts; the report is written by the CLI's own one-pass encoder
+    trees = {path.name: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
+    sites = {name: len(_calls(tree, "np.linalg.svd")) for name, tree in trees.items()}
+    assert {name: count for name, count in sites.items() if count} == {"qsim.py": 1}
+    (scan,) = [node for node in ast.walk(trees["wstates.py"])
+               if isinstance(node, ast.FunctionDef) and node.name == "_checked_scan"]
+    spectra = [call for name in ("trailing_spectra", "reduced_spectrum")
+               for call in _calls(scan, name)]
+    assert len(spectra) == 1
+    loops = [node for node in ast.walk(scan) if isinstance(node, (ast.For, ast.While))]
+    assert not [call for loop in loops for stmt in loop.body for call in ast.walk(stmt)
+                if call in spectra]
+    indented = [call for tree in trees.values() for call in _calls(tree, "json.dumps")
+                if any(keyword.arg == "indent" for keyword in call.keywords)]
+    assert indented == []
+
+
 @pytest.mark.parametrize("name", sorted(GOLDENS))
 def test_acceptance_report_is_byte_identical_to_golden(tmp_path, name):
     config, golden = GOLDENS[name]

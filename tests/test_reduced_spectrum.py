@@ -1,7 +1,9 @@
-"""Reduced spectra from Schmidt values, checked against the dense partial trace."""
+"""Reduced spectra from the Schmidt values of support blocks, checked against
+the dense partial trace, across a scan's batch and for their cost."""
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,12 +18,17 @@ from wproto.qsim import (
     partial_trace,
     reduced_spectrum,
     spectrum_entropy,
+    trailing_spectra,
     von_neumann_entropy,
 )
 from wproto.wstates import (
     CoefficientVector,
+    entropy_scan,
+    generalized_ghz,
+    generalized_w,
     ghz_suitability_scan,
     suitability_scan,
+    w_coefficients,
 )
 
 from oracle_utils import random_coefficients
@@ -133,3 +140,94 @@ def test_scans_and_cli_build_no_density_matrix(density_matrices):
     report = run(parse_config(json.dumps({"scenarios": docs})))
     assert report.all_matched
     assert density_matrices == []
+
+
+def _rank_bound(state: StateVector, m: int) -> int:
+    """min(distinct kept patterns, distinct rest patterns) among the nonzero
+    amplitudes at the cut of the last m qubits, counted with Python sets."""
+    support = np.flatnonzero(state.amplitudes).tolist()
+    return min(len({i % 2**m for i in support}), len({i >> m for i in support}))
+
+
+@st.composite
+def _scanned_states(draw) -> StateVector:
+    """W-class states (zero coefficients allowed, down to one nonzero), GHZ
+    states, and random states with a sparse or a dense support, n = 2..12."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    kind = draw(st.sampled_from(["w", "ghz", "sparse", "dense"]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    if kind == "ghz":
+        theta, phase = rng.uniform(0, math.pi / 2), rng.uniform(0, 2 * math.pi)
+        return generalized_ghz(math.cos(theta), math.sin(theta) * np.exp(1j * phase), n)
+    size = n if kind == "w" else 2**n
+    raw = rng.normal(size=size) + 1j * rng.normal(size=size)
+    if kind != "dense":  # keep s amplitudes, s^2 on either side of 2^n for sparse states
+        most = n if kind == "w" else min(2**n, 3 * 2 ** (n // 2))
+        raw[rng.permutation(size)[draw(st.integers(min_value=1, max_value=most)):]] = 0.0
+    if kind == "w":
+        return generalized_w(CoefficientVector.normalize(raw))
+    return StateVector(n, raw / np.linalg.norm(raw))
+
+
+@settings(max_examples=120, deadline=None)
+@given(state=_scanned_states())
+def test_scan_rows_are_the_reduced_spectrum_bit_for_bit(state):
+    n = state.num_qubits
+    spectra = trailing_spectra(state)
+    assert len(spectra) == n - 1
+    for m, spectrum in enumerate(spectra, 1):
+        alone = reduced_spectrum(state, range(n - m + 1, n + 1))
+        assert spectrum.tobytes() == alone.tobytes()
+        assert spectrum.shape == (min(2**m, 2 ** (n - m)),) and not spectrum.flags.writeable
+        assert np.all(np.diff(spectrum) >= 0.0)
+        padding = len(spectrum) - _rank_bound(state, m)
+        assert np.all(spectrum[:padding] == 0.0) and np.signbit(spectrum[:padding]).sum() == 0
+        if n <= 8:
+            dense = partial_trace(state, range(n - m + 1, n + 1)).eigenvalues
+            tail = dense[len(dense) - len(spectrum):]
+            np.testing.assert_allclose(spectrum, tail, rtol=0, atol=SPECTRUM_TOL)
+
+
+@pytest.mark.parametrize("amplitudes", [[1, 0], [0, 1j], [0.6, 0.8]])
+def test_a_one_qubit_state_has_no_cut(amplitudes):
+    assert trailing_spectra(StateVector(1, amplitudes)) == []
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Counts every ``np.linalg.svd`` call while the test runs."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
+def test_a_w_class_scan_makes_one_svd(svd_calls):
+    # s^2 <= 2^n: every cut's support block is padded to (s, s), one stack
+    suitability_scan(w_coefficients(11))
+    assert svd_calls == [(10, 11, 11)]
+    entropy_scan(random_coefficients(9, np.random.default_rng(4)))
+    ghz_suitability_scan(math.sqrt(1 / 3), math.sqrt(2 / 3), 8)
+    assert svd_calls[1:] == [(8, 9, 9), (7, 2, 2)]
+
+
+def test_a_dense_spectrum_is_never_padded():
+    # a dense state's block is its grouped matrix: reduced_spectrum peaks
+    # under twice that matrix, where an (s, s) block would take 4 GiB
+    n, keep = 14, [3, 7, 1, 12, 9, 5, 14]
+    rng = np.random.default_rng(14)
+    raw = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    state = StateVector(n, raw / np.linalg.norm(raw))
+    tracemalloc.start()
+    try:
+        spectrum = reduced_spectrum(state, keep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert spectrum.shape == (2**7,)
+    assert peak < 2 * 2**n * np.dtype(np.complex128).itemsize
