@@ -76,6 +76,17 @@ class InternalConsistencyError(RuntimeError):
     """An internally guaranteed identity failed; indicates a bug."""
 
 
+def require_int(value: object, low: int | None = None) -> int:
+    """A size, index or bit as an int: Python and numpy integers pass; a
+    bool, a float or anything else raises ValueError rather than being
+    truncated, and so does an integer below ``low`` when one is given."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        if low is None or value >= low:
+            return int(value)
+        raise ValueError(f"expected an integer >= {low}, got {value!r}")
+    raise ValueError(f"expected an integer, got {value!r}")
+
+
 class StateVector:
     """Pure state of ``num_qubits`` qubits as a dense complex vector.
 
@@ -149,13 +160,13 @@ class DensityMatrix:
         return f"DensityMatrix(num_qubits={self.num_qubits})"
 
 
-def _block_deviation(block: np.ndarray) -> float:
-    """max |B†B - I|; NaN for a NaN or infinite entry, without multiplying it
-    out (inf * 0 would raise a floating-point warning)."""
-    if not np.isfinite(block).all():
+def _block_deviation(blocks: np.ndarray) -> float:
+    """max |B†B - I| over a block or a stack of them; NaN for a NaN or infinite
+    entry, without multiplying it out (inf * 0 would raise a warning)."""
+    if not np.isfinite(blocks).all():
         return float("nan")
-    gram = block.conj().T @ block
-    gram.ravel()[:: len(gram) + 1] -= 1.0  # B†B - I in place
+    gram = blocks.conj().swapaxes(-1, -2) @ blocks
+    gram -= np.eye(gram.shape[-1])  # B†B - I in place
     return float(np.abs(gram).max(initial=0.0))
 
 
@@ -179,9 +190,9 @@ class Unitary:
     """Unitary operator: the identity but a k x k ``block`` on its sorted
     ``moved`` indices, then an optional row ``order`` (row i is row
     ``order[i]``).  ``Unitary(matrix)`` finds the block as
-    :func:`unitarity_deviation` does, :meth:`on_block` takes it given, and
-    both check max |B†B - I| <= ``STRUCTURAL_TOL`` in O(k^3).  ``matrix`` is
-    the dense view, built on first read and cached read-only.
+    :func:`unitarity_deviation` does and hands it to :meth:`on_block`, which
+    checks max |B†B - I| <= ``STRUCTURAL_TOL`` in O(k^3) per block.
+    ``matrix`` is the dense view, built on first read and cached read-only.
     """
 
     __slots__ = ("dimension", "moved", "block", "order", "_matrix")
@@ -192,33 +203,36 @@ class Unitary:
             raise DimensionError(f"expected a square matrix, got {mat.shape}")
         moved = mat != np.eye(len(mat))  # as unitarity_deviation finds them
         idx = (moved | moved.T).any(axis=0).nonzero()[0]
-        self._store(len(mat), idx, mat if len(idx) == len(mat) else mat[idx[:, None], idx], mat)
+        u = Unitary.on_block(len(mat), idx, mat if len(idx) == len(mat) else mat[idx[:, None], idx])
+        self._fill(u.dimension, u.moved, u.block, None, mat)
 
-    def _store(self, dim: int, moved: np.ndarray, block: np.ndarray, matrix: np.ndarray | None):
-        if dim & (dim - 1) != 0 or dim < 2:
-            raise DimensionError(f"dimension must be a power of two, got {dim}")
-        dev = _block_deviation(block)
-        if not dev <= STRUCTURAL_TOL:
-            raise ValueError(f"matrix is not unitary (max U†U-I deviation {dev:.3e})")
-        for array in (moved, block) if matrix is None else (moved, block, matrix):
+    def _fill(self, dim: int, moved: np.ndarray, block: np.ndarray, order=None, matrix=None):
+        for array in [a for a in (moved, block, order, matrix) if a is not None]:
             array.flags.writeable = False
-        self.dimension, self.moved, self.block, self.order = dim, moved, block, None
+        self.dimension, self.moved, self.block, self.order = dim, moved, block, order
         self._matrix = matrix
+        return self
 
     @classmethod
-    def on_block(cls, dimension: int, moved: Sequence[int], block: np.ndarray) -> "Unitary":
+    def on_block(cls, dimension: int, moved: Sequence[int], block: np.ndarray):
         """The identity on ``dimension`` indices but ``block`` on the sorted,
-        distinct ``moved`` ones."""
+        distinct ``moved`` ones, or the tuple of K such operators for a (K, k, k)
+        stack, checked at once: one block is the K = 1 case."""
         dim, idx, b = require_int(dimension), np.asarray(moved), np.array(block, np.complex128)
         listed = idx.tolist()
         if idx.ndim != 1 or listed and (idx.dtype.kind not in "iu" or sorted(set(listed)) != listed
                                         or not 0 <= listed[0] <= listed[-1] < dim):
             raise ValueError(f"moved indices must be sorted, distinct integers in 0..{dim - 1}")
-        if b.shape != (len(idx), len(idx)):
+        if b.ndim not in (2, 3) or b.shape[-2:] != (len(idx), len(idx)):
             raise DimensionError(f"expected a {len(idx)}x{len(idx)} block, got {b.shape}")
-        out = object.__new__(cls)
-        out._store(dim, idx.astype(np.int64), b, None)
-        return out
+        if dim & (dim - 1) != 0 or dim < 2:
+            raise DimensionError(f"dimension must be a power of two, got {dim}")
+        dev = _block_deviation(b)
+        if not dev <= STRUCTURAL_TOL:
+            raise ValueError(f"matrix is not unitary (max U†U-I deviation {dev:.3e})")
+        idx, blocks = idx.astype(np.int64), b[None] if b.ndim == 2 else b
+        ops = tuple(object.__new__(cls)._fill(dim, idx, one) for one in blocks)
+        return ops[0] if b.ndim == 2 else ops
 
     @property
     def matrix(self) -> np.ndarray:
@@ -230,36 +244,24 @@ class Unitary:
         return self._matrix
 
     def permute_rows(self, order: Sequence[int] | np.ndarray) -> "Unitary":
-        """The operator whose row i is row ``order[i]`` of this one.
+        """Row i of the result is row ``order[i]``: :func:`permute_rows_stack` of one order."""
+        return permute_rows_stack([self], np.array(order)[None])[0]
 
-        A row permutation P keeps (PU)†(PU) = U†U, so only ``order`` is
-        checked, in O(dimension): it must be a bijection of 0..dimension-1.
-        The result shares this operator's block and composes the orders.
-        """
-        idx, dim = np.array(order), self.dimension
-        seen = np.zeros(dim, dtype=bool)
-        if idx.shape == (dim,) and idx.dtype.kind in "iu" and 0 <= idx.min() and idx.max() < dim:
-            seen[idx] = True
-        if not seen.all():
-            raise ValueError(f"row order is not a permutation of 0..{dim - 1}: {idx.dtype} {idx.shape}")
-        out = object.__new__(Unitary)
-        out.dimension, out.moved, out.block, out._matrix = dim, self.moved, self.block, None
-        out.order = idx if self.order is None else self.order[idx]
-        out.order.flags.writeable = False
-        return out
+    def block_on(self, indices: np.ndarray) -> np.ndarray:
+        """The block inside the identity on sorted ``indices`` that hold the moved ones."""
+        if len(indices) == len(self.moved):
+            return self.block
+        full = np.eye(len(indices), dtype=np.complex128)
+        at = np.searchsorted(indices, self.moved)
+        full[at[:, None], at] = self.block
+        return full
 
     def __matmul__(self, other: "Unitary") -> "Unitary":
         """self·other, composed on the union of the moved indices in O(k^3)."""
         if self.order is not None or other.order is not None or other.dimension != self.dimension:
             raise ValueError("only operators of one dimension and no row order compose on blocks")
         idx = np.array(sorted({*self.moved.tolist(), *other.moved.tolist()}), dtype=np.int64)
-        a, b = self.block, other.block
-        if len(idx) > min(len(self.moved), len(other.moved)):  # embed both in the union
-            a, b = np.eye(len(idx), dtype=np.complex128), np.eye(len(idx), dtype=np.complex128)
-            for full, u in ((a, self), (b, other)):
-                pos = np.searchsorted(idx, u.moved)
-                full[pos[:, None], pos] = u.block
-        return Unitary.on_block(self.dimension, idx, a @ b)
+        return Unitary.on_block(self.dimension, idx, self.block_on(idx) @ other.block_on(idx))
 
     @property
     def num_qubits(self) -> int:
@@ -267,6 +269,22 @@ class Unitary:
 
     def __repr__(self) -> str:
         return f"Unitary(dimension={self.dimension})"
+
+
+def permute_rows_stack(operators: Sequence[Unitary], orders: np.ndarray) -> list[Unitary]:
+    """Item f·K + k: ``operators[k]`` with row i taken from row ``orders[f][i]``.
+    A row permutation P keeps (PU)†(PU) = U†U, so only the (F, dimension)
+    orders are checked, at once: each must be a bijection for every operator.
+    Each result shares its operator's block and composes the orders."""
+    ops, idx = tuple(operators), np.array(orders)
+    dim, seen = ops[0].dimension, np.zeros(idx.shape, dtype=bool)
+    if ({u.dimension for u in ops} == {dim} and idx.ndim == 2 and idx.shape[1] == dim
+            and idx.dtype.kind in "iu" and idx.size and 0 <= idx.min() and idx.max() < dim):
+        seen[np.arange(len(idx))[:, None], idx] = True
+    if not (idx.size and seen.all()):
+        raise ValueError(f"row order is not a permutation of 0..{dim - 1}: {idx.dtype} {idx.shape}")
+    return [object.__new__(Unitary)._fill(dim, u.moved, u.block, o if u.order is None else u.order[o])
+            for o in idx for u in ops]
 
 
 #: ``PAULI_FOUR`` as checked operators, built once
@@ -340,17 +358,6 @@ class ProtocolOutcome:
     label: str
     probability: float
     post_state: StateVector | None
-
-
-def require_int(value: object, low: int | None = None) -> int:
-    """A size, index or bit as an int: Python and numpy integers pass; a
-    bool, a float or anything else raises ValueError rather than being
-    truncated, and so does an integer below ``low`` when one is given."""
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        if low is None or value >= low:
-            return int(value)
-        raise ValueError(f"expected an integer >= {low}, got {value!r}")
-    raise ValueError(f"expected an integer, got {value!r}")
 
 
 def _validated_subset(subset: Sequence[int], num_qubits: int | None = None) -> tuple[int, ...]:
@@ -669,10 +676,13 @@ def reduced_spectrum(state: StateVector, keep: Sequence[int]) -> np.ndarray:
 
 def trailing_spectra(state: StateVector) -> list[np.ndarray]:
     """:func:`reduced_spectrum` of the last m qubits for m = 1..n-1, bit for bit,
-    from one stacked SVD when s^2 <= 2^n (any GHZ state, any W-class one on n >= 4)."""
+    from one stacked SVD when s^2 <= 2^n (any GHZ state, any W-class one on n >= 4);
+    the padded blocks go in stacks of at most max(2^n, 2^12) amplitudes."""
     if not state.normalized:
         raise NormalizationError("a reduced state needs a normalized state")
-    return _spectra(state.amplitudes, range(1, state.num_qubits))
+    n, s = state.num_qubits, int(np.count_nonzero(state.amplitudes))
+    per = max(2**n, 2**12) // (s * s) if s * s <= 2**n else n
+    return [x for k in range(1, n, per) for x in _spectra(state.amplitudes, range(k, n)[:per])]
 
 
 def spectrum_entropy(eigenvalues: np.ndarray) -> float:

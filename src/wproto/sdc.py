@@ -21,6 +21,8 @@ Encoding sets:
   * :func:`pauli_product_set` - all 4^m tensor products, used to confirm
     that 2m bits per m qubits is *not* achievable.
 
+The resource-free sets (``pauli``, ``w4``, m = 2 products) are built once per process.
+
 Decoding is modeled as projective measurement onto the encoded states,
 which is valid exactly when their Gram matrix is the identity.
 :func:`capacity_check` encodes on the occupied support: only the n - m + 1
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from itertools import product
 from typing import Sequence
 
@@ -51,6 +53,7 @@ from .qsim import (
     Unitary,
     apply_unitary,
     gram_matrix,
+    permute_rows_stack,
     require_int,
     unit_rows,
 )
@@ -127,29 +130,35 @@ class CapacityResult:
     exhaustive: bool
 
 
+@cache
 def pauli_set() -> EncodingSet:
-    """The four single-qubit encoding operators (identity, flips, sign)."""
+    """The four single-qubit encoding operators (identity, flips, sign), shared."""
     return EncodingSet(PAULIS)
 
 
+@cache
 def w4_multiunary_set() -> EncodingSet:
     """Eight two-qubit operators carrying 3 bits over the four-qubit W-state.
 
-    Tensor products of the single-qubit set, in an order whose encoded
-    states on either half of the W-state are mutually orthogonal.
+    The shared m = 2 products P_i (x) P_j at positions 4i + j, in an order
+    whose encoded states on either half of the W-state are mutually orthogonal.
     """
     pairs = [(0, 0), (0, 1), (1, 2), (1, 3), (2, 0), (2, 1), (3, 2), (3, 3)]
-    ops = [Unitary(np.kron(PAULI_FOUR[i], PAULI_FOUR[j])) for i, j in pairs]
-    return EncodingSet(ops)
+    products = pauli_product_set(2).operators
+    return EncodingSet([products[4 * i + j] for i, j in pairs])
 
 
 def pauli_product_set(m: int) -> EncodingSet:
-    """All 4^m tensor products of the single-qubit set on m qubits."""
-    ops = []
-    for combo in product(range(4), repeat=require_int(m, 1)):
-        mat = reduce(np.kron, (PAULI_FOUR[i] for i in combo))
-        ops.append(Unitary(mat))
-    return EncodingSet(ops)
+    """All 4^m tensor products of the single-qubit set on m qubits; ``m`` is
+    checked first, and only the m = 2 set is shared."""
+    m = require_int(m, 1)
+    return _pauli_products(m) if m == 2 else _pauli_products.__wrapped__(m)
+
+
+@cache
+def _pauli_products(m: int) -> EncodingSet:
+    combos = product(range(4), repeat=m)
+    return EncodingSet([Unitary(reduce(np.kron, (PAULI_FOUR[i] for i in c))) for c in combos])
 
 
 def general_encoding_set(c: CoefficientVector, m: int) -> EncodingSet:
@@ -160,13 +169,13 @@ def general_encoding_set(c: CoefficientVector, m: int) -> EncodingSet:
     excitation block on the sender's qubits) and move it onto the last qubit,
     dense-coding 2 bits; each is then followed by one of the 2^(m-1) bit-flip
     patterns b on the first m - 1 qubits (rows i -> i XOR 2b), one bit per
-    qubit, since different patterns land on orthogonal basis pairs.  Callers
-    should still confirm via :func:`decode` — and the tests do.
+    qubit, since different patterns land on orthogonal basis pairs.  The
+    patterns are one stack of row orders, checked once; no matrix is copied.
+    Callers should still confirm via :func:`decode` — and the tests do.
     """
     corrections = bob_strategy2_set(m, excitation_blocks(c, m)[2])
-    rows = np.arange(2**m)
-    flips = [rows ^ 2 * b for b in range(2 ** (m - 1))]
-    return EncodingSet([u.permute_rows(f) for f in flips for u in corrections])
+    flips = np.arange(2**m) ^ 2 * np.arange(2 ** (m - 1))[:, None]
+    return EncodingSet(permute_rows_stack(corrections, flips))
 
 
 #: each named set: the m it encodes on (None: any m), its operator count at m

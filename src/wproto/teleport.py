@@ -257,14 +257,14 @@ def bob_strategy1_set(m: int, wm: StateVector) -> list[Unitary]:
     span{|0..0>, wm} and as the identity on the orthogonal complement.
 
     These are the receiver-side corrections that keep the teleported state
-    encoded in the two-dimensional subspace.
+    encoded in the two-dimensional subspace; their four blocks are one stack.
     """
     idx = _basis_pair(m, wm)
     b0, b1 = (idx == 0).astype(np.complex128), wm.amplitudes[idx]  # |0..0> and wm
     complement = np.eye(len(idx)) - np.outer(b0, b0.conj()) - np.outer(b1, b1.conj())
     pair = np.stack([b0, b1], axis=1)
     blocks = complement + pair @ np.stack(PAULI_FOUR) @ pair.conj().T
-    return [Unitary.on_block(2**m, idx, block) for block in blocks]
+    return list(Unitary.on_block(2**m, idx, blocks))
 
 
 def transfer_unitary(m: int, wm: StateVector) -> Unitary:
@@ -295,9 +295,12 @@ def bob_strategy2_set(m: int, wm: StateVector) -> list[Unitary]:
 
     Applying the k-th operator to the k-th measurement branch leaves the
     receiver's register in |0..0> (x) (alpha|0> + beta|1>) on his last qubit.
+    One stacked product on the union of the moved indices composes all four.
     """
-    t = transfer_unitary(m, wm)
-    return [t @ u for u in bob_strategy1_set(m, wm)]
+    t, fixes = transfer_unitary(m, wm), bob_strategy1_set(m, wm)
+    idx = np.array(sorted({*t.moved.tolist(), *fixes[0].moved.tolist()}), dtype=np.int64)
+    blocks = t.block_on(idx) @ np.stack([u.block_on(idx) for u in fixes])
+    return list(Unitary.on_block(2**m, idx, blocks))
 
 
 def serial_basis(m: int, wm: StateVector) -> MeasurementBasis:
@@ -326,8 +329,8 @@ _BELL = superpose([(1.0 / math.sqrt(2.0), make_basis_state(2, [b, b])) for b in 
 _STACK_AMPLITUDES = 2 ** (MAX_QUBITS + 1)
 
 #: each hop measures its joint states in stacks of at most this many
-#: amplitudes (256 KiB, which stays in cache); a larger one on its own
-_JOINT_AMPLITUDES = 2**14
+#: amplitudes (512 KiB; 2^16 costs 1 MiB more peak memory); a larger one on its own
+_JOINT_AMPLITUDES = 2**15
 
 
 def outcome_shape(m: int, strategy: str) -> tuple[int, int]:

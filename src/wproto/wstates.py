@@ -225,10 +225,13 @@ def teleport_condition(c: CoefficientVector, m: int) -> ConditionReport:
     n, m = c.n, require_int(m)
     if not (1 <= m <= n - 1):
         raise ValueError(f"partition size m={m} must lie in 1..{n - 1}")
-    weights = np.abs(c.coeffs) ** 2
-    left = float(weights[: n - m].sum())
-    right = float(weights[n - m :].sum())
-    return _condition_report(m, left, right)
+    return _splits(c)(m)
+
+
+def _splits(c: CoefficientVector):
+    """:func:`teleport_condition`'s report for any valid m, |a|^2 taken once."""
+    w, n = np.abs(c.coeffs) ** 2, c.n
+    return lambda m: _condition_report(m, float(w[: n - m].sum()), float(w[n - m :].sum()))
 
 
 def ghz_condition(a1: complex, a2: complex, m: int = 1) -> ConditionReport:
@@ -309,7 +312,7 @@ def _checked_scan(state: StateVector, condition, side: str | None = None) -> tup
 def suitability_scan(c: CoefficientVector) -> list[ConditionReport]:
     """Condition reports for every partition size m in 1..n-1, each
     cross-validated against the simulated reduced spectrum."""
-    return _checked_scan(generalized_w(c), lambda m: teleport_condition(c, m))[0]
+    return _checked_scan(generalized_w(c), _splits(c))[0]
 
 
 def ghz_suitability_scan(a1: complex, a2: complex, n: int) -> list[ConditionReport]:
@@ -322,7 +325,7 @@ def ghz_suitability_scan(a1: complex, a2: complex, n: int) -> list[ConditionRepo
 def entropy_scan(c: CoefficientVector) -> list[tuple[int, float, float, bool]]:
     """(x, simulated entropy, :func:`cut_entropy`, match) for the last x
     qubits, x in 1..n-1, from the spectra :func:`suitability_scan` checks."""
-    return _checked_scan(generalized_w(c), lambda m: teleport_condition(c, m), "right_sum")[1]
+    return _checked_scan(generalized_w(c), _splits(c), "right_sum")[1]
 
 
 def ghz_entropy_scan(a1: complex, a2: complex, n: int) -> list[tuple[int, float, float, bool]]:

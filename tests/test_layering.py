@@ -154,6 +154,31 @@ def test_spectra_come_from_one_svd_site_and_reports_from_one_writer():
     assert indented == []
 
 
+def test_operator_sets_are_built_and_checked_as_stacks():
+    # one set, one check, one product builder: teleport and the generated
+    # set build their operators as stacks, never one constructor call per
+    # item of a loop, and sdc has one Kronecker product site
+    trees = {name: ast.parse((PACKAGE / name).read_text()) for name in ("teleport.py", "sdc.py")}
+    (generated,) = [node for node in ast.walk(trees["sdc.py"])
+                    if isinstance(node, ast.FunctionDef) and node.name == "general_encoding_set"]
+    repeated = []
+    for tree in (trees["teleport.py"], generated):
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.For, ast.While)):
+                repeated += node.body + node.orelse
+            elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp)):
+                repeated.append(node.elt)
+            elif isinstance(node, ast.DictComp):
+                repeated += [node.key, node.value]
+    builders = [ast.unparse(call) for part in repeated for call in ast.walk(part)
+                if isinstance(call, ast.Call) and (ast.unparse(call.func) in ("Unitary", "Unitary.on_block")
+                                                   or _name(call.func) == "permute_rows")]
+    assert builders == []
+    krons = [node for node in ast.walk(trees["sdc.py"])
+             if isinstance(node, ast.Attribute) and ast.unparse(node) == "np.kron"]
+    assert len(krons) <= 1
+
+
 @pytest.mark.parametrize("name", sorted(GOLDENS))
 def test_acceptance_report_is_byte_identical_to_golden(tmp_path, name):
     config, golden = GOLDENS[name]

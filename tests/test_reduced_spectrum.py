@@ -216,6 +216,25 @@ def test_a_w_class_scan_makes_one_svd(svd_calls):
     assert svd_calls[1:] == [(8, 9, 9), (7, 2, 2)]
 
 
+def test_a_scan_of_a_wide_support_holds_one_padded_block_at_a_time():
+    # 256 random nonzeros of 2^16: every cut's block is padded to 256 x 256,
+    # so the fifteen cuts in one stack would take 15 MiB for a 1 MiB state
+    n, s = 16, 256
+    rng = np.random.default_rng(16)
+    raw = np.zeros(2**n, dtype=np.complex128)
+    raw[rng.choice(2**n, size=s, replace=False)] = rng.normal(size=s) + 1j * rng.normal(size=s)
+    state = StateVector(n, raw / np.linalg.norm(raw))
+    tracemalloc.start()
+    try:
+        spectra = trailing_spectra(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**n * np.dtype(np.complex128).itemsize
+    for k, spectrum in enumerate(spectra, 1):
+        assert spectrum.tobytes() == reduced_spectrum(state, range(n - k + 1, n + 1)).tobytes()
+
+
 def test_a_dense_spectrum_is_never_padded():
     # a dense state's block is its grouped matrix: reduced_spectrum peaks
     # under twice that matrix, where an (s, s) block would take 4 GiB

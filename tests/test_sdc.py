@@ -1,5 +1,6 @@
 """Superdense-coding encoders, decoders, and capacity verification."""
 
+import json
 import math
 import tracemalloc
 from collections import Counter
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 import wproto.qsim as qsim
 import wproto.sdc as sdc
+from wproto.cli import parse_config
 from wproto.qsim import MeasurementBasis, ProtocolViolationError, StateVector, apply_unitary
 from wproto.sdc import (
     EncodingSet,
@@ -287,6 +289,53 @@ class TestEncodingSetValidation:
         assert encoding.labels[6] == (0, 1, 1, 0)
         for k, msg in enumerate(encoding.labels):
             assert encoding.operator_for(msg) is encoding.operators[k]
+
+
+class TestSharedNamedSets:
+    """``pauli``, ``w4`` and the m = 2 products depend on no resource: each is
+    built once per process and shared, and ``w4`` is taken from the products."""
+
+    def test_each_named_set_is_one_object_and_other_products_are_fresh(self):
+        assert pauli_set() is pauli_set()
+        assert w4_multiunary_set() is w4_multiunary_set()
+        assert pauli_product_set(2) is pauli_product_set(np.int64(2))
+        for m in (1, 3):  # built fresh each time, never kept
+            assert pauli_product_set(m) is not pauli_product_set(m)
+        for name in ("pauli", "w4", "full-products"):
+            arity, _, build = sdc.ENCODING_SETS[name]
+            assert build(MOD_W3, arity) is build(w_coefficients(4), arity)
+
+    def test_w4_holds_the_product_objects_at_4i_plus_j(self):
+        products = pauli_product_set(2).operators
+        pairs = [(0, 0), (0, 1), (1, 2), (1, 3), (2, 0), (2, 1), (3, 2), (3, 3)]
+        for op, (i, j) in zip(w4_multiunary_set().operators, pairs, strict=True):
+            assert op is products[4 * i + j]
+            fresh = qsim.Unitary(np.kron(qsim.PAULI_FOUR[i], qsim.PAULI_FOUR[j]))
+            for name in ("moved", "block", "matrix"):
+                assert getattr(op, name).tobytes() == getattr(fresh, name).tobytes()
+
+    def test_the_shared_arrays_are_read_only(self):
+        for encoding in (pauli_set(), w4_multiunary_set(), pauli_product_set(2)):
+            for op in encoding.operators:
+                for array in (op.moved, op.block, op.matrix):
+                    assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                encoding.operators[1].block[0, 0] = 2.0
+
+    @pytest.mark.parametrize("bad", [True, 1.0, False, 2.0, np.float64(2)])
+    def test_a_bool_or_float_m_raises_once_the_sets_are_built(self, bad):
+        # True == 1 and 2.0 == 2 share a hash with a built set's m
+        pauli_set(), pauli_product_set(1), pauli_product_set(2)
+        with pytest.raises(ValueError, match="expected an integer"):
+            pauli_product_set(bad)
+        for encoding in (pauli_set(), pauli_product_set(2)):
+            with pytest.raises(ValueError, match="expected an integer"):
+                capacity_check(w_coefficients(4), bad, encoding)
+            with pytest.raises(ValueError, match="expected an integer"):
+                encode(MOD_W3, bad, encoding, (0, 0))
+        doc = {"task": "sdc", "state": {"named": "modified-w", "n": 3}, "m": bad, "set": "pauli"}
+        with pytest.raises(ValueError, match="m: integer"):
+            parse_config(json.dumps(doc))
 
 
 @settings(max_examples=80, deadline=None)

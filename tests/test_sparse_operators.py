@@ -2,10 +2,11 @@
 
 ``Unitary`` holds the identity plus a block on the indices it moves and an
 optional row order: it checks U†U on that block, ``Unitary.on_block`` takes
-the block as given, ``Unitary.permute_rows`` checks only that the row order
-is a bijection, ``u @ v`` composes on the union of two blocks, and
-``capacity_check`` encodes each distinct block once on the occupied rows of
-the resource.  Each is compared here with the dense computation it replaces.
+the block (or a stack of blocks) as given, ``permute_rows_stack`` checks only
+that each row order is a bijection, ``u @ v`` composes on the union of two
+blocks, and ``capacity_check`` encodes each distinct block once on the
+occupied rows of the resource.  Each is compared here with the dense
+computation it replaces, and each stacked check with its one-item case.
 """
 
 import tracemalloc
@@ -19,8 +20,15 @@ from hypothesis import strategies as st
 
 import wproto.qsim as qsim
 import wproto.sdc as sdc
+import wproto.teleport as teleport
 from wproto.cli import parse_config, run
-from wproto.qsim import STRUCTURAL_TOL, Unitary, apply_unitary, unitarity_deviation
+from wproto.qsim import (
+    STRUCTURAL_TOL,
+    Unitary,
+    apply_unitary,
+    permute_rows_stack,
+    unitarity_deviation,
+)
 from wproto.sdc import (
     CapacityResult,
     EncodingSet,
@@ -264,6 +272,88 @@ class TestBlockRepresentation:
         assert Unitary.on_block(4, [], np.eye(0)).matrix.tolist() == np.eye(4).tolist()
 
 
+def _refusal(call) -> type | None:
+    try:
+        call()
+    except Exception as exc:  # the type is the verdict
+        return type(exc)
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    k=st.integers(2, 5),
+    count=st.integers(1, 4),
+    flaw=st.sampled_from(("none", "not unitary", "nan", "inf", "shape", "unsorted", "range")),
+    eps=st.sampled_from(EPSILONS),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_block_stack_refuses_what_its_blocks_refuse_alone(k, count, flaw, eps, seed):
+    """One ``on_block`` call on K blocks refuses exactly when one of K calls
+    on a single block refuses, with the first such call's exception type;
+    otherwise it gives the same K operators."""
+    rng = np.random.default_rng(seed)
+    moved = np.sort(rng.choice(8, size=k, replace=False))
+    blocks = np.stack([haar(rng, k) for _ in range(count)])
+    j, r, c = (int(rng.integers(bound)) for bound in (count, k, k))
+    if flaw == "not unitary":  # 1e-12 still passes, 1e-6 fails
+        blocks[j, r, c] += eps
+    elif flaw in ("nan", "inf"):
+        blocks[j, r, c] = np.nan if flaw == "nan" else np.inf
+    elif flaw == "shape":
+        blocks = blocks[:, :, 1:]
+    elif flaw == "unsorted":
+        moved = moved[::-1]
+    elif flaw == "range":
+        moved[-1] = 8
+    alone = [_refusal(lambda b=b: Unitary.on_block(8, moved, b)) for b in blocks]
+    stacked = _refusal(lambda: Unitary.on_block(8, moved, blocks))
+    assert stacked == next((refused for refused in alone if refused is not None), None)
+    if stacked is None:
+        ops = Unitary.on_block(8, moved, blocks)
+        assert isinstance(ops, tuple) and len(ops) == count
+        for op, block in zip(ops, blocks):
+            single = Unitary.on_block(8, moved, block)
+            np.testing.assert_array_equal(op.matrix, single.matrix)
+            assert op.moved.tolist() == single.moved.tolist() and op.order is None
+            assert not op.block.flags.writeable
+
+
+@settings(max_examples=200, deadline=None)
+@given(qubits=st.integers(1, 4), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_an_order_stack_refuses_any_row_that_is_not_a_bijection(qubits, seed, data):
+    """One ``permute_rows_stack`` call on F orders refuses exactly when one of
+    the F orders alone is refused; otherwise item f·K + k is operator k
+    permuted by order f, sharing its block."""
+    dim = 2**qubits
+    rng = np.random.default_rng(seed)
+    ops = [block_operator(rng, dim, dim // 2) for _ in range(data.draw(st.integers(1, 4)))]
+    ops[0] = ops[0].permute_rows(rng.permutation(dim))  # an earlier order composes
+    orders = [list(rng.permutation(dim)) for _ in range(data.draw(st.integers(1, 4)))]
+    flaw = data.draw(st.sampled_from(("none", "repeat", "negative", "range", "short")))
+    f, i, j = (int(rng.integers(bound)) for bound in (len(orders), dim, dim))
+    if flaw == "repeat" and i != j:
+        orders[f][i] = orders[f][j]
+    elif flaw in ("negative", "range"):
+        orders[f][i] = -1 if flaw == "negative" else dim
+    elif flaw == "short":
+        orders = [order[:-1] for order in orders]
+    bijections = [sorted(order) == list(range(dim)) for order in orders]
+    if not all(bijections):
+        with pytest.raises(ValueError, match="row order"):
+            permute_rows_stack(ops, orders)
+        for order, fine in zip(orders, bijections):
+            assert _refusal(lambda: ops[0].permute_rows(order)) is (None if fine else ValueError)
+        return
+    got = permute_rows_stack(ops, orders)
+    assert len(got) == len(orders) * len(ops)
+    for index, u in enumerate(got):
+        order, base = orders[index // len(ops)], ops[index % len(ops)]
+        assert u.block is base.block and not u.order.flags.writeable
+        np.testing.assert_array_equal(u.matrix, base.matrix[order])
+        np.testing.assert_array_equal(u.matrix, base.permute_rows(order).matrix)
+
+
 @settings(max_examples=150, deadline=None)
 @given(m=st.integers(1, 8), seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_block_built_corrections_match_the_dense_formulas(m, seed, data):
@@ -441,34 +531,45 @@ def test_a_norm_that_drifts_is_an_internal_error():
 
 def test_every_operator_built_passes_the_dense_check(monkeypatch):
     """Dense shadow: every operator the acceptance and large configs build,
-    from a matrix, on a block, as a product or by a row permutation (and
-    each permuted one permuted again, composing two orders), also passes
-    the dense U†U rule on its ``.matrix``, so no structural shortcut accepts
-    what that rule refuses."""
+    from a matrix, on a block or a stack of blocks, as a product (``u @ v``
+    or the strategy-2 set's stacked one) or by a row permutation (and each
+    permuted one permuted again, composing two orders), also passes the
+    dense U†U rule on its ``.matrix``, so no structural shortcut accepts what
+    that rule refuses.  The shared named sets are dropped first, so they are
+    built again under the shadow."""
     checked = Counter()
     init, on_block = Unitary.__init__, Unitary.on_block.__func__
-    matmul, permute = Unitary.__matmul__, Unitary.permute_rows
+    matmul, permute, strategy2 = Unitary.__matmul__, permute_rows_stack, teleport.bob_strategy2_set
 
-    def shadow(u: Unitary, kind: str) -> Unitary:
-        assert dense_deviation(u.matrix) <= STRUCTURAL_TOL
-        checked[kind] += 1
-        return u
+    def shadow(built, kind: str):
+        for u in built if isinstance(built, (tuple, list)) else (built,):
+            assert dense_deviation(u.matrix) <= STRUCTURAL_TOL
+            checked[kind] += 1
+        return built
 
     def shadowed_init(self, matrix):
         init(self, matrix)
         shadow(self, "constructed")
 
-    def shadowed_permute(self, order):
-        out = shadow(permute(self, order), "permuted")
-        again = np.random.default_rng(checked["permuted"]).permutation(out.dimension)
-        twice = shadow(permute(out, again), "permuted twice")
-        np.testing.assert_array_equal(twice.matrix, out.matrix[again])
+    def shadowed_permute(operators, orders):
+        out = shadow(permute(operators, orders), "permuted")
+        for u in out:
+            again = np.random.default_rng(checked["permuted"]).permutation(u.dimension)
+            (twice,) = shadow(permute([u], [again]), "permuted twice")
+            np.testing.assert_array_equal(twice.matrix, u.matrix[again])
         return out
 
     monkeypatch.setattr(Unitary, "__init__", shadowed_init)
     monkeypatch.setattr(Unitary, "on_block", classmethod(lambda *a: shadow(on_block(*a), "block")))
     monkeypatch.setattr(Unitary, "__matmul__", lambda a, b: shadow(matmul(a, b), "product"))
-    monkeypatch.setattr(Unitary, "permute_rows", shadowed_permute)
+    for module in (qsim, sdc):
+        monkeypatch.setattr(module, "permute_rows_stack", shadowed_permute)
+    for module in (teleport, sdc):
+        monkeypatch.setattr(
+            module, "bob_strategy2_set", lambda m, wm: shadow(strategy2(m, wm), "product")
+        )
+    for shared in (sdc.pauli_set, sdc.w4_multiunary_set, sdc._pauli_products):
+        shared.cache_clear()
     for config in (ROOT / "configs" / "acceptance.json", ROOT / "tests" / "config_large.json"):
         assert run(parse_config(config.read_bytes())).all_matched
     assert min(checked[kind] for kind in ("constructed", "block", "product", "permuted")) > 0

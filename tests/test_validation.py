@@ -70,11 +70,12 @@ class TestScanNearBalancedCut:
 
     def test_cross_check_still_catches_a_wrong_formula(self, monkeypatch):
         # a checker that claims a balanced split for the uniform W3 must be
-        # contradicted by the simulated spectrum {1/3, 2/3}
-        def balanced(c, m):
-            return wstates.ConditionReport(m, 0.5, 0.5, 0.0, True)
+        # contradicted by the simulated spectrum {1/3, 2/3}; the split sums of
+        # teleport_condition and of the scans come from one formula, _splits
+        def balanced(c):
+            return lambda m: wstates.ConditionReport(m, 0.5, 0.5, 0.0, True)
 
-        monkeypatch.setattr(wstates, "teleport_condition", balanced)
+        monkeypatch.setattr(wstates, "_splits", balanced)
         with pytest.raises(InternalConsistencyError, match="m=1"):
             suitability_scan(w_coefficients(3))
 

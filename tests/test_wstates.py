@@ -376,6 +376,30 @@ class TestSuitabilityScan:
             reports = suitability_scan(random_condition_coefficients(n, m, rng))
             assert reports[m - 1].holds
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 20),
+        seed=st.integers(0, 2**32 - 1),
+        zeros=st.sampled_from((0.0, 0.3, 0.7)),
+        balanced=st.booleans(),
+    )
+    def test_rows_equal_teleport_condition_field_for_field(self, n, seed, zeros, balanced):
+        # a scan squares the coefficients once and slices the weights per
+        # cut: the same sums as teleport_condition, so the same bits
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, n))
+        raw = rng.normal(size=n) + 1j * rng.normal(size=n)
+        raw[rng.random(n) < zeros] = 0
+        raw[[rng.integers(n - m), n - m + rng.integers(m)]] = 1.0  # one nonzero on each side
+        if balanced:  # each side rescaled to weight 1/2
+            halves = [raw[: n - m], raw[n - m :]]
+            c = CoefficientVector(np.sqrt(0.5) * np.concatenate([h / np.linalg.norm(h) for h in halves]))
+        else:
+            c = CoefficientVector.normalize(raw)
+        want = [teleport_condition(c, k) for k in range(1, n)]
+        assert suitability_scan(c) == want
+        assert [row[2] for row in entropy_scan(c)] == [cut_entropy(c, k) for k in range(1, n)]
+
 
 
 class TestEntropyScan:
