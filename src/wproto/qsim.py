@@ -186,12 +186,30 @@ def unitarity_deviation(matrix: np.ndarray) -> float:
     return _block_deviation(matrix[idx[:, None], idx])
 
 
+def _checked(dimension: int, moved: Sequence[int], blocks: np.ndarray) -> tuple[int, np.ndarray]:
+    """``dimension`` and ``moved`` (as int64) once they and a block or (K, k, k)
+    stack of them pass every check: max |B†B - I| <= ``STRUCTURAL_TOL`` for all at once."""
+    dim, idx = require_int(dimension), np.asarray(moved)
+    listed = idx.tolist()
+    if idx.ndim != 1 or listed and (idx.dtype.kind not in "iu" or sorted(set(listed)) != listed
+                                    or not 0 <= listed[0] <= listed[-1] < dim):
+        raise ValueError(f"moved indices must be sorted, distinct integers in 0..{dim - 1}")
+    if blocks.ndim not in (2, 3) or blocks.shape[-2:] != (len(idx), len(idx)):
+        raise DimensionError(f"expected a {len(idx)}x{len(idx)} block, got {blocks.shape}")
+    if dim & (dim - 1) != 0 or dim < 2:
+        raise DimensionError(f"dimension must be a power of two, got {dim}")
+    dev = _block_deviation(blocks)
+    if not dev <= STRUCTURAL_TOL:
+        raise ValueError(f"matrix is not unitary (max U†U-I deviation {dev:.3e})")
+    return dim, idx.astype(np.int64)
+
+
 class Unitary:
     """Unitary operator: the identity but a k x k ``block`` on its sorted
     ``moved`` indices, then an optional row ``order`` (row i is row
     ``order[i]``).  ``Unitary(matrix)`` finds the block as
-    :func:`unitarity_deviation` does and hands it to :meth:`on_block`, which
-    checks max |B†B - I| <= ``STRUCTURAL_TOL`` in O(k^3) per block.
+    :func:`unitarity_deviation` does (a dense matrix is its own), :meth:`on_block`
+    takes it given, and both check max |B†B - I| <= ``STRUCTURAL_TOL`` in O(k^3).
     ``matrix`` is the dense view, built on first read and cached read-only.
     """
 
@@ -203,8 +221,8 @@ class Unitary:
             raise DimensionError(f"expected a square matrix, got {mat.shape}")
         moved = mat != np.eye(len(mat))  # as unitarity_deviation finds them
         idx = (moved | moved.T).any(axis=0).nonzero()[0]
-        u = Unitary.on_block(len(mat), idx, mat if len(idx) == len(mat) else mat[idx[:, None], idx])
-        self._fill(u.dimension, u.moved, u.block, None, mat)
+        block = mat if len(idx) == len(mat) else mat[idx[:, None], idx]
+        self._fill(*_checked(len(mat), idx, block), block, None, mat)
 
     def _fill(self, dim: int, moved: np.ndarray, block: np.ndarray, order=None, matrix=None):
         for array in [a for a in (moved, block, order, matrix) if a is not None]:
@@ -218,20 +236,9 @@ class Unitary:
         """The identity on ``dimension`` indices but ``block`` on the sorted,
         distinct ``moved`` ones, or the tuple of K such operators for a (K, k, k)
         stack, checked at once: one block is the K = 1 case."""
-        dim, idx, b = require_int(dimension), np.asarray(moved), np.array(block, np.complex128)
-        listed = idx.tolist()
-        if idx.ndim != 1 or listed and (idx.dtype.kind not in "iu" or sorted(set(listed)) != listed
-                                        or not 0 <= listed[0] <= listed[-1] < dim):
-            raise ValueError(f"moved indices must be sorted, distinct integers in 0..{dim - 1}")
-        if b.ndim not in (2, 3) or b.shape[-2:] != (len(idx), len(idx)):
-            raise DimensionError(f"expected a {len(idx)}x{len(idx)} block, got {b.shape}")
-        if dim & (dim - 1) != 0 or dim < 2:
-            raise DimensionError(f"dimension must be a power of two, got {dim}")
-        dev = _block_deviation(b)
-        if not dev <= STRUCTURAL_TOL:
-            raise ValueError(f"matrix is not unitary (max U†U-I deviation {dev:.3e})")
-        idx, blocks = idx.astype(np.int64), b[None] if b.ndim == 2 else b
-        ops = tuple(object.__new__(cls)._fill(dim, idx, one) for one in blocks)
+        b = np.array(block, np.complex128)
+        dim, idx = _checked(dimension, moved, b)
+        ops = tuple(object.__new__(cls)._fill(dim, idx, one) for one in (b if b.ndim == 3 else [b]))
         return ops[0] if b.ndim == 2 else ops
 
     @property
@@ -247,21 +254,9 @@ class Unitary:
         """Row i of the result is row ``order[i]``: :func:`permute_rows_stack` of one order."""
         return permute_rows_stack([self], np.array(order)[None])[0]
 
-    def block_on(self, indices: np.ndarray) -> np.ndarray:
-        """The block inside the identity on sorted ``indices`` that hold the moved ones."""
-        if len(indices) == len(self.moved):
-            return self.block
-        full = np.eye(len(indices), dtype=np.complex128)
-        at = np.searchsorted(indices, self.moved)
-        full[at[:, None], at] = self.block
-        return full
-
     def __matmul__(self, other: "Unitary") -> "Unitary":
-        """self·other, composed on the union of the moved indices in O(k^3)."""
-        if self.order is not None or other.order is not None or other.dimension != self.dimension:
-            raise ValueError("only operators of one dimension and no row order compose on blocks")
-        idx = np.array(sorted({*self.moved.tolist(), *other.moved.tolist()}), dtype=np.int64)
-        return Unitary.on_block(self.dimension, idx, self.block_on(idx) @ other.block_on(idx))
+        """self·other: :func:`compose_stack` of one operator."""
+        return compose_stack(self, [other])[0]
 
     @property
     def num_qubits(self) -> int:
@@ -285,6 +280,20 @@ def permute_rows_stack(operators: Sequence[Unitary], orders: np.ndarray) -> list
         raise ValueError(f"row order is not a permutation of 0..{dim - 1}: {idx.dtype} {idx.shape}")
     return [object.__new__(Unitary)._fill(dim, u.moved, u.block, o if u.order is None else u.order[o])
             for o in idx for u in ops]
+
+
+def compose_stack(left: Unitary, operators: Sequence[Unitary]) -> tuple[Unitary, ...]:
+    """``left @ u`` for every u in ``operators`` (none with a row order): the blocks go into
+    the identity on the union of the moved indices and one stacked product composes them."""
+    ops = (left, *operators)
+    if any(u.order is not None or u.dimension != left.dimension for u in ops):
+        raise ValueError("only operators of one dimension and no row order compose on blocks")
+    idx = np.array(sorted({i for u in ops for i in u.moved.tolist()}), dtype=np.int64)
+    full = np.tile(np.eye(len(idx), dtype=np.complex128), (len(ops), 1, 1))
+    for into, u in zip(full, ops):
+        at = np.searchsorted(idx, u.moved)
+        into[at[:, None], at] = u.block
+    return Unitary.on_block(left.dimension, idx, full[0] @ full[1:])
 
 
 #: ``PAULI_FOUR`` as checked operators, built once
@@ -632,17 +641,22 @@ def _spectra(amps: np.ndarray, ks: Sequence[int]) -> list[np.ndarray]:
     rows and columns: rows are the kept patterns ``i & (2^k - 1)`` and columns
     the rest patterns ``i >> k`` that occur, both ascending.  With s nonzero
     amplitudes and s^2 <= 2^n, blocks are zero-padded to (s, s) and share one
-    SVD; otherwise blocks of one shape share one.  A block depends only on the
-    state and the cut, so no batch changes a bit.  Past the block's rank bound
+    SVD per stack of at most max(2^n, 2^12) amplitudes (one stack for any W-class
+    or GHZ scan); otherwise blocks of one shape share one.  A block depends only
+    on the state and the cut, so no batch changes a bit.  Past the block's rank bound
     min(rows, columns) a spectrum is exact zeros, up to min(2^k, 2^(n-k)) values.
     """
     n, cuts, s = len(amps).bit_length() - 1, len(ks), int(np.count_nonzero(amps))
     if s * s <= 2**n:
         support, m = (amps != 0).nonzero()[0], np.array(ks, dtype=np.intp)[:, None]
         ranks, counts = _ranks(np.concatenate([support & ((1 << m) - 1), support >> m]))
-        stack = np.zeros((cuts, s, s), dtype=np.complex128)
-        stack[np.arange(cuts)[:, None], ranks[:cuts], ranks[cuts:]] = amps[support]
-        batches = [(range(cuts), stack, list(map(min, counts[:cuts], counts[cuts:])))]
+        bounds, per = list(map(min, counts[:cuts], counts[cuts:])), max(2**n, 2**12) // (s * s)
+        def padded(lo: int):  # at most ``per`` cuts from ``lo`` on, as one stack
+            at = range(lo, min(lo + per, cuts))
+            stack = np.zeros((len(at), s, s), dtype=np.complex128)
+            stack[np.arange(len(at))[:, None], ranks[at], ranks[cuts:][at]] = amps[support]
+            return at, stack, bounds[lo : at.stop]
+        batches = map(padded, range(0, cuts, per))  # one padded stack alive at a time
     else:
         groups, batches = {}, []
         for i, k in enumerate(ks):
@@ -658,6 +672,7 @@ def _spectra(amps: np.ndarray, ks: Sequence[int]) -> list[np.ndarray]:
     spectra = [None] * cuts
     for at, stack, widths in batches:
         lam = np.linalg.svd(stack, compute_uv=False)[:, ::-1] ** 2
+        del stack
         for i, values, width in zip(at, lam, widths):
             spectra[i] = np.zeros(2 ** min(ks[i], n - ks[i]))
             spectra[i][-width:] = values[-width:]
@@ -676,13 +691,10 @@ def reduced_spectrum(state: StateVector, keep: Sequence[int]) -> np.ndarray:
 
 def trailing_spectra(state: StateVector) -> list[np.ndarray]:
     """:func:`reduced_spectrum` of the last m qubits for m = 1..n-1, bit for bit,
-    from one stacked SVD when s^2 <= 2^n (any GHZ state, any W-class one on n >= 4);
-    the padded blocks go in stacks of at most max(2^n, 2^12) amplitudes."""
+    from one stacked SVD when s^2 <= 2^n (any GHZ state, any W-class one on n >= 4)."""
     if not state.normalized:
         raise NormalizationError("a reduced state needs a normalized state")
-    n, s = state.num_qubits, int(np.count_nonzero(state.amplitudes))
-    per = max(2**n, 2**12) // (s * s) if s * s <= 2**n else n
-    return [x for k in range(1, n, per) for x in _spectra(state.amplitudes, range(k, n)[:per])]
+    return _spectra(state.amplitudes, range(1, state.num_qubits))
 
 
 def spectrum_entropy(eigenvalues: np.ndarray) -> float:

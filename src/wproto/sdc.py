@@ -19,9 +19,8 @@ Encoding sets:
     pattern on the first m - 1 qubits carries one more bit each.  The
     construction is always validated by :func:`decode`, never assumed;
   * :func:`pauli_product_set` - all 4^m tensor products, used to confirm
-    that 2m bits per m qubits is *not* achievable.
-
-The resource-free sets (``pauli``, ``w4``, m = 2 products) are built once per process.
+    that 2m bits per m qubits is *not* achievable.  The resource-free
+    sets (``pauli``, ``w4``, the m = 2 products) are built once per process.
 
 Decoding is modeled as projective measurement onto the encoded states,
 which is valid exactly when their Gram matrix is the identity.
@@ -149,8 +148,7 @@ def w4_multiunary_set() -> EncodingSet:
 
 
 def pauli_product_set(m: int) -> EncodingSet:
-    """All 4^m tensor products of the single-qubit set on m qubits; ``m`` is
-    checked first, and only the m = 2 set is shared."""
+    """All 4^m tensor products of the single-qubit set on m qubits; only m = 2 is shared."""
     m = require_int(m, 1)
     return _pauli_products(m) if m == 2 else _pauli_products.__wrapped__(m)
 
@@ -294,12 +292,8 @@ def capacity_check(
         bits = size.bit_length() - 1
         return CapacityResult(bits, True, size, size, tuple(range(size)), True)
     orthogonal = np.abs(verdict.gram) <= STRUCTURAL_TOL
-    if size <= 16:
-        subset = _max_orthogonal_subset(orthogonal)
-        exhaustive = True
-    else:
-        subset = _greedy_orthogonal_subset(orthogonal)
-        exhaustive = False
+    exhaustive = size <= 16
+    subset = (_max_orthogonal_subset if exhaustive else _greedy_orthogonal_subset)(orthogonal)
     bits = int(math.floor(math.log2(len(subset))))
     return CapacityResult(bits, False, size, len(subset), tuple(subset), exhaustive)
 
@@ -315,11 +309,7 @@ def _greedy_orthogonal_subset(orthogonal: np.ndarray) -> list[int]:
 def _max_orthogonal_subset(orthogonal: np.ndarray) -> list[int]:
     """Exact maximum clique of the pairwise-orthogonality graph."""
     n = orthogonal.shape[0]
-    neighbors = [0] * n
-    for v in range(n):
-        for u in range(n):
-            if u != v and orthogonal[v, u]:
-                neighbors[v] |= 1 << u
+    neighbors = [sum(1 << u for u in range(n) if u != v and orthogonal[v, u]) for v in range(n)]
     best: list[int] = []
 
     def grow(current: list[int], candidates: int) -> None:

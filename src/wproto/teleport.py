@@ -60,6 +60,7 @@ from .qsim import (
     StateVector,
     Unitary,
     apply_unitary_stack,
+    compose_stack,
     fidelity_stack,
     make_basis_state,
     project_stack,
@@ -297,10 +298,7 @@ def bob_strategy2_set(m: int, wm: StateVector) -> list[Unitary]:
     receiver's register in |0..0> (x) (alpha|0> + beta|1>) on his last qubit.
     One stacked product on the union of the moved indices composes all four.
     """
-    t, fixes = transfer_unitary(m, wm), bob_strategy1_set(m, wm)
-    idx = np.array(sorted({*t.moved.tolist(), *fixes[0].moved.tolist()}), dtype=np.int64)
-    blocks = t.block_on(idx) @ np.stack([u.block_on(idx) for u in fixes])
-    return list(Unitary.on_block(2**m, idx, blocks))
+    return list(compose_stack(transfer_unitary(m, wm), bob_strategy1_set(m, wm)))
 
 
 def serial_basis(m: int, wm: StateVector) -> MeasurementBasis:

@@ -3,10 +3,11 @@
 ``Unitary`` holds the identity plus a block on the indices it moves and an
 optional row order: it checks U†U on that block, ``Unitary.on_block`` takes
 the block (or a stack of blocks) as given, ``permute_rows_stack`` checks only
-that each row order is a bijection, ``u @ v`` composes on the union of two
-blocks, and ``capacity_check`` encodes each distinct block once on the
-occupied rows of the resource.  Each is compared here with the dense
-computation it replaces, and each stacked check with its one-item case.
+that each row order is a bijection, ``compose_stack`` (and ``u @ v``, its
+one-item case) composes on the union of the blocks, and ``capacity_check``
+encodes each distinct block once on the occupied rows of the resource.
+Each is compared here with the dense computation it replaces, and each
+stacked check with its one-item case.
 """
 
 import tracemalloc
@@ -23,6 +24,7 @@ import wproto.sdc as sdc
 import wproto.teleport as teleport
 from wproto.cli import parse_config, run
 from wproto.qsim import (
+    PAULI_FOUR,
     STRUCTURAL_TOL,
     Unitary,
     apply_unitary,
@@ -241,6 +243,41 @@ class TestBlockRepresentation:
                 a @ b
         with pytest.raises(ValueError, match="one dimension"):
             u @ qsim.PAULIS[1]
+        for ops in ([swapped], [u, swapped]):
+            with pytest.raises(ValueError, match="row order"):
+                qsim.compose_stack(u, ops)
+
+    @settings(max_examples=100, deadline=None)
+    @given(qubits=st.integers(1, 5), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_a_stacked_product_composes_every_item_on_one_union(self, qubits, seed, data):
+        dim = 2**qubits
+        rng = np.random.default_rng(seed)
+        left, *ops = (
+            block_operator(rng, dim, data.draw(st.integers(0, dim)))
+            for _ in range(data.draw(st.integers(2, 5), label="1 + K"))
+        )
+        union = sorted({i for u in (left, *ops) for i in u.moved.tolist()})
+        products = qsim.compose_stack(left, ops)
+        assert isinstance(products, tuple) and len(products) == len(ops)
+        for product, u in zip(products, ops):
+            assert product.moved.tolist() == union
+            assert np.abs(product.matrix - left.matrix @ u.matrix).max(initial=0.0) <= 1e-14
+        (alone,) = qsim.compose_stack(left, ops[:1])
+        assert (left @ ops[0]).block.tobytes() == alone.block.tobytes()  # u @ v is K = 1
+
+    def test_a_dense_matrix_is_its_own_block(self):
+        """A matrix that moves every index is stored once: its block is its matrix."""
+        rng = np.random.default_rng(5)
+        for matrix in (PAULI_FOUR[1], np.kron(PAULI_FOUR[2], PAULI_FOUR[1]), haar(rng, 8)):
+            u = Unitary(matrix)
+            assert len(u.moved) == len(matrix)
+            assert u.block is u.matrix and np.shares_memory(u.block, u.matrix)
+            np.testing.assert_array_equal(u.matrix, matrix)
+        partial = Unitary(np.kron(np.eye(2), PAULI_FOUR[1]))  # moves all four indices too
+        assert partial.block is partial.matrix
+        diagonal = Unitary(np.diag([1, 1, 1, -1]))  # moves one index: a separate 1 x 1 block
+        assert diagonal.block.shape == (1, 1)
+        assert not np.shares_memory(diagonal.block, diagonal.matrix)
 
     @pytest.mark.parametrize(
         "moved, block",
@@ -531,15 +568,15 @@ def test_a_norm_that_drifts_is_an_internal_error():
 
 def test_every_operator_built_passes_the_dense_check(monkeypatch):
     """Dense shadow: every operator the acceptance and large configs build,
-    from a matrix, on a block or a stack of blocks, as a product (``u @ v``
-    or the strategy-2 set's stacked one) or by a row permutation (and each
-    permuted one permuted again, composing two orders), also passes the
+    from a matrix, on a block or a stack of blocks, as a stacked product
+    (``compose_stack``, which ``u @ v`` also calls) or by a row permutation (and
+    each permuted one permuted again, composing two orders), also passes the
     dense U†U rule on its ``.matrix``, so no structural shortcut accepts what
     that rule refuses.  The shared named sets are dropped first, so they are
     built again under the shadow."""
     checked = Counter()
     init, on_block = Unitary.__init__, Unitary.on_block.__func__
-    matmul, permute, strategy2 = Unitary.__matmul__, permute_rows_stack, teleport.bob_strategy2_set
+    compose, permute = qsim.compose_stack, permute_rows_stack
 
     def shadow(built, kind: str):
         for u in built if isinstance(built, (tuple, list)) else (built,):
@@ -561,13 +598,10 @@ def test_every_operator_built_passes_the_dense_check(monkeypatch):
 
     monkeypatch.setattr(Unitary, "__init__", shadowed_init)
     monkeypatch.setattr(Unitary, "on_block", classmethod(lambda *a: shadow(on_block(*a), "block")))
-    monkeypatch.setattr(Unitary, "__matmul__", lambda a, b: shadow(matmul(a, b), "product"))
     for module in (qsim, sdc):
         monkeypatch.setattr(module, "permute_rows_stack", shadowed_permute)
-    for module in (teleport, sdc):
-        monkeypatch.setattr(
-            module, "bob_strategy2_set", lambda m, wm: shadow(strategy2(m, wm), "product")
-        )
+    for module in (qsim, teleport):
+        monkeypatch.setattr(module, "compose_stack", lambda *a: shadow(compose(*a), "product"))
     for shared in (sdc.pauli_set, sdc.w4_multiunary_set, sdc._pauli_products):
         shared.cache_clear()
     for config in (ROOT / "configs" / "acceptance.json", ROOT / "tests" / "config_large.json"):
