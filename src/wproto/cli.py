@@ -80,10 +80,10 @@ TASK_FIELDS = {
     "scan": {},
     "entropy": {},
 }
-#: per-scenario budget: count(m) * 4**m, the entries an sdc set's operators
-#: would take as dense matrices (sets are held as blocks, so this now bounds
-#: the states a capacity check encodes; `generated` fits up to m = 8), and the
-#: amplitudes a teleport grid's report keeps, plus 32 per outcome (its p, F)
+#: per-scenario budget: count(m) * 4**m, the entries an sdc set's operators would
+#: take as dense matrices (`generated` fits up to m = 8); a capacity check holds
+#: N = count(m) states of 2^(m+1) amplitudes and an N x N Gram matrix (2^19 at that
+#: m).  It also bounds a teleport grid report's amplitudes, plus 32 per outcome (p, F)
 MAX_SET_AMPLITUDES = 2**25
 CHOICES = {"strategy": STRATEGIES, "set": tuple(ENCODING_SETS), "expect": ("success", "failure")}
 W_FAMILY = {"w": w_coefficients, "modified-w": modified_w_coefficients}

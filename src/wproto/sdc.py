@@ -24,10 +24,10 @@ Encoding sets:
 
 Decoding is modeled as projective measurement onto the encoded states,
 which is valid exactly when their Gram matrix is the identity.
-:func:`capacity_check` encodes on the occupied support: only the n - m + 1
-rows where the resource is nonzero are carried, since a sender operator
-keeps every other row at exactly 0, and each distinct operator block is
-multiplied into them once; no dense 2^m x 2^m operator is built.
+:func:`capacity_check` encodes on the resource's two Schmidt columns across
+the cut, a 2^m x 2 block taken from the excitation blocks, and multiplies
+each distinct operator block into it once; neither the 2^n resource nor a
+dense 2^m x 2^m operator is built.
 """
 
 from __future__ import annotations
@@ -247,19 +247,18 @@ def capacity_check(
 ) -> CapacityResult:
     """Encode every message, decode, and report the achievable bit count.
 
-    The resource is built and the split condition checked once for the
-    whole set.  Its amplitudes, grouped as a (2^(n-m), 2^m) matrix of
-    (first n - m qubits, sender's m qubits), have nonzero rows only where
-    the first n - m qubits hold at most one excitation: n - m + 1 rows.  A
-    sender operator acts within each row, so every other row stays exactly
-    0 and adds only exact zeros to every inner product.  The occupied rows,
-    padded with zero rows to a power of two, are multiplied once by each
-    distinct block (``generated`` has four, shared by its row orders) on
-    the indices it moves; each encoded state is a row gather of one such
-    product, written into one stack whose row norms must all keep the
-    resource's within ``NORM_PRESERVATION_TOL``.  These compact states are
-    an isometric image of the full encoded states, so :func:`decode`'s rule
-    on the stack sees the same Gram matrix up to summation order.
+    The split condition is checked once for the whole set.  The resource is
+    front (x) |0..0> + |0..0> (x) back_raw across the cut, and front has no
+    |0..0> amplitude, so an encoded state U_k's inner products are those of
+    the 2^m x 2 block U_k [|front| |0..0>, back_raw]: its two Schmidt
+    columns, from :func:`excitation_blocks`.  That block is multiplied once
+    by each distinct operator block (``generated`` has four, shared by its
+    row orders) on the indices it moves; each encoded state is a row gather
+    of one such product, written into one stack whose row norms must all
+    keep the resource's within ``NORM_PRESERVATION_TOL``.  These compact
+    states are an isometric image of the full encoded states, so
+    :func:`decode`'s rule on the stack sees the same Gram matrix up to
+    summation order.
 
     If the full set decodes, the capacity is log2(set size) exactly.
     Otherwise the result reports the largest mutually orthogonal subset:
@@ -268,20 +267,19 @@ def capacity_check(
     answer is diagnostic — the protocol's capacity claim is about full sets.
     """
     _sender_qubits(c, m, encoding)
-    psi = generalized_w(c).amplitudes.reshape(-1, 2**m)
-    occupied = psi[(psi != 0).any(axis=1)]
-    padded = np.zeros((2**m, 1 << (len(occupied) - 1).bit_length()), dtype=np.complex128)
-    padded[:, : len(occupied)] = occupied.T
-    norm = math.sqrt(np.vdot(padded, padded).real)
-    stack = np.empty((len(encoding.operators),) + padded.shape, dtype=np.complex128)
+    front, back_raw = excitation_blocks(c, m)[:2]
+    columns = np.zeros((2**m, 2), dtype=np.complex128)
+    columns[0, 0], columns[:, 1] = front.norm, back_raw.amplitudes
+    norm = math.sqrt(np.vdot(columns, columns).real)
+    stack = np.empty((len(encoding.operators),) + columns.shape, dtype=np.complex128)
     products: dict[int, np.ndarray] = {}
     for op, state in zip(encoding.operators, stack):
         product = products.get(id(op.block))
-        if product is None and len(op.moved) == len(padded):  # the block is the operator
-            product = products[id(op.block)] = op.block @ padded
+        if product is None and len(op.moved) == len(columns):  # the block is the operator
+            product = products[id(op.block)] = op.block @ columns
         elif product is None:
-            product = products[id(op.block)] = padded.copy()
-            product[op.moved] = op.block @ padded[op.moved]
+            product = products[id(op.block)] = columns.copy()
+            product[op.moved] = op.block @ columns[op.moved]
         state[...] = product if op.order is None else product[op.order]
     stack = stack.reshape(len(stack), -1)
     if not (np.abs(np.sqrt(np.vecdot(stack, stack).real) - norm) <= NORM_PRESERVATION_TOL).all():

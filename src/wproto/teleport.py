@@ -74,7 +74,7 @@ from .wstates import (
     ConditionReport,
     UnsuitableResourceError,
     excitation_blocks,
-    generalized_w,
+    excitation_indices,
     ghz_condition,
     require_unit_pair,
     teleport_condition,
@@ -319,8 +319,8 @@ def serial_basis(m: int, wm: StateVector) -> MeasurementBasis:
     return MeasurementBasis(range(1, m + 2), vectors, SERIAL_LABELS)
 
 
-#: the auxiliary pair (|00> + |11>)/sqrt(2) the serial relay measures through
-_BELL = superpose([(1.0 / math.sqrt(2.0), make_basis_state(2, [b, b])) for b in (0, 1)])
+#: the relay's auxiliary pair (|00> + |11>)/sqrt(2) as (qubits, support, amplitudes)
+_BELL = (2, np.array([0, 3]), np.full(2, 1.0 / math.sqrt(2.0), dtype=np.complex128))
 
 #: the branch rows stacked at once hold at most as many amplitudes as the
 #: largest joint state the qubit budget allows
@@ -339,29 +339,35 @@ def outcome_shape(m: int, strategy: str) -> tuple[int, int]:
 
 def _hop(
     rows: np.ndarray,
-    resource: StateVector,
+    resource: tuple[int, np.ndarray, np.ndarray],
     basis: MeasurementBasis,
     corrections: Sequence[Unitary],
     receiver: Sequence[int],
     prefixes: Sequence[str] = ("",),
 ) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, tuple[Unitary, ...]]:
-    """One teleportation step on every row of a (G, 2^q) stack: row (x)
-    ``resource`` is measured in ``basis`` in stacks of at most
-    ``_JOINT_AMPLITUDES`` amplitudes (a larger joint state alone), and each
-    outcome's post-states are corrected at once on the ``receiver`` qubits.
-    Returns the K labels, (K, G) probabilities, (K, G, 2^r) corrected
-    post-states and K corrections.  The rows form one group per prefix; a
-    branch of probability 0 in any row is a bug, named by the first such
-    group's prefix and its label."""
-    size = rows.shape[1] * len(resource.amplitudes)
-    per = max(1, _JOINT_AMPLITUDES // size)
+    """One teleportation step on every row of a (G, 2^q) stack: row (x) the
+    ``resource`` (qubits, support indices, amplitudes) is measured in ``basis``
+    in stacks of at most ``_JOINT_AMPLITUDES`` amplitudes (a larger joint
+    state alone), written into one zeroed buffer as the x_b * a_j entries at
+    b * 2^qubits + j only, and each outcome's post-states are corrected at
+    once on the ``receiver`` qubits.  Returns the K labels, (K, G)
+    probabilities, (K, G, 2^r) corrected post-states and K corrections.  The
+    rows form one group per prefix; a branch of probability 0 in any row is
+    a bug, named by the first such group's prefix and its label."""
+    qubits, index, amplitudes = resource
+    size = rows.shape[1] << qubits
+    per = min(len(rows), max(1, _JOINT_AMPLITUDES // size))
+    joint = np.zeros((per, rows.shape[1], 2**qubits), dtype=np.complex128)
     p = np.empty((len(basis.labels), len(rows)))
     post = np.empty(p.shape + (size >> len(basis.subset),), dtype=np.complex128)
     for start in range(0, len(rows), per):
         at = slice(start, start + per)
-        measured = project_stack((rows[at, :, None] * resource.amplitudes).reshape(-1, size), basis)
+        chunk = joint[: len(rows[at])]
+        chunk[:, :, index] = rows[at, :, None] * amplitudes
+        measured = project_stack(chunk.reshape(-1, size), basis)
         for k, (_, prob, branch) in enumerate(measured):
             p[k, at], post[k, at] = prob, branch
+    del joint, chunk  # the corrections run without it: a lower peak
     failing = ~(p > ZERO_PROBABILITY).reshape(len(p), len(prefixes), -1).all(axis=2).T
     if failing.any():
         name = [f + label for f in prefixes for label in basis.labels][failing.argmax()]
@@ -374,22 +380,22 @@ def _hop(
 
 def _teleport(
     inputs: np.ndarray,
-    resource: StateVector,
+    c: CoefficientVector,
     basis: MeasurementBasis,
     corrections: Sequence[Unitary],
     strategy: str | None,
     relay: MeasurementBasis | None = None,
     wm: StateVector | None = None,
 ) -> ProtocolReport:
-    """Teleport each row of the (G, 2^q) ``inputs`` stack through ``resource``
-    and check it against its target: the row itself, or alpha|0..0> +
+    """Teleport each row of the (G, 2^q) ``inputs`` stack through the W support
+    of ``c`` and check it against its target: the row itself, or alpha|0..0> +
     beta|wm> given ``wm``.  With a ``relay`` basis every sender branch hops
     again at once, through a fresh Bell pair, as branch ``outer|inner`` with
     the joint probability; ``transfer`` splits off the last qubit first.  The
     rows go in batches of at most ``_STACK_AMPLITUDES`` branch amplitudes;
     one fidelity stack checks a batch, which writes its rows of every column
     of the report (shaped as :func:`outcome_shape` says) as one slice."""
-    m = corrections[0].num_qubits
+    m, resource = corrections[0].num_qubits, (c.n, excitation_indices(c.n), c.coeffs)
     outcomes, qubits = outcome_shape(m, strategy or "subspace")
     probabilities, fidelities = np.empty((2, len(inputs), outcomes))
     post_states = np.empty((len(inputs), outcomes, 2**qubits), dtype=np.complex128)
@@ -441,7 +447,7 @@ def run_teleport_encoded(c: CoefficientVector, m: int, psi: StateVector) -> Prot
     basis = measurement_family(c, m)
     _require_registers([psi], m)
     wm = excitation_blocks(c, m)[2]
-    return _teleport(psi.amplitudes[None], generalized_w(c), basis, bob_strategy1_set(m, wm), None)
+    return _teleport(psi.amplitudes[None], c, basis, bob_strategy1_set(m, wm), None)
 
 
 def run_teleport_grid(
@@ -471,7 +477,7 @@ def run_teleport_grid(
     relay = serial_basis(m, wm) if strategy == "serial" else None
     inputs = np.array([psi.amplitudes for psi in states])
     target = wm if strategy == "subspace" else None
-    return _teleport(inputs, generalized_w(c), basis, corrections, strategy, relay, target)
+    return _teleport(inputs, c, basis, corrections, strategy, relay, target)
 
 
 def run_teleport_one_qubit(

@@ -137,9 +137,14 @@ def sub_w(c: CoefficientVector, start: int, end: int) -> StateVector:
         raise ValueError(f"invalid range ({start}, {end}) for n={c.n}")
     k = end - start + 1
     amps = np.zeros(2**k, dtype=np.complex128)
-    for l in range(start, end + 1):
-        amps[1 << (k - 1 - (l - start))] = c.coeffs[l - 1]
+    amps[excitation_indices(k)] = c.coeffs[start - 1 : end]
     return StateVector(k, amps)
+
+
+def excitation_indices(k: int) -> np.ndarray:
+    """Where a W-class register on k qubits keeps its amplitudes: coefficient
+    l (the excitation on qubit l, qubit 1 leftmost) at index 2^(k-l)."""
+    return 1 << np.arange(k - 1, -1, -1)
 
 
 def excitation_blocks(

@@ -119,6 +119,24 @@ def random_condition_coefficients(
     return CoefficientVector(np.concatenate([front, back]))
 
 
+def zeroed_condition_coefficients(
+    n: int, m: int, rng: np.random.Generator, fraction: float = 0.3
+) -> CoefficientVector:
+    """Random coefficients balanced at partition m with about ``fraction`` of
+    each block exactly zero: one entry per block is always kept, and each
+    block is rescaled to squared norm 1/2 after zeroing."""
+    if not (1 <= m <= n - 1):
+        raise ValueError(f"partition size m={m} must lie in 1..{n - 1}")
+    blocks = []
+    for size in (n - m, m):
+        block = rng.normal(size=size) + 1j * rng.normal(size=size)
+        zero = rng.random(size) < fraction
+        zero[rng.integers(size)] = False
+        block[zero] = 0.0
+        blocks.append(block / (math.sqrt(2.0) * np.linalg.norm(block)))
+    return CoefficientVector(np.concatenate(blocks))
+
+
 def dense_strategy1_set(wm: np.ndarray) -> list[np.ndarray]:
     """The four subspace corrections on span{|0..0>, wm} as dense matrices:
     I - |0><0| - |w><w| + [|0>, |w>] sigma [|0>, |w>]^dagger."""

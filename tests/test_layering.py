@@ -179,6 +179,51 @@ def test_operator_sets_are_built_and_checked_as_stacks():
     assert len(krons) <= 1
 
 
+def _function(tree: ast.AST, name: str) -> ast.FunctionDef:
+    (node,) = [node for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name == name]
+    return node
+
+
+def test_protocols_take_the_resource_by_its_support():
+    # teleport and the capacity check never build the dense 2^n resource, and
+    # the hop fills one joint buffer, allocated before its chunk loop
+    trees = {name: ast.parse((PACKAGE / name).read_text()) for name in ("teleport.py", "sdc.py")}
+    capacity = _function(trees["sdc.py"], "capacity_check")
+    assert not _calls(trees["teleport.py"], "generalized_w") + _calls(capacity, "generalized_w")
+    hop = _function(trees["teleport.py"], "_hop")
+    (loop,) = [node for node in ast.walk(hop)
+               if isinstance(node, ast.For) and _calls(node, "project_stack")]
+    allocators = ("np.zeros", "np.empty", "np.ones", "np.full", "np.zeros_like", "np.empty_like")
+    allocated = [call for name in allocators for call in _calls(hop, name)]
+    in_loop = [call for call in allocated if call in set(ast.walk(loop))]
+    assert len(_calls(hop, "np.zeros")) == 1 and not in_loop
+    (measure,) = _calls(loop, "project_stack")
+    (buffer,) = [target.id for node in ast.walk(hop) if isinstance(node, ast.Assign)
+                 for target in node.targets if isinstance(target, ast.Name)
+                 and _calls(node, "np.zeros")]
+    chunks = {target.id for node in ast.walk(loop) if isinstance(node, ast.Assign)
+              and isinstance(node.value, ast.Subscript) and _name(node.value.value) == buffer
+              for target in node.targets if isinstance(target, ast.Name)}
+    assert {node.id for node in ast.walk(measure.args[0]) if isinstance(node, ast.Name)} & chunks
+
+
+def test_the_w_index_rule_is_written_once():
+    # "coefficient l of a k-qubit W-class register lives at index 2^(k-l)":
+    # one shift over a range of positions, in wstates; sub_w and the teleport
+    # resource take their indices from it
+    trees = {path.name: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
+    rules = [(name, owner.name) for name, tree in trees.items()
+             for owner in ast.walk(tree) if isinstance(owner, ast.FunctionDef)
+             for node in ast.walk(owner) if isinstance(node, ast.BinOp)
+             and isinstance(node.op, (ast.LShift, ast.Pow)) and _calls(node.right, "np.arange")]
+    assert rules == [("wstates.py", "excitation_indices")]
+    assert _calls(_function(trees["wstates.py"], "sub_w"), "excitation_indices")
+    assert _calls(trees["teleport.py"], "excitation_indices")
+    assert not [node for node in ast.walk(_function(trees["wstates.py"], "sub_w"))
+                if isinstance(node, (ast.For, ast.While, ast.comprehension))]
+
+
 @pytest.mark.parametrize("name", sorted(GOLDENS))
 def test_acceptance_report_is_byte_identical_to_golden(tmp_path, name):
     config, golden = GOLDENS[name]

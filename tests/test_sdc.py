@@ -13,8 +13,15 @@ from hypothesis import strategies as st
 import wproto.qsim as qsim
 import wproto.sdc as sdc
 from wproto.cli import parse_config
-from wproto.qsim import MeasurementBasis, ProtocolViolationError, StateVector, apply_unitary
+from wproto.qsim import (
+    STRUCTURAL_TOL,
+    MeasurementBasis,
+    ProtocolViolationError,
+    StateVector,
+    apply_unitary,
+)
 from wproto.sdc import (
+    CapacityResult,
     EncodingSet,
     capacity_check,
     decode,
@@ -32,7 +39,12 @@ from wproto.wstates import (
     w_coefficients,
 )
 
-from oracle_utils import build_state, gram_of, random_condition_coefficients
+from oracle_utils import (
+    build_state,
+    gram_of,
+    random_condition_coefficients,
+    zeroed_condition_coefficients,
+)
 
 SQ2 = 1 / math.sqrt(2)
 MOD_W3 = CoefficientVector([0.5, 0.5, SQ2])
@@ -262,7 +274,9 @@ class TestCapacityCheck:
         )
         result = capacity_check(c, m, encoding)
         assert result.decodable == (set_name == "generated")
-        assert calls["generalized_w"] == calls["require_condition"] == 1
+        # the states are encoded on the resource's two Schmidt columns: no dense resource
+        assert calls["generalized_w"] == 0
+        assert calls["require_condition"] == 1
         # decode builds the one Gram matrix itself and no measurement basis
         assert calls["gram_matrix"] == 1
         assert calls["MeasurementBasis"] == 0
@@ -388,3 +402,62 @@ def test_capacity_check_holds_its_encoded_stack_under_three_times():
         tracemalloc.stop()
     assert result.decodable and result.bits == 8 and result.set_size == 256
     assert peak < 3 * stack + gram
+
+
+def _dense_capacity(c, m, encoding):
+    """The capacity rule on the full encoded states: every operator applied
+    to ``generalized_w(c)`` and the set decoded; (result, Gram matrix)."""
+    sender = range(c.n - m + 1, c.n + 1)
+    verdict = decode([apply_unitary(generalized_w(c), op, sender) for op in encoding.operators])
+    size, gram = verdict.num_states, verdict.gram
+    if verdict.decodable:
+        bits = size.bit_length() - 1
+        return CapacityResult(bits, True, size, size, tuple(range(size)), True), gram
+    orthogonal = np.abs(verdict.gram) <= STRUCTURAL_TOL
+    exhaustive = size <= 16
+    search = sdc._max_orthogonal_subset if exhaustive else sdc._greedy_orthogonal_subset
+    subset = search(orthogonal)
+    bits = int(math.floor(math.log2(len(subset))))
+    return CapacityResult(bits, False, size, len(subset), tuple(subset), exhaustive), gram
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(3, 12),
+    seed=st.integers(0, 2**32 - 1),
+    zeroed=st.booleans(),
+)
+def test_two_column_capacity_equals_the_dense_encoded_states(data, n, seed, zeroed):
+    # m stops at 6: the dense reference reads 2^(m+1) operators of 4^m entries
+    m = data.draw(st.integers(1, min(n - 1, 6)), label="m")
+    rng = np.random.default_rng(seed)
+    c = (zeroed_condition_coefficients if zeroed else random_condition_coefficients)(n, m, rng)
+    sets = [general_encoding_set(c, m)]
+    sets += [pauli_set()] if m == 1 else [w4_multiunary_set()] if m == 2 else []
+    sets += [pauli_product_set(m)] if m <= 3 else []
+    for encoding in sets:
+        grams = []
+        with pytest.MonkeyPatch.context() as patch:
+            original = sdc.gram_matrix
+            patch.setattr(sdc, "gram_matrix", lambda a: grams.append(original(a)) or grams[-1])
+            result = capacity_check(c, m, encoding)
+        expected, gram = _dense_capacity(c, m, encoding)
+        assert result == expected
+        assert float(np.abs(grams[0] - gram).max()) <= 1e-14
+
+
+def test_capacity_check_encodes_on_two_columns():
+    # W16, m = 8: 512 encoded states of 2^8 x 2 amplitudes (a 4 MiB stack)
+    # and a 4 MiB Gram matrix; the occupied rows, padded to 16 columns,
+    # peaked at 69.4 MiB
+    c, m = w_coefficients(16), 8
+    encoding = general_encoding_set(c, m)
+    tracemalloc.start()
+    try:
+        result = capacity_check(c, m, encoding)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.decodable and result.bits == 9 and result.set_size == 512
+    assert peak < 24 * 2**20

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wproto.teleport as teleport
+import wproto.wstates as wstates
 from wproto.qsim import (
     PAULI_FOUR,
     PAULIS,
@@ -52,7 +53,7 @@ from wproto.wstates import (
     w_coefficients,
 )
 
-from oracle_utils import random_condition_coefficients
+from oracle_utils import random_condition_coefficients, zeroed_condition_coefficients
 
 STRATEGIES = ("subspace", "transfer", "serial")
 
@@ -527,3 +528,87 @@ def test_families_built_as_arrays_equal_superposed_products_bytewise(data, n, se
         for vector, reference in zip(built, _reference_family(*args), strict=True):
             assert vector.amplitudes.tobytes() == reference.amplitudes.tobytes()
             assert vector.normalized == reference.normalized
+
+
+def test_no_protocol_builds_the_dense_resource(monkeypatch):
+    # the hop writes the joint states from the resource's support: nothing
+    # builds generalized_w(c), whose amplitudes sub_w would fill over 1..n
+    ranges = []
+    sub_w = wstates.sub_w
+    monkeypatch.setattr(wstates, "sub_w", lambda c, a, b: ranges.append((a, b)) or sub_w(c, a, b))
+    c = random_condition_coefficients(6, 3, np.random.default_rng(2))
+    for strategy in STRATEGIES:
+        assert run_teleport_grid(c, 3, unknown_state_grid(3, 1), strategy).success
+    assert run_teleport_encoded(c, 3, encoded_state(c, 3, 0.6, 0.8j)).success
+    assert ranges and (1, c.n) not in ranges
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(min_value=2, max_value=10),
+    count=st.integers(min_value=1, max_value=5),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    joint=st.sampled_from([2**5, 2**7]),
+    strategy=st.sampled_from(STRATEGIES),
+)
+def test_zero_coefficients_and_chunked_hops_equal_the_dense_loop(
+    data, n, count, seed, joint, strategy
+):
+    # a resource with exact zeros in both blocks, each hop split into chunks
+    # of its reused joint buffer: every column equals the per-state dense run
+    m = data.draw(st.integers(min_value=1, max_value=n - 1))
+    rng = np.random.default_rng(seed)
+    c = zeroed_condition_coefficients(n, m, rng)
+    grid = unknown_state_grid(count, int(rng.integers(2**31)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(teleport, "_JOINT_AMPLITUDES", joint)
+        report = run_teleport_grid(c, m, grid, strategy)
+    for g, psi in enumerate(grid):
+        reference = _one_state_loop(c, m, psi, strategy)
+        assert list(report.labels) == [b[0] for b in reference]
+        assert report.probabilities[g].tolist() == [b[1] for b in reference]
+        assert report.fidelities[g].tolist() == [b[3] for b in reference]
+        for post, (_, _, state, _) in zip(report.post_states[g], reference, strict=True):
+            assert (post == state.amplitudes).all()
+
+
+def _off_span(vectors: np.ndarray, basis: np.ndarray) -> float:
+    """Largest norm of a vector's part outside span(``basis`` rows, orthonormal)."""
+    inside = (vectors @ basis.conj().T) @ basis
+    return float(np.linalg.norm(vectors - inside, axis=-1).max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(min_value=2, max_value=12),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    zeroed=st.booleans(),
+)
+def test_protocol_objects_stay_in_their_two_level_spans(data, n, seed, zeroed):
+    # the premise a two-level account of every branch rests on: the family,
+    # the corrections and the relay basis each live in two-dimensional spans
+    m = data.draw(st.integers(min_value=1, max_value=n - 1))
+    rng = np.random.default_rng(seed)
+    draw = zeroed_condition_coefficients if zeroed else random_condition_coefficients
+    c = draw(n, m, rng)
+    front, _, wm, _ = excitation_blocks(c, m)
+    zeros = zero_state(n - m).amplitudes
+    family = np.array([v.amplitudes for v in one_qubit_measurement_family(c, m).vectors])
+    # x|0>|A> + y|1>|B>: each half of a vector in span{front, |0..0>}
+    halves = family.reshape(8, -1)
+    assert _off_span(halves, np.array([front.amplitudes / front.norm, zeros])) <= 1e-12
+    pair = np.array([zero_state(m).amplitudes, wm.amplitudes])
+    for u in bob_strategy1_set(m, wm):
+        assert u.order is None
+        # P u P + (1 - P) on the moved indices, and the identity off them
+        b = pair[:, u.moved]
+        assert np.linalg.norm(b, axis=1).min() >= 1 - 1e-12  # the span lies in the block
+        projector = b.T @ b.conj()
+        kept = projector @ u.block @ projector + np.eye(len(b[0])) - projector
+        assert float(np.abs(u.block - kept).max()) <= 1e-12
+    relay = np.array([v.amplitudes for v in serial_basis(m, wm).vectors])
+    # (|a>|0> + |b>|1>): both relay-qubit columns in span{|0..0>, |w>}
+    columns = relay.reshape(4, 2**m, 2).swapaxes(1, 2).reshape(8, -1)
+    assert _off_span(columns, pair) <= 1e-12
