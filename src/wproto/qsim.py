@@ -170,22 +170,6 @@ def _block_deviation(blocks: np.ndarray) -> float:
     return float(np.abs(gram).max(initial=0.0))
 
 
-def unitarity_deviation(matrix: np.ndarray) -> float:
-    """max |U†U - I| of a square complex matrix, on the block that moves.
-
-    The block is the set of indices whose row or column differs from the
-    identity's (an off-diagonal entry != 0 or a diagonal entry != 1, or NaN).
-    Every other row and column is exactly a basis vector, so it adds only
-    exact 0s and 1s to U†U, and B†B - I on the principal block B has the
-    same entries as U†U - I there; U†U - I is exactly 0 elsewhere.  An
-    operator that moves k of d indices costs O(k^3), not O(d^3); a dense
-    matrix's block is the whole matrix.
-    """
-    moved = matrix != np.eye(len(matrix))
-    idx = (moved | moved.T).any(axis=0).nonzero()[0]
-    return _block_deviation(matrix[idx[:, None], idx])
-
-
 def _checked(dimension: int, moved: Sequence[int], blocks: np.ndarray) -> tuple[int, np.ndarray]:
     """``dimension`` and ``moved`` (as int64) once they and a block or (K, k, k)
     stack of them pass every check: max |B†B - I| <= ``STRUCTURAL_TOL`` for all at once."""
@@ -207,10 +191,12 @@ def _checked(dimension: int, moved: Sequence[int], blocks: np.ndarray) -> tuple[
 class Unitary:
     """Unitary operator: the identity but a k x k ``block`` on its sorted
     ``moved`` indices, then an optional row ``order`` (row i is row
-    ``order[i]``).  ``Unitary(matrix)`` finds the block as
-    :func:`unitarity_deviation` does (a dense matrix is its own), :meth:`on_block`
-    takes it given, and both check max |B†B - I| <= ``STRUCTURAL_TOL`` in O(k^3).
-    ``matrix`` is the dense view, built on first read and cached read-only.
+    ``order[i]``).  ``Unitary(matrix)`` moves the indices whose row or column
+    differs from the identity's (a dense matrix is its own block): the rest add
+    only exact 0s and 1s to U†U, so B†B - I holds every entry of U†U - I that
+    is not 0.  :meth:`on_block` takes the block given, and both check
+    max |B†B - I| <= ``STRUCTURAL_TOL`` in O(k^3).  ``matrix`` is the dense
+    view, built on first read and cached read-only.
     """
 
     __slots__ = ("dimension", "moved", "block", "order", "_matrix")
@@ -219,7 +205,7 @@ class Unitary:
         mat = np.array(matrix, dtype=np.complex128)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise DimensionError(f"expected a square matrix, got {mat.shape}")
-        moved = mat != np.eye(len(mat))  # as unitarity_deviation finds them
+        moved = mat != np.eye(len(mat))
         idx = (moved | moved.T).any(axis=0).nonzero()[0]
         block = mat if len(idx) == len(mat) else mat[idx[:, None], idx]
         self._fill(*_checked(len(mat), idx, block), block, None, mat)
@@ -249,14 +235,6 @@ class Unitary:
             self._matrix = mat if self.order is None else mat[self.order]
             self._matrix.flags.writeable = False
         return self._matrix
-
-    def permute_rows(self, order: Sequence[int] | np.ndarray) -> "Unitary":
-        """Row i of the result is row ``order[i]``: :func:`permute_rows_stack` of one order."""
-        return permute_rows_stack([self], np.array(order)[None])[0]
-
-    def __matmul__(self, other: "Unitary") -> "Unitary":
-        """self·other: :func:`compose_stack` of one operator."""
-        return compose_stack(self, [other])[0]
 
     @property
     def num_qubits(self) -> int:

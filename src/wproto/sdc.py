@@ -275,9 +275,7 @@ def capacity_check(
     products: dict[int, np.ndarray] = {}
     for op, state in zip(encoding.operators, stack):
         product = products.get(id(op.block))
-        if product is None and len(op.moved) == len(columns):  # the block is the operator
-            product = products[id(op.block)] = op.block @ columns
-        elif product is None:
+        if product is None:
             product = products[id(op.block)] = columns.copy()
             product[op.moved] = op.block @ columns[op.moved]
         state[...] = product if op.order is None else product[op.order]

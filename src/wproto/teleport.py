@@ -384,26 +384,27 @@ def _teleport(
     basis: MeasurementBasis,
     corrections: Sequence[Unitary],
     strategy: str | None,
-    relay: MeasurementBasis | None = None,
-    wm: StateVector | None = None,
+    wm: StateVector,
 ) -> ProtocolReport:
     """Teleport each row of the (G, 2^q) ``inputs`` stack through the W support
     of ``c`` and check it against its target: the row itself, or alpha|0..0> +
-    beta|wm> given ``wm``.  With a ``relay`` basis every sender branch hops
-    again at once, through a fresh Bell pair, as branch ``outer|inner`` with
-    the joint probability; ``transfer`` splits off the last qubit first.  The
-    rows go in batches of at most ``_STACK_AMPLITUDES`` branch amplitudes;
-    one fidelity stack checks a batch, which writes its rows of every column
-    of the report (shaped as :func:`outcome_shape` says) as one slice."""
+    beta|wm> for ``subspace``.  For ``serial`` every sender branch hops again
+    at once, in :func:`serial_basis` of ``wm`` through a fresh Bell pair, as
+    branch ``outer|inner`` with the joint probability; ``transfer`` splits off
+    the last qubit first.  The rows go in batches of at most
+    ``_STACK_AMPLITUDES`` branch amplitudes; one fidelity stack checks a batch,
+    which writes its rows of every column of the report (shaped as
+    :func:`outcome_shape` says) as one slice."""
     m, resource = corrections[0].num_qubits, (c.n, excitation_indices(c.n), c.coeffs)
     outcomes, qubits = outcome_shape(m, strategy or "subspace")
+    relay = serial_basis(m, wm) if strategy == "serial" else None
     probabilities, fidelities = np.empty((2, len(inputs), outcomes))
     post_states = np.empty((len(inputs), outcomes, 2**qubits), dtype=np.complex128)
     batch = max(1, _STACK_AMPLITUDES >> (m + 2))
     for start in range(0, len(inputs), batch):
         rows = slice(start, start + batch)
         targets = inputs[rows]
-        if wm is not None:
+        if strategy == "subspace":
             targets = targets[:, :1] * zero_state(m).amplitudes + targets[:, 1:] * wm.amplitudes
         labels, p, final, fixes = _hop(inputs[rows], resource, basis, corrections, range(1, m + 1))
         if relay is not None:  # one hop over every sender branch's rows, sender-branch-major
@@ -447,7 +448,7 @@ def run_teleport_encoded(c: CoefficientVector, m: int, psi: StateVector) -> Prot
     basis = measurement_family(c, m)
     _require_registers([psi], m)
     wm = excitation_blocks(c, m)[2]
-    return _teleport(psi.amplitudes[None], c, basis, bob_strategy1_set(m, wm), None)
+    return _teleport(psi.amplitudes[None], c, basis, bob_strategy1_set(m, wm), None, wm)
 
 
 def run_teleport_grid(
@@ -474,10 +475,8 @@ def run_teleport_grid(
     _require_registers(states, 1)
     wm = excitation_blocks(c, m)[2]
     corrections = (bob_strategy2_set if strategy == "transfer" else bob_strategy1_set)(m, wm)
-    relay = serial_basis(m, wm) if strategy == "serial" else None
     inputs = np.array([psi.amplitudes for psi in states])
-    target = wm if strategy == "subspace" else None
-    return _teleport(inputs, c, basis, corrections, strategy, relay, target)
+    return _teleport(inputs, c, basis, corrections, strategy, wm)
 
 
 def run_teleport_one_qubit(

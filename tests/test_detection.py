@@ -1,0 +1,144 @@
+"""Detection power: semantic mutants that a run must refuse.
+
+Each mutant is applied with ``monkeypatch`` to one builder or check, and the
+CLI then runs a config: ``configs/acceptance.json``, or the complex-phase
+``transfer`` config in ``tests/`` when the acceptance resources cannot see the
+fault (their coefficients are real, so the transfer's phase conj(p) is 1 on
+them).  A mutant is caught when the run exits 1, a verdict mismatch, or
+fails with the error the table names.  Unmutated, every config exits 0.
+
+Not caught yet, each shown by a run that still exits 0:
+
+* grid rows skipped (``run_teleport_grid`` given only the first state): the
+  report stays consistent and shows the loss only in ``runs`` and in call
+  counts; a certificate over every input (ROADMAP item 2) closes it;
+* ``FIDELITY_THRESHOLD`` loosened to 0: every correct run still passes, and
+  the refused acceptance scenarios are refused by the split condition before
+  any fidelity is taken; a report of how close each check came to its
+  tolerance (ROADMAP aim 4) would show it.
+"""
+
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+import wproto.cli as cli
+import wproto.qsim as qsim
+import wproto.sdc as sdc
+import wproto.teleport as teleport
+import wproto.wstates as wstates
+from wproto.cli import main
+from wproto.qsim import MeasurementBasis, Unitary
+
+ROOT = Path(__file__).resolve().parent.parent
+ACCEPTANCE = ROOT / "configs" / "acceptance.json"
+PHASE_TRANSFER = Path(__file__).resolve().parent / "config_phase_transfer.json"
+
+
+def swapped_corrections(mp):
+    build = teleport.bob_strategy1_set
+
+    def mutant(m, wm):
+        ops = build(m, wm)
+        ops[1], ops[2] = ops[2], ops[1]
+        return ops
+
+    mp.setattr(teleport, "bob_strategy1_set", mutant)
+
+
+def off_correction_block(mp):
+    build = teleport.bob_strategy1_set
+
+    def mutant(m, wm):
+        ops = build(m, wm)
+        block = ops[1].block.copy()
+        block[0, 0] += 1e-9
+        ops[1] = Unitary.on_block(ops[1].dimension, ops[1].moved, block)
+        return ops
+
+    mp.setattr(teleport, "bob_strategy1_set", mutant)
+
+
+def dropped_transfer_phase(mp):
+    build = teleport.transfer_unitary
+
+    def mutant(m, wm):
+        u = build(m, wm)
+        w1 = complex(wm.amplitudes[1])
+        block = u.block.copy()
+        block[1] *= w1 / abs(w1) if w1 else 1.0  # undoes the row's conj(p)
+        return Unitary.on_block(u.dimension, u.moved, block)
+
+    mp.setattr(teleport, "transfer_unitary", mutant)
+
+
+def permuted_relay_labels(mp):
+    build = teleport.serial_basis
+
+    def mutant(m, wm):
+        basis = build(m, wm)
+        first, second, *rest = basis.labels
+        return MeasurementBasis(basis.subset, basis.vectors, (second, first, *rest))
+
+    mp.setattr(teleport, "serial_basis", mutant)
+
+
+def inverted_verdict(mp):
+    verdict = sdc._verdict
+
+    def mutant(rows):
+        judged = verdict(rows)
+        return replace(judged, decodable=not judged.decodable)
+
+    mp.setattr(sdc, "_verdict", mutant)
+
+
+def repeated_sdc_operator(mp):
+    build = sdc.general_encoding_set
+
+    def mutant(c, m):
+        ops = build(c, m).operators
+        return sdc.EncodingSet((ops[0], ops[0]) + ops[2:])
+
+    mp.setattr(sdc, "general_encoding_set", mutant)
+
+
+def reversed_cuts(mp):
+    spectra = qsim.trailing_spectra
+    mp.setattr(wstates, "trailing_spectra", lambda state: spectra(state)[::-1])
+
+
+# name: (mutant, config, exit code or the error the run must name)
+MUTANTS = {
+    "two strategy-1 corrections swapped": (swapped_corrections, ACCEPTANCE, 1),
+    "a correction block off by 1e-9": (off_correction_block, ACCEPTANCE, ValueError),
+    "the transfer's conj(p) phase dropped": (dropped_transfer_phase, PHASE_TRANSFER, 1),
+    "the relay basis's first two labels swapped": (permuted_relay_labels, ACCEPTANCE, 1),
+    "sdc's decodable verdict inverted": (inverted_verdict, ACCEPTANCE, 1),
+    "a generated sdc set with one operator repeated": (repeated_sdc_operator, ACCEPTANCE, 1),
+    "trailing_spectra returning the cuts reversed": (
+        reversed_cuts, ACCEPTANCE, qsim.InternalConsistencyError
+    ),
+}
+
+
+def _exit(config: Path, tmp_path: Path) -> int:
+    return main(["--config", str(config), "--format", "json", "--out", str(tmp_path / "r.json")])
+
+
+@pytest.mark.parametrize("config", [ACCEPTANCE, PHASE_TRANSFER], ids=lambda p: p.stem)
+def test_every_config_passes_unmutated(config, tmp_path):
+    assert _exit(config, tmp_path) == 0
+
+
+@pytest.mark.parametrize("name", list(MUTANTS))
+def test_the_mutant_is_caught(name, monkeypatch, tmp_path, capsys):
+    mutate, config, caught = MUTANTS[name]
+    mutate(monkeypatch)
+    code = _exit(config, tmp_path)
+    if caught == 1:
+        assert code == 1
+    else:
+        assert code == cli.EXIT_INTERNAL_ERROR
+        assert f"internal error: {caught.__name__}: " in capsys.readouterr().err

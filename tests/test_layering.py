@@ -224,6 +224,19 @@ def test_the_w_index_rule_is_written_once():
                 if isinstance(node, (ast.For, ast.While, ast.comprehension))]
 
 
+def test_the_moved_index_rule_is_written_once():
+    # "an index moves when its row or column differs from the identity's":
+    # one comparison with np.eye, in Unitary(matrix); every other operator is
+    # built on its block
+    trees = {path.name: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
+    # each comparison is listed under every class and function around it
+    rules = [(name, owner.name) for name, tree in trees.items()
+             for owner in ast.walk(tree) if isinstance(owner, (ast.ClassDef, ast.FunctionDef))
+             for node in ast.walk(owner) if isinstance(node, ast.Compare)
+             and _calls(node, "np.eye")]
+    assert rules == [("qsim.py", "Unitary"), ("qsim.py", "__init__")]
+
+
 @pytest.mark.parametrize("name", sorted(GOLDENS))
 def test_acceptance_report_is_byte_identical_to_golden(tmp_path, name):
     config, golden = GOLDENS[name]
