@@ -9,9 +9,9 @@ state on n >= 4 qubits share one SVD and no entropy builds a 2^k x 2^k matrix.
 
 Unitary application and projective measurement also come as stacked
 kernels over a (G, 2^n) array of amplitude rows, one state per row
-(:func:`apply_unitary_stack`, :func:`project_stack`).  They run the same
-BLAS call on every row that the one-state call runs on that row, so each
-row's result is equal bit for bit, and they check every row on its own;
+(:func:`apply_unitary_stack`, :func:`project_stack`).  They check every row on
+its own and, working on an operator's moved rows and a joint state's occupied
+columns, keep its dense values bit for bit up to the sign of a zero;
 :func:`apply_unitary` and :func:`project` are their one-row case.  Row
 norms and overlaps are one ``np.vecdot`` over the stack, the BLAS zdotc
 that ``np.vdot`` runs on each row.  :func:`state_rows` turns a stack into
@@ -19,8 +19,8 @@ that ``np.vdot`` runs on each row.  :func:`state_rows` turns a stack into
 row, the second repeated over blocks of the first (:func:`fidelity` is its
 one-row case), so a caller that works on stacks makes no per-row call.  A
 :class:`Unitary` is the identity but a block on the indices it moves, with
-an optional row order; it is built, checked, composed and permuted on that
-block, and only its application reads the dense matrix, built once.
+an optional row order; it is built, checked, composed, permuted and applied
+on that block; only the tests read its dense matrix.
 
 All values are immutable after construction (amplitude buffers are marked
 read-only) and every operation is a pure function, so independent
@@ -199,7 +199,7 @@ class Unitary:
     view, built on first read and cached read-only.
     """
 
-    __slots__ = ("dimension", "moved", "block", "order", "_matrix")
+    __slots__ = ("dimension", "moved", "block", "order", "_matrix", "_rows")
 
     def __init__(self, matrix: np.ndarray):
         mat = np.array(matrix, dtype=np.complex128)
@@ -214,7 +214,7 @@ class Unitary:
         for array in [a for a in (moved, block, order, matrix) if a is not None]:
             array.flags.writeable = False
         self.dimension, self.moved, self.block, self.order = dim, moved, block, order
-        self._matrix = matrix
+        self._matrix, self._rows = matrix, None
         return self
 
     @classmethod
@@ -490,13 +490,28 @@ def gram_matrix(vectors: Sequence[StateVector] | np.ndarray) -> np.ndarray:
     return arr.conj() @ arr.T
 
 
+def _operator_rows(u: Unitary) -> tuple[np.ndarray, np.ndarray]:
+    """The indices of the rows that the block of ``u`` moves and those rows of
+    the identity plus the block at full length, built once per operator."""
+    if u._rows is None:
+        rows, block = u.moved, u.block
+        if len(rows) == 1:  # padded to two: numpy's product of one row takes a vector path
+            rows = np.array([0, max(int(rows[0]), 1)])
+            block = np.diag(np.where(rows == u.moved[0], block[0, 0], 1.0))
+        ops = np.zeros((len(rows), u.dimension), dtype=np.complex128)
+        ops[:, rows] = block
+        u._rows = rows, ops
+    return u._rows
+
+
 def apply_unitary_stack(rows: np.ndarray, u: Unitary, subset: Sequence[int]) -> np.ndarray:
     """Apply ``u`` to the listed qubits (in listed order) of every row of a
     (G, 2^n) amplitude stack; identity elsewhere.
 
-    One matmul over the stack: numpy runs the same BLAS call on each row
-    that :func:`apply_unitary` runs on that row alone, so row g of the
-    result equals it bit for bit.  Every row must keep its norm.
+    One matmul over the stack multiplies the rows that the block moves
+    (:func:`_operator_rows`), the others are copied, and a row order then
+    permutes the rows: no 2^k x 2^k matrix is built, and each entry is the dense
+    product's bit for bit, up to the sign of a zero.  Every row must keep its norm.
     """
     rows = _stack(rows)
     psi, perm, k = _grouped(rows, subset)
@@ -506,7 +521,10 @@ def apply_unitary_stack(rows: np.ndarray, u: Unitary, subset: Sequence[int]) -> 
         )
     g, n = len(rows), len(perm)
     back = [0] + [ax + 1 for ax in np.argsort(perm)]
-    out = (u.matrix @ psi).reshape((g,) + (2,) * n).transpose(back).reshape(g, -1)
+    out, (moved, ops) = psi.copy(), _operator_rows(u)
+    out[:, moved] = ops @ psi
+    out = out if u.order is None else out[:, u.order]
+    out = out.reshape((g,) + (2,) * n).transpose(back).reshape(g, -1)
     drift = np.abs(np.sqrt(_norms_squared(out)) - np.sqrt(_norms_squared(rows)))
     if not (drift <= NORM_PRESERVATION_TOL).all():
         raise InternalConsistencyError("unitary application failed to preserve the norm")
@@ -520,36 +538,43 @@ def apply_unitary(state: StateVector, u: Unitary, subset: Sequence[int]) -> Stat
 
 
 def project_stack(
-    rows: np.ndarray, basis: MeasurementBasis
+    rows: np.ndarray, basis: MeasurementBasis, support: tuple[int, np.ndarray] | None = None
 ) -> list[tuple[str, np.ndarray, np.ndarray | None]]:
     """Projective measurement of ``basis.subset`` in every row of a (G, 2^n)
-    amplitude stack.
+    amplitude stack (every column), or in support form: with ``support`` = (r,
+    columns), ``rows`` is the (G, 2^k, W) block of the k measured qubits (in
+    subset order) on the listed patterns of the r rest qubits, zero-padded.
 
-    Returns, per basis vector in order, its label, the (G,) Born
-    probabilities and the (G, 2^(n-k)) renormalized post-states of the
-    remaining qubits (original order), or None when every qubit is
-    measured.  A row whose probability is at most ``ZERO_PROBABILITY`` has
-    no post-state: it is left zero, never divided by sqrt(0).  Each row
-    must be normalized and, for a partial basis, have in-span probability
-    one; a row that fails either raises, as :func:`project` does for it
-    alone.  Every value equals :func:`project` on that row bit for bit: one
-    ``vec.conj() @ psi`` per family vector runs the same BLAS call on each
-    row, and each probability is the ``np.vdot`` value (see
-    :func:`_norms_squared`).
+    Returns, per basis vector in order, its label, the (G,) Born probabilities
+    and the (G, 2^r) renormalized post-states of the rest qubits (original
+    order), or None when every qubit is measured; a row of probability at most
+    ``ZERO_PROBABILITY`` is left zero.  A row that is not normalized or, for a
+    partial basis, not in the span raises, as :func:`project` does for it
+    alone.  ``vec.conj() @ psi`` gives each column the dense value when W is a
+    power of two of at least min(8, 2^r) (a threaded BLAS splits the sums of
+    four or fewer columns); the norms and the division, whose sums depend on
+    position, run at full width, so each value equals :func:`project` on that
+    row's dense joint bit for bit, up to the sign of a zero.
     """
-    rows = _stack(rows)
-    if not unit_rows(rows).all():
+    if support is None:
+        psi, perm, k = _grouped(_stack(rows), basis.subset)
+        support = (len(perm) - k, np.arange(psi.shape[2]))
+    else:
+        psi, k = np.asarray(rows, dtype=np.complex128), len(basis.subset)
+        if psi.ndim != 3 or psi.shape[1] != 2**k:
+            raise DimensionError(f"expected a (G, {2**k}, W) support block, got {psi.shape}")
+    rest, columns = support
+    if not unit_rows(psi.reshape(len(psi), -1)).all():
         raise NormalizationError("projective measurement expects a normalized state")
-    psi, perm, k = _grouped(rows, basis.subset)
-    v, g = len(basis.vectors), len(rows)
-    branches = np.empty((v, g, psi.shape[2]), dtype=np.complex128)
-    for vec, branch in zip(basis.vectors, branches):
+    v, g = len(basis.vectors), len(psi)
+    branches = overlaps = np.empty((v, g, psi.shape[2]), dtype=np.complex128)
+    for vec, branch in zip(basis.vectors, overlaps):
         np.matmul(vec.amplitudes.conj(), psi, out=branch)
+    if len(columns) < 2**rest:
+        branches = np.zeros((v, g, 2**rest), dtype=np.complex128)
+        branches[:, :, columns] = overlaps[:, :, : len(columns)]
     p = _norms_squared(branches.reshape(v * g, -1)).reshape(v, g)
-    total = 0.0
-    for row in p:
-        total = total + row
-    outside = 1.0 - total
+    outside = 1.0 - p.sum(axis=0)
     failing = outside[~(np.abs(outside) <= STRUCTURAL_TOL)]
     if failing.size:
         raise ProtocolViolationError(
@@ -557,7 +582,7 @@ def project_stack(
             f" measurement family ({v} vectors on {k} qubits)"
         )
     post = [None] * v
-    if len(perm) > k:
+    if rest:
         kept = (p > ZERO_PROBABILITY)[:, :, None]
         post = np.divide(branches, np.sqrt(p)[:, :, None], out=np.zeros_like(branches), where=kept)
     return list(zip(basis.labels, p, post))

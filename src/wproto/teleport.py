@@ -326,8 +326,8 @@ _BELL = (2, np.array([0, 3]), np.full(2, 1.0 / math.sqrt(2.0), dtype=np.complex1
 #: largest joint state the qubit budget allows
 _STACK_AMPLITUDES = 2 ** (MAX_QUBITS + 1)
 
-#: each hop measures its joint states in stacks of at most this many
-#: amplitudes (512 KiB; 2^16 costs 1 MiB more peak memory); a larger one on its own
+#: each hop measures its joint states in stacks of at most this many amplitudes
+#: of their support form (512 KiB); a larger one on its own
 _JOINT_AMPLITUDES = 2**15
 
 
@@ -347,24 +347,29 @@ def _hop(
 ) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, tuple[Unitary, ...]]:
     """One teleportation step on every row of a (G, 2^q) stack: row (x) the
     ``resource`` (qubits, support indices, amplitudes) is measured in ``basis``
-    in stacks of at most ``_JOINT_AMPLITUDES`` amplitudes (a larger joint
-    state alone), written into one zeroed buffer as the x_b * a_j entries at
-    b * 2^qubits + j only, and each outcome's post-states are corrected at
-    once on the ``receiver`` qubits.  Returns the K labels, (K, G)
-    probabilities, (K, G, 2^r) corrected post-states and K corrections.  The
-    rows form one group per prefix; a branch of probability 0 in any row is
-    a bug, named by the first such group's prefix and its label."""
+    (its k qubits lead) in support form, on the support's rest patterns padded
+    to a power of two of at least min(8, 2^r) (:func:`project_stack`), in stacks
+    of at most ``_JOINT_AMPLITUDES`` such amplitudes (a larger one alone) in one
+    zeroed buffer, and each outcome's post-states are corrected at once on the
+    ``receiver`` qubits.  Returns the K labels, (K, G) probabilities, (K, G, 2^r)
+    corrected post-states and K corrections.  The rows form one group per
+    prefix; a branch of probability 0 in any row is a bug, named by the first
+    such group's prefix and its label."""
     qubits, index, amplitudes = resource
-    size = rows.shape[1] << qubits
-    per = min(len(rows), max(1, _JOINT_AMPLITUDES // size))
-    joint = np.zeros((per, rows.shape[1], 2**qubits), dtype=np.complex128)
+    r = rows.shape[1].bit_length() - 1 + qubits - len(basis.subset)
+    columns = np.array(sorted(set((index & ((1 << r) - 1)).tolist())))
+    width = max(1 << (len(columns) - 1).bit_length(), min(8, 2**r))
+    columns = np.arange(width) if width == 2**r else columns  # the dense layout
+    at_support = (index >> r) * width + np.searchsorted(columns, index & ((1 << r) - 1))
+    per = min(len(rows), max(1, _JOINT_AMPLITUDES // (width << len(basis.subset))))
+    joint = np.zeros((per, rows.shape[1], width << (qubits - r)), dtype=np.complex128)
     p = np.empty((len(basis.labels), len(rows)))
-    post = np.empty(p.shape + (size >> len(basis.subset),), dtype=np.complex128)
+    post = np.empty(p.shape + (2**r,), dtype=np.complex128)
     for start in range(0, len(rows), per):
         at = slice(start, start + per)
         chunk = joint[: len(rows[at])]
-        chunk[:, :, index] = rows[at, :, None] * amplitudes
-        measured = project_stack(chunk.reshape(-1, size), basis)
+        chunk[:, :, at_support] = rows[at, :, None] * amplitudes
+        measured = project_stack(chunk.reshape(len(chunk), -1, width), basis, (r, columns))
         for k, (_, prob, branch) in enumerate(measured):
             p[k, at], post[k, at] = prob, branch
     del joint, chunk  # the corrections run without it: a lower peak

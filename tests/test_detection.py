@@ -18,6 +18,7 @@ Not caught yet, each shown by a run that still exits 0:
   tolerance (ROADMAP aim 4) would show it.
 """
 
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -109,6 +110,44 @@ def reversed_cuts(mp):
     mp.setattr(wstates, "trailing_spectra", lambda state: spectra(state)[::-1])
 
 
+def flipped_family_sign(mp):
+    build = teleport._family
+
+    def mutant(zero, one, first, second):
+        xi_plus, xi_minus, eta_plus, eta_minus = build(zero, one, first, second)
+        # eta+- = y|zero>|B> -+ x|one>|A>: each is the other, so the family
+        # stays orthonormal and only the corrections can show the fault
+        return [xi_plus, xi_minus, eta_minus, eta_plus]
+
+    mp.setattr(teleport, "_family", mutant)
+
+
+def off_balance_resource(mp):
+    def unbalanced(build):
+        def mutant(n):
+            # 5e-7 of weight moved from the last coefficient to the first:
+            # every cut's split sums then differ by 1e-6, and the norm stays 1
+            coeffs = build(n).coeffs.copy()
+            coeffs[0] *= math.sqrt(1 + 5e-7 / abs(coeffs[0]) ** 2)
+            coeffs[-1] *= math.sqrt(1 - 5e-7 / abs(coeffs[-1]) ** 2)
+            return wstates.CoefficientVector(coeffs)
+
+        return mutant
+
+    for name, build in list(cli.W_FAMILY.items()):
+        mp.setitem(cli.W_FAMILY, name, unbalanced(build))
+
+
+def skipped_moved_row(mp):
+    rows = qsim._operator_rows
+
+    def mutant(u):
+        moved, ops = rows(u)
+        return moved[:-1], ops[:-1]  # the last moved row is copied, not multiplied
+
+    mp.setattr(qsim, "_operator_rows", mutant)
+
+
 # name: (mutant, config, exit code or the error the run must name)
 MUTANTS = {
     "two strategy-1 corrections swapped": (swapped_corrections, ACCEPTANCE, 1),
@@ -119,6 +158,11 @@ MUTANTS = {
     "a generated sdc set with one operator repeated": (repeated_sdc_operator, ACCEPTANCE, 1),
     "trailing_spectra returning the cuts reversed": (
         reversed_cuts, ACCEPTANCE, qsim.InternalConsistencyError
+    ),
+    "one family sign flipped": (flipped_family_sign, ACCEPTANCE, 1),
+    "a resource off balance by 1e-6": (off_balance_resource, ACCEPTANCE, 1),
+    "a correction that skips one moved row": (
+        skipped_moved_row, ACCEPTANCE, qsim.InternalConsistencyError
     ),
 }
 

@@ -117,16 +117,16 @@ def test_teleport_returns_columns_and_checks_fidelity_in_one_place():
     assert callers == ["_teleport"]
 
 
-def test_only_qsim_reads_an_operators_dense_view():
-    # operators are built, composed and encoded on their blocks; the dense
-    # 2^m x 2^m view is qsim's, for dense application alone
+def test_no_module_reads_an_operators_dense_view():
+    # operators are built, composed, encoded and applied on their blocks and
+    # moved rows; the dense 2^m x 2^m view is the tests' reference alone
     readers = {
         path.name
         for path in PACKAGE.glob("*.py")
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Attribute) and node.attr == "matrix"
     }
-    assert readers == {"qsim.py"}
+    assert not readers
 
 
 def _calls(tree: ast.AST, dotted: str) -> list[ast.Call]:
@@ -187,7 +187,8 @@ def _function(tree: ast.AST, name: str) -> ast.FunctionDef:
 
 def test_protocols_take_the_resource_by_its_support():
     # teleport and the capacity check never build the dense 2^n resource, and
-    # the hop fills one joint buffer, allocated before its chunk loop
+    # the hop fills one joint buffer, allocated before its chunk loop, and
+    # measures it in support form: the block and its rest patterns
     trees = {name: ast.parse((PACKAGE / name).read_text()) for name in ("teleport.py", "sdc.py")}
     capacity = _function(trees["sdc.py"], "capacity_check")
     assert not _calls(trees["teleport.py"], "generalized_w") + _calls(capacity, "generalized_w")
@@ -199,6 +200,7 @@ def test_protocols_take_the_resource_by_its_support():
     in_loop = [call for call in allocated if call in set(ast.walk(loop))]
     assert len(_calls(hop, "np.zeros")) == 1 and not in_loop
     (measure,) = _calls(loop, "project_stack")
+    assert len(measure.args) == 3
     (buffer,) = [target.id for node in ast.walk(hop) if isinstance(node, ast.Assign)
                  for target in node.targets if isinstance(target, ast.Name)
                  and _calls(node, "np.zeros")]

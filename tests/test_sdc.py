@@ -386,7 +386,7 @@ def test_decodable_iff_states_form_a_measurement_basis(n, data, eps, seed):
         assert verdict.worst_pair[2] == np.abs(verdict.gram - np.eye(k)).max()
 
 
-def test_capacity_check_holds_its_encoded_stack_under_three_times():
+def test_capacity_check_peaks_under_its_stack_and_gram_arrays():
     # W14, m = 7: 256 encoded states of 2^7 x 2 amplitudes, a 1 MiB stack and
     # a 1 MiB Gram matrix taken from the stack itself.  At the peak the stack,
     # the Gram matrix, gram - I and its modulus (half a Gram matrix) are alive:
@@ -445,19 +445,3 @@ def test_two_column_capacity_equals_the_dense_encoded_states(data, n, seed, zero
         expected, gram = _dense_capacity(c, m, encoding)
         assert result == expected
         assert float(np.abs(grams[0] - gram).max()) <= 1e-14
-
-
-def test_capacity_check_encodes_on_two_columns():
-    # W16, m = 8: 512 encoded states of 2^8 x 2 amplitudes (a 4 MiB stack)
-    # and a 4 MiB Gram matrix; the occupied rows, padded to 16 columns,
-    # peaked at 69.4 MiB
-    c, m = w_coefficients(16), 8
-    encoding = general_encoding_set(c, m)
-    tracemalloc.start()
-    try:
-        result = capacity_check(c, m, encoding)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert result.decodable and result.bits == 9 and result.set_size == 512
-    assert peak < 24 * 2**20

@@ -628,11 +628,12 @@ def test_every_operator_built_passes_the_dense_check(monkeypatch):
 
 def test_the_largest_generated_set_builds_no_dense_operator(monkeypatch):
     """W16 at m = 8: 512 operators of 256 x 256 are 4 blocks and their row
-    orders, and encoding them all reads no operator's dense view.  The peak
-    holds the 4 MiB stack of 512 encoded 2^8 x 2 states, its 4 MiB Gram
-    matrix, gram - I and its 2 MiB modulus, and the set's 0.25 MiB of row
-    orders: measured at 14.5 MiB, under a bound that one more 1 MiB
-    operator or stack-sized copy breaks."""
+    orders, and encoding them all on the two Schmidt columns reads no
+    operator's dense view.  The peak holds the 4 MiB stack of 512 encoded
+    2^8 x 2 states, its 4 MiB Gram matrix, gram - I and its 2 MiB modulus,
+    and the set's 0.25 MiB of row orders: measured at 14.5 MiB, under a bound
+    that one more 1 MiB operator or stack-sized copy breaks (the occupied
+    rows, padded to 16 columns, peaked at 69.4 MiB)."""
     reads = Counter()
     dense = Unitary.matrix.fget
     monkeypatch.setattr(
@@ -646,7 +647,7 @@ def test_the_largest_generated_set_builds_no_dense_operator(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert result.decodable and result.bits == 9
+    assert result.decodable and result.bits == 9 and result.set_size == 512
     assert len(encoding.operators) == 512
     assert len({id(op.block) for op in encoding.operators}) == 4
     assert reads[256] == 0

@@ -21,6 +21,7 @@ from wproto.qsim import (
     fidelity,
     fidelity_stack,
     make_basis_state,
+    permute_rows_stack,
     project,
     project_stack,
     state_rows,
@@ -132,6 +133,44 @@ def test_unitary_rows_equal_single_applications(data, n, g, seed, normalized):
         assert (out == _reference_apply(row, n, u, subset)).all()
 
 
+def _folded(array) -> bytes:
+    """The bytes of ``array`` with every -0 folded into +0."""
+    return (np.asarray(array) + 0.0).tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    data=st.data(),
+    k=st.integers(min_value=1, max_value=5),
+    rest=st.integers(min_value=0, max_value=3),
+    g=st.integers(min_value=1, max_value=4),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    flipped=st.booleans(),
+)
+def test_moved_row_application_equals_the_dense_product_bytewise(data, k, rest, g, seed, flipped):
+    # 1, 2, ... or all of the 2^k indices moved, with or without a row order
+    # (general_encoding_set's flips i -> i XOR 2b), on 0-3 rest qubits: every
+    # entry is the dense u.matrix product's, up to the sign of a zero (a
+    # copied identity row keeps a -0 that the dense product turns into +0)
+    rng = np.random.default_rng(seed)
+    dim, n = 2**k, k + rest
+    count = data.draw(st.integers(min_value=1, max_value=dim))
+    q, _ = np.linalg.qr(_complex(rng, count, count))
+    u = Unitary.on_block(dim, np.sort(rng.choice(dim, count, replace=False)), q)
+    if flipped and k > 1:
+        flip = np.arange(dim) ^ 2 * int(rng.integers(1, dim // 2))
+        u = permute_rows_stack([u], [flip])[0]
+    subset = data.draw(st.permutations(range(1, n + 1)))[:k]
+    rows = _complex(rng, g, 2**n)
+    zeros = rng.random(2**n) < 0.3
+    zeros[rng.integers(2**n)] = False
+    rows[:, zeros] = 0.0  # exact zeros in every row, never all of it
+    rows /= np.linalg.norm(rows, axis=1)[:, None]
+    stacked = apply_unitary_stack(rows, u, subset)
+    for row, out in zip(rows, stacked, strict=True):
+        assert _folded(out) == _folded(_reference_apply(row, n, u, subset))
+
+
 def test_zero_probability_branch_has_no_post_state():
     # qubit 1 of |0>(x)|+> and of |+>(x)|+>, measured in {|0>, |1>}
     k0, k1 = make_basis_state(1, [0]), make_basis_state(1, [1])
@@ -177,6 +216,13 @@ def test_stack_shape_is_checked(rows):
         project_stack(rows, basis)
     with pytest.raises(DimensionError):
         apply_unitary_stack(rows, Unitary(np.eye(2)), [1])
+
+
+def test_support_block_shape_is_checked():
+    basis = MeasurementBasis([1, 2], [make_basis_state(2, [0, 0])])
+    for block in (np.zeros((2, 4)), np.zeros((2, 2, 4)), np.zeros((1, 4, 2, 2))):
+        with pytest.raises(DimensionError):
+            project_stack(block, basis, (2, np.arange(2)))
 
 
 def _dot_stacks(width):

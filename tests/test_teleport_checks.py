@@ -40,8 +40,8 @@ def _zero_outcome(monkeypatch, label):
     """Make every measurement report probability 0 for outcome ``label``."""
     project_stack = teleport.project_stack
 
-    def patched(rows, basis):
-        measured = project_stack(rows, basis)
+    def patched(rows, basis, support):
+        measured = project_stack(rows, basis, support)
         return [(lab, p * 0.0 if lab == label else p, post) for lab, p, post in measured]
 
     monkeypatch.setattr(teleport, "project_stack", patched)
@@ -69,9 +69,9 @@ def _zero_row(monkeypatch, label, row):
     stacked row ``row`` only."""
     project_stack = teleport.project_stack
 
-    def patched(rows, basis):
+    def patched(rows, basis, support):
         measured = []
-        for lab, p, post in project_stack(rows, basis):
+        for lab, p, post in project_stack(rows, basis, support):
             if lab == label:
                 p = p.copy()
                 p[row] = 0.0

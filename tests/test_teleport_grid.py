@@ -5,13 +5,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import wproto.teleport as teleport
 import wproto.wstates as wstates
 from wproto.qsim import (
     PAULI_FOUR,
+    ZERO_PROBABILITY,
     PAULIS,
     StateVector,
     Unitary,
@@ -444,6 +445,14 @@ def test_a_batch_hops_once_per_measurement(monkeypatch, strategy, expected):
     assert tuple(calls.values()) == expected
 
 
+def test_a_large_hop_measures_its_support_form_in_few_chunks(monkeypatch):
+    # W16, m = 8: each sender joint state takes 2^9 x 16 support amplitudes, so
+    # the 20 rows are measured in 5 chunks of 4 (one row per chunk on all 2^17
+    # amplitudes); the relay's 80 rows of 2^9 x 2 in 3 chunks of 32
+    calls = _kernel_calls(monkeypatch, w_coefficients(16), 8, unknown_state_grid(20, 1), "serial")
+    assert tuple(calls.values()) == (5 + 3, 8, 1, 0)
+
+
 def _per_sender_branch_relay(c, m, grid):
     """The serial relay as a loop over the sender's branches, one relay
     measurement per branch on that branch's G rows, through the stacked
@@ -612,3 +621,85 @@ def test_protocol_objects_stay_in_their_two_level_spans(data, n, seed, zeroed):
     # (|a>|0> + |b>|1>): both relay-qubit columns in span{|0..0>, |w>}
     columns = relay.reshape(4, 2**m, 2).swapaxes(1, 2).reshape(8, -1)
     assert _off_span(columns, pair) <= 1e-12
+
+
+def _folded(array) -> bytes:
+    """The bytes of ``array`` with every -0 folded into +0."""
+    return (np.asarray(array) + 0.0).tobytes()
+
+
+def _dense_measurement(rows, basis):
+    """The (V, G) probabilities and (V, G, 2^r) post-states of a (G, 2^n)
+    stack whose leading qubits ``basis`` measures, on the whole joint state:
+    one overlap per family vector, a row dot for each norm, then the division."""
+    psi = rows.reshape(len(rows), 2 ** len(basis.subset), -1)
+    branches = np.array([vec.amplitudes.conj() @ psi for vec in basis.vectors])
+    p = np.vecdot(branches, branches).real
+    kept = (p > ZERO_PROBABILITY)[:, :, None]
+    return p, np.divide(branches, np.sqrt(p)[:, :, None], out=np.zeros_like(branches), where=kept)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=12),
+    m=st.integers(min_value=1, max_value=11),
+    count=st.integers(min_value=1, max_value=5),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    zeroed=st.booleans(),
+)
+# the encoded hop's gemv on 2^12 rows: a threaded BLAS splits its sums when
+# the block has four or fewer columns, so a width of 4 moves bytes there
+@example(n=12, m=3, count=1, seed=0, zeroed=False)
+# nine support columns: a width that is not a power of two moves bytes
+@example(n=9, m=8, count=1, seed=1, zeroed=False)
+def test_support_form_measurement_equals_the_dense_call_bytewise(n, m, count, seed, zeroed):
+    # every hop's support form (the sender's, the relay's and the encoded
+    # register's), scattered back into its dense joint state: the support form
+    # measures each value as the dense call and the dense arithmetic do,
+    # down to the sign of a zero
+    assume(m < n)
+    rng = np.random.default_rng(seed)
+    c = (zeroed_condition_coefficients if zeroed else random_condition_coefficients)(n, m, rng)
+    grid = unknown_state_grid(count, int(rng.integers(2**31)))
+    calls, measure = [], teleport.project_stack
+
+    def recorded(rows, basis, support):
+        measured = measure(rows, basis, support)
+        calls.append((np.array(rows), basis, support, measured))  # the buffer is reused
+        return measured
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(teleport, "project_stack", recorded)
+        run_teleport_grid(c, m, grid, "serial")
+        run_teleport_encoded(c, m, encoded_state(c, m, 0.6, 0.8j))
+    assert {len(basis.subset) for _, basis, _, _ in calls} == {n - m + 1, m + 1, n}
+    for compact, basis, (rest, columns), measured in calls:
+        joint = np.zeros(compact.shape[:2] + (2**rest,), dtype=np.complex128)
+        joint[:, :, columns] = compact[:, :, : len(columns)]
+        joint = joint.reshape(len(joint), -1)
+        dense = project_stack(joint, basis)
+        for (label, p, post), want_p, want_post, (_, dense_p, dense_post) in zip(
+            measured, *_dense_measurement(joint, basis), dense, strict=True
+        ):
+            assert _folded(p) == _folded(want_p) == _folded(dense_p), label
+            assert _folded(post) == _folded(want_post) == _folded(dense_post), label
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_w16_strategies_read_no_dense_operator_and_hold_no_joint_state(monkeypatch, strategy):
+    # W16, m = 8: corrections multiply their moved rows and the hops measure
+    # in support form, so no operator's 256 x 256 view is read and the peak
+    # stays under one dense joint state of 2^17 amplitudes (2 MiB)
+    reads = []
+    dense = Unitary.matrix.fget
+    monkeypatch.setattr(Unitary, "matrix", property(lambda u: reads.append(u) or dense(u)))
+    c, grid = w_coefficients(16), unknown_state_grid(20, 4)
+    run_teleport_grid(c, 8, grid, strategy)  # warm: first-call allocations aside
+    tracemalloc.start()
+    try:
+        report = run_teleport_grid(c, 8, grid, strategy)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.success and not reads
+    assert peak < 2**17 * 16
