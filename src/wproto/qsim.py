@@ -9,18 +9,19 @@ state on n >= 4 qubits share one SVD and no entropy builds a 2^k x 2^k matrix.
 
 Unitary application and projective measurement also come as stacked
 kernels over a (G, 2^n) array of amplitude rows, one state per row
-(:func:`apply_unitary_stack`, :func:`project_stack`).  They check every row on
-its own and, working on an operator's moved rows and a joint state's occupied
-columns, keep its dense values bit for bit up to the sign of a zero;
-:func:`apply_unitary` and :func:`project` are their one-row case.  Row
+(:func:`project_stack`), or a (K, G, 2^n) one that K operators moving the same
+indices take in one call, one per block (:func:`apply_unitary_stack`).  They
+check every row on its own and, working on moved rows and occupied columns,
+keep its dense values bit for bit up to the sign of a zero, at any BLAS thread
+count; :func:`apply_unitary` and :func:`project` are their one-row case.  Row
 norms and overlaps are one ``np.vecdot`` over the stack, the BLAS zdotc
 that ``np.vdot`` runs on each row.  :func:`state_rows` turns a stack into
 ``StateVector`` rows and :func:`fidelity_stack` compares two stacks row by
 row, the second repeated over blocks of the first (:func:`fidelity` is its
 one-row case), so a caller that works on stacks makes no per-row call.  A
 :class:`Unitary` is the identity but a block on the indices it moves, with
-an optional row order; it is built, checked, composed, permuted and applied
-on that block; only the tests read its dense matrix.
+an optional row order; it is built, checked, permuted and applied on that
+block, a set of them as one stack; only the tests read its dense matrix.
 
 All values are immutable after construction (amplitude buffers are marked
 read-only) and every operation is a pure function, so independent
@@ -199,7 +200,7 @@ class Unitary:
     view, built on first read and cached read-only.
     """
 
-    __slots__ = ("dimension", "moved", "block", "order", "_matrix", "_rows")
+    __slots__ = ("dimension", "moved", "block", "order", "_matrix")
 
     def __init__(self, matrix: np.ndarray):
         mat = np.array(matrix, dtype=np.complex128)
@@ -214,7 +215,7 @@ class Unitary:
         for array in [a for a in (moved, block, order, matrix) if a is not None]:
             array.flags.writeable = False
         self.dimension, self.moved, self.block, self.order = dim, moved, block, order
-        self._matrix, self._rows = matrix, None
+        self._matrix = matrix
         return self
 
     @classmethod
@@ -244,38 +245,33 @@ class Unitary:
         return f"Unitary(dimension={self.dimension})"
 
 
-def permute_rows_stack(operators: Sequence[Unitary], orders: np.ndarray) -> list[Unitary]:
-    """Item f·K + k: ``operators[k]`` with row i taken from row ``orders[f][i]``.
-    A row permutation P keeps (PU)†(PU) = U†U, so only the (F, dimension)
-    orders are checked, at once: each must be a bijection for every operator.
-    Each result shares its operator's block and composes the orders."""
-    ops, idx = tuple(operators), np.array(orders)
-    dim, seen = ops[0].dimension, np.zeros(idx.shape, dtype=bool)
-    if ({u.dimension for u in ops} == {dim} and idx.ndim == 2 and idx.shape[1] == dim
-            and idx.dtype.kind in "iu" and idx.size and 0 <= idx.min() and idx.max() < dim):
+def row_orders(orders: np.ndarray, dim: int) -> np.ndarray:
+    """The (F, ``dim``) row orders as a read-only copy, once all F are checked
+    at once to be bijections of 0..dim-1."""
+    idx, seen = np.array(orders), np.zeros(np.shape(orders), dtype=bool)
+    if (idx.ndim == 2 and idx.shape[1] == dim and idx.dtype.kind in "iu" and idx.size
+            and 0 <= idx.min() and idx.max() < dim):
         seen[np.arange(len(idx))[:, None], idx] = True
     if not (idx.size and seen.all()):
         raise ValueError(f"row order is not a permutation of 0..{dim - 1}: {idx.dtype} {idx.shape}")
+    idx.flags.writeable = False
+    return idx
+
+
+def permute_rows_stack(operators: Sequence[Unitary], orders: np.ndarray) -> list[Unitary]:
+    """Item f·K + k: ``operators[k]`` with row i taken from row ``orders[f][i]``.
+    A row permutation P keeps (PU)†(PU) = U†U, so only the (F, dimension)
+    orders are checked (:func:`row_orders`): each must be a bijection for every
+    operator.  Each result shares its operator's block and composes the orders."""
+    ops = tuple(operators)
+    if {u.dimension for u in ops} != {dim := ops[0].dimension}:
+        raise ValueError("only operators of one dimension share row orders")
     return [object.__new__(Unitary)._fill(dim, u.moved, u.block, o if u.order is None else u.order[o])
-            for o in idx for u in ops]
+            for o in row_orders(orders, dim) for u in ops]
 
 
-def compose_stack(left: Unitary, operators: Sequence[Unitary]) -> tuple[Unitary, ...]:
-    """``left @ u`` for every u in ``operators`` (none with a row order): the blocks go into
-    the identity on the union of the moved indices and one stacked product composes them."""
-    ops = (left, *operators)
-    if any(u.order is not None or u.dimension != left.dimension for u in ops):
-        raise ValueError("only operators of one dimension and no row order compose on blocks")
-    idx = np.array(sorted({i for u in ops for i in u.moved.tolist()}), dtype=np.int64)
-    full = np.tile(np.eye(len(idx), dtype=np.complex128), (len(ops), 1, 1))
-    for into, u in zip(full, ops):
-        at = np.searchsorted(idx, u.moved)
-        into[at[:, None], at] = u.block
-    return Unitary.on_block(left.dimension, idx, full[0] @ full[1:])
-
-
-#: ``PAULI_FOUR`` as checked operators, built once
-PAULIS = tuple(Unitary(sigma) for sigma in PAULI_FOUR)
+#: ``PAULI_FOUR`` as one checked stack on both indices, built once
+PAULIS = Unitary.on_block(2, [0, 1], np.stack(PAULI_FOUR))
 
 
 class MeasurementBasis:
@@ -490,45 +486,55 @@ def gram_matrix(vectors: Sequence[StateVector] | np.ndarray) -> np.ndarray:
     return arr.conj() @ arr.T
 
 
-def _operator_rows(u: Unitary) -> tuple[np.ndarray, np.ndarray]:
-    """The indices of the rows that the block of ``u`` moves and those rows of
-    the identity plus the block at full length, built once per operator."""
-    if u._rows is None:
-        rows, block = u.moved, u.block
-        if len(rows) == 1:  # padded to two: numpy's product of one row takes a vector path
-            rows = np.array([0, max(int(rows[0]), 1)])
-            block = np.diag(np.where(rows == u.moved[0], block[0, 0], 1.0))
-        ops = np.zeros((len(rows), u.dimension), dtype=np.complex128)
-        ops[:, rows] = block
-        u._rows = rows, ops
-    return u._rows
+def _operator_rows(ops: Sequence[Unitary]) -> tuple[np.ndarray, np.ndarray]:
+    """The rows that the blocks of ``ops`` move, the same for all, and those rows
+    of each identity plus block at full length: a (K, R, dimension) stack."""
+    moved = ops[0].moved  # a stack built at once shares one index array
+    if any(u.moved is not moved and not np.array_equal(u.moved, moved) for u in ops[1:]):
+        raise ValueError("operators applied in one call must move the same indices")
+    blocks = np.array([u.block for u in ops])
+    if len(moved) == 1:  # padded to two: numpy's product of one row takes a vector path
+        padded = np.array([0, max(int(moved[0]), 1)])
+        blocks = np.array([np.diag(np.where(padded == moved[0], b[0, 0], 1.0)) for b in blocks])
+        moved = padded
+    rows = np.zeros((len(ops), len(moved), ops[0].dimension), dtype=np.complex128)
+    rows[:, :, moved] = blocks
+    return moved, rows
 
 
-def apply_unitary_stack(rows: np.ndarray, u: Unitary, subset: Sequence[int]) -> np.ndarray:
-    """Apply ``u`` to the listed qubits (in listed order) of every row of a
-    (G, 2^n) amplitude stack; identity elsewhere.
-
-    One matmul over the stack multiplies the rows that the block moves
-    (:func:`_operator_rows`), the others are copied, and a row order then
-    permutes the rows: no 2^k x 2^k matrix is built, and each entry is the dense
-    product's bit for bit, up to the sign of a zero.  Every row must keep its norm.
+def apply_unitary_stack(rows: np.ndarray, operators, subset: Sequence[int]) -> np.ndarray:
+    """Apply K operators that move the same indices (else ValueError) to the
+    listed qubits (in listed order) of a (K, G, 2^n) amplitude stack, operator
+    k to block k; identity elsewhere.  One ``Unitary`` on a (G, 2^n) stack is
+    the K = 1 case.  One broadcast matmul multiplies the rows that the blocks
+    move (:func:`_operator_rows`), each product the one a call on its block
+    alone makes, the others are copied, and one gather applies the row orders:
+    no 2^k x 2^k matrix is built, and each entry is the dense product's bit for
+    bit, up to the sign of a zero.  Every one of the K·G rows must keep its norm.
     """
-    rows = _stack(rows)
-    psi, perm, k = _grouped(rows, subset)
-    if u.dimension != 2**k:
-        raise DimensionError(
-            f"operator of dimension {u.dimension} cannot act on {k} qubits"
-        )
-    g, n = len(rows), len(perm)
+    single = isinstance(operators, Unitary)
+    ops = (operators,) if single else tuple(operators)
+    stack = np.asarray(rows, dtype=np.complex128)
+    if not single and (stack.ndim != 3 or len(stack) != len(ops)):
+        raise DimensionError(f"expected a ({len(ops)}, G, 2^n) stack, got shape {stack.shape}")
+    flat = _stack(stack if single else stack.reshape(-1, stack.shape[-1]))
+    psi, perm, k = _grouped(flat, subset)
+    if any(u.dimension != 2**k for u in ops):
+        raise DimensionError(f"operator of dimension {ops[0].dimension} cannot act on {k} qubits")
+    moved, blocks = _operator_rows(ops)
+    psi = psi.reshape((len(ops), -1) + psi.shape[1:])
+    out = psi.copy()
+    out[:, :, moved] = blocks[:, None] @ psi
+    if any(u.order is not None for u in ops):
+        orders = np.array([np.arange(2**k) if u.order is None else u.order for u in ops])
+        out = np.take_along_axis(out, orders[:, None, :, None], axis=2)
+    g, n = len(flat), len(perm)
     back = [0] + [ax + 1 for ax in np.argsort(perm)]
-    out, (moved, ops) = psi.copy(), _operator_rows(u)
-    out[:, moved] = ops @ psi
-    out = out if u.order is None else out[:, u.order]
     out = out.reshape((g,) + (2,) * n).transpose(back).reshape(g, -1)
-    drift = np.abs(np.sqrt(_norms_squared(out)) - np.sqrt(_norms_squared(rows)))
+    drift = np.abs(np.sqrt(_norms_squared(out)) - np.sqrt(_norms_squared(flat)))
     if not (drift <= NORM_PRESERVATION_TOL).all():
         raise InternalConsistencyError("unitary application failed to preserve the norm")
-    return out
+    return out.reshape(stack.shape)
 
 
 def apply_unitary(state: StateVector, u: Unitary, subset: Sequence[int]) -> StateVector:
@@ -550,15 +556,16 @@ def project_stack(
     order), or None when every qubit is measured; a row of probability at most
     ``ZERO_PROBABILITY`` is left zero.  A row that is not normalized or, for a
     partial basis, not in the span raises, as :func:`project` does for it
-    alone.  ``vec.conj() @ psi`` gives each column the dense value when W is a
-    power of two of at least min(8, 2^r) (a threaded BLAS splits the sums of
-    four or fewer columns); the norms and the division, whose sums depend on
-    position, run at full width, so each value equals :func:`project` on that
-    row's dense joint bit for bit, up to the sign of a zero.
+    alone.  ``vec.conj() @ psi`` gives each column one value for any W that is
+    a power of two of at least 8 (2 if r = 1) at any BLAS thread count, so four
+    columns are padded to eight; the norms and the division, whose sums depend
+    on position, run at full width, so each value equals :func:`project` on
+    that row's dense joint bit for bit, up to the sign of a zero.
     """
     if support is None:
         psi, perm, k = _grouped(_stack(rows), basis.subset)
         support = (len(perm) - k, np.arange(psi.shape[2]))
+        psi = np.concatenate([psi, np.zeros_like(psi)], axis=2) if psi.shape[2] == 4 else psi
     else:
         psi, k = np.asarray(rows, dtype=np.complex128), len(basis.subset)
         if psi.ndim != 3 or psi.shape[1] != 2**k:
@@ -570,7 +577,7 @@ def project_stack(
     branches = overlaps = np.empty((v, g, psi.shape[2]), dtype=np.complex128)
     for vec, branch in zip(basis.vectors, overlaps):
         np.matmul(vec.amplitudes.conj(), psi, out=branch)
-    if len(columns) < 2**rest:
+    if not len(columns) == psi.shape[2] == 2**rest:
         branches = np.zeros((v, g, 2**rest), dtype=np.complex128)
         branches[:, :, columns] = overlaps[:, :, : len(columns)]
     p = _norms_squared(branches.reshape(v * g, -1)).reshape(v, g)

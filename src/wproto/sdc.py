@@ -22,19 +22,20 @@ Encoding sets:
     that 2m bits per m qubits is *not* achievable.  The resource-free
     sets (``pauli``, ``w4``, the m = 2 products) are built once per process.
 
-Decoding is modeled as projective measurement onto the encoded states,
-which is valid exactly when their Gram matrix is the identity.
+An :class:`EncodingSet` holds distinct base operators and, per message, a
+base and a row order.  Decoding is modeled as projective measurement onto the
+encoded states, valid exactly when their Gram matrix is the identity.
 :func:`capacity_check` encodes on the resource's two Schmidt columns across
-the cut, a 2^m x 2 block taken from the excitation blocks, and multiplies
-each distinct operator block into it once; neither the 2^n resource nor a
-dense 2^m x 2^m operator is built.
+the cut, a 2^m x 2 block taken from the excitation blocks, multiplies each
+base block into it once and gathers every message's state with one index; no
+2^n resource, dense 2^m x 2^m operator or per-message operator is built.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache, cached_property, reduce
 from itertools import product
 from typing import Sequence
 
@@ -54,40 +55,60 @@ from .qsim import (
     gram_matrix,
     permute_rows_stack,
     require_int,
+    row_orders,
     unit_rows,
 )
 from .teleport import bob_strategy2_set, require_condition
 from .wstates import CoefficientVector, excitation_blocks, generalized_w
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EncodingSet:
-    """2^k local unitaries on the sender's qubits; message k (k bits, most
-    significant first) is the operator at position k."""
+    """2^k local unitaries on the sender's qubits, as distinct ``bases``,
+    optional (F, dimension) row ``orders`` and ``messages``: message j (k bits,
+    most significant first) is base ``messages[j, 0]`` with row i taken from
+    row ``orders[messages[j, 1]][i]``.  By default message f·K + k is base k in
+    order f, :func:`permute_rows_stack`'s layout (without orders, base j).  Only
+    the bases are ``Unitary`` objects until :attr:`operators` is read."""
 
-    operators: tuple[Unitary, ...]
+    bases: tuple[Unitary, ...]
+    orders: np.ndarray | None = None
+    messages: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "operators", tuple(self.operators))
-        count = len(self.operators)
-        if count < 2 or count & (count - 1) != 0:
-            raise ValueError(f"operator count must be a power of two, got {count}")
-        dim = self.operators[0].dimension
-        if any(op.dimension != dim for op in self.operators):
+        bases = tuple(self.bases)
+        if any(op.dimension != bases[0].dimension for op in bases):
             raise ValueError("all operators must share one dimension")
+        orders = None if self.orders is None else row_orders(self.orders, bases[0].dimension)
+        k, f = len(bases), 1 if orders is None else len(orders)
+        every = np.arange(k * f)
+        pairs = np.array(np.stack([every % k, every // k], 1) if self.messages is None else self.messages)
+        count = len(pairs)
+        if not (pairs.ndim == 2 and pairs.shape[1] == 2 and pairs.dtype.kind in "iu" and count >= 2
+                and count & (count - 1) == 0 and ((pairs >= 0) & (pairs < (k, f))).all()):
+            raise ValueError(f"need 2^k >= 2 messages, each a base and a row order, got {pairs.shape}")
+        pairs.flags.writeable = False
+        for name, value in zip(("bases", "orders", "messages"), (bases, orders, pairs)):
+            object.__setattr__(self, name, value)
 
     @property
     def message_bits(self) -> int:
-        return len(self.operators).bit_length() - 1
+        return len(self.messages).bit_length() - 1
 
     @property
     def num_qubits(self) -> int:
-        return self.operators[0].num_qubits
+        return self.bases[0].num_qubits
 
     @property
     def labels(self) -> tuple[tuple[int, ...], ...]:
         """Every message, in operator order."""
         return tuple(product((0, 1), repeat=self.message_bits))
+
+    @cached_property
+    def operators(self) -> tuple[Unitary, ...]:
+        """Each message's operator (without orders, its base), built on first read."""
+        built = self.bases if self.orders is None else permute_rows_stack(self.bases, self.orders)
+        return tuple(built[order * len(self.bases) + base] for base, order in self.messages.tolist())
 
     def operator_for(self, message: Sequence[int]) -> Unitary:
         """The operator at the message's binary value; each bit passes
@@ -96,6 +117,12 @@ class EncodingSet:
         if len(msg) != self.message_bits or any(b not in (0, 1) for b in msg):
             raise ValueError(f"message {msg} must be {self.message_bits} bits, each 0 or 1")
         return self.operators[reduce(lambda k, b: 2 * k + b, msg, 0)]
+
+    def gather(self, per_base: np.ndarray) -> np.ndarray:
+        """Each message's entry of a (K, dimension, ...) stack of one entry per
+        base: its base's, its rows in its order, gathered with one index."""
+        base, order = self.messages.T
+        return per_base[base] if self.orders is None else per_base[base[:, None], self.orders[order]]
 
 
 @dataclass(frozen=True)
@@ -167,13 +194,14 @@ def general_encoding_set(c: CoefficientVector, m: int) -> EncodingSet:
     excitation block on the sender's qubits) and move it onto the last qubit,
     dense-coding 2 bits; each is then followed by one of the 2^(m-1) bit-flip
     patterns b on the first m - 1 qubits (rows i -> i XOR 2b), one bit per
-    qubit, since different patterns land on orthogonal basis pairs.  The
-    patterns are one stack of row orders, checked once; no matrix is copied.
+    qubit, since different patterns land on orthogonal basis pairs.  The set
+    holds the four corrections and the patterns as row orders, checked once;
+    no matrix is copied and no message operator is built.
     Callers should still confirm via :func:`decode` — and the tests do.
     """
     corrections = bob_strategy2_set(m, excitation_blocks(c, m)[2])
     flips = np.arange(2**m) ^ 2 * np.arange(2 ** (m - 1))[:, None]
-    return EncodingSet(permute_rows_stack(corrections, flips))
+    return EncodingSet(corrections, flips)
 
 
 #: each named set: the m it encodes on (None: any m), its operator count at m
@@ -252,10 +280,10 @@ def capacity_check(
     |0..0> amplitude, so an encoded state U_k's inner products are those of
     the 2^m x 2 block U_k [|front| |0..0>, back_raw]: its two Schmidt
     columns, from :func:`excitation_blocks`.  That block is multiplied once
-    by each distinct operator block (``generated`` has four, shared by its
-    row orders) on the indices it moves; each encoded state is a row gather
-    of one such product, written into one stack whose row norms must all
-    keep the resource's within ``NORM_PRESERVATION_TOL``.  These compact
+    by each base block (``generated`` has four, shared by its row orders) on
+    the indices it moves, and one index gathers every message's rows from
+    those products (:meth:`EncodingSet.gather`) into one stack whose row norms
+    must all keep the resource's within ``NORM_PRESERVATION_TOL``.  These compact
     states are an isometric image of the full encoded states, so
     :func:`decode`'s rule on the stack sees the same Gram matrix up to
     summation order.
@@ -271,15 +299,11 @@ def capacity_check(
     columns = np.zeros((2**m, 2), dtype=np.complex128)
     columns[0, 0], columns[:, 1] = front.norm, back_raw.amplitudes
     norm = math.sqrt(np.vdot(columns, columns).real)
-    stack = np.empty((len(encoding.operators),) + columns.shape, dtype=np.complex128)
-    products: dict[int, np.ndarray] = {}
-    for op, state in zip(encoding.operators, stack):
-        product = products.get(id(op.block))
-        if product is None:
-            product = products[id(op.block)] = columns.copy()
-            product[op.moved] = op.block @ columns[op.moved]
-        state[...] = product if op.order is None else product[op.order]
-    stack = stack.reshape(len(stack), -1)
+    products = np.tile(columns, (len(encoding.bases), 1, 1))
+    for op, product in zip(encoding.bases, products):
+        product[op.moved] = op.block @ columns[op.moved]
+        product[...] = product if op.order is None else product[op.order]
+    stack = encoding.gather(products).reshape(len(encoding.messages), -1)
     if not (np.abs(np.sqrt(np.vecdot(stack, stack).real) - norm) <= NORM_PRESERVATION_TOL).all():
         raise InternalConsistencyError("unitary application failed to preserve the norm")
     verdict = _verdict(stack)

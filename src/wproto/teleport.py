@@ -23,12 +23,13 @@ to one of four subspace corrections, each built on its block (|0..0>,
                     qubit.
 
 Each protocol is one hop, taken once or twice: every input row (x) the
-resource is measured in a family, and each outcome's rows get the
+resource is measured in a family, and one call gives each outcome's rows the
 correction it names on the receiver's qubits, as arrays over all outcomes.
 ``serial`` takes a second hop from every sender branch at once, through
 (|00> + |11>)/sqrt(2) in the relay family, and corrects its first qubit;
 its sixteen branches carry joint probabilities.  :func:`run_teleport_grid`
-builds a resource's family, corrections and relay basis once and checks
+gates on the split condition, then builds a resource's excitation blocks,
+family, corrections and relay basis once and checks
 every grid point against its own target, equal bit for bit to a run of
 that point alone, in one columnar :class:`ProtocolReport` (a row per grid
 point, a column per branch); :func:`run_teleport_one_qubit` is its
@@ -60,7 +61,6 @@ from .qsim import (
     StateVector,
     Unitary,
     apply_unitary_stack,
-    compose_stack,
     fidelity_stack,
     make_basis_state,
     project_stack,
@@ -201,23 +201,25 @@ def measurement_family(c: CoefficientVector, m: int) -> MeasurementBasis:
     return MeasurementBasis(range(1, c.n + 1), raw_measurement_vectors(c, m), FAMILY_LABELS)
 
 
-def raw_one_qubit_measurement_vectors(c: CoefficientVector, m: int) -> list[StateVector]:
+def raw_one_qubit_measurement_vectors(c: CoefficientVector, m: int, blocks=None) -> list[StateVector]:
     """Family vectors for a one-qubit unknown register, ungated:
 
         xi+- = |0>|front> +- back_norm|1>|0..0>;  eta+- = back_norm|0>|0..0> +- |1>|front>
 
     The back block's phases are folded into the receiver's encoded basis
-    state, which leaves its norm as the scalar.  Vectors live on
-    1 + (n - m) qubits.
+    state, which leaves its norm as the scalar.  Vectors live on 1 + (n - m)
+    qubits; ``blocks``, if given, are ``excitation_blocks(c, m)``.
     """
-    front, _, _, back_norm = excitation_blocks(c, m)
+    front, _, _, back_norm = blocks or excitation_blocks(c, m)
     return _family(_K0, _K1, (1, front), (back_norm, zero_state(c.n - m)))
 
 
-def one_qubit_measurement_family(c: CoefficientVector, m: int) -> MeasurementBasis:
-    """Orthonormal family for teleporting a genuine one-qubit state."""
-    require_condition(c, m)
-    vectors = raw_one_qubit_measurement_vectors(c, m)
+def one_qubit_measurement_family(c: CoefficientVector, m: int, blocks=None) -> MeasurementBasis:
+    """Orthonormal family for teleporting a genuine one-qubit state; a caller
+    that has gated the resource passes its ``excitation_blocks(c, m)``."""
+    if blocks is None:
+        require_condition(c, m)
+    vectors = raw_one_qubit_measurement_vectors(c, m, blocks)
     return MeasurementBasis(range(1, c.n - m + 2), vectors, FAMILY_LABELS)
 
 
@@ -296,9 +298,17 @@ def bob_strategy2_set(m: int, wm: StateVector) -> list[Unitary]:
 
     Applying the k-th operator to the k-th measurement branch leaves the
     receiver's register in |0..0> (x) (alpha|0> + beta|1>) on his last qubit.
-    One stacked product on the union of the moved indices composes all four.
+    One stacked product of the blocks on the corrections' indices (the
+    transfer moves some of them) composes all four, checked at once.
     """
-    return list(compose_stack(transfer_unitary(m, wm), bob_strategy1_set(m, wm)))
+    transfer, corrections = transfer_unitary(m, wm), bob_strategy1_set(m, wm)
+    idx, listed = corrections[0].moved, corrections[0].moved.tolist()
+    if not (all(u.order is None and u.moved.tolist() == listed for u in corrections)
+            and transfer.order is None and set(transfer.moved.tolist()) <= set(listed)):
+        raise ValueError("the corrections must move the same indices, the transfer some of them")
+    t, at = np.eye(len(idx), dtype=np.complex128), np.searchsorted(idx, transfer.moved)
+    t[at[:, None], at] = transfer.block
+    return list(Unitary.on_block(transfer.dimension, idx, t @ np.array([u.block for u in corrections])))
 
 
 def serial_basis(m: int, wm: StateVector) -> MeasurementBasis:
@@ -348,17 +358,17 @@ def _hop(
     """One teleportation step on every row of a (G, 2^q) stack: row (x) the
     ``resource`` (qubits, support indices, amplitudes) is measured in ``basis``
     (its k qubits lead) in support form, on the support's rest patterns padded
-    to a power of two of at least min(8, 2^r) (:func:`project_stack`), in stacks
-    of at most ``_JOINT_AMPLITUDES`` such amplitudes (a larger one alone) in one
-    zeroed buffer, and each outcome's post-states are corrected at once on the
-    ``receiver`` qubits.  Returns the K labels, (K, G) probabilities, (K, G, 2^r)
-    corrected post-states and K corrections.  The rows form one group per
-    prefix; a branch of probability 0 in any row is a bug, named by the first
-    such group's prefix and its label."""
+    to a power of two of at least 8, or 2 if r = 1 (:func:`project_stack`), in
+    stacks of at most ``_JOINT_AMPLITUDES`` such amplitudes (a larger one alone)
+    in one zeroed buffer, and one call corrects every outcome's post-states on
+    the ``receiver`` qubits.  Returns the K labels, (K, G) probabilities,
+    (K, G, 2^r) corrected post-states and K corrections.  The rows form one
+    group per prefix; a branch of probability 0 in any row is a bug, named by
+    the first such group's prefix and its label."""
     qubits, index, amplitudes = resource
     r = rows.shape[1].bit_length() - 1 + qubits - len(basis.subset)
     columns = np.array(sorted(set((index & ((1 << r) - 1)).tolist())))
-    width = max(1 << (len(columns) - 1).bit_length(), min(8, 2**r))
+    width = max(1 << (len(columns) - 1).bit_length(), 8 if r > 1 else 2)
     columns = np.arange(width) if width == 2**r else columns  # the dense layout
     at_support = (index >> r) * width + np.searchsorted(columns, index & ((1 << r) - 1))
     per = min(len(rows), max(1, _JOINT_AMPLITUDES // (width << len(basis.subset))))
@@ -378,9 +388,7 @@ def _hop(
         name = [f + label for f in prefixes for label in basis.labels][failing.argmax()]
         raise InternalConsistencyError(f"branch {name} has probability 0")
     fixes = tuple(corrections[CORRECTION_INDEX[label]] for label in basis.labels)
-    for k, u in enumerate(fixes):
-        post[k] = apply_unitary_stack(post[k], u, receiver)
-    return basis.labels, p, post, fixes
+    return basis.labels, p, apply_unitary_stack(post, fixes, receiver), fixes
 
 
 def _teleport(
@@ -463,22 +471,23 @@ def run_teleport_grid(
     recovers it per ``strategy`` (see module docstring).  One report for the
     grid: row g of its columns belongs to ``states[g]``.
 
-    The resource's family, corrections and relay basis are built once;
-    every state then gets its own full branch enumeration and per-branch
-    fidelity check.  For ``subspace`` the reported fidelity is
-    against the encoded target alpha|0..0> + beta|w>; for ``transfer`` and
-    ``serial`` it is the fidelity of the receiver's final physical qubit
-    against the input.  ``serial`` enumerates the sender's four outcomes
-    times the receiver's four, so its report carries sixteen branches with
-    joint probabilities.
+    After the split condition, the resource's excitation blocks, family,
+    corrections and relay basis are built once; every state then gets its own
+    full branch enumeration and per-branch fidelity check.  For ``subspace``
+    the reported fidelity is against the encoded target alpha|0..0> + beta|w>;
+    for ``transfer`` and ``serial`` it is the fidelity of the receiver's final
+    physical qubit against the input.  ``serial`` enumerates the sender's four
+    outcomes times the receiver's four, so its report carries sixteen
+    branches with joint probabilities.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; pick one of {STRATEGIES}")
-    basis = one_qubit_measurement_family(c, m)  # gates on the split condition
+    require_condition(c, m)  # before anything is built
+    basis = one_qubit_measurement_family(c, m, blocks := excitation_blocks(c, m))
     if not states:
         raise ValueError("need at least one state")
     _require_registers(states, 1)
-    wm = excitation_blocks(c, m)[2]
+    wm = blocks[2]
     corrections = (bob_strategy2_set if strategy == "transfer" else bob_strategy1_set)(m, wm)
     inputs = np.array([psi.amplitudes for psi in states])
     return _teleport(inputs, c, basis, corrections, strategy, wm)

@@ -13,7 +13,7 @@ from typing import Any
 import numpy as np
 
 from wproto.qsim import PAULI_FOUR, DimensionError, StateVector
-from wproto.wstates import CoefficientVector
+from wproto.wstates import CoefficientVector, excitation_blocks
 
 
 def ket(n: int, bits: str) -> np.ndarray:
@@ -165,6 +165,22 @@ def dense_strategy2_set(wm: np.ndarray) -> list[np.ndarray]:
     """The transfer after each subspace correction, multiplied out densely."""
     t = dense_transfer(wm)
     return [t @ u for u in dense_strategy1_set(wm)]
+
+
+def per_operator_encoded_stack(c: CoefficientVector, m: int, encoding: Any) -> np.ndarray:
+    """The (M, 2^m * 2) stack of encoded states that ``capacity_check``
+    decodes, one message operator at a time: each of ``encoding.operators``
+    multiplies the resource's two Schmidt columns on its moved rows, and its
+    row order then permutes them."""
+    front, back_raw = excitation_blocks(c, m)[:2]
+    columns = np.zeros((2**m, 2), dtype=np.complex128)
+    columns[0, 0], columns[:, 1] = front.norm, back_raw.amplitudes
+    stack = []
+    for op in encoding.operators:
+        state = columns.copy()
+        state[op.moved] = op.block @ columns[op.moved]
+        stack.append(state if op.order is None else state[op.order])
+    return np.array(stack).reshape(len(stack), -1)
 
 
 def round_floats(obj: Any) -> Any:

@@ -22,6 +22,7 @@ import math
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import wproto.cli as cli
@@ -99,10 +100,23 @@ def repeated_sdc_operator(mp):
     build = sdc.general_encoding_set
 
     def mutant(c, m):
-        ops = build(c, m).operators
-        return sdc.EncodingSet((ops[0], ops[0]) + ops[2:])
+        encoding = build(c, m)
+        messages = encoding.messages.copy()
+        messages[1] = messages[0]  # message 1 takes message 0's base and order
+        return replace(encoding, messages=messages)
 
     mp.setattr(sdc, "general_encoding_set", mutant)
+
+
+def neighbour_base_gather(mp):
+    gather = sdc.EncodingSet.gather
+
+    def mutant(encoding, per_base):
+        messages = encoding.messages.copy()
+        messages[1, 0] = messages[0, 0]  # message 1 reads its neighbour's base
+        return gather(replace(encoding, messages=messages), per_base)
+
+    mp.setattr(sdc.EncodingSet, "gather", mutant)
 
 
 def reversed_cuts(mp):
@@ -141,9 +155,19 @@ def off_balance_resource(mp):
 def skipped_moved_row(mp):
     rows = qsim._operator_rows
 
-    def mutant(u):
-        moved, ops = rows(u)
-        return moved[:-1], ops[:-1]  # the last moved row is copied, not multiplied
+    def mutant(ops):
+        moved, stack = rows(ops)
+        return moved[:-1], stack[:, :-1]  # the last moved row is copied, not multiplied
+
+    mp.setattr(qsim, "_operator_rows", mutant)
+
+
+def shifted_branch_operators(mp):
+    rows = qsim._operator_rows
+
+    def mutant(ops):
+        moved, stack = rows(ops)
+        return moved, np.roll(stack, 1, axis=0)  # branch k + 1 gets operator k's rows
 
     mp.setattr(qsim, "_operator_rows", mutant)
 
@@ -163,6 +187,12 @@ MUTANTS = {
     "a resource off balance by 1e-6": (off_balance_resource, ACCEPTANCE, 1),
     "a correction that skips one moved row": (
         skipped_moved_row, ACCEPTANCE, qsim.InternalConsistencyError
+    ),
+    "a stacked correction applied to the next branch's rows": (
+        shifted_branch_operators, ACCEPTANCE, 1
+    ),
+    "an sdc gather that reads a message's base from its neighbour": (
+        neighbour_base_gather, ACCEPTANCE, 1
     ),
 }
 

@@ -42,6 +42,7 @@ from wproto.wstates import (
 from oracle_utils import (
     build_state,
     gram_of,
+    per_operator_encoded_stack,
     random_condition_coefficients,
     zeroed_condition_coefficients,
 )
@@ -445,3 +446,48 @@ def test_two_column_capacity_equals_the_dense_encoded_states(data, n, seed, zero
         expected, gram = _dense_capacity(c, m, encoding)
         assert result == expected
         assert float(np.abs(grams[0] - gram).max()) <= 1e-14
+
+
+def _folded(array) -> bytes:
+    """The bytes of ``array`` with every -0 folded into +0."""
+    return (np.asarray(array) + 0.0).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 12),
+    name=st.sampled_from(sorted(sdc.ENCODING_SETS)),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_the_gathered_stack_equals_the_per_operator_loop(n, name, seed, data):
+    # every named set on a resource with exact zeros: the base products
+    # gathered with one index are the states each message's operator makes
+    arity, _, build = sdc.ENCODING_SETS[name]
+    m = arity or data.draw(st.integers(1, min(n - 1, 6)), label="m")
+    if m >= n:
+        return
+    c = zeroed_condition_coefficients(n, m, np.random.default_rng(seed))
+    encoding = build(c, m)
+    judged = []
+    verdict = sdc._verdict
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sdc, "_verdict", lambda rows: judged.append(rows.copy()) or verdict(rows))
+        capacity_check(c, m, encoding)
+    (stack,) = judged
+    assert _folded(stack) == _folded(per_operator_encoded_stack(c, m, encoding))
+
+
+def test_a_generated_capacity_check_builds_no_message_operator(monkeypatch):
+    # W12, m = 6: 128 messages from the 4 strategy-2 corrections; the check
+    # multiplies those 4 blocks and gathers, and no message becomes a Unitary
+    built = Counter()
+    fill = qsim.Unitary._fill
+    monkeypatch.setattr(qsim.Unitary, "_fill", lambda u, *a: built.update([1]) or fill(u, *a))
+    c = w_coefficients(12)
+    encoding = general_encoding_set(c, 6)
+    result = capacity_check(c, 6, encoding)
+    assert result.decodable and result.set_size == 128
+    assert built[1] == 4 + 1 + 4  # the strategy-1 stack, the transfer, their products
+    assert len(encoding.operators) == 128  # built when read
+    assert built[1] == 9 + 128

@@ -4,9 +4,9 @@
 optional row order: ``Unitary(matrix)`` finds the moved indices and checks
 U†U on their block, ``Unitary.on_block`` takes the block (or a stack of
 blocks) as given, ``permute_rows_stack`` checks only that each row order is a
-bijection, ``compose_stack`` composes on the union of the blocks, and
-``capacity_check`` encodes each distinct block once on the resource's two
-Schmidt columns.  Each is compared here with the dense computation it
+bijection, ``bob_strategy2_set`` composes two stacks on their shared indices,
+and ``capacity_check`` encodes each base block once on the resource's two
+Schmidt columns and gathers every message from them.  Each is compared here with the dense computation it
 replaces, and each stacked check with its one-item case.
 """
 
@@ -30,7 +30,6 @@ from wproto.qsim import (
     Unitary,
     _block_deviation,
     apply_unitary,
-    compose_stack,
     permute_rows_stack,
 )
 from wproto.sdc import (
@@ -50,7 +49,7 @@ from wproto.teleport import (
     require_condition,
     transfer_unitary,
 )
-from wproto.wstates import CoefficientVector, generalized_w, w_coefficients
+from wproto.wstates import CoefficientVector, excitation_blocks, generalized_w, w_coefficients
 
 from oracle_utils import dense_strategy1_set, dense_strategy2_set, dense_transfer
 
@@ -242,45 +241,6 @@ class TestBlockRepresentation:
         np.testing.assert_array_equal(mat[np.ix_(u.moved, u.moved)], u.block)
         np.testing.assert_array_equal(permute_rows_stack([u], [perm])[0].matrix, mat[perm])
 
-    @settings(max_examples=150, deadline=None)
-    @given(qubits=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), data=st.data())
-    def test_a_product_composes_on_the_union_of_the_blocks(self, qubits, seed, data):
-        dim = 2**qubits
-        rng = np.random.default_rng(seed)
-        a, b = (block_operator(rng, dim, data.draw(st.integers(0, dim))) for _ in range(2))
-        (product,) = compose_stack(a, [b])
-        assert set(product.moved.tolist()) == set(a.moved.tolist()) | set(b.moved.tolist())
-        assert np.abs(product.matrix - a.matrix @ b.matrix).max(initial=0.0) <= 1e-14
-        assert dense_deviation(product.matrix) <= STRUCTURAL_TOL
-
-    def test_a_product_refuses_a_row_order_or_another_dimension(self):
-        u = Unitary.on_block(4, [0, 1], [[0, 1], [1, 0]])
-        (swapped,) = permute_rows_stack([u], [[1, 0, 2, 3]])
-        for left, ops in ((swapped, [u]), (u, [swapped]), (u, [u, swapped])):
-            with pytest.raises(ValueError, match="row order"):
-                compose_stack(left, ops)
-        with pytest.raises(ValueError, match="one dimension"):
-            compose_stack(u, [qsim.PAULIS[1]])
-
-    @settings(max_examples=100, deadline=None)
-    @given(qubits=st.integers(1, 5), seed=st.integers(0, 2**32 - 1), data=st.data())
-    def test_a_stacked_product_composes_every_item_on_one_union(self, qubits, seed, data):
-        dim = 2**qubits
-        rng = np.random.default_rng(seed)
-        left, *ops = (
-            block_operator(rng, dim, data.draw(st.integers(0, dim)))
-            for _ in range(data.draw(st.integers(2, 5), label="1 + K"))
-        )
-        union = sorted({i for u in (left, *ops) for i in u.moved.tolist()})
-        products = compose_stack(left, ops)
-        assert isinstance(products, tuple) and len(products) == len(ops)
-        for product, u in zip(products, ops):
-            assert product.moved.tolist() == union
-            assert np.abs(product.matrix - left.matrix @ u.matrix).max(initial=0.0) <= 1e-14
-        (alone,) = compose_stack(left, ops[:1])  # the K = 1 case, on its own union
-        assert set(alone.moved.tolist()) == set(left.moved.tolist()) | set(ops[0].moved.tolist())
-        assert np.abs(alone.matrix - products[0].matrix).max(initial=0.0) <= 1e-14
-
     def test_a_dense_matrix_is_its_own_block(self):
         """A matrix that moves every index is stored once: its block is its matrix."""
         rng = np.random.default_rng(5)
@@ -430,6 +390,28 @@ def test_block_built_corrections_match_the_dense_formulas(m, seed, data):
         for u, ref in zip(got, want):
             assert len(u.moved) <= size + 2
             assert np.abs(u.matrix - ref).max() <= 1e-14
+
+
+def test_the_strategy2_product_refuses_factors_on_other_indices(monkeypatch):
+    """``bob_strategy2_set`` multiplies the transfer block into the strategy-1
+    blocks on the indices the corrections move, so a correction that moves
+    other indices or carries a row order, or a transfer that moves an index
+    outside them, is refused, not composed on the wrong rows."""
+    wm = excitation_blocks(w_coefficients(4), 2)[2]  # moved: |00>, |01>, |10>
+    ops = bob_strategy1_set(2, wm)
+    for odd in (
+        permute_rows_stack(ops[:1], [[1, 0, 2, 3]])[0],
+        Unitary.on_block(4, [0, 1], np.eye(2)),
+    ):
+        monkeypatch.setattr(teleport, "bob_strategy1_set", lambda m, w, odd=odd: [odd] + ops[1:])
+        with pytest.raises(ValueError, match="same indices"):
+            bob_strategy2_set(2, wm)
+    monkeypatch.undo()
+    monkeypatch.setattr(
+        teleport, "transfer_unitary", lambda m, w: Unitary.on_block(4, [0, 3], PAULI_FOUR[1])
+    )
+    with pytest.raises(ValueError, match="some of them"):
+        bob_strategy2_set(2, wm)
 
 
 class TestPermuteRows:
@@ -585,15 +567,16 @@ def test_a_norm_that_drifts_is_an_internal_error():
 
 def test_every_operator_built_passes_the_dense_check(monkeypatch):
     """Dense shadow: every operator the acceptance and large configs build,
-    from a matrix, on a block or a stack of blocks, as a stacked product
-    (``compose_stack``) or by a row permutation (and
+    from a matrix, on a block or a stack of blocks (the strategy-2 products
+    among them), or as an encoding set's message by a row permutation (and
     each permuted one permuted again, composing two orders), also passes the
     dense U†U rule on its ``.matrix``, so no structural shortcut accepts what
-    that rule refuses.  The shared named sets are dropped first, so they are
-    built again under the shadow."""
+    that rule refuses.  A set's messages are built only when read, so each
+    set is read as it is made.  The shared named sets are dropped first, so
+    they are built again under the shadow."""
     checked = Counter()
     init, on_block = Unitary.__init__, Unitary.on_block.__func__
-    compose, permute = qsim.compose_stack, permute_rows_stack
+    permute, made = permute_rows_stack, EncodingSet.__post_init__
 
     def shadow(built, kind: str):
         for u in built if isinstance(built, (tuple, list)) else (built,):
@@ -617,13 +600,12 @@ def test_every_operator_built_passes_the_dense_check(monkeypatch):
     monkeypatch.setattr(Unitary, "on_block", classmethod(lambda *a: shadow(on_block(*a), "block")))
     for module in (qsim, sdc):
         monkeypatch.setattr(module, "permute_rows_stack", shadowed_permute)
-    for module in (qsim, teleport):
-        monkeypatch.setattr(module, "compose_stack", lambda *a: shadow(compose(*a), "product"))
+    monkeypatch.setattr(EncodingSet, "__post_init__", lambda self: made(self) or self.operators)
     for shared in (sdc.pauli_set, sdc.w4_multiunary_set, sdc._pauli_products):
         shared.cache_clear()
     for config in (ROOT / "configs" / "acceptance.json", ROOT / "tests" / "config_large.json"):
         assert run(parse_config(config.read_bytes())).all_matched
-    assert min(checked[kind] for kind in ("constructed", "block", "product", "permuted")) > 0
+    assert min(checked[kind] for kind in ("constructed", "block", "permuted")) > 0
 
 
 def test_the_largest_generated_set_builds_no_dense_operator(monkeypatch):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import wproto.qsim as qsim
 from wproto.qsim import (
+    PAULIS,
     DimensionError,
     MeasurementBasis,
     NormalizationError,
@@ -26,6 +27,10 @@ from wproto.qsim import (
     project_stack,
     state_rows,
 )
+from wproto.teleport import bob_strategy1_set, bob_strategy2_set
+from wproto.wstates import excitation_blocks
+
+from oracle_utils import zeroed_condition_coefficients
 
 
 def _complex(rng, *shape):
@@ -169,6 +174,59 @@ def test_moved_row_application_equals_the_dense_product_bytewise(data, k, rest, 
     stacked = apply_unitary_stack(rows, u, subset)
     for row, out in zip(rows, stacked, strict=True):
         assert _folded(out) == _folded(_reference_apply(row, n, u, subset))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(min_value=2, max_value=12),
+    rest=st.integers(min_value=0, max_value=2),
+    g=st.integers(min_value=1, max_value=4),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    stack=st.sampled_from(("strategy1", "strategy2", "pauli")),
+)
+def test_a_stacked_apply_equals_one_apply_per_operator(data, n, rest, g, seed, stack):
+    # the K operators of a correction set applied in one call, each to its own
+    # block of G rows with exact zeros, on its qubits among ``rest`` others:
+    # each block equals a one-operator call on it, up to the sign of a zero
+    m = data.draw(st.integers(min_value=1, max_value=n - 1), label="m")
+    rng = np.random.default_rng(seed)
+    wm = excitation_blocks(zeroed_condition_coefficients(n, m, rng), m)[2]
+    ops = {"strategy1": bob_strategy1_set, "strategy2": bob_strategy2_set}.get(stack)
+    ops, k = (PAULIS, 1) if ops is None else (ops(m, wm), m)
+    subset = data.draw(st.permutations(range(1, k + rest + 1)), label="order")[:k]
+    rows = _complex(rng, len(ops), g, 2 ** (k + rest))
+    rows[:, :, rng.random(2 ** (k + rest)) < 0.3] = 0.0
+    rows[:, :, 0] = 1.0  # never all zero
+    rows /= np.linalg.norm(rows, axis=2)[:, :, None]
+    stacked = apply_unitary_stack(rows, ops, subset)
+    assert stacked.shape == rows.shape
+    for block, u, out in zip(rows, ops, stacked, strict=True):
+        assert _folded(out) == _folded(apply_unitary_stack(block, u, subset))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(min_value=1, max_value=4),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    data=st.data(),
+)
+def test_operators_on_different_indices_are_refused_in_one_call(k, seed, data):
+    dim, rng = 2**k, np.random.default_rng(seed)
+    size = data.draw(st.integers(min_value=1, max_value=dim), label="moved")
+    first = np.sort(rng.choice(dim, size, replace=False))
+    second = data.draw(st.sets(st.integers(0, dim - 1), min_size=1), label="other moved")
+    ops = [Unitary.on_block(dim, idx, np.linalg.qr(_complex(rng, len(idx), len(idx)))[0])
+           for idx in (first, sorted(second))]
+    rows = _complex(rng, 2, 3, dim)
+    rows /= np.linalg.norm(rows, axis=2)[:, :, None]
+    if first.tolist() == sorted(second):
+        assert apply_unitary_stack(rows, ops, range(1, k + 1)).shape == rows.shape
+    else:
+        with pytest.raises(ValueError, match="same indices"):
+            apply_unitary_stack(rows, ops, range(1, k + 1))
+    with pytest.raises(DimensionError):  # one block of rows per operator
+        apply_unitary_stack(rows[:1], ops, range(1, k + 1))
 
 
 def test_zero_probability_branch_has_no_post_state():

@@ -1,7 +1,11 @@
 """The grid engine: per-resource objects built once, one branch loop for all runs."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,6 +61,7 @@ from wproto.wstates import (
 from oracle_utils import random_condition_coefficients, zeroed_condition_coefficients
 
 STRATEGIES = ("subspace", "transfer", "serial")
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _counting(monkeypatch, name):
@@ -98,20 +103,25 @@ def test_per_resource_objects_built_once(monkeypatch, strategy):
     corrections = _counting(monkeypatch, "bob_strategy1_set")
     seconds = _counting(monkeypatch, "serial_basis")
     transfers = _counting(monkeypatch, "transfer_unitary")
+    blocks = _counting(monkeypatch, "excitation_blocks")
     run_teleport_grid(w_coefficients(4), 2, unknown_state_grid(7, 1), strategy)
-    assert len(families) == 1
+    assert len(families) == len(blocks) == 1
     assert len(corrections) == 1  # the transfer set reuses the subspace set
     assert len(seconds) == (strategy == "serial")
     assert len(transfers) == (strategy == "transfer")
 
 
 def test_rejection_comes_before_any_construction(monkeypatch):
+    # the split condition is checked once, before the excitation blocks, the
+    # family or the corrections are built
+    gates = _counting(monkeypatch, "require_condition")
+    blocks = _counting(monkeypatch, "excitation_blocks")
     families = _counting(monkeypatch, "one_qubit_measurement_family")
     corrections = _counting(monkeypatch, "bob_strategy1_set")
     with pytest.raises(UnsuitableResourceError) as err:
         run_teleport_grid(w_coefficients(5), 2, unknown_state_grid(3, 0), "serial")
     assert err.value.report.left_sum == pytest.approx(0.6, abs=1e-12)
-    assert len(families) == 1 and not corrections
+    assert len(gates) == 1 and not blocks and not families and not corrections
 
 
 def test_the_four_paulis_are_built_once():
@@ -434,10 +444,11 @@ def _kernel_calls(monkeypatch, c, m, grid, strategy) -> dict[str, int]:
 @pytest.mark.parametrize(
     "strategy, expected",
     [
-        # the relay hops once over all four sender branches' rows
-        ("serial", (2, 8, 1, 0)),
-        ("subspace", (1, 4, 1, 0)),
-        ("transfer", (1, 4, 1, 1)),
+        # the relay hops once over all four sender branches' rows, and each
+        # hop corrects all of its branches in one call
+        ("serial", (2, 2, 1, 0)),
+        ("subspace", (1, 1, 1, 0)),
+        ("transfer", (1, 1, 1, 1)),
     ],
 )
 def test_a_batch_hops_once_per_measurement(monkeypatch, strategy, expected):
@@ -448,9 +459,10 @@ def test_a_batch_hops_once_per_measurement(monkeypatch, strategy, expected):
 def test_a_large_hop_measures_its_support_form_in_few_chunks(monkeypatch):
     # W16, m = 8: each sender joint state takes 2^9 x 16 support amplitudes, so
     # the 20 rows are measured in 5 chunks of 4 (one row per chunk on all 2^17
-    # amplitudes); the relay's 80 rows of 2^9 x 2 in 3 chunks of 32
+    # amplitudes); the relay's 80 rows of 2^9 x 2 in 3 chunks of 32; each hop
+    # then corrects its branches in one call
     calls = _kernel_calls(monkeypatch, w_coefficients(16), 8, unknown_state_grid(20, 1), "serial")
-    assert tuple(calls.values()) == (5 + 3, 8, 1, 0)
+    assert tuple(calls.values()) == (5 + 3, 2, 1, 0)
 
 
 def _per_sender_branch_relay(c, m, grid):
@@ -631,9 +643,12 @@ def _folded(array) -> bytes:
 def _dense_measurement(rows, basis):
     """The (V, G) probabilities and (V, G, 2^r) post-states of a (G, 2^n)
     stack whose leading qubits ``basis`` measures, on the whole joint state:
-    one overlap per family vector, a row dot for each norm, then the division."""
+    one overlap per family vector, a row dot for each norm, then the division.
+    Four columns (r = 2) are multiplied as eight, zero-padded: a threaded BLAS
+    splits the sums of four columns on 2^12 rows, eight keep one thread's."""
     psi = rows.reshape(len(rows), 2 ** len(basis.subset), -1)
-    branches = np.array([vec.amplitudes.conj() @ psi for vec in basis.vectors])
+    wide = np.concatenate([psi, np.zeros_like(psi)], axis=2) if psi.shape[2] == 4 else psi
+    branches = np.array([vec.amplitudes.conj() @ wide for vec in basis.vectors])[..., : psi.shape[2]]
     p = np.vecdot(branches, branches).real
     kept = (p > ZERO_PROBABILITY)[:, :, None]
     return p, np.divide(branches, np.sqrt(p)[:, :, None], out=np.zeros_like(branches), where=kept)
@@ -703,3 +718,38 @@ def test_w16_strategies_read_no_dense_operator_and_hold_no_joint_state(monkeypat
         tracemalloc.stop()
     assert report.success and not reads
     assert peak < 2**17 * 16
+
+
+_THREAD_PROBE = """
+import hashlib
+import numpy as np
+from oracle_utils import random_condition_coefficients
+from wproto.teleport import encoded_state, run_teleport_encoded, run_teleport_grid, unknown_state_grid
+digest = hashlib.sha256()
+for n in (12, 13, 14):
+    for seed in range(3):
+        c = random_condition_coefficients(n, 2, np.random.default_rng(seed))
+        reports = [run_teleport_encoded(c, 2, encoded_state(c, 2, 0.6, 0.8j))]
+        reports += [run_teleport_grid(c, 2, unknown_state_grid(2, seed), s) for s in ("subspace", "serial")]
+        for report in reports:
+            for column in (report.probabilities, report.fidelities, report.post_states):
+                digest.update(column.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_teleport_bytes_do_not_depend_on_the_blas_thread_count():
+    # the encoded hop at m = 2, n = 12..14 measures 2^n rows on r = 2 receiver
+    # qubits: on four columns a threaded BLAS splits the sums, so its block is
+    # padded to eight, whose values do not depend on the thread count
+    path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests"), os.environ.get("PYTHONPATH", "")])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=path, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        env["OPENBLAS_NUM_THREADS"] = threads
+        result = subprocess.run(
+            [sys.executable, "-c", _THREAD_PROBE], capture_output=True, text=True, env=env
+        )
+        assert result.returncode == 0, result.stderr
+        digests.append(result.stdout)
+    assert digests[0] == digests[1]
