@@ -502,22 +502,19 @@ def _operator_rows(ops: Sequence[Unitary]) -> tuple[np.ndarray, np.ndarray]:
     return moved, rows
 
 
-def apply_unitary_stack(rows: np.ndarray, operators, subset: Sequence[int]) -> np.ndarray:
+def apply_unitary_stack(rows: np.ndarray, ops: Sequence[Unitary], subset: Sequence[int]) -> np.ndarray:
     """Apply K operators that move the same indices (else ValueError) to the
     listed qubits (in listed order) of a (K, G, 2^n) amplitude stack, operator
-    k to block k; identity elsewhere.  One ``Unitary`` on a (G, 2^n) stack is
-    the K = 1 case.  One broadcast matmul multiplies the rows that the blocks
-    move (:func:`_operator_rows`), each product the one a call on its block
-    alone makes, the others are copied, and one gather applies the row orders:
-    no 2^k x 2^k matrix is built, and each entry is the dense product's bit for
-    bit, up to the sign of a zero.  Every one of the K·G rows must keep its norm.
+    k to block k; identity elsewhere.  One broadcast matmul multiplies the rows
+    that the blocks move (:func:`_operator_rows`), each product the one a call
+    on its block alone makes, the others are copied, and one gather applies the
+    row orders: no 2^k x 2^k matrix is built, and each entry is the dense
+    product's bit for bit, up to the sign of a zero.  All K·G rows keep their norms.
     """
-    single = isinstance(operators, Unitary)
-    ops = (operators,) if single else tuple(operators)
-    stack = np.asarray(rows, dtype=np.complex128)
-    if not single and (stack.ndim != 3 or len(stack) != len(ops)):
+    ops, stack = tuple(ops), np.asarray(rows, dtype=np.complex128)
+    if stack.ndim != 3 or len(stack) != len(ops):
         raise DimensionError(f"expected a ({len(ops)}, G, 2^n) stack, got shape {stack.shape}")
-    flat = _stack(stack if single else stack.reshape(-1, stack.shape[-1]))
+    flat = _stack(stack.reshape(-1, stack.shape[-1]))
     psi, perm, k = _grouped(flat, subset)
     if any(u.dimension != 2**k for u in ops):
         raise DimensionError(f"operator of dimension {ops[0].dimension} cannot act on {k} qubits")
@@ -528,9 +525,8 @@ def apply_unitary_stack(rows: np.ndarray, operators, subset: Sequence[int]) -> n
     if any(u.order is not None for u in ops):
         orders = np.array([np.arange(2**k) if u.order is None else u.order for u in ops])
         out = np.take_along_axis(out, orders[:, None, :, None], axis=2)
-    g, n = len(flat), len(perm)
     back = [0] + [ax + 1 for ax in np.argsort(perm)]
-    out = out.reshape((g,) + (2,) * n).transpose(back).reshape(g, -1)
+    out = out.reshape((len(flat),) + (2,) * len(perm)).transpose(back).reshape(flat.shape)
     drift = np.abs(np.sqrt(_norms_squared(out)) - np.sqrt(_norms_squared(flat)))
     if not (drift <= NORM_PRESERVATION_TOL).all():
         raise InternalConsistencyError("unitary application failed to preserve the norm")
@@ -539,8 +535,15 @@ def apply_unitary_stack(rows: np.ndarray, operators, subset: Sequence[int]) -> n
 
 def apply_unitary(state: StateVector, u: Unitary, subset: Sequence[int]) -> StateVector:
     """Apply ``u`` to the listed qubits (in listed order), identity elsewhere:
-    the one-row case of :func:`apply_unitary_stack`."""
-    return StateVector(state.num_qubits, apply_unitary_stack(state.amplitudes[None], u, subset)[0])
+    the one-operator, one-row case of :func:`apply_unitary_stack`."""
+    rows = apply_unitary_stack(state.amplitudes[None, None], [u], subset)
+    return StateVector(state.num_qubits, rows[0, 0])
+
+
+def support_width(r: int, occupied: int) -> int:
+    """Columns for ``occupied`` of 2^r rest patterns: a power of two of at least 8 (2^r
+    if r < 2), on which ``vec.conj() @ psi`` is one value at any BLAS thread count."""
+    return max(1 << (occupied - 1).bit_length(), 8 if r > 1 else 2**r)
 
 
 def project_stack(
@@ -556,16 +559,17 @@ def project_stack(
     order), or None when every qubit is measured; a row of probability at most
     ``ZERO_PROBABILITY`` is left zero.  A row that is not normalized or, for a
     partial basis, not in the span raises, as :func:`project` does for it
-    alone.  ``vec.conj() @ psi`` gives each column one value for any W that is
-    a power of two of at least 8 (2 if r = 1) at any BLAS thread count, so four
-    columns are padded to eight; the norms and the division, whose sums depend
+    alone.  ``vec.conj() @ psi`` gives each column one value at any BLAS thread
+    count when W is :func:`support_width`'s, so the dense call pads its 2^r
+    columns to that width too; the norms and the division, whose sums depend
     on position, run at full width, so each value equals :func:`project` on
     that row's dense joint bit for bit, up to the sign of a zero.
     """
     if support is None:
         psi, perm, k = _grouped(_stack(rows), basis.subset)
         support = (len(perm) - k, np.arange(psi.shape[2]))
-        psi = np.concatenate([psi, np.zeros_like(psi)], axis=2) if psi.shape[2] == 4 else psi
+        pad = support_width(support[0], psi.shape[2]) - psi.shape[2]
+        psi = np.concatenate([psi, np.zeros_like(psi[:, :, :pad])], axis=2) if pad else psi
     else:
         psi, k = np.asarray(rows, dtype=np.complex128), len(basis.subset)
         if psi.ndim != 3 or psi.shape[1] != 2**k:

@@ -22,9 +22,10 @@ Encoding sets:
     that 2m bits per m qubits is *not* achievable.  The resource-free
     sets (``pauli``, ``w4``, the m = 2 products) are built once per process.
 
-An :class:`EncodingSet` holds distinct base operators and, per message, a
-base and a row order.  Decoding is modeled as projective measurement onto the
-encoded states, valid exactly when their Gram matrix is the identity.
+An :class:`EncodingSet` holds K distinct base operators and F row orders;
+message f·K + k is base k in order f.  Decoding is modeled as projective
+measurement onto the encoded states, valid exactly when their Gram matrix is
+the identity.
 :func:`capacity_check` encodes on the resource's two Schmidt columns across
 the cut, a 2^m x 2 block taken from the excitation blocks, multiplies each
 base block into it once and gathers every message's state with one index; no
@@ -64,36 +65,33 @@ from .wstates import CoefficientVector, excitation_blocks, generalized_w
 
 @dataclass(frozen=True, eq=False)
 class EncodingSet:
-    """2^k local unitaries on the sender's qubits, as distinct ``bases``,
-    optional (F, dimension) row ``orders`` and ``messages``: message j (k bits,
-    most significant first) is base ``messages[j, 0]`` with row i taken from
-    row ``orders[messages[j, 1]][i]``.  By default message f·K + k is base k in
-    order f, :func:`permute_rows_stack`'s layout (without orders, base j).  Only
-    the bases are ``Unitary`` objects until :attr:`operators` is read."""
+    """2^k local unitaries on the sender's qubits, as K distinct ``bases`` and
+    optional (F, dimension) row ``orders``: message f·K + j (k bits, most
+    significant first) is base j with row i taken from row ``orders[f][i]``,
+    :func:`permute_rows_stack`'s layout (without orders, message j is base j).
+    Only the bases are ``Unitary`` objects until :attr:`operators` is read."""
 
     bases: tuple[Unitary, ...]
     orders: np.ndarray | None = None
-    messages: np.ndarray | None = None
 
     def __post_init__(self):
         bases = tuple(self.bases)
         if any(op.dimension != bases[0].dimension for op in bases):
             raise ValueError("all operators must share one dimension")
-        orders = None if self.orders is None else row_orders(self.orders, bases[0].dimension)
-        k, f = len(bases), 1 if orders is None else len(orders)
-        every = np.arange(k * f)
-        pairs = np.array(np.stack([every % k, every // k], 1) if self.messages is None else self.messages)
-        count = len(pairs)
-        if not (pairs.ndim == 2 and pairs.shape[1] == 2 and pairs.dtype.kind in "iu" and count >= 2
-                and count & (count - 1) == 0 and ((pairs >= 0) & (pairs < (k, f))).all()):
-            raise ValueError(f"need 2^k >= 2 messages, each a base and a row order, got {pairs.shape}")
-        pairs.flags.writeable = False
-        for name, value in zip(("bases", "orders", "messages"), (bases, orders, pairs)):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "bases", bases)
+        if self.orders is not None:
+            object.__setattr__(self, "orders", row_orders(self.orders, bases[0].dimension))
+        if self.size < 2 or self.size & (self.size - 1) != 0:
+            raise ValueError(f"operator count must be a power of two, got {self.size}")
+
+    @property
+    def size(self) -> int:
+        """The message count, K·F."""
+        return len(self.bases) * (1 if self.orders is None else len(self.orders))
 
     @property
     def message_bits(self) -> int:
-        return len(self.messages).bit_length() - 1
+        return self.size.bit_length() - 1
 
     @property
     def num_qubits(self) -> int:
@@ -107,8 +105,7 @@ class EncodingSet:
     @cached_property
     def operators(self) -> tuple[Unitary, ...]:
         """Each message's operator (without orders, its base), built on first read."""
-        built = self.bases if self.orders is None else permute_rows_stack(self.bases, self.orders)
-        return tuple(built[order * len(self.bases) + base] for base, order in self.messages.tolist())
+        return self.bases if self.orders is None else tuple(permute_rows_stack(self.bases, self.orders))
 
     def operator_for(self, message: Sequence[int]) -> Unitary:
         """The operator at the message's binary value; each bit passes
@@ -121,8 +118,10 @@ class EncodingSet:
     def gather(self, per_base: np.ndarray) -> np.ndarray:
         """Each message's entry of a (K, dimension, ...) stack of one entry per
         base: its base's, its rows in its order, gathered with one index."""
-        base, order = self.messages.T
-        return per_base[base] if self.orders is None else per_base[base[:, None], self.orders[order]]
+        if self.orders is None:
+            return per_base
+        picked = per_base[np.arange(len(self.bases))[:, None], self.orders[:, None]]
+        return picked.reshape((-1,) + per_base.shape[1:])
 
 
 @dataclass(frozen=True)
@@ -302,8 +301,9 @@ def capacity_check(
     products = np.tile(columns, (len(encoding.bases), 1, 1))
     for op, product in zip(encoding.bases, products):
         product[op.moved] = op.block @ columns[op.moved]
-        product[...] = product if op.order is None else product[op.order]
-    stack = encoding.gather(products).reshape(len(encoding.messages), -1)
+        if op.order is not None:
+            product[...] = product[op.order]
+    stack = encoding.gather(products).reshape(encoding.size, -1)
     if not (np.abs(np.sqrt(np.vecdot(stack, stack).real) - norm) <= NORM_PRESERVATION_TOL).all():
         raise InternalConsistencyError("unitary application failed to preserve the norm")
     verdict = _verdict(stack)

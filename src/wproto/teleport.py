@@ -28,8 +28,7 @@ correction it names on the receiver's qubits, as arrays over all outcomes.
 ``serial`` takes a second hop from every sender branch at once, through
 (|00> + |11>)/sqrt(2) in the relay family, and corrects its first qubit;
 its sixteen branches carry joint probabilities.  :func:`run_teleport_grid`
-gates on the split condition, then builds a resource's excitation blocks,
-family, corrections and relay basis once and checks
+builds a resource's family, corrections and relay basis once and checks
 every grid point against its own target, equal bit for bit to a run of
 that point alone, in one columnar :class:`ProtocolReport` (a row per grid
 point, a column per branch); :func:`run_teleport_one_qubit` is its
@@ -67,6 +66,7 @@ from .qsim import (
     require_int,
     state_rows,
     superpose,
+    support_width,
     zero_state,
 )
 from .wstates import (
@@ -201,25 +201,23 @@ def measurement_family(c: CoefficientVector, m: int) -> MeasurementBasis:
     return MeasurementBasis(range(1, c.n + 1), raw_measurement_vectors(c, m), FAMILY_LABELS)
 
 
-def raw_one_qubit_measurement_vectors(c: CoefficientVector, m: int, blocks=None) -> list[StateVector]:
+def raw_one_qubit_measurement_vectors(c: CoefficientVector, m: int) -> list[StateVector]:
     """Family vectors for a one-qubit unknown register, ungated:
 
         xi+- = |0>|front> +- back_norm|1>|0..0>;  eta+- = back_norm|0>|0..0> +- |1>|front>
 
     The back block's phases are folded into the receiver's encoded basis
-    state, which leaves its norm as the scalar.  Vectors live on 1 + (n - m)
-    qubits; ``blocks``, if given, are ``excitation_blocks(c, m)``.
+    state, which leaves its norm as the scalar.  Vectors live on
+    1 + (n - m) qubits.
     """
-    front, _, _, back_norm = blocks or excitation_blocks(c, m)
+    front, _, _, back_norm = excitation_blocks(c, m)
     return _family(_K0, _K1, (1, front), (back_norm, zero_state(c.n - m)))
 
 
-def one_qubit_measurement_family(c: CoefficientVector, m: int, blocks=None) -> MeasurementBasis:
-    """Orthonormal family for teleporting a genuine one-qubit state; a caller
-    that has gated the resource passes its ``excitation_blocks(c, m)``."""
-    if blocks is None:
-        require_condition(c, m)
-    vectors = raw_one_qubit_measurement_vectors(c, m, blocks)
+def one_qubit_measurement_family(c: CoefficientVector, m: int) -> MeasurementBasis:
+    """Orthonormal family for teleporting a genuine one-qubit state."""
+    require_condition(c, m)
+    vectors = raw_one_qubit_measurement_vectors(c, m)
     return MeasurementBasis(range(1, c.n - m + 2), vectors, FAMILY_LABELS)
 
 
@@ -298,8 +296,7 @@ def bob_strategy2_set(m: int, wm: StateVector) -> list[Unitary]:
 
     Applying the k-th operator to the k-th measurement branch leaves the
     receiver's register in |0..0> (x) (alpha|0> + beta|1>) on his last qubit.
-    One stacked product of the blocks on the corrections' indices (the
-    transfer moves some of them) composes all four, checked at once.
+    One stacked product on the corrections' moved indices composes all four.
     """
     transfer, corrections = transfer_unitary(m, wm), bob_strategy1_set(m, wm)
     idx, listed = corrections[0].moved, corrections[0].moved.tolist()
@@ -358,7 +355,7 @@ def _hop(
     """One teleportation step on every row of a (G, 2^q) stack: row (x) the
     ``resource`` (qubits, support indices, amplitudes) is measured in ``basis``
     (its k qubits lead) in support form, on the support's rest patterns padded
-    to a power of two of at least 8, or 2 if r = 1 (:func:`project_stack`), in
+    to :func:`support_width`'s column count (:func:`project_stack`), in
     stacks of at most ``_JOINT_AMPLITUDES`` such amplitudes (a larger one alone)
     in one zeroed buffer, and one call corrects every outcome's post-states on
     the ``receiver`` qubits.  Returns the K labels, (K, G) probabilities,
@@ -368,7 +365,7 @@ def _hop(
     qubits, index, amplitudes = resource
     r = rows.shape[1].bit_length() - 1 + qubits - len(basis.subset)
     columns = np.array(sorted(set((index & ((1 << r) - 1)).tolist())))
-    width = max(1 << (len(columns) - 1).bit_length(), 8 if r > 1 else 2)
+    width = support_width(r, len(columns))
     columns = np.arange(width) if width == 2**r else columns  # the dense layout
     at_support = (index >> r) * width + np.searchsorted(columns, index & ((1 << r) - 1))
     per = min(len(rows), max(1, _JOINT_AMPLITUDES // (width << len(basis.subset))))
@@ -471,23 +468,22 @@ def run_teleport_grid(
     recovers it per ``strategy`` (see module docstring).  One report for the
     grid: row g of its columns belongs to ``states[g]``.
 
-    After the split condition, the resource's excitation blocks, family,
-    corrections and relay basis are built once; every state then gets its own
-    full branch enumeration and per-branch fidelity check.  For ``subspace``
-    the reported fidelity is against the encoded target alpha|0..0> + beta|w>;
-    for ``transfer`` and ``serial`` it is the fidelity of the receiver's final
-    physical qubit against the input.  ``serial`` enumerates the sender's four
-    outcomes times the receiver's four, so its report carries sixteen
-    branches with joint probabilities.
+    The resource's family, corrections and relay basis are built once;
+    every state then gets its own full branch enumeration and per-branch
+    fidelity check.  For ``subspace`` the reported fidelity is
+    against the encoded target alpha|0..0> + beta|w>; for ``transfer`` and
+    ``serial`` it is the fidelity of the receiver's final physical qubit
+    against the input.  ``serial`` enumerates the sender's four outcomes
+    times the receiver's four, so its report carries sixteen branches with
+    joint probabilities.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; pick one of {STRATEGIES}")
-    require_condition(c, m)  # before anything is built
-    basis = one_qubit_measurement_family(c, m, blocks := excitation_blocks(c, m))
+    basis = one_qubit_measurement_family(c, m)  # gates on the split condition
     if not states:
         raise ValueError("need at least one state")
     _require_registers(states, 1)
-    wm = blocks[2]
+    wm = excitation_blocks(c, m)[2]
     corrections = (bob_strategy2_set if strategy == "transfer" else bob_strategy1_set)(m, wm)
     inputs = np.array([psi.amplitudes for psi in states])
     return _teleport(inputs, c, basis, corrections, strategy, wm)

@@ -101,9 +101,8 @@ def repeated_sdc_operator(mp):
 
     def mutant(c, m):
         encoding = build(c, m)
-        messages = encoding.messages.copy()
-        messages[1] = messages[0]  # message 1 takes message 0's base and order
-        return replace(encoding, messages=messages)
+        bases = encoding.bases  # message 1 (base 1 in order 0) repeats message 0
+        return replace(encoding, bases=(bases[0], bases[0]) + bases[2:])
 
     mp.setattr(sdc, "general_encoding_set", mutant)
 
@@ -112,9 +111,9 @@ def neighbour_base_gather(mp):
     gather = sdc.EncodingSet.gather
 
     def mutant(encoding, per_base):
-        messages = encoding.messages.copy()
-        messages[1, 0] = messages[0, 0]  # message 1 reads its neighbour's base
-        return gather(replace(encoding, messages=messages), per_base)
+        gathered = gather(encoding, per_base).copy()
+        gathered[1] = gathered[0]  # message 1 reads base 0 in its own order 0
+        return gathered
 
     mp.setattr(sdc.EncodingSet, "gather", mutant)
 

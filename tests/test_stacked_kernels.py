@@ -131,7 +131,7 @@ def test_unitary_rows_equal_single_applications(data, n, g, seed, normalized):
     rows = _complex(rng, g, 2**n)
     if normalized:
         rows /= np.linalg.norm(rows, axis=1)[:, None]
-    stacked = apply_unitary_stack(rows, u, subset)
+    stacked = apply_unitary_stack(rows[None], [u], subset)[0]
     assert stacked.shape == rows.shape
     for row, out in zip(rows, stacked):
         assert (out == apply_unitary(StateVector(n, row), u, subset).amplitudes).all()
@@ -171,7 +171,7 @@ def test_moved_row_application_equals_the_dense_product_bytewise(data, k, rest, 
     zeros[rng.integers(2**n)] = False
     rows[:, zeros] = 0.0  # exact zeros in every row, never all of it
     rows /= np.linalg.norm(rows, axis=1)[:, None]
-    stacked = apply_unitary_stack(rows, u, subset)
+    stacked = apply_unitary_stack(rows[None], [u], subset)[0]
     for row, out in zip(rows, stacked, strict=True):
         assert _folded(out) == _folded(_reference_apply(row, n, u, subset))
 
@@ -202,7 +202,7 @@ def test_a_stacked_apply_equals_one_apply_per_operator(data, n, rest, g, seed, s
     stacked = apply_unitary_stack(rows, ops, subset)
     assert stacked.shape == rows.shape
     for block, u, out in zip(rows, ops, stacked, strict=True):
-        assert _folded(out) == _folded(apply_unitary_stack(block, u, subset))
+        assert _folded(out) == _folded(apply_unitary_stack(block[None], [u], subset)[0])
 
 
 @settings(max_examples=60, deadline=None)
@@ -273,7 +273,7 @@ def test_stack_shape_is_checked(rows):
     with pytest.raises(DimensionError):
         project_stack(rows, basis)
     with pytest.raises(DimensionError):
-        apply_unitary_stack(rows, Unitary(np.eye(2)), [1])
+        apply_unitary_stack(rows[None], [Unitary(np.eye(2))], [1])
 
 
 def test_support_block_shape_is_checked():

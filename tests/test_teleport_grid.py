@@ -28,6 +28,7 @@ from wproto.qsim import (
     project,
     project_stack,
     superpose,
+    support_width,
     tensor,
     zero_state,
 )
@@ -103,25 +104,20 @@ def test_per_resource_objects_built_once(monkeypatch, strategy):
     corrections = _counting(monkeypatch, "bob_strategy1_set")
     seconds = _counting(monkeypatch, "serial_basis")
     transfers = _counting(monkeypatch, "transfer_unitary")
-    blocks = _counting(monkeypatch, "excitation_blocks")
     run_teleport_grid(w_coefficients(4), 2, unknown_state_grid(7, 1), strategy)
-    assert len(families) == len(blocks) == 1
+    assert len(families) == 1
     assert len(corrections) == 1  # the transfer set reuses the subspace set
     assert len(seconds) == (strategy == "serial")
     assert len(transfers) == (strategy == "transfer")
 
 
 def test_rejection_comes_before_any_construction(monkeypatch):
-    # the split condition is checked once, before the excitation blocks, the
-    # family or the corrections are built
-    gates = _counting(monkeypatch, "require_condition")
-    blocks = _counting(monkeypatch, "excitation_blocks")
     families = _counting(monkeypatch, "one_qubit_measurement_family")
     corrections = _counting(monkeypatch, "bob_strategy1_set")
     with pytest.raises(UnsuitableResourceError) as err:
         run_teleport_grid(w_coefficients(5), 2, unknown_state_grid(3, 0), "serial")
     assert err.value.report.left_sum == pytest.approx(0.6, abs=1e-12)
-    assert len(gates) == 1 and not blocks and not families and not corrections
+    assert len(families) == 1 and not corrections
 
 
 def test_the_four_paulis_are_built_once():
@@ -478,10 +474,10 @@ def _per_sender_branch_relay(c, m, grid):
     labels, probabilities, fidelities, posts = [], [], [], []
     for outer, p, post in project_stack(joint, one_qubit_measurement_family(c, m)):
         u = corrections[CORRECTION_INDEX[outer]]
-        fixed = apply_unitary_stack(post, u, range(1, m + 1))
+        fixed = apply_unitary_stack(post[None], [u], range(1, m + 1))[0]
         relayed = (fixed[:, :, None] * bell).reshape(len(grid), -1)
         for inner, q, final in project_stack(relayed, serial_basis(m, wm)):
-            final = apply_unitary_stack(final, PAULIS[CORRECTION_INDEX[inner]], [1])
+            final = apply_unitary_stack(final[None], [PAULIS[CORRECTION_INDEX[inner]]], [1])[0]
             labels.append(f"{outer}|{inner}")
             probabilities.append(p * q)
             fidelities.append(fidelity_stack(final, inputs))
@@ -644,10 +640,11 @@ def _dense_measurement(rows, basis):
     """The (V, G) probabilities and (V, G, 2^r) post-states of a (G, 2^n)
     stack whose leading qubits ``basis`` measures, on the whole joint state:
     one overlap per family vector, a row dot for each norm, then the division.
-    Four columns (r = 2) are multiplied as eight, zero-padded: a threaded BLAS
-    splits the sums of four columns on 2^12 rows, eight keep one thread's."""
+    The columns are zero-padded to ``support_width``'s count, from which a
+    threaded BLAS gives each column one thread's value."""
     psi = rows.reshape(len(rows), 2 ** len(basis.subset), -1)
-    wide = np.concatenate([psi, np.zeros_like(psi)], axis=2) if psi.shape[2] == 4 else psi
+    pad = support_width(psi.shape[2].bit_length() - 1, psi.shape[2]) - psi.shape[2]
+    wide = np.concatenate([psi, np.zeros_like(psi[:, :, :pad])], axis=2)
     branches = np.array([vec.amplitudes.conj() @ wide for vec in basis.vectors])[..., : psi.shape[2]]
     p = np.vecdot(branches, branches).real
     kept = (p > ZERO_PROBABILITY)[:, :, None]
