@@ -262,7 +262,8 @@ def _verdict(rows: np.ndarray) -> DecodeVerdict:
     if not unit_rows(rows).all():
         raise NormalizationError("all states must be normalized")
     gram = gram_matrix(rows)
-    deviation = np.abs(gram - np.eye(len(gram)))
+    deviation = np.abs(gram)  # |gram - I| without an identity: the diagonal apart
+    deviation.flat[:: len(gram) + 1] = np.abs(gram.diagonal() - 1.0)
     if deviation.max() <= STRUCTURAL_TOL:
         return DecodeVerdict(True, len(gram), gram, None)
     i, j = divmod(int(deviation.argmax()), len(gram))

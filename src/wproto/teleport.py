@@ -49,6 +49,7 @@ import numpy as np
 
 from .qsim import (
     MAX_QUBITS,
+    MEASURED_BLOCK,
     PAULI_FOUR,
     PAULIS,
     STRUCTURAL_TOL,
@@ -61,6 +62,7 @@ from .qsim import (
     Unitary,
     apply_unitary_stack,
     fidelity_stack,
+    kept_patterns,
     make_basis_state,
     project_stack,
     require_int,
@@ -354,34 +356,42 @@ def _hop(
 ) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, tuple[Unitary, ...]]:
     """One teleportation step on every row of a (G, 2^q) stack: row (x) the
     ``resource`` (qubits, support indices, amplitudes) is measured in ``basis``
-    (its k qubits lead) in support form, on the support's rest patterns padded
-    to :func:`support_width`'s column count (:func:`project_stack`), in
-    stacks of at most ``_JOINT_AMPLITUDES`` such amplitudes (a larger one alone)
-    in one zeroed buffer, and one call corrects every outcome's post-states on
-    the ``receiver`` qubits.  Returns the K labels, (K, G) probabilities,
-    (K, G, 2^r) corrected post-states and K corrections.  The rows form one
-    group per prefix; a branch of probability 0 in any row is a bug, named by
-    the first such group's prefix and its label."""
-    qubits, index, amplitudes = resource
-    r = rows.shape[1].bit_length() - 1 + qubits - len(basis.subset)
-    columns = np.array(sorted(set((index & ((1 << r) - 1)).tolist())))
+    (its k qubits lead) in support form (:func:`project_stack`), on its rest
+    patterns padded to :func:`support_width`'s count and on the aligned blocks
+    of 8 measured patterns that hold data (:func:`kept_patterns`; BLAS adds in
+    aligned groups of 4, so dropping all-zero blocks moved no bit in 384 W-class
+    draws), in stacks of at most ``_JOINT_AMPLITUDES`` whole-axis amplitudes (a
+    larger one alone) in one zeroed buffer; one call corrects every outcome's
+    post-states on the ``receiver`` qubits.  Returns the K labels, (K, G)
+    probabilities, (K, G, 2^r) corrected post-states and K corrections.  The
+    rows form one group per prefix; a branch of probability 0 in any row is a
+    bug, named by the first such group's prefix and its label."""
+    (qubits, index, amplitudes), k = resource, len(basis.subset)
+    r = rows.shape[1].bit_length() - 1 + qubits - k
+    rest = index & ((1 << r) - 1)
+    columns = np.array(sorted(set(rest.tolist())))
     width = support_width(r, len(columns))
     columns = np.arange(width) if width == 2**r else columns  # the dense layout
-    at_support = (index >> r) * width + np.searchsorted(columns, index & ((1 << r) - 1))
-    per = min(len(rows), max(1, _JOINT_AMPLITUDES // (width << len(basis.subset))))
-    joint = np.zeros((per, rows.shape[1], width << (qubits - r)), dtype=np.complex128)
+    occupied = np.arange(rows.shape[1])  # input patterns x, each (x) the resource
+    if 2**k > 2 * MEASURED_BLOCK:  # else kept_patterns keeps the whole axis
+        occupied = rows.any(axis=0).nonzero()[0]
+        rows = rows[:, occupied]
+    patterns = occupied[:, None] << (qubits - r) | index >> r
+    kept = kept_patterns(k, patterns)
+    at_support = (kept.searchsorted(patterns) * width + columns.searchsorted(rest)).ravel()
+    per = min(len(rows), max(1, _JOINT_AMPLITUDES // (width << k)))
+    joint = np.zeros((per, len(kept) * width), dtype=np.complex128)
     p = np.empty((len(basis.labels), len(rows)))
     post = np.empty(p.shape + (2**r,), dtype=np.complex128)
     for start in range(0, len(rows), per):
         at = slice(start, start + per)
         chunk = joint[: len(rows[at])]
-        chunk[:, :, at_support] = rows[at, :, None] * amplitudes
-        measured = project_stack(chunk.reshape(len(chunk), -1, width), basis, (r, columns))
-        for k, (_, prob, branch) in enumerate(measured):
-            p[k, at], post[k, at] = prob, branch
+        chunk[:, at_support] = (rows[at, :, None] * amplitudes).reshape(len(chunk), -1)
+        measured = project_stack(chunk.reshape(len(chunk), -1, width), basis, (r, columns, kept))
+        _, p[:, at], post[:, at] = zip(*measured)  # each outcome's probabilities and post-states
     del joint, chunk  # the corrections run without it: a lower peak
-    failing = ~(p > ZERO_PROBABILITY).reshape(len(p), len(prefixes), -1).all(axis=2).T
-    if failing.any():
+    if not (p > ZERO_PROBABILITY).all():  # then find the first group's failing branch
+        failing = ~(p > ZERO_PROBABILITY).reshape(len(p), len(prefixes), -1).all(axis=2).T
         name = [f + label for f in prefixes for label in basis.labels][failing.argmax()]
         raise InternalConsistencyError(f"branch {name} has probability 0")
     fixes = tuple(corrections[CORRECTION_INDEX[label]] for label in basis.labels)

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import wproto.qsim as qsim
@@ -21,14 +21,23 @@ from wproto.qsim import (
     apply_unitary_stack,
     fidelity,
     fidelity_stack,
+    kept_patterns,
     make_basis_state,
     permute_rows_stack,
     project,
     project_stack,
     state_rows,
+    support_width,
+    zero_state,
 )
-from wproto.teleport import bob_strategy1_set, bob_strategy2_set
-from wproto.wstates import excitation_blocks
+from wproto.teleport import (
+    bob_strategy1_set,
+    bob_strategy2_set,
+    one_qubit_measurement_family,
+    serial_basis,
+    unknown_state_grid,
+)
+from wproto.wstates import excitation_blocks, excitation_indices
 
 from oracle_utils import zeroed_condition_coefficients
 
@@ -277,10 +286,68 @@ def test_stack_shape_is_checked(rows):
 
 
 def test_support_block_shape_is_checked():
+    # one block row per kept pattern: all four, or the two listed
     basis = MeasurementBasis([1, 2], [make_basis_state(2, [0, 0])])
-    for block in (np.zeros((2, 4)), np.zeros((2, 2, 4)), np.zeros((1, 4, 2, 2))):
+    for block, kept in [
+        (np.zeros((2, 4)), np.arange(4)),
+        (np.zeros((2, 2, 4)), np.arange(4)),
+        (np.zeros((1, 4, 2, 2)), np.arange(4)),
+        (np.zeros((2, 4, 2)), np.arange(2)),
+    ]:
         with pytest.raises(DimensionError):
-            project_stack(block, basis, (2, np.arange(2)))
+            project_stack(block, basis, (2, np.arange(2), kept))
+
+
+def _full_and_kept_blocks(rows, resource, k):
+    """Each row (x) the ``resource`` (qubits, support, amplitudes) as the
+    support block of its k leading qubits, on all 2^k patterns and on
+    :func:`kept_patterns`' blocks of the occupied ones, with its (r, columns)."""
+    qubits, index, amplitudes = resource
+    r = rows.shape[1].bit_length() - 1 + qubits - k
+    rest = index & ((1 << r) - 1)
+    columns = np.unique(rest)
+    width = support_width(r, len(columns))
+    columns = np.arange(width) if width == 2**r else columns
+    patterns = np.arange(rows.shape[1])[:, None] << (qubits - r) | index >> r
+    full = np.zeros((len(rows), 2**k, width), dtype=np.complex128)
+    full[:, patterns, np.searchsorted(columns, rest)] = rows[:, :, None] * amplitudes
+    kept = kept_patterns(k, patterns[rows.any(axis=0)])
+    return full, full[:, kept], (r, columns), kept
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=16),
+    m=st.integers(min_value=1, max_value=15),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(n=16, m=8, seed=0)  # both hops drop blocks: 96 and 56 of 512 patterns kept
+def test_kept_blocks_measure_as_the_full_measured_axis_bytewise(n, m, seed):
+    # the sender's hop on a W-class support with exact zeros and the relay's
+    # on the Bell pair, each measured on the kept blocks of its measured axis
+    # and on the whole axis: every value is the same, down to the sign of a zero
+    assume(m < n)
+    rng = np.random.default_rng(seed)
+    c = zeroed_condition_coefficients(n, m, rng)
+    wm = excitation_blocks(c, m)[2]
+    inputs = np.array([psi.amplitudes for psi in unknown_state_grid(3, seed)])
+    pairs = _complex(rng, 4, 2)
+    pairs /= np.linalg.norm(pairs, axis=1)[:, None]
+    registers = pairs[:, :1] * zero_state(m).amplitudes + pairs[:, 1:] * wm.amplitudes
+    bell = np.array([0, 3]), np.full(2, 1 / math.sqrt(2), dtype=np.complex128)
+    hops = [
+        (inputs, (n, excitation_indices(n), c.coeffs), one_qubit_measurement_family(c, m)),
+        (registers, (2, *bell), serial_basis(m, wm)),
+    ]
+    for rows, resource, basis in hops:
+        k = len(basis.subset)
+        full, compact, (r, columns), kept = _full_and_kept_blocks(rows, resource, k)
+        whole = project_stack(full, basis, (r, columns, np.arange(2**k)))
+        for (label, p, post), (_, want_p, want_post) in zip(
+            project_stack(compact, basis, (r, columns, kept)), whole, strict=True
+        ):
+            assert _folded(p) == _folded(want_p), label
+            assert _folded(post) == _folded(want_post), label
 
 
 def _dot_stacks(width):

@@ -453,12 +453,16 @@ def test_a_batch_hops_once_per_measurement(monkeypatch, strategy, expected):
 
 
 def test_a_large_hop_measures_its_support_form_in_few_chunks(monkeypatch):
-    # W16, m = 8: each sender joint state takes 2^9 x 16 support amplitudes, so
+    # W16, m = 8: each sender joint state counts 2^9 x 16 support amplitudes, so
     # the 20 rows are measured in 5 chunks of 4 (one row per chunk on all 2^17
-    # amplitudes); the relay's 80 rows of 2^9 x 2 in 3 chunks of 32; each hop
-    # then corrects its branches in one call
+    # amplitudes), each on the 96 of 512 measured patterns whose blocks hold
+    # data; the relay's 80 rows of 2^9 x 2 in 3 chunks of 32, on 56 of 512;
+    # each hop then corrects its branches in one call
+    measured = _counting(monkeypatch, "project_stack")
     calls = _kernel_calls(monkeypatch, w_coefficients(16), 8, unknown_state_grid(20, 1), "serial")
     assert tuple(calls.values()) == (5 + 3, 2, 1, 0)
+    shapes = [rows.shape for rows, _, _ in measured]
+    assert shapes == [(4, 96, 16)] * 5 + [(32, 56, 2)] * 2 + [(16, 56, 2)]
 
 
 def _per_sender_branch_relay(c, m, grid):
@@ -685,9 +689,9 @@ def test_support_form_measurement_equals_the_dense_call_bytewise(n, m, count, se
         run_teleport_grid(c, m, grid, "serial")
         run_teleport_encoded(c, m, encoded_state(c, m, 0.6, 0.8j))
     assert {len(basis.subset) for _, basis, _, _ in calls} == {n - m + 1, m + 1, n}
-    for compact, basis, (rest, columns), measured in calls:
-        joint = np.zeros(compact.shape[:2] + (2**rest,), dtype=np.complex128)
-        joint[:, :, columns] = compact[:, :, : len(columns)]
+    for compact, basis, (rest, columns, kept), measured in calls:
+        joint = np.zeros((len(compact), 2 ** len(basis.subset), 2**rest), dtype=np.complex128)
+        joint[:, kept[:, None], columns] = compact[:, :, : len(columns)]
         joint = joint.reshape(len(joint), -1)
         dense = project_stack(joint, basis)
         for (label, p, post), want_p, want_post, (_, dense_p, dense_post) in zip(
@@ -700,8 +704,10 @@ def test_support_form_measurement_equals_the_dense_call_bytewise(n, m, count, se
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_w16_strategies_read_no_dense_operator_and_hold_no_joint_state(monkeypatch, strategy):
     # W16, m = 8: corrections multiply their moved rows and the hops measure
-    # in support form, so no operator's 256 x 256 view is read and the peak
-    # stays under one dense joint state of 2^17 amplitudes (2 MiB)
+    # in support form on the kept blocks of the measured axis, so no operator's
+    # 256 x 256 view is read and the peak stays under 1.4 MiB (963-1316 KiB
+    # measured; 1461-1550 KiB on the whole measured axis, 2 MiB for one dense
+    # joint state of 2^17 amplitudes)
     reads = []
     dense = Unitary.matrix.fget
     monkeypatch.setattr(Unitary, "matrix", property(lambda u: reads.append(u) or dense(u)))
@@ -714,7 +720,7 @@ def test_w16_strategies_read_no_dense_operator_and_hold_no_joint_state(monkeypat
     finally:
         tracemalloc.stop()
     assert report.success and not reads
-    assert peak < 2**17 * 16
+    assert peak < 1.4 * 2**20
 
 
 _THREAD_PROBE = """
@@ -722,15 +728,17 @@ import hashlib
 import numpy as np
 from oracle_utils import random_condition_coefficients
 from wproto.teleport import encoded_state, run_teleport_encoded, run_teleport_grid, unknown_state_grid
-digest = hashlib.sha256()
+digest, reports = hashlib.sha256(), []
 for n in (12, 13, 14):
     for seed in range(3):
         c = random_condition_coefficients(n, 2, np.random.default_rng(seed))
-        reports = [run_teleport_encoded(c, 2, encoded_state(c, 2, 0.6, 0.8j))]
+        reports.append(run_teleport_encoded(c, 2, encoded_state(c, 2, 0.6, 0.8j)))
         reports += [run_teleport_grid(c, 2, unknown_state_grid(2, seed), s) for s in ("subspace", "serial")]
-        for report in reports:
-            for column in (report.probabilities, report.fidelities, report.post_states):
-                digest.update(column.tobytes())
+c = random_condition_coefficients(16, 8, np.random.default_rng(0))
+reports.append(run_teleport_grid(c, 8, unknown_state_grid(20, 0), "serial"))
+for report in reports:
+    for column in (report.probabilities, report.fidelities, report.post_states):
+        digest.update(column.tobytes())
 print(digest.hexdigest())
 """
 
@@ -738,7 +746,8 @@ print(digest.hexdigest())
 def test_teleport_bytes_do_not_depend_on_the_blas_thread_count():
     # the encoded hop at m = 2, n = 12..14 measures 2^n rows on r = 2 receiver
     # qubits: on four columns a threaded BLAS splits the sums, so its block is
-    # padded to eight, whose values do not depend on the thread count
+    # padded to eight, whose values do not depend on the thread count; the
+    # W16, m = 8 relay drops blocks of its measured axis under both counts
     path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests"), os.environ.get("PYTHONPATH", "")])
     digests = []
     for threads in ("1", "2"):
