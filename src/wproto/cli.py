@@ -14,9 +14,6 @@ only when every scenario's verdict matches its declared expectation.
 JSON output is byte-stable: keys are sorted, reals carry 12 significant
 digits, complex numbers appear as two-element [re, im] arrays, and nothing
 time-dependent is included (wall time shows up in the table format only).
-It is written in one recursive pass that clamps each real as it goes and
-gives the bytes of ``json.dumps(..., sort_keys=True, indent=2)`` on the
-clamped report.
 
 Flags: ``--config <path>``, ``--format json|table``, ``--out <path>``,
 ``--demo-sample --seed <u64>``.  Exit codes: 0 all expectations met,
@@ -144,17 +141,13 @@ def _reject_unknown(obj: dict, known, where: str, errors: list[str]) -> None:
 
 
 def _as_complex(value: Any, where: str, errors: list[str]) -> complex:
-    if (
-        isinstance(value, (list, tuple))
-        and len(value) == 2
-        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)
-    ):
-        # rejects NaN and infinities, and integer literals beyond the float range
-        if all(abs(x) <= sys.float_info.max for x in value):
-            return complex(value[0], value[1])
+    if not (isinstance(value, (list, tuple)) and len(value) == 2
+            and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)):
+        errors.append(f"{where}: expected a two-element [re, im] array")
+    elif all(abs(x) <= sys.float_info.max for x in value):  # no NaN, inf or int past the float range
+        return complex(value[0], value[1])
+    else:
         errors.append(f"{where}: [re, im] must be finite numbers within the float range")
-        return 0j
-    errors.append(f"{where}: expected a two-element [re, im] array")
     return 0j
 
 
@@ -206,13 +199,20 @@ def _coefficient_state(raw: Any, where: str, errors: list[str]) -> tuple[Any, in
             f"{where}.coefficients: {len(raw)} qubits exceed the qubit budget of {MAX_QUBITS}"
         )
         return None
-    coeffs = [_as_complex(v, f"{where}.coefficients[{i}]", errors) for i, v in enumerate(raw)]
+    # [re, im] pairs of finite JSON numbers (no bools) in one pass; anything else item by item
+    flat = [x for v in raw if type(v) is list and len(v) == 2 for x in v
+            if type(x) is float or type(x) is int and abs(x) <= sys.float_info.max]
+    pairs = np.array(flat, dtype=np.float64)
+    if len(flat) == 2 * len(raw) and np.isfinite(pairs).all():
+        coeffs = pairs.view(np.complex128)
+    else:
+        coeffs = [_as_complex(v, f"{where}.coefficients[{i}]", errors) for i, v in enumerate(raw)]
     try:
         c = CoefficientVector(coeffs)
     except NormalizationError as exc:
         errors.append(f"{where}.coefficients: {exc}")
         return None
-    return c, c.n, {"coefficients": [[z.real, z.imag] for z in c.coeffs]}
+    return c, c.n, {"coefficients": c.coeffs.view(np.float64).reshape(-1, 2).tolist()}
 
 
 def _parse_scenario(raw: Any, index: int, errors: list[str]) -> Scenario | None:

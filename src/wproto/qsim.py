@@ -2,26 +2,19 @@
 
 States are dense complex amplitude vectors indexed so that qubit 1 is the
 most significant bit of the amplitude index: ``|q1 q2 ... qn>`` lives at
-index ``q1*2^(n-1) + q2*2^(n-2) + ... + qn``.  Dense vectors keep every
-operation exact up to float rounding; reduced spectra come from the Schmidt
-values of a cut's support block, so the cuts of a GHZ state or of a W-class
-state on n >= 4 qubits share one SVD and no entropy builds a 2^k x 2^k matrix.
+index ``q1*2^(n-1) + q2*2^(n-2) + ... + qn``; every operation is exact up
+to float rounding.
 
-Unitary application and projective measurement also come as stacked
-kernels over a (G, 2^n) array of amplitude rows, one state per row
-(:func:`project_stack`), or a (K, G, 2^n) one that K operators moving the same
-indices take in one call, one per block (:func:`apply_unitary_stack`).  They
-check every row on its own and, on moved rows, occupied columns and blocks,
-keep its dense values bit for bit up to the sign of a zero, at any BLAS thread
-count; :func:`apply_unitary` and :func:`project` are their one-row case.  Row
-norms and overlaps are one ``np.vecdot`` over the stack, the BLAS zdotc
-that ``np.vdot`` runs on each row.  :func:`state_rows` turns a stack into
-``StateVector`` rows and :func:`fidelity_stack` compares two stacks row by
-row, the second repeated over blocks of the first (:func:`fidelity` is its
-one-row case), so a caller that works on stacks makes no per-row call.  A
-:class:`Unitary` is the identity but a block on the indices it moves, with
-an optional row order; it is built, checked, permuted and applied on that
-block, a set of them as one stack; only the tests read its dense matrix.
+The kernels work on stacks, the one-state call being their one-row case:
+:func:`project_stack` measures every row of a (G, 2^n) amplitude array,
+:func:`apply_unitary_stack` applies K operators moving the same indices to a
+(K, G, 2^n) one, :func:`fidelity_stack` compares two stacks row by row, and
+the reduced spectra of all cuts of a state are the rows of one array from
+one SVD of their support blocks (:func:`trailing_spectra_stack`), whose
+entropies :func:`spectrum_entropy` takes at once.  Each row keeps the values
+of its one-state call bit for bit, up to the sign of a zero, at any BLAS
+thread count.  A :class:`Unitary` is the identity but a block on the indices
+it moves, with an optional row order; only the tests read its dense matrix.
 
 All values are immutable after construction (amplitude buffers are marked
 read-only) and every operation is a pure function, so independent
@@ -666,49 +659,48 @@ def _ranks(keys: np.ndarray) -> tuple[np.ndarray, list[int]]:
     return ranks, (steps[:, -1] + 1).tolist()
 
 
-def _spectra(amps: np.ndarray, ks: Sequence[int]) -> list[np.ndarray]:
-    """Ascending spectrum of the last k qubits of ``amps`` for each k in ``ks``.
+def _spectra(amps: np.ndarray, ks: Sequence[int]) -> np.ndarray:
+    """Ascending spectra of the last k qubits of ``amps``, one per k in ``ks``, as the
+    rows of one read-only array, each zero-padded on the left to the widest cut's
+    min(2^k, 2^(n-k)) values.
 
     A cut's support block is the grouped (2^k, 2^(n-k)) matrix without its zero
     rows and columns: rows are the kept patterns ``i & (2^k - 1)`` and columns
     the rest patterns ``i >> k`` that occur, both ascending.  With s nonzero
     amplitudes and s^2 <= 2^n, blocks are zero-padded to (s, s) and share one
     SVD per stack of at most max(2^n, 2^12) amplitudes (one stack for any W-class
-    or GHZ scan); otherwise blocks of one shape share one.  A block depends only
-    on the state and the cut, so no batch changes a bit.  Past the block's rank bound
-    min(rows, columns) a spectrum is exact zeros, up to min(2^k, 2^(n-k)) values.
+    or GHZ scan); otherwise each block has its own.  A block depends only on the
+    state and the cut, so no batch changes a bit.  Past the block's rank bound
+    min(rows, columns) a spectrum is exact zeros.
     """
     n, cuts, s = len(amps).bit_length() - 1, len(ks), int(np.count_nonzero(amps))
     if s * s <= 2**n:
         support, m = (amps != 0).nonzero()[0], np.array(ks, dtype=np.intp)[:, None]
         ranks, counts = _ranks(np.concatenate([support & ((1 << m) - 1), support >> m]))
-        bounds, per = list(map(min, counts[:cuts], counts[cuts:])), max(2**n, 2**12) // (s * s)
+        bounds, per = np.minimum(counts[:cuts], counts[cuts:]), max(2**n, 2**12) // (s * s)
         def padded(lo: int):  # at most ``per`` cuts from ``lo`` on, as one stack
-            at = range(lo, min(lo + per, cuts))
-            stack = np.zeros((len(at), s, s), dtype=np.complex128)
-            stack[np.arange(len(at))[:, None], ranks[at], ranks[cuts:][at]] = amps[support]
-            return at, stack, bounds[lo : at.stop]
+            at = slice(lo, min(lo + per, cuts))
+            stack = np.zeros((at.stop - lo, s, s), dtype=np.complex128)
+            stack[np.arange(at.stop - lo)[:, None], ranks[at], ranks[cuts:][at]] = amps[support]
+            return at, stack, bounds[at]
         batches = map(padded, range(0, cuts, per))  # one padded stack alive at a time
     else:
-        groups, batches = {}, []
-        for i, k in enumerate(ks):
+        batches = []
+        for i, k in enumerate(ks):  # each block alone, as a view where no row or column is zero
             psi = amps.reshape(-1, 2**k).T
             if s < len(amps):  # drop the zero rows and columns
                 occupied = psi != 0
                 psi = psi[np.logical_or.reduce(occupied, 1)][:, np.logical_or.reduce(occupied, 0)]
-            groups.setdefault(psi.shape, []).append((i, psi))
-        for shape, group in groups.items():
-            at, blocks = zip(*group)  # a lone block goes in as a view, not a copy
-            stack = np.stack(blocks) if len(blocks) > 1 else blocks[0][None]
-            batches.append((at, stack, [min(shape)] * len(at)))
-    spectra = [None] * cuts
-    for at, stack, widths in batches:
-        lam = np.linalg.svd(stack, compute_uv=False)[:, ::-1] ** 2
+            batches.append((slice(i, i + 1), psi[None], None))  # min(shape) values: its rank
+    width = max([2 ** min(k, n - k) for k in ks], default=1)
+    spectra = np.zeros((cuts, width))
+    for at, stack, bound in batches:
+        lam = (np.linalg.svd(stack, compute_uv=False)[:, ::-1] ** 2)[:, -width:]
         del stack
-        for i, values, width in zip(at, lam, widths):
-            spectra[i] = np.zeros(2 ** min(ks[i], n - ks[i]))
-            spectra[i][-width:] = values[-width:]
-            spectra[i].flags.writeable = False
+        if bound is not None:  # zeros past a padded block's rank bound
+            lam[np.arange(lam.shape[1]) < lam.shape[1] - bound[:, None]] = 0.0
+        spectra[at, width - lam.shape[1] :] = lam
+    spectra.flags.writeable = False
     return spectra
 
 
@@ -721,23 +713,34 @@ def reduced_spectrum(state: StateVector, keep: Sequence[int]) -> np.ndarray:
     return _spectra(amps, [k])[0]
 
 
-def trailing_spectra(state: StateVector) -> list[np.ndarray]:
-    """:func:`reduced_spectrum` of the last m qubits for m = 1..n-1, bit for bit,
-    from one stacked SVD when s^2 <= 2^n (any GHZ state, any W-class one on n >= 4)."""
+def trailing_spectra_stack(state: StateVector) -> np.ndarray:
+    """The spectra of the last m qubits, m = 1..n-1, as the rows of one read-only
+    (n-1, 2^floor(n/2)) array from one SVD per :func:`_spectra` batch."""
     if not state.normalized:
         raise NormalizationError("a reduced state needs a normalized state")
     return _spectra(state.amplitudes, range(1, state.num_qubits))
 
 
-def spectrum_entropy(eigenvalues: np.ndarray) -> float:
-    """-sum(lam * log2(lam)) over a spectrum, with 0*log0 = 0.
+def trailing_spectra(state: StateVector) -> list[np.ndarray]:
+    """:func:`reduced_spectrum` of the last m qubits for m = 1..n-1, bit for bit:
+    the rows of :func:`trailing_spectra_stack` without their padding."""
+    n, stack = state.num_qubits, trailing_spectra_stack(state)
+    return [row[len(row) - 2 ** min(m, n - m) :] for m, row in enumerate(stack, 1)]
 
-    Eigenvalues pushed slightly negative by rounding are clamped to zero
-    before the log.
-    """
-    lam = np.clip(eigenvalues, 0.0, None)
-    lam = lam[lam > 0.0]
-    return max(0.0, float(-(lam * np.log2(lam)).sum()))
+
+def spectrum_entropy(eigenvalues: np.ndarray) -> float | np.ndarray:
+    """-sum(lam * log2(lam)) over a spectrum, 0 log 0 = 0 and values rounded below zero
+    taken as zero, or one per row of a (C, W) stack (a 1-D spectrum is the one-row
+    case): one log2 over all positive entries, then each row's own (an ascending
+    row's tail) summed alone, in a 1-D call's order, so with its bits."""
+    lam = np.asarray(eigenvalues)
+    rows = lam[None] if lam.ndim == 1 else lam
+    positive = rows > 0.0  # negatives and zeros (0 log 0 = 0) drop out with the NaNs
+    values, ends = rows[positive], np.add.accumulate(np.add.reduce(positive, axis=1)).tolist()
+    terms = values * np.log2(values)
+    sums = np.array([np.add.reduce(terms[lo:hi]) for lo, hi in zip([0] + ends, ends)])
+    entropies = np.maximum(0.0, 0.0 - sums)  # 0 - x, not -x: +0.0 for a zero sum, as max(0.0, -0.0)
+    return float(entropies[0]) if lam.ndim == 1 else entropies
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:

@@ -23,20 +23,16 @@ to one of four subspace corrections, each built on its block (|0..0>,
                     qubit.
 
 Each protocol is one hop, taken once or twice: every input row (x) the
-resource is measured in a family, and one call gives each outcome's rows the
-correction it names on the receiver's qubits, as arrays over all outcomes.
-``serial`` takes a second hop from every sender branch at once, through
-(|00> + |11>)/sqrt(2) in the relay family, and corrects its first qubit;
-its sixteen branches carry joint probabilities.  :func:`run_teleport_grid`
-builds a resource's family, corrections and relay basis once and checks
-every grid point against its own target, equal bit for bit to a run of
-that point alone, in one columnar :class:`ProtocolReport` (a row per grid
-point, a column per branch); :func:`run_teleport_one_qubit` is its
-one-state case, and :func:`run_teleport_encoded` sends any m-qubit
-register through the same hop, whose measurement refuses one outside
-span{|0..0>, |w>}.  One check refuses a ``StateVector`` of the wrong size
-or norm, be it an input register or the receiver's |w>.  Every branch is
-enumerated deterministically; nothing is sampled.
+resource is measured in a family, and one call corrects each outcome's rows
+on the receiver's qubits.  ``serial`` hops again from every sender branch at
+once, through (|00> + |11>)/sqrt(2) in the relay family; its sixteen branches
+carry joint probabilities.  :func:`run_teleport_grid` builds a resource's
+family, corrections and relay basis once and checks every grid point against
+its own target, bit for bit a run of that point alone, in one columnar
+:class:`ProtocolReport`; :func:`run_teleport_one_qubit` is its one-state
+case, and :func:`run_teleport_encoded` sends an m-qubit register through the
+same hop, whose measurement refuses one outside span{|0..0>, |w>}.  Every
+branch is enumerated deterministically; nothing is sampled.
 """
 
 from __future__ import annotations
@@ -353,14 +349,15 @@ def _hop(
     corrections: Sequence[Unitary],
     receiver: Sequence[int],
     prefixes: Sequence[str] = ("",),
+    within: np.ndarray | None = None,
 ) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, tuple[Unitary, ...]]:
     """One teleportation step on every row of a (G, 2^q) stack: row (x) the
     ``resource`` (qubits, support indices, amplitudes) is measured in ``basis``
     (its k qubits lead) in support form (:func:`project_stack`), on its rest
     patterns padded to :func:`support_width`'s count and on the aligned blocks
-    of 8 measured patterns that hold data (:func:`kept_patterns`; BLAS adds in
-    aligned groups of 4, so dropping all-zero blocks moved no bit in 384 W-class
-    draws), in stacks of at most ``_JOINT_AMPLITUDES`` whole-axis amplitudes (a
+    of 8 measured patterns that hold data (:func:`kept_patterns`), read from the
+    rows on the input patterns ``within`` (all by default), off which they are
+    zero, in stacks of at most ``_JOINT_AMPLITUDES`` whole-axis amplitudes (a
     larger one alone) in one zeroed buffer; one call corrects every outcome's
     post-states on the ``receiver`` qubits.  Returns the K labels, (K, G)
     probabilities, (K, G, 2^r) corrected post-states and K corrections.  The
@@ -374,7 +371,8 @@ def _hop(
     columns = np.arange(width) if width == 2**r else columns  # the dense layout
     occupied = np.arange(rows.shape[1])  # input patterns x, each (x) the resource
     if 2**k > 2 * MEASURED_BLOCK:  # else kept_patterns keeps the whole axis
-        occupied = rows.any(axis=0).nonzero()[0]
+        within = occupied if within is None else within
+        occupied = within[rows[:, within].any(axis=0)]
         rows = rows[:, occupied]
     patterns = occupied[:, None] << (qubits - r) | index >> r
     kept = kept_patterns(k, patterns)
@@ -429,7 +427,8 @@ def _teleport(
         labels, p, final, fixes = _hop(inputs[rows], resource, basis, corrections, range(1, m + 1))
         if relay is not None:  # one hop over every sender branch's rows, sender-branch-major
             outer = [label + "|" for label in labels]
-            inner, q, final, fixes = _hop(final.reshape(-1, 2**m), _BELL, relay, PAULIS, [1], outer)
+            relayed = final.reshape(-1, 2**m)  # zero off the indices the corrections move
+            inner, q, final, fixes = _hop(relayed, _BELL, relay, PAULIS, [1], outer, fixes[0].moved)
             labels, fixes = tuple(o + i for o in outer for i in inner), fixes * len(outer)
             # its (inner, outer) axes become (outer, inner) branches
             p = (p[:, None] * q.reshape(4, 4, -1).swapaxes(0, 1)).reshape(16, -1)

@@ -29,7 +29,7 @@ from .qsim import (
     StateVector,
     require_int,
     spectrum_entropy,
-    trailing_spectra,
+    trailing_spectra_stack,
 )
 
 
@@ -236,7 +236,8 @@ def teleport_condition(c: CoefficientVector, m: int) -> ConditionReport:
 def _splits(c: CoefficientVector):
     """:func:`teleport_condition`'s report for any valid m, |a|^2 taken once."""
     w, n = np.abs(c.coeffs) ** 2, c.n
-    return lambda m: _condition_report(m, float(w[: n - m].sum()), float(w[n - m :].sum()))
+    add = np.add.reduce  # what ndarray.sum runs, without its wrapper
+    return lambda m: _condition_report(m, float(add(w[: n - m])), float(add(w[n - m :])))
 
 
 def ghz_condition(a1: complex, a2: complex, m: int = 1) -> ConditionReport:
@@ -289,29 +290,26 @@ def _checked_scan(state: StateVector, condition, side: str | None = None) -> tup
     spectrum of the last m qubits; given a ``side``, also the entropy row from
     that spectrum: (m, simulated entropy, H(report.<side>), match within tolerance).
 
-    All n-1 spectra come from one ``trailing_spectra`` call (one stacked SVD
-    of the support blocks for n >= 4), each equal bit for bit to
-    ``reduced_spectrum`` of its cut.  Both state families split into two orthogonal terms across
-    every cut, so the spectrum has exactly two nonzero eigenvalues, which
-    must equal the report's left and right sums; a disagreement would mean
-    the checker and the simulator have diverged, so it raises.
+    The spectra are the rows of one ``trailing_spectra_stack`` (one stacked SVD for
+    n >= 4), each bit for bit ``reduced_spectrum`` of its cut, checked and taken to
+    entropies as one array.  Both state families split into two orthogonal terms
+    across every cut, so each spectrum's two nonzero values must equal the report's
+    left and right sums; else checker and simulator diverged: it raises at the first m.
     """
-    reports, rows = [], []
-    for m, spectrum in enumerate(trailing_spectra(state), 1):
-        rep = condition(m)
-        expected = np.zeros(spectrum.shape[0])
-        expected[-2:] = sorted((rep.left_sum, rep.right_sum))
-        deviation = float(np.abs(spectrum - expected).max())
-        if not deviation <= STRUCTURAL_TOL:
-            raise InternalConsistencyError(
-                f"split sums and simulated reduced spectrum disagree at m={m}"
-                f" (max deviation {deviation:.3e})"
-            )
-        reports.append(rep)
-        if side:
-            simulated, formula = spectrum_entropy(spectrum), binary_entropy(getattr(rep, side))
-            rows.append((m, simulated, formula, abs(simulated - formula) <= STRUCTURAL_TOL))
-    return reports, rows
+    spectra = trailing_spectra_stack(state)
+    reports = [condition(m) for m in range(1, len(spectra) + 1)]
+    expected = np.zeros(spectra.shape)
+    expected[:, -2:] = [sorted((rep.left_sum, rep.right_sum)) for rep in reports]
+    deviation = np.maximum.reduce(np.abs(spectra - expected), axis=1)
+    failing = np.flatnonzero(~(deviation <= STRUCTURAL_TOL))
+    if failing.size:
+        raise InternalConsistencyError(
+            f"split sums and simulated reduced spectrum disagree at m={failing[0] + 1}"
+            f" (max deviation {deviation[failing[0]]:.3e})"
+        )
+    entropies = spectrum_entropy(spectra).tolist() if side else []
+    return reports, [(m, s, (f := binary_entropy(getattr(rep, side))), abs(s - f) <= STRUCTURAL_TOL)
+                     for m, (rep, s) in enumerate(zip(reports, entropies), 1)]
 
 
 def suitability_scan(c: CoefficientVector) -> list[ConditionReport]:

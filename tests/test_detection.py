@@ -119,8 +119,8 @@ def neighbour_base_gather(mp):
 
 
 def reversed_cuts(mp):
-    spectra = qsim.trailing_spectra
-    mp.setattr(wstates, "trailing_spectra", lambda state: spectra(state)[::-1])
+    spectra = qsim.trailing_spectra_stack
+    mp.setattr(wstates, "trailing_spectra_stack", lambda state: spectra(state)[::-1])
 
 
 def flipped_family_sign(mp):

@@ -143,7 +143,7 @@ def test_spectra_come_from_one_svd_site_and_reports_from_one_writer():
     assert {name: count for name, count in sites.items() if count} == {"qsim.py": 1}
     (scan,) = [node for node in ast.walk(trees["wstates.py"])
                if isinstance(node, ast.FunctionDef) and node.name == "_checked_scan"]
-    spectra = [call for name in ("trailing_spectra", "reduced_spectrum")
+    spectra = [call for name in ("trailing_spectra_stack", "trailing_spectra", "reduced_spectrum")
                for call in _calls(scan, name)]
     assert len(spectra) == 1
     loops = [node for node in ast.walk(scan) if isinstance(node, (ast.For, ast.While))]

@@ -182,7 +182,8 @@ class TestEntropyClosedFormForEveryWState:
                 )
 
     def test_wrong_simulated_entropy_fails_the_scenario(self, monkeypatch):
-        monkeypatch.setattr(wstates, "spectrum_entropy", lambda lam: 1e-6)
+        # one wrong entropy per row of the scan's stacked spectra
+        monkeypatch.setattr(wstates, "spectrum_entropy", lambda spectra: np.full(len(spectra), 1e-6))
         doc = {"task": "entropy", "state": {"coefficients": [[0.6, 0], [0, 0.8], [0, 0]]}}
         report = run(parse_config(json.dumps(doc)))
         entry = report.payload["scenarios"][0]
