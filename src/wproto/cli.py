@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 import traceback
@@ -410,12 +411,7 @@ def _run_entropy(s: Scenario) -> tuple[dict, bool, str]:
     return {"rows": rows}, False, "simulated entropy deviates from the closed form"
 
 
-_RUNNERS = {
-    "scan": _run_scan,
-    "teleport": _run_teleport,
-    "sdc": _run_sdc,
-    "entropy": _run_entropy,
-}
+_RUNNERS = {"scan": _run_scan, "teleport": _run_teleport, "sdc": _run_sdc, "entropy": _run_entropy}
 
 
 def run(config: ScenarioConfig) -> RunReport:
@@ -427,54 +423,64 @@ def run(config: ScenarioConfig) -> RunReport:
         results, success, reason = _RUNNERS[scenario.task](scenario)
         matched = success == (scenario.echo["expect"] == "success")
         all_matched = all_matched and matched
-        entries.append(
-            {
-                "index": index,
-                "task": scenario.task,
-                "state": scenario.label,
-                "config": scenario.echo,
-                "results": results,
-                "verdict": {"success": success, "reason": reason},
-                "matched": matched,
-            }
-        )
+        entries.append({"index": index, "task": scenario.task, "state": scenario.label,
+                        "config": scenario.echo, "results": results,
+                        "verdict": {"success": success, "reason": reason}, "matched": matched})
     payload = {
         "tool": {"name": "wproto", "version": __version__},
         "scenarios": entries,
         "all_matched": all_matched,
     }
-    return RunReport(
-        payload=payload,
-        wall_time_s=time.perf_counter() - start,
-        all_matched=all_matched,
-    )
+    return RunReport(payload, time.perf_counter() - start, all_matched)
+
+
+def _float_text(x: float) -> str:
+    """json's text for ``float(f"{x:.12g}")``.  A positional 12-digit text is
+    that float's repr already: no shorter decimal rounds to the same double."""
+    text = format(x, ".12g")
+    if "." in text and "e" not in text:
+        return text
+    x = float(text)
+    return repr(x) if math.isfinite(x) else "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+# json's text for each exact scalar type
+_SCALAR_TEXT = {str: encode_basestring_ascii, int: int.__repr__, float: _float_text,
+                bool: ("false", "true").__getitem__, type(None): {None: "null"}.__getitem__}
 
 
 def _write_json(obj: Any, out: list[str], indent: str = "") -> None:
     """Append ``obj`` to ``out`` as ``json.dumps(obj, sort_keys=True, indent=2)``
-    writes it at depth ``indent``, each real first clamped to 12 significant digits."""
-    if isinstance(obj, str):
-        out.append(encode_basestring_ascii(obj))
-    elif obj is None or obj is True or obj is False:
-        out.append("null" if obj is None else "true" if obj else "false")
-    elif isinstance(obj, int):
-        out.append(int.__repr__(obj))
-    elif isinstance(obj, float):
-        x = float(f"{obj:.12g}")
-        out.append(repr(x) if math.isfinite(x) else "NaN" if x != x else "Infinity" if x > 0
-                   else "-Infinity")
-    elif not (isinstance(obj, (dict, list, tuple)) and obj):
-        out.append(json.dumps(obj))  # an empty container, or json's TypeError for any other type
-    else:
-        inner, is_dict = indent + "  ", isinstance(obj, dict)
-        for i, item in enumerate(sorted(obj.items()) if is_dict else obj):
-            out.append((",\n" if i else "{\n" if is_dict else "[\n") + inner)
-            if is_dict:  # json's own rule converts or refuses a key that is not a str
-                key, item = item
-                out.append((encode_basestring_ascii(key) if isinstance(key, str)
-                            else json.dumps({key: 0})[1:-4]) + ": ")
-            _write_json(item, out, inner)
-        out.append("\n" + indent + ("}" if is_dict else "]"))
+    writes it at depth ``indent``, each real first clamped to 12 significant digits;
+    a container writes its items of exact scalar types and recurses for the rest."""
+    inner = indent + "  "
+    if isinstance(obj, dict) and obj:
+        head, sep = "{\n" + inner, ",\n" + inner
+        for key, item in sorted(obj.items()):
+            # json's own rule converts or refuses a key that is not a str
+            key = encode_basestring_ascii(key) if isinstance(key, str) else json.dumps({key: 0})[1:-4]
+            text = _SCALAR_TEXT.get(type(item))
+            if text is None:
+                out.append(f"{head}{key}: ")
+                _write_json(item, out, inner)
+            else:
+                out.append(f"{head}{key}: {text(item)}")
+            head = sep
+        out.append("\n" + indent + "}")
+    elif isinstance(obj, (list, tuple)) and obj:
+        head, sep = "[\n" + inner, ",\n" + inner
+        for item in obj:
+            text = _SCALAR_TEXT.get(type(item))
+            if text is None:
+                out.append(head)
+                _write_json(item, out, inner)
+            else:
+                out.append(head + text(item))
+            head = sep
+        out.append("\n" + indent + "]")
+    else:  # json writes a str or int subclass and an empty container, and refuses any other type
+        text = _SCALAR_TEXT.get(type(obj)) or (_float_text if isinstance(obj, float) else json.dumps)
+        out.append(text(obj))
 
 
 def emit(report: RunReport, fmt: str = "json") -> bytes:
@@ -600,9 +606,12 @@ def _main(args: argparse.Namespace) -> int:
             print(f"config error: {err}", file=sys.stderr)
         return 2
     out_path = args.out or config.out
-    # fail before running; "ab" leaves an existing report's bytes alone
+    # fail before running: "ab" keeps an existing report's bytes; a file it creates is removed
+    created = bool(out_path) and not os.path.lexists(out_path)
     if out_path and not _write_report(out_path, b"", "ab"):
         return 2
+    if created:
+        os.remove(out_path)
 
     report = run(config)
     output = emit(report, args.format)

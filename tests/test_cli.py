@@ -4,6 +4,8 @@ import json
 import re
 import subprocess
 import sys
+from collections import OrderedDict
+from enum import IntEnum
 from pathlib import Path
 
 import numpy as np
@@ -239,10 +241,26 @@ class TestEmit:
             emit(RunReport({key: 0}, 0.0, True), "json")
 
 
+class _Kind(IntEnum):
+    ONE = 1
+    TWO = 2
+
+
+class _Label(str):
+    pass
+
+
+# a positional 12-digit text is written as is: reals about each power of ten
+# from 1e-6 to 1e17 cross both ends of that form, [1e-4, 1e12), and repr's
+_DECADES = st.integers(-6, 17).flatmap(
+    lambda e: st.floats(min_value=0.5 * 10.0**e, max_value=2 * 10.0**e)
+    | st.floats(min_value=-2 * 10.0**e, max_value=-0.5 * 10.0**e)
+)
 _REALS = (
     st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
     | st.sampled_from([-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16, 123456789012.5])
     | st.floats(allow_nan=True, allow_infinity=True).map(np.float64)
+    | _DECADES
 )
 _SCALARS = (
     st.none()
@@ -273,6 +291,16 @@ _PAYLOADS = st.recursive(
 @example(payload={"a": [], "b": {}, "c": (), "d": [[]], "e": {"f": {}}})
 @example(payload=[float("nan"), float("inf"), -float("inf"), -0.0, np.float64(0.1)])
 @example(payload={"z": 1, "a": True, "m": None, "\u00ff": 0.30000000000000004})
+@example(payload=[9.99999999999995e-05, 1e-4, 999999999999.4, 999999999999.5, 1e12, 1e15, 1e16,
+                  5e-324, 2.2250738585072014e-308, 1234567890123.0, 0.000123456789012345])
+@example(payload=[-0.0, 3.0, -3.0, float("nan"), float("inf"), -float("inf")])
+@example(payload={"a": [np.float64(0.1), np.float64(1e-5), np.float64(-0.0)],
+                  "b": np.float64(123456.7890123456), "c": np.float64("nan")})
+@example(payload={"kind": _Kind.TWO, "label": _Label("caf\u00e9"), "items": [_Kind.ONE, _Label("")]})
+@example(payload=_Label("\n"))
+@example(payload=_Kind.ONE)
+@example(payload=OrderedDict([("b", ((1, (2.5, ())), ())), ("a", [{}, [0.1], {"c": []}, ((),)])]))
+@example(payload=[(), [[], {}], {"x": {}, "y": ((), [1])}, OrderedDict(), OrderedDict(z=[])])
 @given(payload=_PAYLOADS)
 def test_json_emission_is_the_rounded_json_dumps(payload):
     expected = json.dumps(round_floats(payload), sort_keys=True, indent=2) + "\n"
@@ -405,6 +433,20 @@ class TestMainExitCodes:
         out.write_bytes(b"previous report\n")
         assert main(["--config", config, "--out", str(out)]) == cli.EXIT_INTERNAL_ERROR
         assert out.read_bytes() == b"previous report\n"
+        assert "internal error: RuntimeError: runner failed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    def test_failed_run_leaves_no_report_behind(self, tmp_path, capsys, monkeypatch, fmt):
+        # the probe that checks a new path before running takes away the file
+        # it creates, so a run that ends without a report leaves none
+        def broken(scenario):
+            raise RuntimeError("runner failed")
+
+        monkeypatch.setitem(cli._RUNNERS, "scan", broken)
+        config = self.write(tmp_path, '{"task": "scan", "state": {"named": "w", "n": 4}}')
+        out = tmp_path / "report.json"
+        assert main(["--config", config, "--format", fmt, "--out", str(out)]) == cli.EXIT_INTERNAL_ERROR
+        assert not out.exists()
         assert "internal error: RuntimeError: runner failed" in capsys.readouterr().err
 
 

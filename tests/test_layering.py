@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import wproto.cli as cli
 from wproto.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -152,6 +153,33 @@ def test_spectra_come_from_one_svd_site_and_reports_from_one_writer():
     indented = [call for tree in trees.values() for call in _calls(tree, "json.dumps")
                 if any(keyword.arg == "indent" for keyword in call.keywords)]
     assert indented == []
+
+
+def test_the_report_writer_is_entered_once_per_container(monkeypatch):
+    # the writer writes each scalar inside its container's loop and calls
+    # itself only for a non-empty container: once per container, never for
+    # a scalar
+    report = cli.run(cli.parse_config(GOLDENS["acceptance"][0].read_bytes()))
+    containers = []
+
+    def collect(obj):
+        if isinstance(obj, (dict, list, tuple)) and obj:
+            containers.append(obj)
+            for item in obj.values() if isinstance(obj, dict) else obj:
+                collect(item)
+
+    collect(report.payload)
+    entered = []
+    write = cli._write_json
+
+    def counted(obj, out, indent=""):
+        entered.append(obj)
+        write(obj, out, indent)
+
+    monkeypatch.setattr(cli, "_write_json", counted)
+    cli.emit(report, "json")
+    assert len(containers) > 100
+    assert sorted(map(id, entered)) == sorted(map(id, containers))
 
 
 def test_operator_sets_are_built_and_checked_as_stacks():
