@@ -295,7 +295,7 @@ def parse_config(text: bytes | str) -> ScenarioConfig:
             raise ConfigError([f"config is not valid UTF-8: {exc}"]) from None
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, an over-long integer, too deep
         raise ConfigError([f"config is not valid JSON: {exc}"]) from None
     if not isinstance(doc, dict):
         raise ConfigError(["top level must be an object"])
@@ -596,7 +596,7 @@ def _main(args: argparse.Namespace) -> int:
     try:
         with open(args.config, "rb") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL or a lone surrogate in the path
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 2
     try:
@@ -635,7 +635,7 @@ def _write_report(path: str, data: bytes, mode: str) -> bool:
     try:
         with open(path, mode) as fh:
             fh.write(data)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL or a lone surrogate in the path
         print(f"cannot write report: {exc}", file=sys.stderr)
         return False
     return True

@@ -6,15 +6,15 @@ index ``q1*2^(n-1) + q2*2^(n-2) + ... + qn``; every operation is exact up
 to float rounding.
 
 The kernels work on stacks, the one-state call being their one-row case:
-:func:`project_stack` measures every row of a (G, 2^n) amplitude array,
-:func:`apply_unitary_stack` applies K operators moving the same indices to a
-(K, G, 2^n) one, :func:`fidelity_stack` compares two stacks row by row, and
-the reduced spectra of all cuts of a state are the rows of one array from
-one SVD of their support blocks (:func:`trailing_spectra_stack`), whose
-entropies :func:`spectrum_entropy` takes at once.  Each row keeps the values
-of its one-state call bit for bit, up to the sign of a zero, at any BLAS
-thread count.  A :class:`Unitary` is the identity but a block on the indices
-it moves, with an optional row order; only the tests read its dense matrix.
+:func:`project_stack` measures every row of a (G, 2^n) amplitude array and
+:func:`project_product` every row (x) a resource's support, :func:`apply_unitary_stack`
+applies K operators moving the same indices to a (K, G, 2^n) one, :func:`fidelity_stack`
+compares two stacks row by row, and the reduced spectra of all cuts of a state are the
+rows of one array from one SVD of their support blocks (:func:`trailing_spectra_stack`),
+whose entropies :func:`spectrum_entropy` takes at once.  Each row keeps the values of
+its one-state call bit for bit, up to the sign of a zero, at any BLAS thread count.  A
+:class:`Unitary` is the identity but a block on the indices it moves, with an optional
+row order; only the tests read its dense matrix.
 
 All values are immutable after construction (amplitude buffers are marked
 read-only) and every operation is a pure function, so independent
@@ -486,7 +486,8 @@ def _operator_rows(ops: Sequence[Unitary]) -> tuple[np.ndarray, np.ndarray]:
     if any(u.moved is not moved and not np.array_equal(u.moved, moved) for u in ops[1:]):
         raise ValueError("operators applied in one call must move the same indices")
     blocks = np.array([u.block for u in ops])
-    if len(moved) == 1:  # padded to two: numpy's product of one row takes a vector path
+    if len(moved) == 1:  # padded to two: numpy's one-row product takes a vector path,
+        # whose sums differed from the matrix product's in 247 of 300 random trials
         padded = np.array([0, max(int(moved[0]), 1)])
         blocks = np.array([np.diag(np.where(padded == moved[0], b[0, 0], 1.0)) for b in blocks])
         moved = padded
@@ -535,7 +536,9 @@ def apply_unitary(state: StateVector, u: Unitary, subset: Sequence[int]) -> Stat
 
 def support_width(r: int, occupied: int) -> int:
     """Columns for ``occupied`` of 2^r rest patterns: a power of two of at least 8 (2^r
-    if r < 2), on which ``vec.conj() @ psi`` is one value at any BLAS thread count."""
+    if r < 2, whose values differ from any wider block's), on which ``vec.conj() @ psi``
+    is one value at any BLAS thread count.  On OpenBLAS 0.3.31's SkylakeX kernel widths
+    2 and 3 differ from it always, and 4 when threaded on 2^12 rows or more."""
     return max(1 << (occupied - 1).bit_length(), 8 if r > 1 else 2**r)
 
 
@@ -553,36 +556,30 @@ def kept_patterns(k: int, occupied: np.ndarray) -> np.ndarray:
     return (held.nonzero()[0][:, None] * MEASURED_BLOCK + np.arange(MEASURED_BLOCK)).ravel()
 
 
-def project_stack(
-    rows: np.ndarray, basis: MeasurementBasis, support: tuple | None = None
-) -> list[tuple[str, np.ndarray, np.ndarray | None]]:
-    """Projective measurement of ``basis.subset`` in every row of a (G, 2^n)
-    amplitude stack, or in support form: with ``support`` = (r, columns, kept),
-    ``rows`` is the (G, P, W) block of P sorted ``kept`` patterns of the k measured
-    qubits (in subset order) on the listed patterns of the r rest qubits, zero-padded.
+#: a product measurement writes at most this many support-form amplitudes at once (512 KiB)
+_JOINT_AMPLITUDES = 2**15
 
-    Returns, per basis vector in order, its label, the (G,) Born probabilities
-    and the (G, 2^r) renormalized post-states of the rest qubits (original
-    order), or None when every qubit is measured; a row of probability at most
-    ``ZERO_PROBABILITY`` is left zero.  A row that is not normalized or, for a
-    partial basis, not in the span raises, as :func:`project` does for it
-    alone.  ``vec[kept].conj() @ psi`` gives each column one value at any BLAS
-    thread count when W is :func:`support_width`'s, so the dense call pads its
-    2^r columns to that width too.  It adds the measured axis in aligned groups
-    of 4: ``kept`` may drop aligned all-zero blocks of ``MEASURED_BLOCK`` = 8
+
+def _measure_block(psi: np.ndarray, basis: MeasurementBasis, layout: tuple) -> tuple:
+    """Measure ``basis`` in support form: with ``layout`` = (r, columns, kept), ``psi``
+    is the (G, P, W) block of the P sorted ``kept`` patterns of the k measured qubits
+    (in subset order) on the listed ``columns`` of the r rest qubits, zero-padded to
+    W.  Returns the (V, G) Born probabilities and (V, G, 2^r) renormalized post-states
+    of the rest qubits (in order; V Nones if r = 0), zero for a row of probability
+    at most ``ZERO_PROBABILITY``.  A row that is not normalized or, for a partial
+    basis, not in the span raises.
+
+    Each value is the dense call's bit for bit, up to a zero's sign:
+    ``vec[kept].conj() @ psi`` gives each column one value at any BLAS thread
+    count when W is :func:`support_width`'s, so the dense call pads its 2^r
+    columns to that width too.  It adds the measured axis in aligned groups of
+    4, so ``kept`` may drop aligned all-zero blocks of ``MEASURED_BLOCK`` = 8
     (:func:`kept_patterns`; blocks of 4 to 16 moved no bit in 384 W-class draws
     at 1 and 2 threads, single zero patterns moved bits in all).  The norm check
-    skips exact zeros only; the probabilities and the division (sums by position)
-    run at full width, so each value is bit for bit :func:`project`'s up to a zero's sign.
+    skips exact zeros only; the probabilities and the division (sums by
+    position) run at full width.
     """
-    if support is None:
-        psi, perm, k = _grouped(_stack(rows), basis.subset)
-        support = (len(perm) - k, np.arange(psi.shape[2]), np.arange(2**k))
-        pad = support_width(support[0], psi.shape[2]) - psi.shape[2]
-        psi = np.concatenate([psi, np.zeros_like(psi[:, :, :pad])], axis=2) if pad else psi
-    else:
-        psi, k = np.asarray(rows, dtype=np.complex128), len(basis.subset)
-    rest, columns, kept = support
+    (rest, columns, kept), k = layout, len(basis.subset)
     if psi.ndim != 3 or psi.shape[1] != len(kept):
         raise DimensionError(f"expected a (G, {len(kept)}, W) support block, got {psi.shape}")
     kept = slice(None) if len(kept) == 2**k else kept  # every pattern: no gather
@@ -599,15 +596,59 @@ def project_stack(
     outside = 1.0 - p.sum(axis=0)
     failing = outside[~(np.abs(outside) <= STRUCTURAL_TOL)]
     if failing.size:
-        raise ProtocolViolationError(
-            f"state has probability {failing[0]:.6e} outside the span of the"
-            f" measurement family ({v} vectors on {k} qubits)"
-        )
-    post = [None] * v
-    if rest:
-        kept = (p > ZERO_PROBABILITY)[:, :, None]
-        post = np.divide(branches, np.sqrt(p)[:, :, None], out=np.zeros_like(branches), where=kept)
+        raise ProtocolViolationError(f"state has probability {failing[0]:.6e} outside the span"
+                                     f" of the measurement family ({v} vectors on {k} qubits)")
+    kept = (p > ZERO_PROBABILITY)[:, :, None]
+    post = np.divide(branches, np.sqrt(p)[:, :, None], out=np.zeros_like(branches), where=kept)
+    return p, post if rest else [None] * v
+
+
+def project_stack(rows: np.ndarray, basis: MeasurementBasis) -> list[tuple]:
+    """Projective measurement of ``basis.subset`` in every row of a (G, 2^n)
+    amplitude stack, on the whole measured axis: per basis vector in order, its
+    label and :func:`_measure_block`'s (G,) probabilities and (G, 2^r) post-states
+    (None when every qubit is measured), each row's as :func:`project` gives it."""
+    psi, perm, k = _grouped(_stack(rows), basis.subset)
+    rest, width = len(perm) - k, psi.shape[2]
+    pad = support_width(rest, width) - width
+    psi = np.concatenate([psi, np.zeros_like(psi[:, :, :pad])], axis=2) if pad else psi
+    p, post = _measure_block(psi, basis, (rest, np.arange(width), np.arange(2**k)))
     return list(zip(basis.labels, p, post))
+
+
+def project_product(rows: np.ndarray, resource: tuple, basis: MeasurementBasis,
+                    within: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Measure ``basis`` on the leading k qubits of each row of a (G, 2^q) stack (x) the
+    ``resource`` (qubits, support indices, amplitudes), r >= 1 qubits left: the (V, G)
+    probabilities and (V, G, 2^r) post-states of :func:`project_stack` on those joint
+    states, bit for bit, in support form (:func:`_measure_block`) from the rows' input
+    patterns ``within`` (all by default; zero off them), ``_JOINT_AMPLITUDES`` at a time."""
+    (qubits, index, amplitudes), k = resource, len(basis.subset)
+    r = rows.shape[1].bit_length() - 1 + qubits - k
+    if basis.subset != tuple(range(1, k + 1)) or r < 1:
+        raise DimensionError(f"cannot measure qubits {basis.subset} of {k + r} and leave one")
+    rest = index & ((1 << r) - 1)
+    columns = np.array(sorted(set(rest.tolist())))
+    width = support_width(r, len(columns))
+    columns = np.arange(width) if width == 2**r else columns  # the dense layout
+    occupied = np.arange(rows.shape[1])  # input patterns x, each (x) the resource
+    if 2**k > 2 * MEASURED_BLOCK:  # else kept_patterns keeps the whole axis
+        within = occupied if within is None else within
+        occupied = within[rows[:, within].any(axis=0)]
+        rows = rows[:, occupied]
+    patterns = occupied[:, None] << (qubits - r) | index >> r
+    kept = kept_patterns(k, patterns)
+    at_support = (kept.searchsorted(patterns) * width + columns.searchsorted(rest)).ravel()
+    per = min(len(rows), max(1, _JOINT_AMPLITUDES // (width << k)))  # a larger one alone
+    joint = np.zeros((per, len(kept) * width), dtype=np.complex128)  # one buffer, reused
+    p = np.empty((len(basis.labels), len(rows)))
+    post, layout = np.empty(p.shape + (2**r,), dtype=np.complex128), (r, columns, kept)
+    for start in range(0, len(rows), per):
+        at = slice(start, start + per)
+        chunk = joint[: len(rows[at])]
+        chunk[:, at_support] = (rows[at, :, None] * amplitudes).reshape(len(chunk), -1)
+        p[:, at], post[:, at] = _measure_block(chunk.reshape(len(chunk), -1, width), basis, layout)
+    return p, post
 
 
 def project(state: StateVector, basis: MeasurementBasis) -> list[ProtocolOutcome]:

@@ -45,7 +45,6 @@ import numpy as np
 
 from .qsim import (
     MAX_QUBITS,
-    MEASURED_BLOCK,
     PAULI_FOUR,
     PAULIS,
     STRUCTURAL_TOL,
@@ -58,13 +57,11 @@ from .qsim import (
     Unitary,
     apply_unitary_stack,
     fidelity_stack,
-    kept_patterns,
     make_basis_state,
-    project_stack,
+    project_product,
     require_int,
     state_rows,
     superpose,
-    support_width,
     zero_state,
 )
 from .wstates import (
@@ -331,10 +328,6 @@ _BELL = (2, np.array([0, 3]), np.full(2, 1.0 / math.sqrt(2.0), dtype=np.complex1
 #: largest joint state the qubit budget allows
 _STACK_AMPLITUDES = 2 ** (MAX_QUBITS + 1)
 
-#: each hop measures its joint states in stacks of at most this many amplitudes
-#: of their support form (512 KiB); a larger one on its own
-_JOINT_AMPLITUDES = 2**15
-
 
 def outcome_shape(m: int, strategy: str) -> tuple[int, int]:
     """(outcomes, post-state qubits) of one :func:`run_teleport_grid` run: four
@@ -343,57 +336,22 @@ def outcome_shape(m: int, strategy: str) -> tuple[int, int]:
 
 
 def _hop(
-    rows: np.ndarray,
-    resource: tuple[int, np.ndarray, np.ndarray],
-    basis: MeasurementBasis,
-    corrections: Sequence[Unitary],
-    receiver: Sequence[int],
-    prefixes: Sequence[str] = ("",),
-    within: np.ndarray | None = None,
+    rows: np.ndarray, resource: tuple, basis: MeasurementBasis, corrections: Sequence[Unitary],
+    prefixes: Sequence[str] = ("",), within: np.ndarray | None = None,
 ) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, tuple[Unitary, ...]]:
-    """One teleportation step on every row of a (G, 2^q) stack: row (x) the
-    ``resource`` (qubits, support indices, amplitudes) is measured in ``basis``
-    (its k qubits lead) in support form (:func:`project_stack`), on its rest
-    patterns padded to :func:`support_width`'s count and on the aligned blocks
-    of 8 measured patterns that hold data (:func:`kept_patterns`), read from the
-    rows on the input patterns ``within`` (all by default), off which they are
-    zero, in stacks of at most ``_JOINT_AMPLITUDES`` whole-axis amplitudes (a
-    larger one alone) in one zeroed buffer; one call corrects every outcome's
-    post-states on the ``receiver`` qubits.  Returns the K labels, (K, G)
-    probabilities, (K, G, 2^r) corrected post-states and K corrections.  The
-    rows form one group per prefix; a branch of probability 0 in any row is a
-    bug, named by the first such group's prefix and its label."""
-    (qubits, index, amplitudes), k = resource, len(basis.subset)
-    r = rows.shape[1].bit_length() - 1 + qubits - k
-    rest = index & ((1 << r) - 1)
-    columns = np.array(sorted(set(rest.tolist())))
-    width = support_width(r, len(columns))
-    columns = np.arange(width) if width == 2**r else columns  # the dense layout
-    occupied = np.arange(rows.shape[1])  # input patterns x, each (x) the resource
-    if 2**k > 2 * MEASURED_BLOCK:  # else kept_patterns keeps the whole axis
-        within = occupied if within is None else within
-        occupied = within[rows[:, within].any(axis=0)]
-        rows = rows[:, occupied]
-    patterns = occupied[:, None] << (qubits - r) | index >> r
-    kept = kept_patterns(k, patterns)
-    at_support = (kept.searchsorted(patterns) * width + columns.searchsorted(rest)).ravel()
-    per = min(len(rows), max(1, _JOINT_AMPLITUDES // (width << k)))
-    joint = np.zeros((per, len(kept) * width), dtype=np.complex128)
-    p = np.empty((len(basis.labels), len(rows)))
-    post = np.empty(p.shape + (2**r,), dtype=np.complex128)
-    for start in range(0, len(rows), per):
-        at = slice(start, start + per)
-        chunk = joint[: len(rows[at])]
-        chunk[:, at_support] = (rows[at, :, None] * amplitudes).reshape(len(chunk), -1)
-        measured = project_stack(chunk.reshape(len(chunk), -1, width), basis, (r, columns, kept))
-        _, p[:, at], post[:, at] = zip(*measured)  # each outcome's probabilities and post-states
-    del joint, chunk  # the corrections run without it: a lower peak
+    """One teleportation step: :func:`project_product` measures each row of a (G, 2^q)
+    stack (x) the ``resource``, and one call corrects every outcome's rows on all their
+    qubits.  Returns the K labels, (K, G) probabilities, (K, G, 2^r) corrected post-states
+    and K corrections.  The rows form one group per prefix; a branch of probability 0
+    in any row is a bug, named by the first such group's prefix and its label."""
+    p, post = project_product(rows, resource, basis, within)
     if not (p > ZERO_PROBABILITY).all():  # then find the first group's failing branch
         failing = ~(p > ZERO_PROBABILITY).reshape(len(p), len(prefixes), -1).all(axis=2).T
         name = [f + label for f in prefixes for label in basis.labels][failing.argmax()]
         raise InternalConsistencyError(f"branch {name} has probability 0")
     fixes = tuple(corrections[CORRECTION_INDEX[label]] for label in basis.labels)
-    return basis.labels, p, apply_unitary_stack(post, fixes, receiver), fixes
+    every = range(1, post.shape[2].bit_length())  # the qubits left after the measurement
+    return basis.labels, p, apply_unitary_stack(post, fixes, every), fixes
 
 
 def _teleport(
@@ -424,11 +382,11 @@ def _teleport(
         targets = inputs[rows]
         if strategy == "subspace":
             targets = targets[:, :1] * zero_state(m).amplitudes + targets[:, 1:] * wm.amplitudes
-        labels, p, final, fixes = _hop(inputs[rows], resource, basis, corrections, range(1, m + 1))
+        labels, p, final, fixes = _hop(inputs[rows], resource, basis, corrections)
         if relay is not None:  # one hop over every sender branch's rows, sender-branch-major
             outer = [label + "|" for label in labels]
             relayed = final.reshape(-1, 2**m)  # zero off the indices the corrections move
-            inner, q, final, fixes = _hop(relayed, _BELL, relay, PAULIS, [1], outer, fixes[0].moved)
+            inner, q, final, fixes = _hop(relayed, _BELL, relay, PAULIS, outer, fixes[0].moved)
             labels, fixes = tuple(o + i for o in outer for i in inner), fixes * len(outer)
             # its (inner, outer) axes become (outer, inner) branches
             p = (p[:, None] * q.reshape(4, 4, -1).swapaxes(0, 1)).reshape(16, -1)

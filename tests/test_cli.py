@@ -57,6 +57,9 @@ class TestParseConfig:
                 {"task": "warp", "state": {"named": "w", "n": 4}},
                 {"task": "teleport", "state": {"named": "w", "n": 4}, "m": 9,
                  "strategy": "sideways"},
+                {"task": "scan", "state": {"named": "x", "n": 4}},
+                {"task": "scan", "state": {"named": "w", "n": 1}},
+                5,
             ]
         )
         with pytest.raises(ConfigError) as err:
@@ -65,10 +68,18 @@ class TestParseConfig:
         assert "scenario 0.task" in text
         assert "scenario 1.m" in text
         assert "scenario 1.strategy" in text
+        assert "scenario 2.state.named: must be one of" in text
+        assert "scenario 3.state.n: integer >= 2 required" in text
+        assert "scenario 4: must be an object" in text
 
     def test_malformed_json(self):
-        with pytest.raises(ConfigError):
-            parse_config(b"{not json")
+        for text, message in [
+            (b"{not json", "config is not valid JSON"),
+            (b"\xff{}", "config is not valid UTF-8"),
+            ("[]", "top level must be an object"),
+        ]:
+            with pytest.raises(ConfigError, match=message):
+                parse_config(text)
 
     def test_strategy_only_for_teleport(self):
         doc = make_config(
@@ -210,9 +221,13 @@ class TestEmit:
         assert first == second
 
     def test_table_shows_twelve_decimals(self):
-        doc = make_config([{"task": "entropy", "state": {"named": "w", "n": 6}}])
-        table = emit(run(parse_config(doc)), "table").decode()
-        assert "x=3  simulated=1.000000000000" in table
+        for scenario, line in [
+            ({"task": "entropy", "state": {"named": "w", "n": 6}}, "x=3  simulated=1.000000000000"),
+            ({"task": "sdc", "state": {"named": "w", "n": 4}, "m": 2},
+             "set=generated  size=8  bits=3  decodable=true"),
+        ]:
+            table = emit(run(parse_config(make_config([scenario]))), "table").decode()
+            assert line in table
 
     def test_reals_carry_twelve_significant_digits(self):
         doc = make_config([{"task": "entropy", "state": {"named": "w", "n": 3}}])
@@ -343,8 +358,9 @@ class TestMainExitCodes:
         assert "config error" in err
 
     def test_exit_two_on_missing_file(self, tmp_path, capsys):
-        assert main(["--config", str(tmp_path / "nope.json")]) == 2
-        capsys.readouterr()
+        for name in ("nope.json", "a\x00b"):  # absent, and a path open() refuses
+            assert main(["--config", str(tmp_path / name)]) == 2
+            assert capsys.readouterr().err.startswith("cannot read config: ")
 
     def test_out_flag_writes_file(self, tmp_path, capsys):
         config = self.write(
@@ -357,20 +373,26 @@ class TestMainExitCodes:
         capsys.readouterr()
 
     def test_demo_sample_narrates_in_table_mode(self, tmp_path, capsys):
-        config = self.write(
-            tmp_path,
-            make_config(
-                [{"task": "teleport", "state": {"named": "w", "n": 4}, "m": 2,
-                  "grid": {"count": 2, "seed": 3}}]
-            ),
-        )
-        out = tmp_path / "report.txt"
-        assert main(
-            ["--config", config, "--format", "table", "--out", str(out),
-             "--demo-sample", "--seed", "9"]
-        ) == 0
-        text = out.read_text()
-        assert "single-shot demo (seed=9)" in text
+        # a scan and a refused teleport are skipped; only a runnable teleport is sampled
+        skipped = [
+            {"task": "scan", "state": {"named": "w", "n": 4}},
+            {"task": "teleport", "state": {"named": "w", "n": 5}, "m": 2, "expect": "failure"},
+        ]
+        runnable = {"task": "teleport", "state": {"named": "w", "n": 4}, "m": 2,
+                    "grid": {"count": 2, "seed": 3}}
+        for scenarios, narrated in [
+            (skipped + [runnable], "  scenario 2: measured "),
+            (skipped, "  (no runnable teleport scenario to sample)"),
+        ]:
+            config = self.write(tmp_path, make_config(scenarios))
+            out = tmp_path / "report.txt"
+            assert main(
+                ["--config", config, "--format", "table", "--out", str(out),
+                 "--demo-sample", "--seed", "9"]
+            ) == 0
+            text = out.read_text()
+            demo = text[text.index("single-shot demo (seed=9):\n") :].splitlines()
+            assert demo[1:] == [demo[1]] and demo[1].startswith(narrated)
         capsys.readouterr()
 
     def test_demo_sample_excluded_from_json(self, tmp_path, capsys):
@@ -401,18 +423,32 @@ class TestMainExitCodes:
 
     @pytest.mark.parametrize("via", ["flag", "config"])
     def test_exit_two_on_unwritable_output_path(self, tmp_path, capsys, via):
-        out = str(tmp_path / "missing" / "report.json")
-        doc = {"scenarios": [{"task": "scan", "state": {"named": "w", "n": 4}}]}
-        argv = ["--format", "json"]
-        if via == "flag":
-            argv += ["--out", out]
-        else:
-            doc["out"] = out
-        assert main(["--config", self.write(tmp_path, json.dumps(doc)), *argv]) == 2
-        stdout, err = capsys.readouterr()
-        assert stdout == ""
-        assert err.startswith("cannot write report: ") and "Traceback" not in err
+        # a missing directory, and two paths open() refuses: a NUL, a lone surrogate
+        for name in ("missing/report.json", "a\x00b", "\ud800"):
+            out = str(tmp_path / name)
+            doc = {"scenarios": [{"task": "scan", "state": {"named": "w", "n": 4}}]}
+            argv = ["--format", "json"]
+            if via == "flag":
+                argv += ["--out", out]
+            else:
+                doc["out"] = out
+            assert main(["--config", self.write(tmp_path, json.dumps(doc)), *argv]) == 2
+            stdout, err = capsys.readouterr()
+            assert stdout == ""
+            assert err.startswith("cannot write report: ") and "Traceback" not in err
+            assert [path.name for path in tmp_path.iterdir()] == ["config.json"]
 
+    def test_exit_two_when_the_report_cannot_be_written_after_the_run(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # the path passed the check before the run; a directory now stands there
+        out = tmp_path / "report.json"
+        scan = cli._RUNNERS["scan"]
+        monkeypatch.setitem(cli._RUNNERS, "scan", lambda scenario: out.mkdir() or scan(scenario))
+        config = self.write(tmp_path, '{"task": "scan", "state": {"named": "w", "n": 4}}')
+        assert main(["--config", config, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("cannot write report: ")
+        assert out.is_dir()
 
     def test_unwritable_output_path_fails_before_running(self, tmp_path, capsys, monkeypatch):
         calls = []

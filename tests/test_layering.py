@@ -86,8 +86,27 @@ def test_teleport_measures_in_one_hop_and_checks_states_once():
             if isinstance(node, ast.Raise) and node.exc is not None:
                 exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
                 raised.setdefault(_name(exc), set()).add(owner)
-    assert called["project_stack"] == called["apply_unitary_stack"] == {"_hop"}
+    assert called["project_product"] == called["apply_unitary_stack"] == {"_hop"}
     assert raised["DimensionError"] == raised["NormalizationError"] == {"_require_registers"}
+
+
+def test_the_joint_state_layout_has_one_owner():
+    # qsim lays out and measures register (x) resource through one core; the
+    # hop only checks the probabilities and corrects every qubit left
+    trees = {name: ast.parse((PACKAGE / name).read_text()) for name in ("teleport.py", "qsim.py")}
+    imported = {alias.name for node in ast.walk(trees["teleport.py"])
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not imported & {"support_width", "kept_patterns", "MEASURED_BLOCK", "project_stack"}
+    assigned = {_name(target) for node in trees["teleport.py"].body
+                if isinstance(node, ast.Assign) for target in node.targets}
+    assert "_JOINT_AMPLITUDES" not in assigned
+    callers = {top.name for top in trees["qsim.py"].body for node in ast.walk(top)
+               if isinstance(node, ast.Call) and _name(node.func) == "_measure_block"}
+    assert callers == {"project_stack", "project_product"}
+    hop = _function(trees["teleport.py"], "_hop")
+    assert "receiver" not in [arg.arg for arg in hop.args.args]
+    stack = _function(trees["qsim.py"], "project_stack")
+    assert [arg.arg for arg in stack.args.args] == ["rows", "basis"]
 
 
 def test_teleport_reports_are_columns_not_outcome_objects():
@@ -215,21 +234,22 @@ def _function(tree: ast.AST, name: str) -> ast.FunctionDef:
 
 def test_protocols_take_the_resource_by_its_support():
     # teleport and the capacity check never build the dense 2^n resource, and
-    # the hop fills one joint buffer, allocated before its chunk loop, and
-    # measures it in support form: the block and its rest patterns
-    trees = {name: ast.parse((PACKAGE / name).read_text()) for name in ("teleport.py", "sdc.py")}
+    # the product measurement fills one joint buffer, allocated before its
+    # chunk loop, and measures it in support form: the block and its layout
+    names = ("teleport.py", "sdc.py", "qsim.py")
+    trees = {name: ast.parse((PACKAGE / name).read_text()) for name in names}
     capacity = _function(trees["sdc.py"], "capacity_check")
     assert not _calls(trees["teleport.py"], "generalized_w") + _calls(capacity, "generalized_w")
-    hop = _function(trees["teleport.py"], "_hop")
-    (loop,) = [node for node in ast.walk(hop)
-               if isinstance(node, ast.For) and _calls(node, "project_stack")]
+    product = _function(trees["qsim.py"], "project_product")
+    (loop,) = [node for node in ast.walk(product)
+               if isinstance(node, ast.For) and _calls(node, "_measure_block")]
     allocators = ("np.zeros", "np.empty", "np.ones", "np.full", "np.zeros_like", "np.empty_like")
-    allocated = [call for name in allocators for call in _calls(hop, name)]
+    allocated = [call for name in allocators for call in _calls(product, name)]
     in_loop = [call for call in allocated if call in set(ast.walk(loop))]
-    assert len(_calls(hop, "np.zeros")) == 1 and not in_loop
-    (measure,) = _calls(loop, "project_stack")
+    assert len(_calls(product, "np.zeros")) == 1 and not in_loop
+    (measure,) = _calls(loop, "_measure_block")
     assert len(measure.args) == 3
-    (buffer,) = [target.id for node in ast.walk(hop) if isinstance(node, ast.Assign)
+    (buffer,) = [target.id for node in ast.walk(product) if isinstance(node, ast.Assign)
                  for target in node.targets if isinstance(target, ast.Name)
                  and _calls(node, "np.zeros")]
     chunks = {target.id for node in ast.walk(loop) if isinstance(node, ast.Assign)

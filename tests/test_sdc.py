@@ -478,6 +478,20 @@ def test_the_gathered_stack_equals_the_per_operator_loop(n, name, seed, data):
     assert _folded(stack) == _folded(per_operator_encoded_stack(c, m, encoding))
 
 
+def test_bases_that_carry_row_orders_check_as_the_ordered_set(monkeypatch):
+    # W8, m = 4: the generated set's message operators, each its own base with
+    # its row order, give the ordered set's result and the per-operator stack
+    c, m = w_coefficients(8), 4
+    ordered = general_encoding_set(c, m)
+    encoding = EncodingSet(ordered.operators)
+    assert encoding.orders is None and any(op.order is not None for op in encoding.bases)
+    judged = []
+    verdict = sdc._verdict
+    monkeypatch.setattr(sdc, "_verdict", lambda rows: judged.append(rows.copy()) or verdict(rows))
+    assert capacity_check(c, m, encoding) == capacity_check(c, m, ordered)
+    assert _folded(judged[0]) == _folded(per_operator_encoded_stack(c, m, encoding))
+
+
 def test_a_generated_capacity_check_builds_no_message_operator(monkeypatch):
     # W12, m = 6: 128 messages from the 4 strategy-2 corrections; the check
     # multiplies those 4 blocks and gathers, and no message becomes a Unitary

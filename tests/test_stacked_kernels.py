@@ -295,7 +295,7 @@ def test_support_block_shape_is_checked():
         (np.zeros((2, 4, 2)), np.arange(2)),
     ]:
         with pytest.raises(DimensionError):
-            project_stack(block, basis, (2, np.arange(2), kept))
+            qsim._measure_block(block, basis, (2, np.arange(2), kept))
 
 
 def _full_and_kept_blocks(rows, resource, k):
@@ -342,9 +342,9 @@ def test_kept_blocks_measure_as_the_full_measured_axis_bytewise(n, m, seed):
     for rows, resource, basis in hops:
         k = len(basis.subset)
         full, compact, (r, columns), kept = _full_and_kept_blocks(rows, resource, k)
-        whole = project_stack(full, basis, (r, columns, np.arange(2**k)))
-        for (label, p, post), (_, want_p, want_post) in zip(
-            project_stack(compact, basis, (r, columns, kept)), whole, strict=True
+        whole = qsim._measure_block(full, basis, (r, columns, np.arange(2**k)))
+        for label, p, post, want_p, want_post in zip(
+            basis.labels, *qsim._measure_block(compact, basis, (r, columns, kept)), *whole, strict=True
         ):
             assert _folded(p) == _folded(want_p), label
             assert _folded(post) == _folded(want_post), label

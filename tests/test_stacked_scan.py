@@ -135,11 +135,11 @@ def test_the_relay_hop_reads_only_the_corrections_moved_columns(m, monkeypatch):
     # indices, so reading them there finds every occupied pattern
     hop, seen = teleport._hop, []
 
-    def spy(rows, resource, basis, corrections, receiver, prefixes=("",), within=None):
+    def spy(rows, resource, basis, corrections, prefixes=("",), within=None):
         if within is not None:
             off = np.setdiff1d(np.arange(rows.shape[1]), within)
             seen.append((len(within), bool(np.any(rows[:, off]))))
-        return hop(rows, resource, basis, corrections, receiver, prefixes, within)
+        return hop(rows, resource, basis, corrections, prefixes, within)
 
     monkeypatch.setattr(teleport, "_hop", spy)
     rng = np.random.default_rng(m)

@@ -38,13 +38,13 @@ ONE_ULP_BELOW = float(np.nextafter(FIDELITY_THRESHOLD, 0.0))
 
 def _zero_outcome(monkeypatch, label):
     """Make every measurement report probability 0 for outcome ``label``."""
-    project_stack = teleport.project_stack
+    project_product = teleport.project_product
 
-    def patched(rows, basis, support):
-        measured = project_stack(rows, basis, support)
-        return [(lab, p * 0.0 if lab == label else p, post) for lab, p, post in measured]
+    def patched(rows, resource, basis, within=None):
+        p, post = project_product(rows, resource, basis, within)
+        return np.array([q * 0.0 if lab == label else q for lab, q in zip(basis.labels, p)]), post
 
-    monkeypatch.setattr(teleport, "project_stack", patched)
+    monkeypatch.setattr(teleport, "project_product", patched)
 
 
 @pytest.mark.parametrize(
@@ -67,18 +67,15 @@ def test_zero_probability_branch_is_named(monkeypatch, strategy, label, branch):
 def _zero_row(monkeypatch, label, row):
     """Make every measurement report probability 0 for outcome ``label`` in
     stacked row ``row`` only."""
-    project_stack = teleport.project_stack
+    project_product = teleport.project_product
 
-    def patched(rows, basis, support):
-        measured = []
-        for lab, p, post in project_stack(rows, basis, support):
-            if lab == label:
-                p = p.copy()
-                p[row] = 0.0
-            measured.append((lab, p, post))
-        return measured
+    def patched(rows, resource, basis, within=None):
+        p, post = project_product(rows, resource, basis, within)
+        if label in basis.labels:
+            p[basis.labels.index(label), row] = 0.0
+        return p, post
 
-    monkeypatch.setattr(teleport, "project_stack", patched)
+    monkeypatch.setattr(teleport, "project_product", patched)
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import wproto.qsim as qsim
 import wproto.teleport as teleport
 import wproto.wstates as wstates
 from wproto.qsim import (
@@ -65,15 +66,15 @@ STRATEGIES = ("subspace", "transfer", "serial")
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _counting(monkeypatch, name):
+def _counting(monkeypatch, name, module=teleport):
     calls = []
-    original = getattr(teleport, name)
+    original = getattr(module, name)
 
     def wrapped(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(teleport, name, wrapped)
+    monkeypatch.setattr(module, name, wrapped)
     return calls
 
 
@@ -391,7 +392,7 @@ def test_batched_grid_equals_one_batch(monkeypatch, constant, value, strategy):
     c = random_condition_coefficients(6, 3, np.random.default_rng(8))
     grid = unknown_state_grid(7, 2)
     whole = run_teleport_grid(c, 3, grid, strategy)
-    monkeypatch.setattr(teleport, constant, value)
+    monkeypatch.setattr(teleport if constant == "_STACK_AMPLITUDES" else qsim, constant, value)
     batched = run_teleport_grid(c, 3, grid, strategy)
     assert batched.labels == whole.labels
     for column in ("probabilities", "fidelities", "post_states"):
@@ -431,7 +432,7 @@ def test_grid_checks_are_batched_not_per_row(monkeypatch, strategy):
 
 def _kernel_calls(monkeypatch, c, m, grid, strategy) -> dict[str, int]:
     """Calls of each stacked kernel (and the transfer split) in one grid run."""
-    names = ("project_stack", "apply_unitary_stack", "fidelity_stack", "_extract_last_qubit")
+    names = ("project_product", "apply_unitary_stack", "fidelity_stack", "_extract_last_qubit")
     calls = {name: _counting(monkeypatch, name) for name in names}
     run_teleport_grid(c, m, grid, strategy)
     return {name: len(made) for name, made in calls.items()}
@@ -458,9 +459,9 @@ def test_a_large_hop_measures_its_support_form_in_few_chunks(monkeypatch):
     # amplitudes), each on the 96 of 512 measured patterns whose blocks hold
     # data; the relay's 80 rows of 2^9 x 2 in 3 chunks of 32, on 56 of 512;
     # each hop then corrects its branches in one call
-    measured = _counting(monkeypatch, "project_stack")
+    measured = _counting(monkeypatch, "_measure_block", qsim)
     calls = _kernel_calls(monkeypatch, w_coefficients(16), 8, unknown_state_grid(20, 1), "serial")
-    assert tuple(calls.values()) == (5 + 3, 2, 1, 0)
+    assert len(measured) == 5 + 3 and tuple(calls.values()) == (2, 2, 1, 0)
     shapes = [rows.shape for rows, _, _ in measured]
     assert shapes == [(4, 96, 16)] * 5 + [(32, 56, 2)] * 2 + [(16, 56, 2)]
 
@@ -504,7 +505,7 @@ def test_stacked_relay_equals_a_relay_per_sender_branch(data, n, count, seed, jo
     grid = unknown_state_grid(count, int(rng.integers(2**31)))
     with pytest.MonkeyPatch.context() as patch:
         if joint is not None:  # several chunks per hop, straddling sender branches
-            patch.setattr(teleport, "_JOINT_AMPLITUDES", joint)
+            patch.setattr(qsim, "_JOINT_AMPLITUDES", joint)
         report = run_teleport_grid(c, m, grid, "serial")
     labels, probabilities, fidelities, posts = _per_sender_branch_relay(c, m, grid)
     assert list(report.labels) == labels
@@ -583,7 +584,7 @@ def test_zero_coefficients_and_chunked_hops_equal_the_dense_loop(
     c = zeroed_condition_coefficients(n, m, rng)
     grid = unknown_state_grid(count, int(rng.integers(2**31)))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(teleport, "_JOINT_AMPLITUDES", joint)
+        patch.setattr(qsim, "_JOINT_AMPLITUDES", joint)
         report = run_teleport_grid(c, m, grid, strategy)
     for g, psi in enumerate(grid):
         reference = _one_state_loop(c, m, psi, strategy)
@@ -677,7 +678,7 @@ def test_support_form_measurement_equals_the_dense_call_bytewise(n, m, count, se
     rng = np.random.default_rng(seed)
     c = (zeroed_condition_coefficients if zeroed else random_condition_coefficients)(n, m, rng)
     grid = unknown_state_grid(count, int(rng.integers(2**31)))
-    calls, measure = [], teleport.project_stack
+    calls, measure = [], qsim._measure_block
 
     def recorded(rows, basis, support):
         measured = measure(rows, basis, support)
@@ -685,7 +686,7 @@ def test_support_form_measurement_equals_the_dense_call_bytewise(n, m, count, se
         return measured
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(teleport, "project_stack", recorded)
+        patch.setattr(qsim, "_measure_block", recorded)
         run_teleport_grid(c, m, grid, "serial")
         run_teleport_encoded(c, m, encoded_state(c, m, 0.6, 0.8j))
     assert {len(basis.subset) for _, basis, _, _ in calls} == {n - m + 1, m + 1, n}
@@ -694,8 +695,8 @@ def test_support_form_measurement_equals_the_dense_call_bytewise(n, m, count, se
         joint[:, kept[:, None], columns] = compact[:, :, : len(columns)]
         joint = joint.reshape(len(joint), -1)
         dense = project_stack(joint, basis)
-        for (label, p, post), want_p, want_post, (_, dense_p, dense_post) in zip(
-            measured, *_dense_measurement(joint, basis), dense, strict=True
+        for label, p, post, want_p, want_post, (_, dense_p, dense_post) in zip(
+            basis.labels, *measured, *_dense_measurement(joint, basis), dense, strict=True
         ):
             assert _folded(p) == _folded(want_p) == _folded(dense_p), label
             assert _folded(post) == _folded(want_post) == _folded(dense_post), label

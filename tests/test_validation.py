@@ -445,11 +445,23 @@ class TestHugeAmplitudes:
 
 
 DEEP = "[" * 100_000 + "]" * 100_000
+# one digit past the integer digit limit, as a qubit count and as a coefficient
+LONG = "9" * (sys.get_int_max_str_digits() + 1)
 
 
-@pytest.mark.parametrize("text", [DEEP, '{"scenarios": ' + DEEP + "}"], ids=["top", "scenarios"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        DEEP,
+        '{"scenarios": ' + DEEP + "}",
+        '{"task": "scan", "state": {"named": "w", "n": ' + LONG + "}}",
+        '{"task": "scan", "state": {"coefficients": [[' + LONG + ", 0], [0, 0]]}}",
+    ],
+    ids=["top", "scenarios", "long-n", "long-coefficient"],
+)
 def test_deeply_nested_config_is_a_config_error(text, tmp_path, capsys):
-    # json.loads raises RecursionError, not JSONDecodeError, past the recursion limit
+    # json.loads raises RecursionError, not JSONDecodeError, past the recursion
+    # limit, and a plain ValueError past the integer digit limit
     with pytest.raises(ConfigError, match="config is not valid JSON"):
         parse_config(text)
     path = tmp_path / "deep.json"
