@@ -44,6 +44,7 @@ from .wstates import (
     cut_entropy,
     entropy_scan,
     excitation_blocks,
+    excitation_split,
     generalized_ghz,
     generalized_w,
     ghz,
@@ -57,6 +58,7 @@ from .wstates import (
     sub_w,
     suitability_scan,
     teleport_condition,
+    w_block,
     w_coefficients,
 )
 from .teleport import (

@@ -270,54 +270,66 @@ PAULIS = Unitary.on_block(2, [0, 1], np.stack(PAULI_FOUR))
 class MeasurementBasis:
     """Orthonormal family of labeled vectors on an ordered qubit subset.
 
-    A family with fewer vectors than the subset dimension is *partial*;
-    ``project`` then demands that the measured state has no support outside
-    the family's span, which turns "this resource cannot run the protocol"
-    into a detectable error instead of silent probability loss.
+    The vectors come as ``StateVector``s or as one (V, 2^k) amplitude stack,
+    which is Gram-checked as it is and kept read-only as ``stack``; ``vectors``
+    reads them as states either way.  A family with fewer vectors than the
+    subset dimension is *partial*; ``project`` then demands that the measured
+    state has no support outside the family's span, which turns "this resource
+    cannot run the protocol" into a detectable error instead of silent
+    probability loss.
     """
 
-    __slots__ = ("subset", "vectors", "labels")
+    __slots__ = ("subset", "stack", "labels", "_vectors")
 
     def __init__(
         self,
         subset: Sequence[int],
-        vectors: Sequence[StateVector],
+        vectors: Sequence[StateVector] | np.ndarray,
         labels: Sequence[str] | None = None,
     ):
         idx = _validated_subset(subset)
         k = len(idx)
-        vecs = tuple(vectors)
-        if not vecs:
-            raise ValueError("measurement basis needs at least one vector")
-        if len(vecs) > 2**k:
-            raise ValueError(f"at most {2**k} vectors fit on {k} qubits")
-        for v in vecs:
+        given = None if isinstance(vectors, np.ndarray) else tuple(vectors)
+        for v in given or ():
             if v.num_qubits != k:
                 raise DimensionError(
                     f"basis vector on {v.num_qubits} qubits does not match subset size {k}"
                 )
+        stack = np.asarray(vectors if given is None else [v.amplitudes for v in given], np.complex128)
+        if not stack.size:
+            raise ValueError("measurement basis needs at least one vector")
+        if stack.ndim != 2 or stack.shape[1] != 2**k:
+            raise DimensionError(f"basis stack of shape {stack.shape} does not fit {k} qubits")
+        if len(stack) > 2**k:
+            raise ValueError(f"at most {2**k} vectors fit on {k} qubits")
         if labels is None:
-            labels = tuple(f"m{i}" for i in range(len(vecs)))
+            labels = tuple(f"m{i}" for i in range(len(stack)))
         labels = tuple(str(s) for s in labels)
-        if len(labels) != len(vecs) or len(set(labels)) != len(labels):
+        if len(labels) != len(stack) or len(set(labels)) != len(labels):
             raise ValueError("labels must be distinct and match the vector count")
-        gram = gram_matrix(vecs)
-        dev = float(np.abs(gram - np.eye(len(vecs))).max())
+        gram = gram_matrix(stack)
+        dev = float(np.abs(gram - np.eye(len(stack))).max())
         if not dev <= STRUCTURAL_TOL:
             raise ProtocolViolationError(
                 f"measurement family is not orthonormal (max Gram deviation {dev:.3e})"
             )
-        self.subset = idx
-        self.vectors = vecs
-        self.labels = labels
+        stack.flags.writeable = False
+        self.subset, self.stack, self.labels, self._vectors = idx, stack, labels, given
+
+    @property
+    def vectors(self) -> tuple[StateVector, ...]:
+        """The family as states: those given, or the stack's rows, built on first read."""
+        if self._vectors is None:
+            self._vectors = tuple(state_rows(self.stack))
+        return self._vectors
 
     @property
     def is_partial(self) -> bool:
-        return len(self.vectors) < 2 ** len(self.subset)
+        return len(self.stack) < 2 ** len(self.subset)
 
     def __repr__(self) -> str:
         return (
-            f"MeasurementBasis(subset={self.subset}, vectors={len(self.vectors)},"
+            f"MeasurementBasis(subset={self.subset}, vectors={len(self.stack)},"
             f" partial={self.is_partial})"
         )
 
@@ -585,10 +597,10 @@ def _measure_block(psi: np.ndarray, basis: MeasurementBasis, layout: tuple) -> t
     kept = slice(None) if len(kept) == 2**k else kept  # every pattern: no gather
     if not unit_rows(psi.reshape(len(psi), -1)).all():
         raise NormalizationError("projective measurement expects a normalized state")
-    v, g = len(basis.vectors), len(psi)
+    v, g = len(basis.stack), len(psi)
     branches = overlaps = np.empty((v, g, psi.shape[2]), dtype=np.complex128)
-    for vec, branch in zip(basis.vectors, overlaps):
-        np.matmul(vec.amplitudes[kept].conj(), psi, out=branch)
+    for vec, branch in zip(basis.stack, overlaps):
+        np.matmul(vec[kept].conj(), psi, out=branch)
     if not len(columns) == psi.shape[2] == 2**rest:
         branches = np.zeros((v, g, 2**rest), dtype=np.complex128)
         branches[:, :, columns] = overlaps[:, :, : len(columns)]

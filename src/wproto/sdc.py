@@ -60,7 +60,7 @@ from .qsim import (
     unit_rows,
 )
 from .teleport import bob_strategy2_set, require_condition
-from .wstates import CoefficientVector, excitation_blocks, generalized_w
+from .wstates import CoefficientVector, excitation_split, generalized_w, w_block
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,7 +198,7 @@ def general_encoding_set(c: CoefficientVector, m: int) -> EncodingSet:
     no matrix is copied and no message operator is built.
     Callers should still confirm via :func:`decode` — and the tests do.
     """
-    corrections = bob_strategy2_set(m, excitation_blocks(c, m)[2])
+    corrections = bob_strategy2_set(m, w_block(c, m))
     flips = np.arange(2**m) ^ 2 * np.arange(2 ** (m - 1))[:, None]
     return EncodingSet(corrections, flips)
 
@@ -279,7 +279,7 @@ def capacity_check(
     front (x) |0..0> + |0..0> (x) back_raw across the cut, and front has no
     |0..0> amplitude, so an encoded state U_k's inner products are those of
     the 2^m x 2 block U_k [|front| |0..0>, back_raw]: its two Schmidt
-    columns, from :func:`excitation_blocks`.  That block is multiplied once
+    columns, from :func:`excitation_split`.  That block is multiplied once
     by each base block (``generated`` has four, shared by its row orders) on
     the indices it moves, and one index gathers every message's rows from
     those products (:meth:`EncodingSet.gather`) into one stack whose row norms
@@ -295,9 +295,9 @@ def capacity_check(
     answer is diagnostic — the protocol's capacity claim is about full sets.
     """
     _sender_qubits(c, m, encoding)
-    front, back_raw = excitation_blocks(c, m)[:2]
+    _, back_raw, front_norm, _ = excitation_split(c, m)
     columns = np.zeros((2**m, 2), dtype=np.complex128)
-    columns[0, 0], columns[:, 1] = front.norm, back_raw.amplitudes
+    columns[0, 0], columns[:, 1] = front_norm, back_raw
     norm = math.sqrt(np.vdot(columns, columns).real)
     products = np.tile(columns, (len(encoding.bases), 1, 1))
     for op, product in zip(encoding.bases, products):

@@ -10,8 +10,9 @@ in a four-vector orthogonal family; the family is orthonormal exactly when
 the resource satisfies the half-half split condition, so an unsuitable
 resource is rejected up front rather than producing silently degraded
 fidelity.  One builder makes every family here (the encoded, one-qubit
-and GHZ sender families and the receiver's serial family) as two +/- pairs,
-so outcome k of any family is undone by correction (0, 3, 1, 2)[k].  After
+and GHZ sender families and the receiver's serial family) as two +/- pairs
+in one (4, 2^k) amplitude stack, so outcome k of any family is undone by
+correction (0, 3, 1, 2)[k].  After
 two classical bits, the receiver's m qubits hold the input encoded in
 span{|0..0>, |w>} (|w> = the normalized excitation block on his qubits) up
 to one of four subspace corrections, each built on its block (|0..0>,
@@ -27,7 +28,8 @@ resource is measured in a family, and one call corrects each outcome's rows
 on the receiver's qubits.  ``serial`` hops again from every sender branch at
 once, through (|00> + |11>)/sqrt(2) in the relay family; its sixteen branches
 carry joint probabilities.  :func:`run_teleport_grid` builds a resource's
-family, corrections and relay basis once and checks every grid point against
+family, corrections and relay basis once, as arrays from the cut's blocks
+(the receiver's |w> is the one state), and checks every grid point against
 its own target, bit for bit a run of that point alone, in one columnar
 :class:`ProtocolReport`; :func:`run_teleport_one_qubit` is its one-state
 case, and :func:`run_teleport_encoded` sends an m-qubit register through the
@@ -57,7 +59,6 @@ from .qsim import (
     Unitary,
     apply_unitary_stack,
     fidelity_stack,
-    make_basis_state,
     project_product,
     require_int,
     state_rows,
@@ -68,11 +69,12 @@ from .wstates import (
     CoefficientVector,
     ConditionReport,
     UnsuitableResourceError,
-    excitation_blocks,
     excitation_indices,
+    excitation_split,
     ghz_condition,
     require_unit_pair,
     teleport_condition,
+    w_block,
 )
 
 #: a protocol run succeeds when every outcome fidelity clears this bar
@@ -86,7 +88,8 @@ CORRECTION_INDEX = dict(zip(FAMILY_LABELS + SERIAL_LABELS, (0, 3, 1, 2) * 2))
 
 STRATEGIES = ("subspace", "transfer", "serial")
 
-_K0, _K1 = make_basis_state(1, [0]), make_basis_state(1, [1])
+_K0, _K1 = np.eye(2, dtype=np.complex128)  # |0> and |1>
+_PAULI_STACK = np.stack(PAULI_FOUR)
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,21 +156,36 @@ def encoded_state(c: CoefficientVector, m: int, alpha: complex, beta: complex) -
     """The m-qubit register alpha|0..0> + beta|w>, |w> taken from the resource:
     one that :func:`run_teleport_encoded` carries."""
     require_unit_pair(alpha, beta)
-    return superpose([(alpha, zero_state(m)), (beta, excitation_blocks(c, m)[2])])
+    return superpose([(alpha, zero_state(m)), (beta, w_block(c, m))])
 
 
-def _family(zero: StateVector, one: StateVector, first: tuple, second: tuple) -> list[StateVector]:
-    """The four vectors x|zero>|A> +- y|one>|B> and y|zero>|B> +- x|one>|A>
-    for ``first`` = (x, A) and ``second`` = (y, B), in that order: every
-    four-vector family of the protocols, summed as ``superpose`` sums
-    ``tensor`` products (into zeros, so -0 becomes +0), bit for bit."""
+def _ket0(qubits: int) -> np.ndarray:
+    """|0..0> on ``qubits`` qubits as amplitudes."""
+    amps = np.zeros(2**qubits, dtype=np.complex128)
+    amps[0] = 1.0
+    return amps
+
+
+def _family(zero: np.ndarray, one: np.ndarray, first: tuple, second: tuple) -> np.ndarray:
+    """The (4, 2^q) stack of x|zero>|A> +- y|one>|B> and y|zero>|B> +- x|one>|A>
+    for amplitude arrays ``zero``, ``one`` and ``first`` = (x, A), ``second`` =
+    (y, B), in that order: every four-vector family of the protocols, summed as
+    ``superpose`` sums ``tensor`` products (into zeros, so -0 becomes +0), bit
+    for bit."""
     (x, a), (y, b) = first, second
     coefficients = np.array([complex(x), complex(y)])[:, None, None]
-    parts = np.array([a.amplitudes, b.amplitudes])[:, None, :]
-    base = (coefficients * (zero.amplitudes[:, None] * parts) + 0.0).reshape(2, -1)
-    tails = (coefficients[::-1] * (one.amplitudes[:, None] * parts[::-1])).reshape(2, -1)
-    rows = np.stack([base + tails, base - tails], axis=1)  # (pair, +-)
-    return [StateVector(zero.num_qubits + a.num_qubits, row) for row in rows.reshape(4, -1)]
+    parts = np.array([a, b])[:, None, :]
+    base = (coefficients * (zero[:, None] * parts) + 0.0).reshape(2, -1)
+    tails = (coefficients[::-1] * (one[:, None] * parts[::-1])).reshape(2, -1)
+    rows = np.empty((2, 2, base.shape[1]), dtype=np.complex128)  # (pair, +-)
+    np.add(base, tails, out=rows[:, 0])
+    np.subtract(base, tails, out=rows[:, 1])
+    return rows.reshape(4, -1)
+
+
+def _states(stack: np.ndarray) -> list[StateVector]:
+    """A diagnostic family's rows as states."""
+    return [StateVector(stack.shape[1].bit_length() - 1, row) for row in stack]
 
 
 def raw_measurement_vectors(c: CoefficientVector, m: int) -> list[StateVector]:
@@ -180,8 +198,8 @@ def raw_measurement_vectors(c: CoefficientVector, m: int) -> list[StateVector]:
     the identity for an unsuitable resource.  The vectors live on
     m + (n - m) = n qubits: unknown register first, then the sender's share.
     """
-    front, _, wm, back_norm = excitation_blocks(c, m)
-    return _family(zero_state(m), wm, (1, front), (back_norm, zero_state(c.n - m)))
+    front, back, _, back_norm = excitation_split(c, m)
+    return _states(_family(_ket0(m), back / back_norm, (1, front), (back_norm, _ket0(c.n - m))))
 
 
 def measurement_family(c: CoefficientVector, m: int) -> MeasurementBasis:
@@ -196,6 +214,11 @@ def measurement_family(c: CoefficientVector, m: int) -> MeasurementBasis:
     return MeasurementBasis(range(1, c.n + 1), raw_measurement_vectors(c, m), FAMILY_LABELS)
 
 
+def _one_qubit_stack(c: CoefficientVector, m: int) -> np.ndarray:
+    front, _, _, back_norm = excitation_split(c, m)
+    return _family(_K0, _K1, (1, front), (back_norm, _ket0(c.n - m)))
+
+
 def raw_one_qubit_measurement_vectors(c: CoefficientVector, m: int) -> list[StateVector]:
     """Family vectors for a one-qubit unknown register, ungated:
 
@@ -205,15 +228,13 @@ def raw_one_qubit_measurement_vectors(c: CoefficientVector, m: int) -> list[Stat
     state, which leaves its norm as the scalar.  Vectors live on
     1 + (n - m) qubits.
     """
-    front, _, _, back_norm = excitation_blocks(c, m)
-    return _family(_K0, _K1, (1, front), (back_norm, zero_state(c.n - m)))
+    return _states(_one_qubit_stack(c, m))
 
 
 def one_qubit_measurement_family(c: CoefficientVector, m: int) -> MeasurementBasis:
     """Orthonormal family for teleporting a genuine one-qubit state."""
     require_condition(c, m)
-    vectors = raw_one_qubit_measurement_vectors(c, m)
-    return MeasurementBasis(range(1, c.n - m + 2), vectors, FAMILY_LABELS)
+    return MeasurementBasis(range(1, c.n - m + 2), _one_qubit_stack(c, m), FAMILY_LABELS)
 
 
 def raw_ghz_measurement_vectors(a1: complex, a2: complex, n: int) -> list[StateVector]:
@@ -224,9 +245,8 @@ def raw_ghz_measurement_vectors(a1: complex, a2: complex, n: int) -> list[StateV
     Vectors on n qubits (unknown qubit plus the sender's n-1 resource
     qubits); orthonormal exactly when |a1|^2 = |a2|^2 = 1/2.
     """
-    n = require_int(n, 2)
-    all0, all1 = zero_state(n - 1), make_basis_state(n - 1, [1] * (n - 1))
-    return _family(_K0, _K1, (a1, all0), (a2, all1))
+    all0 = _ket0(require_int(n, 2) - 1)
+    return _states(_family(_K0, _K1, (a1, all0), (a2, all0[::-1])))
 
 
 def ghz_measurement_family(a1: complex, a2: complex, n: int) -> MeasurementBasis:
@@ -248,6 +268,18 @@ def _basis_pair(m: int, wm: StateVector) -> np.ndarray:
     return np.flatnonzero(moved)
 
 
+def _subspace_blocks(m: int, wm: StateVector) -> tuple[np.ndarray, np.ndarray]:
+    """The indices :func:`_basis_pair` checks and returns, and the (4, k, k)
+    stack of blocks acting as ``PAULI_FOUR`` on span{|0..0>, wm} and as the
+    identity on the rest of them."""
+    idx = _basis_pair(m, wm)
+    pair = np.empty((len(idx), 2), dtype=np.complex128)
+    pair[:, 0], pair[:, 1] = idx == 0, wm.amplitudes[idx]  # |0..0> and wm
+    b0, b1 = pair.T
+    complement = np.eye(len(idx)) - b0[:, None] * b0.conj() - b1[:, None] * b1.conj()
+    return idx, complement + pair @ _PAULI_STACK @ pair.conj().T
+
+
 def bob_strategy1_set(m: int, wm: StateVector) -> list[Unitary]:
     """Four unitaries acting as (sigma_0, sigma_1, i*sigma_2, sigma_3) on
     span{|0..0>, wm} and as the identity on the orthogonal complement.
@@ -255,12 +287,7 @@ def bob_strategy1_set(m: int, wm: StateVector) -> list[Unitary]:
     These are the receiver-side corrections that keep the teleported state
     encoded in the two-dimensional subspace; their four blocks are one stack.
     """
-    idx = _basis_pair(m, wm)
-    b0, b1 = (idx == 0).astype(np.complex128), wm.amplitudes[idx]  # |0..0> and wm
-    complement = np.eye(len(idx)) - np.outer(b0, b0.conj()) - np.outer(b1, b1.conj())
-    pair = np.stack([b0, b1], axis=1)
-    blocks = complement + pair @ np.stack(PAULI_FOUR) @ pair.conj().T
-    return list(Unitary.on_block(2**m, idx, blocks))
+    return list(Unitary.on_block(2**m, *_subspace_blocks(m, wm)))
 
 
 def transfer_unitary(m: int, wm: StateVector) -> Unitary:
@@ -275,13 +302,15 @@ def transfer_unitary(m: int, wm: StateVector) -> Unitary:
     """
     idx = _basis_pair(m, wm)
     v, w1 = wm.amplitudes.copy(), wm.amplitudes[1]
-    p = w1 / abs(w1) if w1 else 1.0
+    # the phase of a subnormal w1 from w1 scaled by 2^600, exactly: 1/|w1| would overflow
+    scaled = w1 * 2.0**600 if abs(w1) < 2.0**-600 else w1
+    p = scaled / abs(scaled) if w1 else 1.0
     # wm's weight off |0..01>, summed directly: 1 - |w1|^2 cancels near |0..01>
     s = float(np.sum(np.abs(np.delete(v, 1)) ** 2))
     v[1] = -p * s / (1.0 + abs(w1))  # w1 - p for a unit wm, without that cancellation
     t = np.eye(len(idx), dtype=np.complex128)
     if s > 0.0:
-        t -= (2.0 / (s + abs(v[1]) ** 2)) * np.outer(v[idx], v[idx].conj())
+        t -= (2.0 / (s + abs(v[1]) ** 2)) * (v[idx][:, None] * v[idx].conj())
     t[1] *= np.conj(p)
     return Unitary.on_block(2**m, idx, t)
 
@@ -291,16 +320,17 @@ def bob_strategy2_set(m: int, wm: StateVector) -> list[Unitary]:
 
     Applying the k-th operator to the k-th measurement branch leaves the
     receiver's register in |0..0> (x) (alpha|0> + beta|1>) on his last qubit.
-    One stacked product on the corrections' moved indices composes all four.
+    One stacked product composes the transfer block into the four
+    :func:`bob_strategy1_set` blocks on their moved indices, and only the
+    products become operators.
     """
-    transfer, corrections = transfer_unitary(m, wm), bob_strategy1_set(m, wm)
-    idx, listed = corrections[0].moved, corrections[0].moved.tolist()
-    if not (all(u.order is None and u.moved.tolist() == listed for u in corrections)
-            and transfer.order is None and set(transfer.moved.tolist()) <= set(listed)):
+    transfer = transfer_unitary(m, wm)
+    idx, blocks = _subspace_blocks(m, wm)
+    if not (transfer.order is None and set(transfer.moved.tolist()) <= set(idx.tolist())):
         raise ValueError("the corrections must move the same indices, the transfer some of them")
     t, at = np.eye(len(idx), dtype=np.complex128), np.searchsorted(idx, transfer.moved)
     t[at[:, None], at] = transfer.block
-    return list(Unitary.on_block(transfer.dimension, idx, t @ np.array([u.block for u in corrections])))
+    return list(Unitary.on_block(transfer.dimension, idx, t @ blocks))
 
 
 def serial_basis(m: int, wm: StateVector) -> MeasurementBasis:
@@ -317,8 +347,8 @@ def serial_basis(m: int, wm: StateVector) -> MeasurementBasis:
     """
     h = 1.0 / math.sqrt(2.0)
     _basis_pair(m, wm)
-    vectors = _family(zero_state(m), wm, (h, _K0), (h, _K1))
-    return MeasurementBasis(range(1, m + 2), vectors, SERIAL_LABELS)
+    stack = _family(_ket0(m), wm.amplitudes, (h, _K0), (h, _K1))
+    return MeasurementBasis(range(1, m + 2), stack, SERIAL_LABELS)
 
 
 #: the relay's auxiliary pair (|00> + |11>)/sqrt(2) as (qubits, support, amplitudes)
@@ -381,7 +411,7 @@ def _teleport(
         rows = slice(start, start + batch)
         targets = inputs[rows]
         if strategy == "subspace":
-            targets = targets[:, :1] * zero_state(m).amplitudes + targets[:, 1:] * wm.amplitudes
+            targets = targets[:, :1] * _ket0(m) + targets[:, 1:] * wm.amplitudes
         labels, p, final, fixes = _hop(inputs[rows], resource, basis, corrections)
         if relay is not None:  # one hop over every sender branch's rows, sender-branch-major
             outer = [label + "|" for label in labels]
@@ -424,7 +454,7 @@ def run_teleport_encoded(c: CoefficientVector, m: int, psi: StateVector) -> Prot
     """
     basis = measurement_family(c, m)
     _require_registers([psi], m)
-    wm = excitation_blocks(c, m)[2]
+    wm = w_block(c, m)
     return _teleport(psi.amplitudes[None], c, basis, bob_strategy1_set(m, wm), None, wm)
 
 
@@ -450,7 +480,7 @@ def run_teleport_grid(
     if not states:
         raise ValueError("need at least one state")
     _require_registers(states, 1)
-    wm = excitation_blocks(c, m)[2]
+    wm = w_block(c, m)
     corrections = (bob_strategy2_set if strategy == "transfer" else bob_strategy1_set)(m, wm)
     inputs = np.array([psi.amplitudes for psi in states])
     return _teleport(inputs, c, basis, corrections, strategy, wm)

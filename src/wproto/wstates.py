@@ -147,28 +147,43 @@ def excitation_indices(k: int) -> np.ndarray:
     return 1 << np.arange(k - 1, -1, -1)
 
 
-def excitation_blocks(
-    c: CoefficientVector, m: int
-) -> tuple[StateVector, StateVector, StateVector, float]:
-    """(front block, raw back block, normalized back block, back norm).
-
-    The blocks are the excitation terms on the first n-m and the last m
-    qubits, so front (x) |0..0> + |0..0> (x) raw back block reassembles
-    ``generalized_w(c)``: its two-term form at this cut.  The split
-    condition forces both block norms to 1/sqrt(2); vanishing blocks can
-    only come from inconsistent input and are rejected because the
-    protocols' measurement vectors would collapse.
+def excitation_split(c: CoefficientVector, m: int) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """(front block, raw back block, front norm, back norm) of the cut after the
+    first n-m qubits, in one pass over the coefficients: the blocks as read-only
+    amplitude arrays on the first n-m and the last m qubits, each norm the one
+    ``StateVector.norm`` takes.  Front (x) |0..0> + |0..0> (x) back reassembles
+    ``generalized_w(c)``: its two-term form at this cut.  The split condition
+    forces both norms to 1/sqrt(2); vanishing blocks can only come from
+    inconsistent input and are rejected because the protocols' measurement
+    vectors would collapse.
     """
     n, m = c.n, require_int(m)
-    front = sub_w(c, 1, n - m)
-    back_raw = sub_w(c, n - m + 1, n)
-    back_norm = back_raw.norm
-    if front.norm < 1e-12 or back_norm < 1e-12:
+    if not 1 <= m <= n - 1:
+        raise ValueError(f"partition size m={m} must lie in 1..{n - 1}")
+    front, back = np.zeros(2 ** (n - m), dtype=np.complex128), np.zeros(2**m, dtype=np.complex128)
+    front[excitation_indices(n - m)], back[excitation_indices(m)] = c.coeffs[: n - m], c.coeffs[n - m :]
+    front.flags.writeable = back.flags.writeable = False
+    front_norm, back_norm = math.sqrt(np.vdot(front, front).real), math.sqrt(np.vdot(back, back).real)
+    if front_norm < 1e-12 or back_norm < 1e-12:
         raise UnsuitableResourceError(
             "an excitation block of the resource vanishes; measurement vectors collapse"
         )
-    wm = StateVector(m, back_raw.amplitudes / back_norm)
-    return front, back_raw, wm, back_norm
+    return front, back, front_norm, back_norm
+
+
+def w_block(c: CoefficientVector, m: int) -> StateVector:
+    """|w>: the normalized back block of :func:`excitation_split` on the last m qubits."""
+    _, back, _, back_norm = excitation_split(c, m)
+    return StateVector(m, back / back_norm)
+
+
+def excitation_blocks(
+    c: CoefficientVector, m: int
+) -> tuple[StateVector, StateVector, StateVector, float]:
+    """(front block, raw back block, normalized back block, back norm): the
+    blocks of :func:`excitation_split` as states."""
+    front, back, _, back_norm = excitation_split(c, m)
+    return StateVector(c.n - m, front), StateVector(m, back), StateVector(m, back / back_norm), back_norm
 
 
 def w_coefficients(n: int) -> CoefficientVector:

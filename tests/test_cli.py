@@ -14,8 +14,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wproto.cli as cli
+import wproto.qsim as qsim
 import wproto.sdc as sdc
+import wproto.teleport as teleport
 from wproto.cli import TASKS, ConfigError, RunReport, emit, main, parse_config, run
+from wproto.teleport import FIDELITY_THRESHOLD
 
 from oracle_utils import round_floats
 
@@ -181,6 +184,40 @@ class TestRun:
             assert "does not split half-and-half at m=2" in entry["verdict"]["reason"]
             assert entry["results"]["condition"]["m"] == 2
         assert calls == []
+
+    def test_refused_requests_build_no_protocol_object(self, monkeypatch):
+        # a teleport or sdc request refused at its m, as detect-large's are, stops
+        # at the split gate: no grid, family, correction, transfer, relay,
+        # encoding set or capacity check is built, nor any basis or operator
+        built = []
+
+        def count(owner, name):
+            original = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *a, **k: built.append(name) or original(*a, **k))
+
+        for name in ("unknown_state_grid", "run_teleport_grid", "capacity_check"):
+            count(cli, name)
+        for name in ("one_qubit_measurement_family", "bob_strategy1_set", "bob_strategy2_set",
+                     "transfer_unitary", "serial_basis"):
+            count(teleport, name)
+        for name in ("general_encoding_set", "pauli_set", "w4_multiunary_set", "pauli_product_set"):
+            count(sdc, name)
+        count(qsim.MeasurementBasis, "__init__")
+        count(qsim.Unitary, "_fill")
+        states = [{"named": "w", "n": 5}, {"named": "modified-w", "n": 4}]  # no cut / only m = 1
+        doc = make_config(
+            [{"task": "teleport", "state": state, "m": 2, "strategy": strategy,
+              "grid": {"count": 20, "seed": 3}, "expect": "failure"}
+             for state in states for strategy in ("subspace", "transfer", "serial")]
+            + [{"task": "sdc", "state": states[0], "m": 1, "set": "pauli", "expect": "failure"}]
+            + [{"task": "sdc", "state": state, "m": 2, "set": name, "expect": "failure"}
+               for state in states for name in ("w4", "generated", "full-products")]
+        )
+        report = run(parse_config(doc))
+        assert report.all_matched and len(report.payload["scenarios"]) == 13
+        for entry in report.payload["scenarios"]:
+            assert "does not split half-and-half at m=" in entry["verdict"]["reason"]
+        assert built == []
 
     def test_teleport_w4_reports_unit_fidelity(self):
         doc = make_config(
@@ -361,6 +398,26 @@ class TestMainExitCodes:
         for name in ("nope.json", "a\x00b"):  # absent, and a path open() refuses
             assert main(["--config", str(tmp_path / name)]) == 2
             assert capsys.readouterr().err.startswith("cannot read config: ")
+
+    @pytest.mark.parametrize(
+        "task",
+        [{"task": "teleport", "strategy": "transfer", "m": 2, "grid": {"count": 2, "seed": 1}},
+         {"task": "sdc", "set": "generated", "m": 2}],
+        ids=["transfer", "generated"],
+    )
+    def test_exit_zero_on_a_subnormal_w_amplitude(self, tmp_path, capsys, task):
+        # the receiver's |w> has a subnormal |01> amplitude: the transfer still
+        # takes a unit phase from it, so both runs verify instead of exiting 3
+        state = {"coefficients": [[0.7071067811865475, 0], [0.7071067811865476, 0], [1e-310, 0]]}
+        config = self.write(tmp_path, make_config([{**task, "state": state}]))
+        out = tmp_path / "report.json"
+        assert main(["--config", config, "--format", "json", "--out", str(out)]) == 0
+        results = json.loads(out.read_text())["scenarios"][0]["results"]
+        if task["task"] == "teleport":
+            assert results["min_fidelity"] >= FIDELITY_THRESHOLD
+        else:
+            assert results["decodable"] and results["bits"] == 3
+        capsys.readouterr()
 
     def test_out_flag_writes_file(self, tmp_path, capsys):
         config = self.write(

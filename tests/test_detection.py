@@ -127,10 +127,10 @@ def flipped_family_sign(mp):
     build = teleport._family
 
     def mutant(zero, one, first, second):
-        xi_plus, xi_minus, eta_plus, eta_minus = build(zero, one, first, second)
-        # eta+- = y|zero>|B> -+ x|one>|A>: each is the other, so the family
-        # stays orthonormal and only the corrections can show the fault
-        return [xi_plus, xi_minus, eta_minus, eta_plus]
+        # rows (xi+, xi-, eta-, eta+), so eta+- = y|zero>|B> -+ x|one>|A>: each
+        # is the other, the family stays orthonormal and only the corrections
+        # can show the fault
+        return build(zero, one, first, second)[[0, 1, 3, 2]]
 
     mp.setattr(teleport, "_family", mutant)
 

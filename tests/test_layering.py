@@ -5,8 +5,10 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import io
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -68,6 +70,34 @@ def test_the_cli_holds_no_physics():
         "pauli_product_set",
     }
     assert not names & physics
+
+
+#: the code lines of src/wproto, at most: lines that hold a token other than a
+#: comment or a blank, outside docstrings.  Compiled source shows in every
+#: workload's peak RSS and set-up time, so the count may only go down
+SOURCE_CODE_LINES = 1713
+
+
+def _code_lines(text: str) -> int:
+    docstrings = set()
+    for node in ast.walk(ast.parse(text)):
+        owners = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+        first = node.body[0] if isinstance(node, owners) and node.body else None
+        if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant) \
+                and isinstance(first.value.value, str):
+            docstrings.update(range(first.lineno, first.end_lineno + 1))
+    layout = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+              tokenize.ENCODING, tokenize.ENDMARKER}
+    lines = set()
+    for token in tokenize.generate_tokens(io.StringIO(text).readline):
+        if token.type not in layout:
+            lines.update(range(token.start[0], token.end[0] + 1))
+    return len(lines - docstrings)
+
+
+def test_the_source_does_not_grow():
+    count = sum(_code_lines(path.read_text()) for path in PACKAGE.glob("*.py"))
+    assert count <= SOURCE_CODE_LINES, f"src/wproto holds {count} code lines"
 
 
 def _name(node: ast.expr) -> str | None:

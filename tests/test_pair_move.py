@@ -108,11 +108,13 @@ def test_transfer_on_resource_blocks(m):
         _check_transfer(m, excitation_blocks(c, m)[2])
 
 
-def test_transfer_with_last_coefficient_zero():
-    # back block (c3, c4) = (1/sqrt2, 0): wm = |10>, no weight on |01>
-    c = CoefficientVector([0.5, 0.5, math.sqrt(0.5), 0.0])
+@pytest.mark.parametrize("last", [0.0, 1e-300, 1e-310, 5e-324, 3e-310 + 4e-310j])
+def test_transfer_with_last_coefficient_zero(last):
+    # back block (c3, c4) = (1/sqrt2, last): wm = |10> for 0, else with a tiny
+    # |01> weight, subnormal ones too, whose reciprocal overflows
+    c = CoefficientVector([0.5, 0.5, math.sqrt(0.5), last])
     wm = excitation_blocks(c, 2)[2]
-    assert wm.amplitudes[1] == 0
+    assert (wm.amplitudes[1] == 0) == (last == 0)
     _check_transfer(2, wm)
     report = run_teleport_grid(c, 2, unknown_state_grid(4, 3), "transfer")
     assert report.min_fidelity >= FIDELITY_THRESHOLD

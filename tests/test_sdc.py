@@ -502,6 +502,6 @@ def test_a_generated_capacity_check_builds_no_message_operator(monkeypatch):
     encoding = general_encoding_set(c, 6)
     result = capacity_check(c, 6, encoding)
     assert result.decodable and result.set_size == 128
-    assert built[1] == 4 + 1 + 4  # the strategy-1 stack, the transfer, their products
+    assert built[1] == 1 + 4  # the transfer and its products with the strategy-1 blocks
     assert len(encoding.operators) == 128  # built when read
-    assert built[1] == 9 + 128
+    assert built[1] == 5 + 128

@@ -394,18 +394,15 @@ def test_block_built_corrections_match_the_dense_formulas(m, seed, data):
 
 def test_the_strategy2_product_refuses_factors_on_other_indices(monkeypatch):
     """``bob_strategy2_set`` multiplies the transfer block into the strategy-1
-    blocks on the indices the corrections move, so a correction that moves
-    other indices or carries a row order, or a transfer that moves an index
-    outside them, is refused, not composed on the wrong rows."""
+    blocks on the indices the corrections move, so corrections on other
+    indices, or a transfer that moves an index outside them, are refused, not
+    composed on the wrong rows.  The blocks carry no row order: they are one
+    (4, k, k) stack, made into operators only after the product."""
     wm = excitation_blocks(w_coefficients(4), 2)[2]  # moved: |00>, |01>, |10>
-    ops = bob_strategy1_set(2, wm)
-    for odd in (
-        permute_rows_stack(ops[:1], [[1, 0, 2, 3]])[0],
-        Unitary.on_block(4, [0, 1], np.eye(2)),
-    ):
-        monkeypatch.setattr(teleport, "bob_strategy1_set", lambda m, w, odd=odd: [odd] + ops[1:])
-        with pytest.raises(ValueError, match="same indices"):
-            bob_strategy2_set(2, wm)
+    other = (np.array([0, 1]), np.tile(np.eye(2, dtype=np.complex128), (4, 1, 1)))
+    monkeypatch.setattr(teleport, "_subspace_blocks", lambda m, w: other)
+    with pytest.raises(ValueError, match="same indices"):
+        bob_strategy2_set(2, wm)
     monkeypatch.undo()
     monkeypatch.setattr(
         teleport, "transfer_unitary", lambda m, w: Unitary.on_block(4, [0, 3], PAULI_FOUR[1])

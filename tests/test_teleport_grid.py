@@ -1,5 +1,6 @@
 """The grid engine: per-resource objects built once, one branch loop for all runs."""
 
+import json
 import math
 import os
 import subprocess
@@ -12,7 +13,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import wproto.cli as cli
 import wproto.qsim as qsim
+import wproto.sdc as sdc
 import wproto.teleport as teleport
 import wproto.wstates as wstates
 from wproto.qsim import (
@@ -102,14 +105,51 @@ def test_grid_reports_match_single_runs(strategy):
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_per_resource_objects_built_once(monkeypatch, strategy):
     families = _counting(monkeypatch, "one_qubit_measurement_family")
+    blocks = _counting(monkeypatch, "_subspace_blocks")
     corrections = _counting(monkeypatch, "bob_strategy1_set")
     seconds = _counting(monkeypatch, "serial_basis")
     transfers = _counting(monkeypatch, "transfer_unitary")
     run_teleport_grid(w_coefficients(4), 2, unknown_state_grid(7, 1), strategy)
     assert len(families) == 1
-    assert len(corrections) == 1  # the transfer set reuses the subspace set
+    assert len(blocks) == 1  # the transfer set composes the subspace set's blocks
+    assert len(corrections) == (strategy != "transfer")  # ... without their operators
     assert len(seconds) == (strategy == "serial")
     assert len(transfers) == (strategy == "transfer")
+
+
+@pytest.mark.parametrize(
+    "task, expected",
+    [
+        ({"task": "teleport", "strategy": "subspace"}, (1, 0, 2, 6)),
+        ({"task": "teleport", "strategy": "transfer"}, (1, 0, 2, 6)),
+        ({"task": "teleport", "strategy": "serial"}, (1, 0, 2, 6)),
+        ({"task": "sdc", "set": "generated"}, (1, 0, 2, 7)),
+    ],
+)
+def test_a_request_builds_its_families_and_corrections_as_arrays(monkeypatch, task, expected):
+    # one W4, m = 2 request, parsed, run and emitted: the receiver's |w> is its
+    # one StateVector, families and corrections are built as arrays, and the
+    # cut is split from the coefficients once by each builder that takes (c, m):
+    # the family and |w>, or the set and the capacity check.  The np.vdot calls
+    # are the resource's norm, the two block norms of each split and |w>'s norm
+    # (and the capacity check's), so no per-vector object comes back unseen
+    calls = {"StateVector": [], "excitation_blocks": [], "excitation_split": [], "vdot": []}
+
+    def count(owner, name, key):
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, **k: calls[key].append(a) or original(*a, **k))
+
+    count(qsim.StateVector, "__init__", "StateVector")
+    for module in (wstates, teleport, sdc):
+        for name in ("excitation_blocks", "excitation_split"):
+            if hasattr(module, name):
+                count(module, name, name)
+    count(np, "vdot", "vdot")
+    config = cli.parse_config(json.dumps({**task, "state": {"named": "w", "n": 4}, "m": 2}))
+    report = cli.run(config)
+    cli.emit(report, "json")
+    assert report.all_matched
+    assert tuple(len(made) for made in calls.values()) == expected
 
 
 def test_rejection_comes_before_any_construction(monkeypatch):
@@ -553,16 +593,19 @@ def test_families_built_as_arrays_equal_superposed_products_bytewise(data, n, se
 
 
 def test_no_protocol_builds_the_dense_resource(monkeypatch):
-    # the hop writes the joint states from the resource's support: nothing
-    # builds generalized_w(c), whose amplitudes sub_w would fill over 1..n
-    ranges = []
-    sub_w = wstates.sub_w
+    # the hop writes the joint states from the resource's support, and the
+    # blocks come from the coefficients at the cut: nothing builds
+    # generalized_w(c), whose amplitudes sub_w would fill over 1..n
+    ranges, cuts = [], []
+    sub_w, split = wstates.sub_w, wstates.excitation_split
     monkeypatch.setattr(wstates, "sub_w", lambda c, a, b: ranges.append((a, b)) or sub_w(c, a, b))
+    for module in (wstates, teleport):
+        monkeypatch.setattr(module, "excitation_split", lambda c, m: cuts.append(m) or split(c, m))
     c = random_condition_coefficients(6, 3, np.random.default_rng(2))
     for strategy in STRATEGIES:
         assert run_teleport_grid(c, 3, unknown_state_grid(3, 1), strategy).success
     assert run_teleport_encoded(c, 3, encoded_state(c, 3, 0.6, 0.8j)).success
-    assert ranges and (1, c.n) not in ranges
+    assert set(cuts) == {3} and (1, c.n) not in ranges
 
 
 @settings(max_examples=40, deadline=None)
